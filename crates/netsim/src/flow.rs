@@ -27,7 +27,7 @@
 //! the exact per-round model. Virtual timings are identical either way;
 //! only the host-side event count changes.
 
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::VecDeque;
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -136,6 +136,12 @@ pub(crate) struct NetState {
     flows: Vec<Option<FlowState>>,
     free: Vec<usize>,
     active: Vec<usize>,
+    /// Per directed link, the number of active flows whose path starts on
+    /// it (the sender's uplink): the burst-credit occupancy read by
+    /// [`activate_next`].
+    first_link_active: Vec<u32>,
+    /// Reused buffers of [`NetState::allocate`].
+    fill: WaterFill,
     finish_gen: u64,
     /// Bytes delivered over each directed link (utilization accounting).
     pub(crate) link_delivered: Vec<f64>,
@@ -222,6 +228,8 @@ impl NetState {
             flows: Vec::new(),
             free: Vec::new(),
             active: Vec::new(),
+            first_link_active: Vec::new(),
+            fill: WaterFill::default(),
             finish_gen: 0,
             link_delivered: Vec::new(),
             fast_enabled: default_fast_enabled(),
@@ -404,109 +412,74 @@ impl NetState {
     }
 
     /// Max-min fair allocation over the directed links, honouring per-flow
-    /// caps (progressive filling with per-flow cap pseudo-links). Updates
-    /// `FlowState::rate` in place. O((flows + links) · rounds).
+    /// caps: progressive filling, where each round freezes either every
+    /// flow whose cap binds at the lowest level or every flow crossing the
+    /// tightest link. Updates `FlowState::rate` in place.
+    ///
+    /// The result is a pure function of `active` (its order included) and
+    /// the channels' caps and paths, down to the last bit: see
+    /// [`WaterFill`] for the operation order that pins it. No allocation
+    /// once the reused buffers have grown. Cost: O(flows + links) to
+    /// gather, then O(links + flows frozen) per round, plus a rescan of
+    /// the unfrozen flows each time the tightest cap moves.
     fn allocate(&mut self, now: SimTime) {
-        let n = self.active.len();
-        if n == 0 {
+        if self.active.is_empty() {
             return;
         }
         let _prof = self.prof_scope(|p| p.allocate);
-        // Per-flow caps and link membership (each flow crosses ≤ 3 links).
-        let mut caps: Vec<f64> = Vec::with_capacity(n);
-        let mut memberships: Vec<&[LinkId]> = Vec::with_capacity(n);
+        let w = &mut self.fill;
+        if w.slot.len() < self.topo.link_count() {
+            w.slot.resize(self.topo.link_count(), NO_SLOT);
+        }
+        w.caps.clear();
+        w.flow_links.clear();
+        w.flow_nlinks.clear();
         for &fid in &self.active {
-            let f = self.flows[fid].as_ref().unwrap();
+            let f = self.flows[fid].as_ref().expect("active flow exists");
             let ch = &self.channels[f.chan];
             let cap = if ch.stalled_until > now {
                 0.0
             } else {
                 ch.tcp.window_rate().min(ch.path.bottleneck)
             };
-            caps.push(cap);
-            memberships.push(&ch.path.links);
-        }
-        // Dense link table: residual capacity + unfrozen user count.
-        let mut link_index: BTreeMap<LinkId, usize> = BTreeMap::new();
-        let mut residual: Vec<f64> = Vec::new();
-        let mut users: Vec<usize> = Vec::new();
-        let mut flow_links: Vec<[usize; 3]> = Vec::with_capacity(n);
-        let mut flow_nlinks: Vec<u8> = Vec::with_capacity(n);
-        for m in &memberships {
-            let mut idxs = [usize::MAX; 3];
-            for (k, &l) in m.iter().enumerate() {
-                let li = *link_index.entry(l).or_insert_with(|| {
-                    residual.push(self.topo.link(l).capacity);
-                    users.push(0);
-                    residual.len() - 1
-                });
-                users[li] += 1;
-                idxs[k] = li;
-            }
-            flow_links.push(idxs);
-            flow_nlinks.push(m.len() as u8);
-        }
-        let mut rate = vec![0.0f64; n];
-        let mut frozen = vec![false; n];
-        let mut unfrozen = n;
-        // Freeze a flow at `r`, draining its share from its links.
-        macro_rules! freeze {
-            ($i:expr, $r:expr) => {{
-                frozen[$i] = true;
-                unfrozen -= 1;
-                rate[$i] = $r;
-                for k in 0..flow_nlinks[$i] as usize {
-                    let li = flow_links[$i][k];
-                    residual[li] = (residual[li] - $r).max(0.0);
-                    users[li] -= 1;
+            w.caps.push(cap);
+            // Each path crosses at most 3 links (uplink, WAN, downlink).
+            let mut idxs = [NO_SLOT; 3];
+            for (k, &l) in ch.path.links.iter().enumerate() {
+                let slot = &mut w.slot[l.index()];
+                if *slot == NO_SLOT {
+                    *slot = w.residual.len() as u32;
+                    w.link_ids.push(l.0);
+                    w.residual.push(self.topo.link(l).capacity);
+                    w.users.push(0);
                 }
-            }};
+                w.users[*slot as usize] += 1;
+                idxs[k] = *slot;
+            }
+            w.flow_links.push(idxs);
+            w.flow_nlinks.push(ch.path.links.len() as u8);
         }
-        // Stalled flows freeze at zero immediately.
-        for i in 0..n {
-            if !frozen[i] && caps[i] <= 0.0 {
-                freeze!(i, 0.0);
-            }
+        w.fill();
+        for (&fid, &r) in self.active.iter().zip(&w.rate) {
+            self.flows[fid].as_mut().expect("active flow exists").rate = r;
         }
-        while unfrozen > 0 {
-            // Tightest link level and tightest unfrozen cap.
-            let mut link_level = f64::INFINITY;
-            let mut link_at = usize::MAX;
-            for li in 0..residual.len() {
-                if users[li] > 0 {
-                    let lvl = residual[li] / users[li] as f64;
-                    if lvl < link_level {
-                        link_level = lvl;
-                        link_at = li;
-                    }
-                }
+        w.reset();
+    }
+
+    /// Account for a flow on `ch` joining the active set.
+    fn enter_first_link(&mut self, ch: usize) {
+        if let Some(&l0) = self.channels[ch].path.links.first() {
+            if self.first_link_active.len() <= l0.index() {
+                self.first_link_active.resize(self.topo.link_count(), 0);
             }
-            let mut cap_level = f64::INFINITY;
-            for i in 0..n {
-                if !frozen[i] {
-                    cap_level = cap_level.min(caps[i]);
-                }
-            }
-            let eps = 1e-9;
-            if cap_level <= link_level * (1.0 + eps) || link_at == usize::MAX {
-                // Freeze every flow whose cap binds at this level.
-                for i in 0..n {
-                    if !frozen[i] && caps[i] <= cap_level * (1.0 + eps) {
-                        let r = caps[i];
-                        freeze!(i, r);
-                    }
-                }
-            } else {
-                // Freeze every unfrozen flow crossing the bottleneck link.
-                for i in 0..n {
-                    if !frozen[i] && flow_links[i][..flow_nlinks[i] as usize].contains(&link_at) {
-                        freeze!(i, link_level);
-                    }
-                }
-            }
+            self.first_link_active[l0.index()] += 1;
         }
-        for (i, &fid) in self.active.iter().enumerate() {
-            self.flows[fid].as_mut().unwrap().rate = rate[i];
+    }
+
+    /// Account for a flow on `ch` leaving the active set.
+    fn leave_first_link(&mut self, ch: usize) {
+        if let Some(&l0) = self.channels[ch].path.links.first() {
+            self.first_link_active[l0.index()] -= 1;
         }
     }
 
@@ -523,6 +496,205 @@ impl NetState {
     }
 }
 
+/// [`WaterFill::slot`] of a link the current call has not met.
+const NO_SLOT: u32 = u32::MAX;
+
+/// Reused buffers of the max-min water-fill, owned by [`NetState`] so that
+/// [`NetState::allocate`] allocates nothing in steady state.
+///
+/// Flows are numbered by their position in `active`; links by *dense
+/// index*, in first-encounter order (flows in `active` order, each path's
+/// links in path order). Bit-identity with the straightforward
+/// progressive filling rests on three orders:
+///
+/// - a round's bottleneck is the *first* dense link at the lowest level
+///   (strict `<`), so ties go to the link met first in `active` order;
+/// - every round freezes its flows in ascending flow index — a cap round
+///   walks `live`, a link round walks the link's `members` — so each
+///   residual sees the same f64 subtractions in the same order;
+/// - a freeze clamps the drained residual at zero (`.max(0.0)`).
+///
+/// The tightest unfrozen cap ([`CapLevel`]) is carried across rounds only
+/// while some unfrozen flow holds exactly that cap, so it is always the
+/// value a full rescan would return.
+#[derive(Default)]
+struct WaterFill {
+    /// `LinkId` index → dense index; [`NO_SLOT`] between calls (only the
+    /// slots a call touched are reset).
+    slot: Vec<u32>,
+    /// Dense index → `LinkId` index: the slots to reset.
+    link_ids: Vec<u32>,
+    /// Per link: capacity not yet drained by frozen flows.
+    residual: Vec<f64>,
+    /// Per link: unfrozen flows crossing it.
+    users: Vec<u32>,
+    /// Per link: its flows are `members[start[l]..start[l + 1]]`, in
+    /// ascending flow index.
+    start: Vec<u32>,
+    members: Vec<u32>,
+    /// Per flow: rate cap (0 when stalled).
+    caps: Vec<f64>,
+    /// Per flow: dense indices of its links, of which `flow_nlinks` used.
+    flow_links: Vec<[u32; 3]>,
+    flow_nlinks: Vec<u8>,
+    /// Per flow: allocated rate, valid once frozen.
+    rate: Vec<f64>,
+    frozen: Vec<bool>,
+    /// Unfrozen flows in ascending index, plus frozen ones not yet swept
+    /// away.
+    live: Vec<u32>,
+}
+
+/// The tightest cap among a set of unfrozen flows, and how many of them
+/// hold exactly that cap. The level cannot move while `at > 0`, so
+/// [`WaterFill::fill`] sweeps `live` for the next one only when `at`
+/// reaches zero or a cap round freezes the holders.
+#[derive(Clone, Copy)]
+struct CapLevel {
+    level: f64,
+    at: usize,
+}
+
+impl CapLevel {
+    const NONE: CapLevel = CapLevel {
+        level: f64::INFINITY,
+        at: 0,
+    };
+
+    /// Fold in one more cap. Caps are positive, so the result is the
+    /// value `f64::min` would give, bit for bit.
+    fn add(&mut self, c: f64) {
+        if c < self.level {
+            *self = CapLevel { level: c, at: 1 };
+        } else if c == self.level {
+            self.at += 1;
+        }
+    }
+}
+
+impl WaterFill {
+    /// Progressive filling over the gathered caps and link table; leaves
+    /// the result in `rate`.
+    fn fill(&mut self) {
+        let n = self.caps.len();
+        // Member lists: count-then-place, flows placed in descending
+        // index so each list ends up ascending and `start[l]` ends up at
+        // the list's first entry.
+        self.start.clear();
+        let mut end = 0u32;
+        for &u in &self.users {
+            end += u;
+            self.start.push(end);
+        }
+        self.start.push(end);
+        self.members.clear();
+        self.members.resize(end as usize, 0);
+        for i in (0..n).rev() {
+            for &li in &self.flow_links[i][..self.flow_nlinks[i] as usize] {
+                let at = &mut self.start[li as usize];
+                *at -= 1;
+                self.members[*at as usize] = i as u32;
+            }
+        }
+        self.rate.clear();
+        self.rate.resize(n, 0.0);
+        self.frozen.clear();
+        self.frozen.resize(n, false);
+        // Stalled flows freeze at zero immediately; the rest start live.
+        let mut cap = CapLevel::NONE;
+        self.live.clear();
+        for i in 0..n {
+            if self.caps[i] <= 0.0 {
+                self.freeze(i, 0.0);
+            } else {
+                self.live.push(i as u32);
+                cap.add(self.caps[i]);
+            }
+        }
+        let mut unfrozen = self.live.len();
+        let eps = 1e-9;
+        while unfrozen > 0 {
+            // Tightest link level and tightest unfrozen cap.
+            let mut link_level = f64::INFINITY;
+            let mut link_at = usize::MAX;
+            for (li, (&res, &users)) in self.residual.iter().zip(&self.users).enumerate() {
+                if users > 0 {
+                    let lvl = res / users as f64;
+                    if lvl < link_level {
+                        link_level = lvl;
+                        link_at = li;
+                    }
+                }
+            }
+            if cap.at == 0 {
+                cap = self.sweep(f64::NEG_INFINITY);
+            }
+            if cap.level <= link_level * (1.0 + eps) || link_at == usize::MAX {
+                // Freeze every flow whose cap binds at this level.
+                cap = self.sweep(cap.level * (1.0 + eps));
+                unfrozen = self.live.len();
+            } else {
+                // Freeze every unfrozen flow crossing the bottleneck link.
+                for k in self.start[link_at]..self.start[link_at + 1] {
+                    let i = self.members[k as usize] as usize;
+                    if !self.frozen[i] {
+                        if self.caps[i] == cap.level {
+                            cap.at -= 1;
+                        }
+                        self.freeze(i, link_level);
+                        unfrozen -= 1;
+                    }
+                }
+            }
+        }
+    }
+
+    /// One pass over `live`, in ascending flow index: freeze every
+    /// unfrozen flow whose cap is at most `bound` at its cap, drop frozen
+    /// flows from `live`, and return the tightest cap among the rest.
+    fn sweep(&mut self, bound: f64) -> CapLevel {
+        let mut next = CapLevel::NONE;
+        let mut kept = 0;
+        for k in 0..self.live.len() {
+            let i = self.live[k] as usize;
+            if self.frozen[i] {
+                continue;
+            }
+            let c = self.caps[i];
+            if c <= bound {
+                self.freeze(i, c);
+            } else {
+                self.live[kept] = i as u32;
+                kept += 1;
+                next.add(c);
+            }
+        }
+        self.live.truncate(kept);
+        next
+    }
+
+    /// Freeze flow `i` at `r`, draining its share from its links.
+    fn freeze(&mut self, i: usize, r: f64) {
+        self.frozen[i] = true;
+        self.rate[i] = r;
+        for &li in &self.flow_links[i][..self.flow_nlinks[i] as usize] {
+            let li = li as usize;
+            self.residual[li] = (self.residual[li] - r).max(0.0);
+            self.users[li] -= 1;
+        }
+    }
+
+    /// Return the slot table to all-[`NO_SLOT`] and drop the link table.
+    fn reset(&mut self) {
+        for &l in &self.link_ids {
+            self.slot[l as usize] = NO_SLOT;
+        }
+        self.link_ids.clear();
+        self.residual.clear();
+        self.users.clear();
+    }
+}
+
 /// Arm one channel with the loss/duplication parameters its path class
 /// draws from `plan`.
 fn arm_channel_faults(plan: &FaultPlan, index: usize, c: &mut ChannelState) {
@@ -533,17 +705,6 @@ fn arm_channel_faults(plan: &FaultPlan, index: usize, c: &mut ChannelState) {
     } else {
         None
     };
-}
-
-/// Number of currently active flows crossing `link`.
-fn self_active_on_link(g: &NetState, link: LinkId) -> usize {
-    g.active
-        .iter()
-        .filter(|&&fid| {
-            let f = g.flows[fid].as_ref().expect("active flow exists");
-            g.channels[f.chan].path.links.first() == Some(&link)
-        })
-        .count()
 }
 
 pub(crate) type SharedNet = Arc<Mutex<NetState>>;
@@ -916,6 +1077,7 @@ fn fast_commit(net: &SharedNet, s: &Sched, gen: u64) {
     let fid = plan.fid;
     g.channels[ch].tcp = outcome.tcp;
     g.active.retain(|&x| x != fid);
+    g.leave_first_link(ch);
     let mut f = g.flows[fid].take().expect("finished flow exists");
     g.free.push(fid);
     g.channels[ch].bytes_done += f.total;
@@ -995,7 +1157,7 @@ fn activate_next(g: &mut NetState, net: &SharedNet, s: &Sched, ch: usize, now: S
             .path
             .links
             .first()
-            .map(|&l0| 1 + self_active_on_link(g, l0))
+            .map(|&l0| 1 + g.first_link_active.get(l0.index()).copied().unwrap_or(0))
             .unwrap_or(1) as f64;
         let c = &g.channels[ch];
         let w = c.tcp.effective_window() as f64;
@@ -1023,6 +1185,7 @@ fn activate_next(g: &mut NetState, net: &SharedNet, s: &Sched, ch: usize, now: S
         done: Some(pt.done),
     });
     g.active.push(fid);
+    g.enter_first_link(ch);
     g.channels[ch].active = Some(fid);
     g.channels[ch].transfers += 1;
     g.channels[ch].round_gen += 1;
@@ -1267,19 +1430,28 @@ fn finish_event(net: &SharedNet, s: &Sched, gen: u64) {
     }
     let _prof = g.prof_scope(|p| p.finish);
     g.settle(now);
-    // Collect finished flows.
-    let finished: Vec<usize> = g
-        .active
-        .iter()
-        .copied()
-        .filter(|&fid| g.flows[fid].as_ref().unwrap().remaining < 0.5)
-        .collect();
+    // Drop finished flows from `active` in one order-preserving pass.
+    // Flows the loop below activates are appended after the survivors,
+    // in the order their predecessors finished — as if each finished
+    // flow had been removed just before its successor started.
+    let mut finished: Vec<usize> = Vec::new();
+    let NetState { active, flows, .. } = &mut *g;
+    active.retain(|&fid| {
+        let done = flows[fid].as_ref().expect("active flow exists").remaining < 0.5;
+        if done {
+            finished.push(fid);
+        }
+        !done
+    });
     let mut fires: Vec<(DoneFn, SimTime)> = Vec::new();
     for fid in finished {
-        g.active.retain(|&x| x != fid);
         let mut f = g.flows[fid].take().expect("finished flow exists");
         g.free.push(fid);
         let ch = f.chan;
+        // Per flow, not in the pass above: a successor activated below
+        // counts the finished flows not yet processed as still sharing
+        // the uplink (pinned by a unit test).
+        g.leave_first_link(ch);
         g.channels[ch].bytes_done += f.total;
         emit_flow_finish(&g, ch, now, f.total);
         if now.since(f.started) < g.channels[ch].tcp.params().rtt {
@@ -1323,7 +1495,9 @@ mod tests {
     use super::*;
     use crate::config::KernelConfig;
     use crate::tcp::TcpParams;
-    use crate::topology::{NodeParams, SiteParams};
+    use crate::topology::{NodeId, NodeParams, SiteParams};
+    use desim::prop::forall;
+    use std::collections::BTreeMap;
 
     fn mk_state() -> NetState {
         let mut t = Topology::new();
@@ -1421,5 +1595,333 @@ mod tests {
         let nic = NodeParams::default().nic_bytes_per_sec;
         assert!((r0 - 2.896e7).abs() < 10.0, "r0={r0}");
         assert!((r1 - (nic - 2.896e7)).abs() < 10.0, "r1={r1}");
+    }
+
+    /// Reference water-fill: the progressive filling `allocate` replaced
+    /// (a `BTreeMap` link table and fresh buffers per call, and a rescan
+    /// of every flow per bottleneck round). `allocate` must reproduce its
+    /// rates bit for bit. Returns the rates in `active` order.
+    fn oracle_rates(g: &NetState, now: SimTime) -> Vec<f64> {
+        let n = g.active.len();
+        let mut caps: Vec<f64> = Vec::with_capacity(n);
+        let mut memberships: Vec<&[LinkId]> = Vec::with_capacity(n);
+        for &fid in &g.active {
+            let f = g.flows[fid].as_ref().unwrap();
+            let ch = &g.channels[f.chan];
+            let cap = if ch.stalled_until > now {
+                0.0
+            } else {
+                ch.tcp.window_rate().min(ch.path.bottleneck)
+            };
+            caps.push(cap);
+            memberships.push(&ch.path.links);
+        }
+        let mut link_index: BTreeMap<LinkId, usize> = BTreeMap::new();
+        let mut residual: Vec<f64> = Vec::new();
+        let mut users: Vec<usize> = Vec::new();
+        let mut flow_links: Vec<[usize; 3]> = Vec::with_capacity(n);
+        let mut flow_nlinks: Vec<u8> = Vec::with_capacity(n);
+        for m in &memberships {
+            let mut idxs = [usize::MAX; 3];
+            for (k, &l) in m.iter().enumerate() {
+                let li = *link_index.entry(l).or_insert_with(|| {
+                    residual.push(g.topo.link(l).capacity);
+                    users.push(0);
+                    residual.len() - 1
+                });
+                users[li] += 1;
+                idxs[k] = li;
+            }
+            flow_links.push(idxs);
+            flow_nlinks.push(m.len() as u8);
+        }
+        let mut rate = vec![0.0f64; n];
+        let mut frozen = vec![false; n];
+        let mut unfrozen = n;
+        macro_rules! freeze {
+            ($i:expr, $r:expr) => {{
+                frozen[$i] = true;
+                unfrozen -= 1;
+                rate[$i] = $r;
+                for k in 0..flow_nlinks[$i] as usize {
+                    let li = flow_links[$i][k];
+                    residual[li] = (residual[li] - $r).max(0.0);
+                    users[li] -= 1;
+                }
+            }};
+        }
+        for i in 0..n {
+            if !frozen[i] && caps[i] <= 0.0 {
+                freeze!(i, 0.0);
+            }
+        }
+        while unfrozen > 0 {
+            let mut link_level = f64::INFINITY;
+            let mut link_at = usize::MAX;
+            for li in 0..residual.len() {
+                if users[li] > 0 {
+                    let lvl = residual[li] / users[li] as f64;
+                    if lvl < link_level {
+                        link_level = lvl;
+                        link_at = li;
+                    }
+                }
+            }
+            let mut cap_level = f64::INFINITY;
+            for i in 0..n {
+                if !frozen[i] {
+                    cap_level = cap_level.min(caps[i]);
+                }
+            }
+            let eps = 1e-9;
+            if cap_level <= link_level * (1.0 + eps) || link_at == usize::MAX {
+                for i in 0..n {
+                    if !frozen[i] && caps[i] <= cap_level * (1.0 + eps) {
+                        let r = caps[i];
+                        freeze!(i, r);
+                    }
+                }
+            } else {
+                for i in 0..n {
+                    if !frozen[i] && flow_links[i][..flow_nlinks[i] as usize].contains(&link_at) {
+                        freeze!(i, link_level);
+                    }
+                }
+            }
+        }
+        rate
+    }
+
+    /// Start a flow on a fresh channel over `path` and make it active.
+    fn push_flow(g: &mut NetState, path: Path, window: u64) -> usize {
+        let ch = g.add_channel(path, TcpState::new(flow_params(window)));
+        let fid = g.alloc_flow(FlowState {
+            chan: ch.0,
+            total: 1_000_000,
+            remaining: 1e6,
+            rate: 0.0,
+            started: SimTime::ZERO,
+            last_settle: SimTime::ZERO,
+            done: None,
+        });
+        g.active.push(fid);
+        fid
+    }
+
+    fn rates(g: &NetState) -> Vec<f64> {
+        g.active
+            .iter()
+            .map(|&fid| g.flows[fid].as_ref().unwrap().rate)
+            .collect()
+    }
+
+    #[test]
+    fn allocate_matches_oracle_bit_for_bit() {
+        let base = NodeParams::default().nic_bytes_per_sec;
+        // Deviations around a level: exact, inside and at the 1e-9
+        // tolerance, and just outside it.
+        let deltas = [0.0, 0.0, 3e-10, -3e-10, 1e-9, -1e-9, 2e-9, -2e-9];
+        forall(2000, 0x0a11_0ca7_e5ee_d001, |rng| {
+            // NIC and WAN capacities: equal, within 1e-9 relative, or apart.
+            let nics = [
+                base,
+                base,
+                base * (1.0 + 4e-10),
+                base * (1.0 - 7e-10),
+                base / 2.0,
+            ];
+            let mut t = Topology::new();
+            let sites = [
+                t.add_site("a", SiteParams::default()),
+                t.add_site("b", SiteParams::default()),
+            ];
+            let mut nodes: Vec<NodeId> = Vec::new();
+            for &site in &sites {
+                for _ in 0..3 {
+                    let nic = *rng.pick(&nics);
+                    nodes.push(t.add_node(
+                        site,
+                        NodeParams {
+                            nic_bytes_per_sec: nic,
+                            ..NodeParams::default()
+                        },
+                    ));
+                }
+            }
+            let wan = *rng.pick(&[base, base * (1.0 + 1e-9), base / 3.0, 2.0 * base]);
+            t.connect_sites(
+                sites[0],
+                sites[1],
+                SimDuration::from_millis(10),
+                wan,
+                1 << 20,
+            );
+            // Every level a link of k ≤ 4 users can sit at.
+            let levels: Vec<f64> = (0..t.link_count())
+                .flat_map(|l| {
+                    let c = t.link(LinkId(l as u32)).capacity;
+                    (1..=4).map(move |k| c / k as f64)
+                })
+                .collect();
+            let mut g = NetState::new(t, SimDuration::ZERO);
+            let now = SimTime::from_nanos(1_000);
+            let add = |g: &mut NetState, rng: &mut Rng| {
+                let a = *rng.pick(&nodes);
+                // Loopback (no links), LAN (2 links) or WAN (3 links).
+                let b = if rng.chance(0.15) {
+                    a
+                } else {
+                    *rng.pick(&nodes)
+                };
+                let mut path = g.topo.route(a, b);
+                if rng.chance(0.6) {
+                    path.bottleneck = rng.pick(&levels) * (1.0 + rng.pick(&deltas));
+                }
+                // Mostly link- or bottleneck-bound; some window-bound.
+                let window = if rng.chance(0.2) {
+                    rng.range_u64(1448, 40_000)
+                } else {
+                    1 << 40
+                };
+                let fid = push_flow(g, path, window);
+                let ch = g.flows[fid].as_ref().unwrap().chan;
+                // Stalled (cap 0), stall ending exactly now, or running.
+                g.channels[ch].stalled_until = match rng.range_u64(0, 8) {
+                    0 => now + SimDuration::from_micros(1),
+                    1 => now,
+                    _ => SimTime::ZERO,
+                };
+            };
+            for _ in 0..rng.range_usize(1, 25) {
+                add(&mut g, rng);
+            }
+            // Back-to-back calls as the active set shrinks (and now and
+            // then gains a flow), so stale scratch state would show.
+            while !g.active.is_empty() {
+                let want = oracle_rates(&g, now);
+                g.allocate(now);
+                let got = rates(&g);
+                for (i, (r, w)) in got.iter().zip(&want).enumerate() {
+                    assert_eq!(r.to_bits(), w.to_bits(), "flow {i}: {r} vs oracle {w}");
+                }
+                assert!(
+                    g.fill.slot.iter().all(|&s| s == NO_SLOT),
+                    "slot table not reset"
+                );
+                g.active.retain(|_| !rng.chance(0.35));
+                if rng.chance(0.25) {
+                    add(&mut g, rng);
+                }
+            }
+        });
+    }
+
+    #[test]
+    fn tied_links_freeze_in_encounter_order() {
+        // Five flows inside one site: `s` = a→b plus two more out of a's
+        // uplink (a→c, a→d) and two more into b's downlink (c→b, d→b).
+        // Both of those links sit at level C/3. Whichever is frozen first
+        // hands its three flows exactly C/3; the other link's two
+        // remaining flows then get (C − C/3)/2, one ulp off C/3.
+        let build = |order: &[usize]| -> Vec<f64> {
+            let mut g = mk_state();
+            let mut t = Topology::new();
+            let site = t.add_site("x", SiteParams::default());
+            let [a, b, c, d] = [0; 4].map(|_| t.add_node(site, NodeParams::default()));
+            let paths = [
+                t.route(a, b),
+                t.route(a, c),
+                t.route(a, d),
+                t.route(c, b),
+                t.route(d, b),
+            ];
+            g.topo = t;
+            let fids: Vec<usize> = order
+                .iter()
+                .map(|&k| push_flow(&mut g, paths[k].clone(), 1 << 40))
+                .collect();
+            g.allocate(SimTime::ZERO);
+            // Rates indexed by flow kind, whatever the active order.
+            let mut by_kind = vec![0.0; 5];
+            for (&k, &fid) in order.iter().zip(&fids) {
+                by_kind[k] = g.flows[fid].as_ref().unwrap().rate;
+            }
+            by_kind
+        };
+        let c = NodeParams::default().nic_bytes_per_sec;
+        let third = c / 3.0;
+        let rest = (c - third) / 2.0;
+        assert_ne!(
+            third.to_bits(),
+            rest.to_bits(),
+            "the tie must be observable"
+        );
+        let bits = |v: Vec<f64>| v.iter().map(|r| r.to_bits()).collect::<Vec<_>>();
+        // `s` first: a's uplink is met first and wins the tie.
+        assert_eq!(
+            bits(build(&[0, 1, 2, 3, 4])),
+            bits(vec![third, third, third, rest, rest])
+        );
+        // c→b first: b's downlink is met before a's uplink and wins.
+        assert_eq!(
+            bits(build(&[3, 4, 0, 1, 2])),
+            bits(vec![third, rest, rest, third, third])
+        );
+    }
+
+    #[test]
+    fn successor_burst_credit_counts_flows_finishing_in_the_same_event() {
+        // a→b carries X then, queued behind it, Z; a→c carries Y. X and Y
+        // share a's uplink, run at the same window-capped rate and are
+        // sized to finish in one event. X is processed first, so when Z
+        // starts, Y still counts as occupying the uplink: Z's first burst
+        // is credited at `sharing` = 2, not 1.
+        let mut t = Topology::new();
+        let site = t.add_site("x", SiteParams::default());
+        let [a, b, c] = [0; 3].map(|_| t.add_node(site, NodeParams::default()));
+        let (ab, ac) = (t.route(a, b), t.route(a, c));
+        let line_bdp = ab.bottleneck * 100e-6; // flow_params RTT: 100 µs
+        let w = 4_344u64; // 3 MSS, well under the line BDP
+        let credit = |sharing: f64| w as f64 * (1.0 - w as f64 / (line_bdp / sharing)).max(0.0);
+        let x_bytes = 200_000u64;
+        let y_bytes = (x_bytes as f64 - credit(1.0) + credit(2.0)).round() as u64;
+        let z_bytes = 50_000u64;
+        let net: SharedNet = Arc::new(Mutex::new(NetState::new(t, SimDuration::ZERO)));
+        let (ch_x, ch_y) = {
+            let mut g = net.lock();
+            (
+                g.add_channel(ab, TcpState::new(flow_params(w))),
+                g.add_channel(ac, TcpState::new(flow_params(w))),
+            )
+        };
+        // At X's finish: how many flows are left, and Z's backlog.
+        let seen: Arc<Mutex<Option<(usize, f64)>>> = Arc::new(Mutex::new(None));
+        let sim = desim::Sim::new();
+        let (net2, seen2) = (Arc::clone(&net), Arc::clone(&seen));
+        sim.spawn_task("sender", move |cx| async move {
+            let s = cx.sched();
+            let net3 = Arc::clone(&net2);
+            let on_x = DoneFn::AtFinish(Box::new(move |_: &Sched, _| {
+                let g = net3.lock();
+                let z = g.channels[ch_x.0].active.expect("Z started");
+                let z_remaining = g.flows[z].as_ref().unwrap().remaining;
+                *seen2.lock() = Some((g.active.len(), z_remaining));
+            }));
+            let noop = || DoneFn::AtFinish(Box::new(|_: &Sched, _| {}));
+            start_transfer(&net2, &s, ch_x, x_bytes, on_x);
+            start_transfer(&net2, &s, ch_y, y_bytes, noop());
+            start_transfer(&net2, &s, ch_x, z_bytes, noop());
+            // Keep the run alive while the transfers drain.
+            cx.advance(SimDuration::from_secs(1)).await;
+        });
+        sim.run().unwrap();
+        let (left, z_remaining) = seen.lock().expect("X finished");
+        assert_eq!(left, 1, "X and Y must finish in the same event");
+        let want = z_bytes as f64 - credit(2.0);
+        assert!(
+            (z_remaining - want).abs() < 1e-6,
+            "Z backlog {z_remaining}, want {want} (sharing 1 would give {})",
+            z_bytes as f64 - credit(1.0)
+        );
     }
 }

@@ -1,7 +1,7 @@
 #!/bin/sh
 # Staged offline CI for the whole simulator.
 #
-#     scripts/ci.sh [fmt|clippy|build|test|smoke|golden|blame|profile|ranks|pdes|collectives|campaign|bench|all]
+#     scripts/ci.sh [fmt|clippy|build|test|smoke|golden|simbench|blame|profile|ranks|pdes|collectives|campaign|bench|all]
 #
 # Each stage is independently runnable and timed; `all` (the default)
 # runs them in order. The workspace has zero external dependencies, so
@@ -16,6 +16,10 @@
 #   smoke   end-to-end demos produce valid traces with required events
 #   golden  digests match the recorded corpus (fast path on AND off),
 #           and the paper's performance guidelines hold
+#   simbench
+#           the end-to-end benchmark's own tests pass, and one short
+#           untraced run of each workload reproduces every job's
+#           recorded virtual outputs (`"correct": true`)
 #   blame   the wait-state/critical-path analyzer emits valid JSON and
 #           dat output, replays its own trace losslessly, and the two
 #           blame guidelines hold
@@ -97,6 +101,23 @@ stage_golden() {
     NETSIM_NO_FAST_PATH=1 ./target/release/repro golden check
     # And the paper's qualitative shapes must still hold.
     ./target/release/repro guidelines
+}
+
+stage_simbench() {
+    cargo test --release --offline --manifest-path simbench/Cargo.toml
+    # Each run compares every job's virtual outputs (elapsed ns, wire
+    # messages and bytes, workload figures) exactly with the recorded
+    # reference tables, so a model change that moves one fails here.
+    mkdir -p target
+    for _w in npb_b rank_ring pingpong_sweep; do
+        cargo run --release --offline --quiet --manifest-path simbench/Cargo.toml -- \
+            --workload "${_w}" --seed 1 --seconds 1 --trace 0 >"target/ci_simbench_${_w}.txt"
+        if ! tail -n 1 "target/ci_simbench_${_w}.txt" | grep -q '"correct": true'; then
+            echo "simbench ${_w}: a job's virtual outputs left the reference" >&2
+            tail -n 1 "target/ci_simbench_${_w}.txt" >&2
+            exit 1
+        fi
+    done
 }
 
 stage_blame() {
@@ -311,17 +332,17 @@ run_stage() {
 }
 
 case "${1:-all}" in
-fmt | clippy | build | test | smoke | golden | blame | profile | ranks | pdes | collectives | campaign | bench)
+fmt | clippy | build | test | smoke | golden | simbench | blame | profile | ranks | pdes | collectives | campaign | bench)
     run_stage "$1"
     ;;
 all)
-    for _s in fmt clippy build test smoke golden blame profile ranks pdes collectives campaign bench; do
+    for _s in fmt clippy build test smoke golden simbench blame profile ranks pdes collectives campaign bench; do
         run_stage "${_s}"
     done
     echo "==> ci: all stages passed"
     ;;
 *)
-    echo "usage: scripts/ci.sh [fmt|clippy|build|test|smoke|golden|blame|profile|ranks|pdes|collectives|campaign|bench|all]" >&2
+    echo "usage: scripts/ci.sh [fmt|clippy|build|test|smoke|golden|simbench|blame|profile|ranks|pdes|collectives|campaign|bench|all]" >&2
     exit 2
     ;;
 esac
