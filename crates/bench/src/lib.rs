@@ -1,6 +1,6 @@
 //! Shared helpers for the std-only benchmark harness (`src/main.rs`).
 
-use mpisim::{Engine, MpiImpl, MpiJob, RankCtx, Tuning};
+use mpisim::{MpiImpl, MpiJob, RankCtx, Tuning};
 use netsim::{grid5000_pair, KernelConfig, Network, NodeId};
 
 pub mod compare;
@@ -23,10 +23,10 @@ pub fn grid_job(ranks: usize, id: MpiImpl) -> MpiJob {
 /// Ring exchange at rank scale: `ranks` ranks placed in contiguous blocks
 /// across an 8+8-node testbed, each exchanging `rounds` 1 kB messages with
 /// its ring neighbours. Block placement keeps most edges node-local
-/// (loopback), so the measurement is dominated by per-MPI-call engine
+/// (loopback), so the measurement is dominated by per-MPI-call kernel
 /// overhead rather than by the fluid model recomputing thousands of
 /// concurrent WAN flows. Returns the virtual elapsed seconds.
-pub fn ping_ring(ranks: usize, rounds: u32, engine: Engine) -> f64 {
+pub fn ping_ring(ranks: usize, rounds: u32) -> f64 {
     let (net, rn, nn) = tuned_pair(8);
     let nodes: Vec<NodeId> = rn.into_iter().chain(nn).collect();
     let placement: Vec<NodeId> = (0..ranks)
@@ -34,7 +34,6 @@ pub fn ping_ring(ranks: usize, rounds: u32, engine: Engine) -> f64 {
         .collect();
     let report = MpiJob::new(net, placement, MpiImpl::Mpich2)
         .with_tuning(Tuning::paper_tuned(MpiImpl::Mpich2))
-        .with_engine(engine)
         .run(move |mut ctx: RankCtx| async move {
             const TAG: u64 = 7;
             let right = (ctx.rank() + 1) % ctx.size();

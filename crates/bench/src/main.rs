@@ -17,7 +17,7 @@
 //! `fastpath`, `obs` (observability overhead), `blame` (post-hoc
 //! analyzer cost), `profile` (host self-profiler overhead, gated ≤5%),
 //! `faults` (lossy-path and fault-tolerance overhead), `ranks`
-//! (rank-scale execution engine), `pdes` (sharded-PDES wall-clock
+//! (rank-scale execution), `pdes` (sharded-PDES wall-clock
 //! scaling), `campaign` (sweep engine cold vs warm result cache),
 //! `smoke` (a quick CI subset).
 //! No groups = all of them except `smoke`.
@@ -43,7 +43,7 @@ use bench::{grid_job, ping_ring, pingpong_once, tuned_pair};
 use desim::{completion, Analysis, Collector, Metrics, RingSink, Sim, SimDuration, SimTime};
 use gridapps::Ray2MeshConfig;
 use mpisim::{
-    CollAlgo, CollConfig, CollOp, CollSel, CommPattern, Engine, ExecConfig, FaultPlan, FaultPolicy,
+    CollAlgo, CollConfig, CollOp, CollSel, CommPattern, ExecConfig, FaultPlan, FaultPolicy,
     MpiImpl, MpiJob, RankCtx,
 };
 use netsim::{grid5000_four_sites, KernelConfig, Network, SockBufRequest};
@@ -204,51 +204,26 @@ fn main() {
     }
 }
 
-/// Rank-scale execution: the pooled continuation engine at ring widths
-/// far beyond thread-per-rank territory, a pooled-vs-threaded head-to-head
-/// on the same 512-rank workload (per-MPI-call engine overhead), and NPB
-/// EP at 1024 ranks.
+/// Rank-scale execution: ring widths far beyond thread-per-rank
+/// territory (every rank is a pooled continuation task; the 512-rank row
+/// measures per-MPI-call overhead) and NPB EP at 1024 ranks.
 fn group_ranks(h: &mut Harness) {
-    for (ranks, rounds) in [(64usize, 8u32), (4096, 2)] {
-        h.bench(&format!("ranks/ping_ring_{ranks}"), move || {
-            black_box(ping_ring(ranks, rounds, Engine::Pooled));
+    for (label, ranks, rounds) in [
+        ("64", 64usize, 8u32),
+        ("4096", 4096, 2),
+        ("512_pooled", 512, 8),
+    ] {
+        h.bench(&format!("ranks/ping_ring_{label}"), move || {
+            black_box(ping_ring(ranks, rounds));
             0
         });
     }
-    // The same 512-rank ring on both engines; virtual times are
-    // bit-identical, so the wall-clock ratio is pure engine overhead.
-    let mut timed = [0.0f64; 2];
-    for (slot, engine) in [(0usize, Engine::Threaded), (1, Engine::Pooled)] {
-        let label = if slot == 0 { "threaded" } else { "pooled" };
-        let t0 = Instant::now();
-        let mut iters = 0u32;
-        while t0.elapsed().as_secs_f64() < TARGET_SECS || iters < 3 {
-            black_box(ping_ring(512, 8, engine));
-            iters += 1;
-            if iters >= MAX_ITERS {
-                break;
-            }
-        }
-        timed[slot] = t0.elapsed().as_secs_f64() / iters as f64;
-        h.bench(&format!("ranks/ping_ring_512_{label}"), move || {
-            black_box(ping_ring(512, 8, engine));
-            0
-        });
-    }
-    h.note(&format!(
-        "{{\"name\": \"ranks/speedup_ping_ring_512\", \"threaded_secs\": {:.6e}, \
-         \"pooled_secs\": {:.6e}, \"speedup\": {:.2}}}",
-        timed[0],
-        timed[1],
-        timed[0] / timed[1]
-    ));
     h.bench("ranks/npb_ep_1024", || {
         let run = NasRun::quick(NasBenchmark::Ep, NasClass::S);
         let (net, rn, nn) = tuned_pair(8);
         let nodes: Vec<_> = rn.into_iter().chain(nn).collect();
         let placement: Vec<_> = (0..1024).map(|r| nodes[r % nodes.len()]).collect();
         let report = MpiJob::new(net, placement, MpiImpl::GridMpi)
-            .with_engine(Engine::Pooled)
             .run(run.program())
             .expect("EP completes");
         black_box(run.estimate(&report));
@@ -366,13 +341,13 @@ fn cmd_compare(args: &[String]) {
     }
 }
 
-/// desim micro-benchmarks: event throughput and process hand-off cost.
+/// desim micro-benchmarks: event throughput and task hand-off cost.
 fn group_kernel(h: &mut Harness) {
     h.bench("kernel/10k_timers_one_process", || {
         let sim = Sim::new();
-        sim.spawn("timers", |p| {
+        sim.spawn_task("timers", |cx| async move {
             for _ in 0..10_000 {
-                p.advance(SimDuration::from_nanos(black_box(17)));
+                cx.advance(SimDuration::from_nanos(black_box(17))).await;
             }
         });
         sim.run_counted().unwrap().events
@@ -387,16 +362,17 @@ fn group_kernel(h: &mut Harness) {
             txs.push(t);
             rxs.push(r);
         }
-        sim.spawn("producer", move |p| {
+        sim.spawn_task("producer", move |cx| async move {
+            let s = cx.sched();
             for tx in txs {
-                p.advance(SimDuration::from_nanos(5));
-                tx.fire(&p, 1);
+                cx.advance(SimDuration::from_nanos(5)).await;
+                tx.fire_from(&s, 1);
             }
         });
-        sim.spawn("consumer", move |p| {
+        sim.spawn_task("consumer", move |cx| async move {
             let mut acc = 0u32;
             for rx in rxs {
-                acc += rx.wait(&p);
+                acc += cx.wait(rx).await;
             }
             assert_eq!(acc, n as u32);
         });
@@ -405,9 +381,9 @@ fn group_kernel(h: &mut Harness) {
     h.bench("kernel/32_processes_round_robin", || {
         let sim = Sim::new();
         for i in 0..32 {
-            sim.spawn(format!("p{i}"), |p| {
+            sim.spawn_task(format!("p{i}"), |cx| async move {
                 for _ in 0..100 {
-                    p.yield_now();
+                    cx.yield_now().await;
                 }
             });
         }
@@ -422,7 +398,7 @@ fn group_tcp(h: &mut Harness) {
             let (net, rn, nn) = tuned_pair(1);
             let sim = Sim::new();
             let (a, z) = (rn[0], nn[0]);
-            sim.spawn("xfer", move |p| {
+            sim.spawn_task("xfer", move |cx| async move {
                 let ch = net.channel(
                     a,
                     z,
@@ -430,7 +406,8 @@ fn group_tcp(h: &mut Harness) {
                     SockBufRequest::OsDefault,
                     false,
                 );
-                net.transfer_blocking(&p, ch, black_box(bytes));
+                cx.wait(net.transfer(&cx.sched(), ch, black_box(bytes)))
+                    .await;
             });
             sim.run_counted().unwrap().events
         });
@@ -442,7 +419,7 @@ fn group_tcp(h: &mut Harness) {
             for j in 0..4 {
                 let net = net.clone();
                 let (a, z) = (rn[i], nn[(i + j) % 8]);
-                sim.spawn(format!("f{i}-{j}"), move |p| {
+                sim.spawn_task(format!("f{i}-{j}"), move |cx| async move {
                     let ch = net.channel(
                         a,
                         z,
@@ -450,7 +427,7 @@ fn group_tcp(h: &mut Harness) {
                         SockBufRequest::OsDefault,
                         true,
                     );
-                    net.transfer_blocking(&p, ch, 2 << 20);
+                    cx.wait(net.transfer(&cx.sched(), ch, 2 << 20)).await;
                 });
             }
         }
@@ -595,7 +572,7 @@ fn group_fastpath(h: &mut Harness) {
         net.set_bulk_fast_path(fast);
         let sim = Sim::new();
         let (a, z) = (rn[0], nn[0]);
-        sim.spawn("pingpong", move |p| {
+        sim.spawn_task("pingpong", move |cx| async move {
             let fwd = net.channel(
                 a,
                 z,
@@ -613,8 +590,8 @@ fn group_fastpath(h: &mut Harness) {
             // The paper's measurement is 200 round trips per size; 64 is
             // enough to dominate the fixed cost of standing up the Sim.
             for _ in 0..64 {
-                net.transfer_blocking(&p, fwd, 64 << 20);
-                net.transfer_blocking(&p, back, 64 << 20);
+                cx.wait(net.transfer(&cx.sched(), fwd, 64 << 20)).await;
+                cx.wait(net.transfer(&cx.sched(), back, 64 << 20)).await;
             }
         });
         sim.run_counted().unwrap().events
@@ -942,9 +919,9 @@ fn group_campaign(h: &mut Harness) {
 fn group_smoke(h: &mut Harness) {
     h.bench("smoke/kernel_10k_timers", || {
         let sim = Sim::new();
-        sim.spawn("timers", |p| {
+        sim.spawn_task("timers", |cx| async move {
             for _ in 0..10_000 {
-                p.advance(SimDuration::from_nanos(black_box(17)));
+                cx.advance(SimDuration::from_nanos(black_box(17))).await;
             }
         });
         sim.run_counted().unwrap().events
@@ -953,7 +930,7 @@ fn group_smoke(h: &mut Harness) {
         let (net, rn, nn) = tuned_pair(1);
         let sim = Sim::new();
         let (a, z) = (rn[0], nn[0]);
-        sim.spawn("xfer", move |p| {
+        sim.spawn_task("xfer", move |cx| async move {
             let ch = net.channel(
                 a,
                 z,
@@ -961,7 +938,8 @@ fn group_smoke(h: &mut Harness) {
                 SockBufRequest::OsDefault,
                 false,
             );
-            net.transfer_blocking(&p, ch, black_box(64u64 << 10));
+            cx.wait(net.transfer(&cx.sched(), ch, black_box(64u64 << 10)))
+                .await;
         });
         sim.run_counted().unwrap().events
     });
@@ -999,8 +977,7 @@ fn pdes_four_site_run(workers: u32) -> u64 {
     }
     let exec = ExecConfig::new()
         .shards(workers)
-        .pattern(CommPattern::SiteDisjoint)
-        .engine(Engine::Pooled);
+        .pattern(CommPattern::SiteDisjoint);
     let report = MpiJob::new(Network::new(topo), placement, MpiImpl::Mpich2)
         .with_exec(exec)
         .run(move |mut ctx: RankCtx| async move {

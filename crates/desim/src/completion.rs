@@ -1,12 +1,11 @@
-//! One-shot cross-process synchronisation: a `Trigger`/`Completion` pair.
+//! One-shot cross-task synchronisation: a `Trigger`/`Completion` pair.
 //!
-//! A `Completion<T>` is waited on by exactly one actor — a thread-backed
-//! process ([`Completion::wait`]) or a continuation task
+//! A `Completion<T>` is waited on by exactly one task
 //! ([`crate::Cx::wait`]); the paired `Trigger<T>` is fired exactly once —
-//! either directly by another actor, or at a scheduled virtual time via
-//! [`Trigger::fire_at`]. This is the primitive on which all higher-level
-//! blocking (message delivery, MPI request completion, flow completion) is
-//! built.
+//! either directly from a task or callback ([`Trigger::fire_from`]), or at
+//! a scheduled virtual time via [`Trigger::fire_at`]. This is the
+//! primitive on which all higher-level blocking (message delivery, MPI
+//! request completion, flow completion) is built.
 
 use std::sync::Arc;
 
@@ -14,19 +13,12 @@ use crate::sync::Mutex;
 
 use crate::exec::TaskId;
 use crate::kernel::Sched;
-use crate::process::{Proc, ProcId};
 use crate::time::SimTime;
-
-/// Who is blocked on a completion: a parked process thread or a suspended
-/// continuation task.
-enum Waiter {
-    Proc(ProcId),
-    Task(TaskId),
-}
 
 enum State<T> {
     Empty,
-    Waiting(Waiter),
+    /// A suspended task is subscribed for a wake-up at fire time.
+    Waiting(TaskId),
     Fired(T),
     /// Fired while a waiter was registered; value parked for pick-up.
     FiredWaking(T),
@@ -61,12 +53,9 @@ pub fn completion<T: Send + 'static>() -> (Trigger<T>, Completion<T>) {
 }
 
 impl<T: Send + 'static> Trigger<T> {
-    /// Fire with `value` at the current instant, waking the waiter (if any).
-    pub fn fire(self, p: &Proc, value: T) {
-        self.fire_from(&p.sched(), value);
-    }
-
-    /// Fire from a kernel callback context.
+    /// Fire with `value` at the current instant, waking the waiter (if
+    /// any). `s` is the firing task's [`crate::Cx::sched`] or a callback's
+    /// own handle.
     pub fn fire_from(self, s: &Sched, value: T) {
         let wake = {
             let mut st = self.shared.state.lock();
@@ -84,10 +73,8 @@ impl<T: Send + 'static> Trigger<T> {
                 }
             }
         };
-        match wake {
-            Some(Waiter::Proc(pid)) => s.wake_at(s.now(), pid),
-            Some(Waiter::Task(tid)) => s.wake_task_at(s.now(), tid),
-            None => {}
+        if let Some(tid) = wake {
+            s.wake_task_at(s.now(), tid);
         }
     }
 
@@ -120,42 +107,20 @@ impl<T: Send + 'static> Completion<T> {
     }
 
     /// Take the value if fired, or subscribe task `tid` for a wake-up at
-    /// fire time. The task half of [`Completion::wait`]: on `Err` the
-    /// completion is handed back so the suspended task can take the value
-    /// when re-polled.
+    /// fire time (the body of [`crate::Cx::wait`]): on `Err` the completion
+    /// is handed back so the suspended task can take the value when
+    /// re-polled.
     pub(crate) fn take_or_subscribe(self, tid: TaskId) -> Result<T, Completion<T>> {
         let mut st = self.shared.state.lock();
         match std::mem::replace(&mut *st, State::Taken) {
             State::Fired(v) | State::FiredWaking(v) => Ok(v),
             State::Empty => {
-                *st = State::Waiting(Waiter::Task(tid));
+                *st = State::Waiting(tid);
                 drop(st);
                 Err(self)
             }
             State::Waiting(_) => panic!("completion waited on twice"),
             State::Taken => panic!("completion value already taken"),
-        }
-    }
-
-    /// Block this process until the trigger fires; returns the fired value.
-    pub fn wait(self, p: &Proc) -> T {
-        {
-            let mut st = self.shared.state.lock();
-            match std::mem::replace(&mut *st, State::Taken) {
-                State::Fired(v) => return v,
-                State::FiredWaking(v) => return v,
-                State::Empty => {
-                    *st = State::Waiting(Waiter::Proc(p.id()));
-                }
-                State::Waiting(_) => panic!("completion waited on twice"),
-                State::Taken => panic!("completion value already taken"),
-            }
-        }
-        p.block();
-        let mut st = self.shared.state.lock();
-        match std::mem::replace(&mut *st, State::Taken) {
-            State::FiredWaking(v) | State::Fired(v) => v,
-            _ => unreachable!("woken without a fired completion"),
         }
     }
 }
@@ -169,9 +134,9 @@ mod tests {
     fn fire_before_wait_returns_immediately() {
         let sim = Sim::new();
         let (tx, rx) = completion::<&'static str>();
-        sim.spawn("p", move |p| {
-            tx.fire(&p, "early");
-            assert_eq!(rx.wait(&p), "early");
+        sim.spawn_task("t", move |cx| async move {
+            tx.fire_from(&cx.sched(), "early");
+            assert_eq!(cx.wait(rx).await, "early");
         });
         sim.run().unwrap();
     }
@@ -180,12 +145,11 @@ mod tests {
     fn fire_at_wakes_at_scheduled_time() {
         let sim = Sim::new();
         let (tx, rx) = completion::<u64>();
-        sim.spawn("p", move |p| {
-            let s = p.sched();
-            let at = p.now() + SimDuration::from_micros(123);
-            tx.fire_at(&s, at, 9);
-            assert_eq!(rx.wait(&p), 9);
-            assert_eq!(p.now().as_micros(), 123);
+        sim.spawn_task("t", move |cx| async move {
+            let at = cx.now() + SimDuration::from_micros(123);
+            tx.fire_at(&cx.sched(), at, 9);
+            assert_eq!(cx.wait(rx).await, 9);
+            assert_eq!(cx.now().as_micros(), 123);
         });
         sim.run().unwrap();
     }
@@ -194,12 +158,12 @@ mod tests {
     fn try_take_round_trip() {
         let sim = Sim::new();
         let (tx, rx) = completion::<u32>();
-        sim.spawn("p", move |p| {
+        sim.spawn_task("t", move |cx| async move {
             let rx = match rx.try_take() {
                 Err(rx) => rx,
                 Ok(_) => panic!("nothing fired yet"),
             };
-            tx.fire(&p, 5);
+            tx.fire_from(&cx.sched(), 5);
             assert!(rx.is_fired());
             assert_eq!(rx.try_take().ok(), Some(5));
         });
@@ -207,22 +171,20 @@ mod tests {
     }
 
     #[test]
-    fn cross_process_handoff_chain() {
+    fn cross_task_handoff_chain() {
         let sim = Sim::new();
         let (tx1, rx1) = completion::<u32>();
         let (tx2, rx2) = completion::<u32>();
-        sim.spawn("first", move |p| {
-            p.advance(SimDuration::from_millis(1));
-            tx1.fire(&p, 1);
-            let v = rx2.wait(&p);
-            assert_eq!(v, 2);
-            assert_eq!(p.now().as_millis(), 3);
+        sim.spawn_task("first", move |cx| async move {
+            cx.advance(SimDuration::from_millis(1)).await;
+            tx1.fire_from(&cx.sched(), 1);
+            assert_eq!(cx.wait(rx2).await, 2);
+            assert_eq!(cx.now().as_millis(), 3);
         });
-        sim.spawn("second", move |p| {
-            let v = rx1.wait(&p);
-            assert_eq!(v, 1);
-            p.advance(SimDuration::from_millis(2));
-            tx2.fire(&p, 2);
+        sim.spawn_task("second", move |cx| async move {
+            assert_eq!(cx.wait(rx1).await, 1);
+            cx.advance(SimDuration::from_millis(2)).await;
+            tx2.fire_from(&cx.sched(), 2);
         });
         sim.run().unwrap();
     }

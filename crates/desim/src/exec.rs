@@ -1,25 +1,15 @@
-//! The execution engine behind simulated actors: thread-backed processes
-//! and pooled *continuation tasks* share one API.
+//! The execution engine behind simulated actors: pooled *continuation
+//! tasks*.
 //!
-//! ## Two ways to run an actor
-//!
-//! * **Thread-backed** ([`crate::Sim::spawn`]): the actor body runs on its
-//!   own OS thread and blocks by parking that thread. Simple, but every
-//!   blocking point costs two context switches, and a large world parks
-//!   one kernel thread per actor.
-//! * **Continuation task** ([`crate::Sim::spawn_task`]): the actor body is
-//!   a `Future` compiled by rustc into a stackless state machine. Blocking
-//!   points suspend the state machine and hand control straight back to
-//!   the kernel's dispatch loop; resumption is an ordinary event pop. A
-//!   blocked task holds *no* OS thread, so a single process can host tens
-//!   of thousands of actors, and the ready path (pop event → poll task)
-//!   involves zero context switches.
-//!
-//! Both kinds are driven from the same `(virtual time, insertion
-//! sequence)` event queue, and both express blocking through the same
-//! [`Cx`] handle, so a program parameterised over `Cx` produces a
-//! bit-identical event stream under either engine — the property the
-//! golden-digest suite pins down.
+//! An actor body ([`crate::Sim::spawn_task`]) is a `Future` compiled by
+//! rustc into a stackless state machine. Blocking points suspend the state
+//! machine and hand control straight back to the kernel's dispatch loop;
+//! resumption is an ordinary event pop. A blocked task holds *no* OS
+//! thread, so a single process can host tens of thousands of actors, and
+//! the ready path (pop event → poll task) involves zero context switches.
+//! Every actor is driven from the same `(virtual time, insertion
+//! sequence)` event queue, so a program produces a bit-identical event
+//! stream on every run — the property the golden-digest suite pins down.
 //!
 //! ## The blocking-point contract
 //!
@@ -32,17 +22,16 @@
 //! is what keeps them deterministic.
 
 use std::future::Future;
-use std::pin::{pin, Pin};
+use std::pin::Pin;
 use std::sync::Arc;
-use std::task::{Context, Poll, Waker};
+use std::task::{Context, Poll};
 
-use crate::kernel::Inner;
-use crate::process::Proc;
+use crate::kernel::{EventKind, Inner};
 use crate::time::{SimDuration, SimTime};
 use crate::{Completion, Sched};
 
 /// Identifier of a continuation task (dense index, assigned in spawn
-/// order — the task analogue of [`crate::ProcId`]).
+/// order).
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
 pub struct TaskId(pub(crate) usize);
 
@@ -53,68 +42,41 @@ impl TaskId {
     }
 }
 
-/// Handle through which a continuation task interacts with virtual time
-/// (kept internal; exposed through [`Cx`]).
-pub(crate) struct TaskCx {
-    pub(crate) inner: Arc<Inner>,
-    pub(crate) id: TaskId,
-    pub(crate) name: Arc<str>,
-}
-
-/// Execution context of a simulated actor: either a thread-backed
-/// [`Proc`] or a pooled continuation task.
+/// Execution context of a simulated actor (a pooled continuation task).
 ///
-/// `Cx` is the engine-neutral face of the kernel. Its blocking operations
-/// return futures; under a thread-backed actor those futures complete the
-/// blocking *synchronously inside a single `poll`* (parking the thread
-/// exactly as [`Proc`]'s own methods do), while under a task they suspend
-/// the state machine. Either way the sequence of events pushed onto the
-/// kernel heap is identical, which makes the two engines bit-compatible.
-pub struct Cx(pub(crate) CxKind);
-
-pub(crate) enum CxKind {
-    Thread(Proc),
-    Task(TaskCx),
+/// Its blocking operations return futures that suspend the task's state
+/// machine until the kernel resumes it.
+pub struct Cx {
+    inner: Arc<Inner>,
+    id: TaskId,
+    name: Arc<str>,
 }
 
 impl Cx {
-    /// Wrap a thread-backed process handle.
-    pub fn from_proc(p: Proc) -> Cx {
-        Cx(CxKind::Thread(p))
-    }
-
     pub(crate) fn for_task(inner: Arc<Inner>, id: TaskId, name: Arc<str>) -> Cx {
-        Cx(CxKind::Task(TaskCx { inner, id, name }))
+        Cx { inner, id, name }
     }
 
     /// Current virtual time.
     pub fn now(&self) -> SimTime {
-        match &self.0 {
-            CxKind::Thread(p) => p.now(),
-            CxKind::Task(t) => t.inner.shared.lock().now,
-        }
+        self.inner.lock().now
     }
 
     /// This actor's name.
     pub fn name(&self) -> &str {
-        match &self.0 {
-            CxKind::Thread(p) => p.name(),
-            CxKind::Task(t) => &t.name,
-        }
+        &self.name
     }
 
     /// A non-blocking scheduling handle usable from kernel callbacks.
     pub fn sched(&self) -> Sched {
-        match &self.0 {
-            CxKind::Thread(p) => p.sched(),
-            CxKind::Task(t) => Sched {
-                inner: Arc::clone(&t.inner),
-            },
+        Sched {
+            inner: Arc::clone(&self.inner),
         }
     }
 
-    /// Let `d` of virtual time pass. Equivalent to [`Proc::advance`]:
-    /// a zero duration still yields to other events at the same instant.
+    /// Let `d` of virtual time pass (models local computation or a fixed
+    /// latency). A zero duration still yields to other events at the same
+    /// instant.
     pub fn advance(&self, d: SimDuration) -> Sleep<'_> {
         Sleep {
             cx: self,
@@ -132,7 +94,7 @@ impl Cx {
         }
     }
 
-    /// Relinquish the run token so other events at the current instant run
+    /// Relinquish control so other events at the current instant run
     /// before this actor continues.
     pub fn yield_now(&self) -> Sleep<'_> {
         Sleep {
@@ -142,8 +104,7 @@ impl Cx {
         }
     }
 
-    /// Block until `c` fires; resolves to the fired value. The completion
-    /// analogue of [`Completion::wait`], usable under either engine.
+    /// Block until `c` fires; resolves to the fired value.
     pub fn wait<T: Send + 'static>(&self, c: Completion<T>) -> Wait<'_, T> {
         Wait {
             cx: self,
@@ -174,30 +135,14 @@ impl Future for Sleep<'_> {
         if this.suspended {
             return Poll::Ready(());
         }
-        match &this.cx.0 {
-            CxKind::Thread(p) => {
-                match this.target {
-                    SleepTarget::After(d) => p.advance(d),
-                    SleepTarget::Until(at) => p.sleep_until(at),
-                }
-                Poll::Ready(())
-            }
-            CxKind::Task(t) => {
-                let at = {
-                    let g = t.inner.shared.lock();
-                    match this.target {
-                        SleepTarget::After(d) => g.now + d,
-                        SleepTarget::Until(at) => at,
-                    }
-                };
-                let s = Sched {
-                    inner: Arc::clone(&t.inner),
-                };
-                s.wake_task_at(at, t.id);
-                this.suspended = true;
-                Poll::Pending
-            }
-        }
+        let mut g = this.cx.inner.lock();
+        let at = match this.target {
+            SleepTarget::After(d) => g.now + d,
+            SleepTarget::Until(at) => at.max(g.now),
+        };
+        g.push(at, EventKind::TaskWake(this.cx.id));
+        this.suspended = true;
+        Poll::Pending
     }
 }
 
@@ -214,31 +159,12 @@ impl<T: Send + 'static> Future for Wait<'_, T> {
     fn poll(mut self: Pin<&mut Self>, _: &mut Context<'_>) -> Poll<T> {
         let this = &mut *self;
         let c = this.c.take().expect("completion future polled after ready");
-        match &this.cx.0 {
-            CxKind::Thread(p) => Poll::Ready(c.wait(p)),
-            CxKind::Task(t) => match c.take_or_subscribe(t.id) {
-                Ok(v) => Poll::Ready(v),
-                Err(c) => {
-                    this.c = Some(c);
-                    Poll::Pending
-                }
-            },
-        }
-    }
-}
-
-/// Drive a future to completion in a single synchronous poll — the
-/// thread-backed engine's adapter. Every [`Cx`] blocking point under a
-/// thread-backed actor blocks *inside* `poll`, so the future must resolve
-/// on the first poll; a `Pending` here means the future suspended through
-/// something other than its thread-backed `Cx`, which is a programming
-/// error.
-pub fn run_sync<F: Future>(fut: F) -> F::Output {
-    let mut fut = pin!(fut);
-    match fut.as_mut().poll(&mut Context::from_waker(Waker::noop())) {
-        Poll::Ready(v) => v,
-        Poll::Pending => {
-            panic!("run_sync future suspended; thread-backed actors must block through their Cx")
+        match c.take_or_subscribe(this.cx.id) {
+            Ok(v) => Poll::Ready(v),
+            Err(c) => {
+                this.c = Some(c);
+                Poll::Pending
+            }
         }
     }
 }
@@ -275,76 +201,57 @@ mod tests {
         sim.run().unwrap();
     }
 
-    #[test]
-    fn tasks_and_threads_interleave_deterministically() {
-        fn trace() -> Vec<(u64, String)> {
-            let log = Arc::new(StdMutex::new(Vec::new()));
-            let sim = Sim::new();
-            for i in 0..4usize {
-                let log = Arc::clone(&log);
-                if i % 2 == 0 {
-                    sim.spawn(format!("p{i}"), move |p| {
-                        for k in 0..8u64 {
-                            p.advance(SimDuration::from_nanos((i as u64 + 1) * 13 + k));
-                            log.lock()
-                                .unwrap()
-                                .push((p.now().as_nanos(), format!("p{i}")));
-                        }
-                    });
-                } else {
-                    sim.spawn_task(format!("t{i}"), move |cx| async move {
-                        for k in 0..8u64 {
-                            cx.advance(SimDuration::from_nanos((i as u64 + 1) * 13 + k))
-                                .await;
-                            log.lock()
-                                .unwrap()
-                                .push((cx.now().as_nanos(), format!("t{i}")));
-                        }
-                    });
+    /// Run `n` tasks; task `i` advances by `(i + 1) * stride + k` on its
+    /// `k`-th of `steps` steps and logs `(now, i)` after each.
+    fn stride_trace(n: usize, stride: u64, steps: u64) -> Vec<(u64, usize)> {
+        let log = Arc::new(StdMutex::new(Vec::new()));
+        let sim = Sim::new();
+        for i in 0..n {
+            let log = Arc::clone(&log);
+            sim.spawn_task(format!("a{i}"), move |cx| async move {
+                for k in 0..steps {
+                    cx.advance(SimDuration::from_nanos((i as u64 + 1) * stride + k))
+                        .await;
+                    log.lock().unwrap().push((cx.now().as_nanos(), i));
                 }
-            }
-            sim.run().unwrap();
-            let v = log.lock().unwrap().clone();
-            v
+            });
         }
-        let a = trace();
-        assert_eq!(a, trace());
-        let times: Vec<u64> = a.iter().map(|(t, _)| *t).collect();
-        let mut sorted = times.clone();
-        sorted.sort_unstable();
-        assert_eq!(times, sorted, "interleaving must be time-ordered");
+        sim.run().unwrap();
+        let v = log.lock().unwrap().clone();
+        v
     }
 
+    /// The interleaving is fixed by `(virtual time, insertion sequence)`
+    /// alone. Both expected traces were recorded when a thread-per-actor
+    /// engine and this one produced them identically; the second has
+    /// equal-time wake-ups (45, 57, 99, 115, 185, 225) that resolve in
+    /// insertion order.
     #[test]
-    fn task_engine_matches_thread_engine_trace() {
-        fn run(threaded: bool) -> Vec<(u64, usize)> {
-            let log = Arc::new(StdMutex::new(Vec::new()));
-            let sim = Sim::new();
-            for i in 0..6usize {
-                let log = Arc::clone(&log);
-                let body = move |now: u64| (now, i);
-                if threaded {
-                    sim.spawn(format!("a{i}"), move |p| {
-                        for k in 0..10u64 {
-                            p.advance(SimDuration::from_nanos((i as u64 + 1) * 7 + k));
-                            log.lock().unwrap().push(body(p.now().as_nanos()));
-                        }
-                    });
-                } else {
-                    sim.spawn_task(format!("a{i}"), move |cx| async move {
-                        for k in 0..10u64 {
-                            cx.advance(SimDuration::from_nanos((i as u64 + 1) * 7 + k))
-                                .await;
-                            log.lock().unwrap().push(body(cx.now().as_nanos()));
-                        }
-                    });
-                }
-            }
-            sim.run().unwrap();
-            let v = log.lock().unwrap().clone();
-            v
-        }
-        assert_eq!(run(true), run(false), "engines must interleave identically");
+    fn stride_traces_match_the_recorded_interleaving() {
+        const TIMES_4X8: [u64; 32] = [
+            13, 26, 27, 39, 42, 52, 53, 58, 75, 79, 81, 93, 105, 110, 112, 120, 132, 140, 159, 162,
+            171, 203, 205, 214, 236, 249, 270, 294, 327, 340, 385, 444,
+        ];
+        const WHO_4X8: [usize; 32] = [
+            0, 1, 0, 2, 0, 3, 1, 0, 0, 2, 1, 0, 3, 1, 0, 2, 0, 1, 3, 2, 1, 1, 2, 3, 1, 2, 3, 2, 3,
+            2, 3, 3,
+        ];
+        let expected: Vec<_> = TIMES_4X8.into_iter().zip(WHO_4X8).collect();
+        assert_eq!(stride_trace(4, 13, 8), expected);
+
+        const TIMES_6X10: [u64; 60] = [
+            7, 14, 15, 21, 24, 28, 29, 34, 35, 42, 43, 45, 45, 57, 57, 62, 66, 70, 71, 80, 84, 85,
+            87, 90, 99, 99, 108, 115, 115, 118, 119, 129, 140, 141, 146, 150, 162, 168, 174, 183,
+            185, 185, 196, 217, 220, 225, 225, 252, 255, 266, 267, 288, 308, 315, 325, 351, 364,
+            395, 414, 465,
+        ];
+        const WHO_6X10: [usize; 60] = [
+            0, 1, 0, 2, 0, 3, 1, 0, 4, 5, 2, 1, 0, 3, 0, 1, 2, 0, 4, 1, 0, 5, 3, 2, 1, 0, 4, 2, 0,
+            3, 1, 5, 1, 2, 4, 3, 1, 2, 5, 3, 4, 1, 2, 3, 5, 4, 2, 3, 2, 4, 5, 3, 4, 5, 3, 4, 5, 4,
+            5, 5,
+        ];
+        let expected: Vec<_> = TIMES_6X10.into_iter().zip(WHO_6X10).collect();
+        assert_eq!(stride_trace(6, 7, 10), expected);
     }
 
     #[test]
@@ -399,19 +306,22 @@ mod tests {
     }
 
     #[test]
-    fn run_sync_drives_thread_style_future() {
+    fn advance_zero_still_yields() {
         let sim = Sim::new();
-        let (tx, rx) = crate::completion::<u32>();
-        sim.spawn("fire", move |p| {
-            p.advance(SimDuration::from_millis(2));
-            tx.fire(&p, 9);
+        sim.spawn_task("z", |cx| async move {
+            cx.advance(SimDuration::ZERO).await;
+            assert_eq!(cx.now().as_nanos(), 0);
         });
-        sim.spawn("wait", move |p| {
-            let cx = Cx::from_proc(p);
-            let v = run_sync(async { cx.wait(rx).await });
-            assert_eq!(v, 9);
-            assert_eq!(cx.now().as_millis(), 2);
+        assert_eq!(sim.run().unwrap(), SimTime::ZERO);
+    }
+
+    #[test]
+    fn names_and_ids() {
+        let sim = Sim::new();
+        let id = sim.spawn_task("worker-3", |cx| async move {
+            assert_eq!(cx.name(), "worker-3");
         });
+        assert_eq!(id.index(), 0);
         sim.run().unwrap();
     }
 

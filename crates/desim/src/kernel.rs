@@ -1,15 +1,14 @@
-//! The event queue, run token, and simulation driver.
+//! The event queue and simulation driver.
 //!
 //! ## Execution model
 //!
-//! Every simulated process is an OS thread, but at most one of them is ever
-//! *logically running*: a thread only executes between the moment the
-//! scheduler hands it the run token (by popping its `Wake` event) and the
-//! moment it blocks again (by calling back into the kernel). The scheduler
-//! itself has no dedicated thread — whichever thread is about to block pops
-//! the next event and hands the token over. Events are ordered by
-//! `(virtual time, insertion sequence)` so the execution order is a pure
-//! function of the simulated program.
+//! Every simulated actor is a pooled continuation task (see
+//! [`crate::exec`]). The dispatch loop runs on the thread that called
+//! [`Sim::run`] (or [`Sim::run_window`]): it pops the next event, then
+//! either polls the woken task inline or runs the kernel callback, and
+//! returns to its caller when the run ends or the window closes. Events
+//! are ordered by `(virtual time, insertion sequence)` so the execution
+//! order is a pure function of the simulated program.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -18,35 +17,33 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::pin::Pin;
 use std::sync::Arc;
 use std::task::{Context, Poll, Waker};
-use std::thread;
 use std::time::Instant;
 
-use crate::sync::{Condvar, Mutex};
+use crate::sync::Mutex;
 
 use crate::exec::TaskId;
-use crate::process::{Proc, ProcId};
 use crate::time::{SimDuration, SimTime};
 
 /// Errors surfaced by [`Sim::run`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum SimError {
-    /// A simulated process panicked; contains the panic message of the first
-    /// process that failed.
+    /// A simulated actor panicked; contains the panic message of the first
+    /// actor that failed.
     ProcessPanicked(String),
-    /// The event queue drained while processes were still blocked — the
-    /// simulated program deadlocked. Contains the names of blocked processes.
+    /// The event queue drained while actors were still blocked — the
+    /// simulated program deadlocked. Contains the names of blocked actors.
     Deadlock(Vec<String>),
     /// Virtual time passed the limit given to [`Sim::run_until`] before all
-    /// processes finished — the simulated program timed out.
+    /// actors finished — the simulated program timed out.
     TimeLimitExceeded(SimTime),
 }
 
 impl std::fmt::Display for SimError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            SimError::ProcessPanicked(m) => write!(f, "simulated process panicked: {m}"),
+            SimError::ProcessPanicked(m) => write!(f, "simulated actor panicked: {m}"),
             SimError::Deadlock(names) => {
-                write!(f, "simulation deadlock; blocked processes: {names:?}")
+                write!(f, "simulation deadlock; blocked actors: {names:?}")
             }
             SimError::TimeLimitExceeded(t) => {
                 write!(f, "simulation exceeded its virtual time limit at {t}")
@@ -60,11 +57,11 @@ impl std::error::Error for SimError {}
 /// Outcome of one bounded dispatch window (see [`Sim::run_window`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Window {
-    /// Every process and task finished and the event queue drained.
+    /// Every task finished and the event queue drained.
     Done(RunStats),
     /// The next event lies at or beyond the horizon; contains its time.
     Paused(SimTime),
-    /// The event queue drained while processes or tasks are still blocked.
+    /// The event queue drained while tasks are still blocked.
     /// Not a deadlock verdict: a blocked shard may be waiting on cross-shard
     /// mail that another shard has yet to send. The sharded driver declares
     /// a global deadlock only when *every* shard is idle.
@@ -72,9 +69,9 @@ pub enum Window {
 }
 
 /// A scheduling capability handed to kernel callbacks, and obtainable from
-/// any [`Proc`] via [`Proc::sched`]. It can read the clock, schedule further
-/// callbacks and fire [`crate::Trigger`]s, but cannot block. Cloning is
-/// cheap (a reference-count bump).
+/// any task via [`crate::Cx::sched`]. It can read the clock, schedule
+/// further callbacks and fire [`crate::Trigger`]s, but cannot block.
+/// Cloning is cheap (a reference-count bump).
 #[derive(Clone)]
 pub struct Sched {
     pub(crate) inner: Arc<Inner>,
@@ -83,39 +80,32 @@ pub struct Sched {
 impl Sched {
     /// Current virtual time.
     pub fn now(&self) -> SimTime {
-        self.inner.shared.lock().now
+        self.inner.lock().now
     }
 
     /// Schedule `f` to run at virtual time `at` (clamped to now if in the
-    /// past). The callback runs on whichever thread holds the run token.
+    /// past). The callback runs inside the dispatch loop.
     pub fn call_at(&self, at: SimTime, f: impl FnOnce(&Sched) + Send + 'static) {
-        let mut g = self.inner.shared.lock();
+        let mut g = self.inner.lock();
         let at = at.max(g.now);
         g.push(at, EventKind::Call(Box::new(f)));
     }
 
     /// Schedule `f` to run `after` from now.
     pub fn call_after(&self, after: SimDuration, f: impl FnOnce(&Sched) + Send + 'static) {
-        let mut g = self.inner.shared.lock();
+        let mut g = self.inner.lock();
         let at = g.now + after;
         g.push(at, EventKind::Call(Box::new(f)));
     }
 
-    pub(crate) fn wake_at(&self, at: SimTime, pid: ProcId) {
-        let mut g = self.inner.shared.lock();
-        let at = at.max(g.now);
-        g.push(at, EventKind::Wake(pid));
-    }
-
     pub(crate) fn wake_task_at(&self, at: SimTime, tid: TaskId) {
-        let mut g = self.inner.shared.lock();
+        let mut g = self.inner.lock();
         let at = at.max(g.now);
         g.push(at, EventKind::TaskWake(tid));
     }
 }
 
 pub(crate) enum EventKind {
-    Wake(ProcId),
     TaskWake(TaskId),
     Call(Box<dyn FnOnce(&Sched) + Send>),
 }
@@ -143,55 +133,9 @@ impl Ord for Event {
     }
 }
 
-/// One parked/runnable gate per process thread.
-pub(crate) struct Gate {
-    runnable: Mutex<bool>,
-    cv: Condvar,
-}
-
-impl Gate {
-    fn new() -> Gate {
-        Gate {
-            runnable: Mutex::new(false),
-            cv: Condvar::new(),
-        }
-    }
-
-    pub(crate) fn park(&self) {
-        let mut g = self.runnable.lock();
-        while !*g {
-            self.cv.wait(&mut g);
-        }
-        *g = false;
-    }
-
-    pub(crate) fn unpark(&self) {
-        let mut g = self.runnable.lock();
-        // A gate carries exactly one signal: every blocked entity has exactly
-        // one pending wake-up. Signalling an already-runnable gate means two
-        // wake events were scheduled for the same park — a lost-wakeup bug
-        // that would otherwise silently desynchronise the run token.
-        debug_assert!(
-            !*g,
-            "gate signalled twice: the target was already runnable (double wake)"
-        );
-        *g = true;
-        self.cv.notify_one();
-    }
-}
-
-pub(crate) struct ProcSlot {
-    pub(crate) id: ProcId,
-    pub(crate) name: String,
-    pub(crate) gate: Gate,
-    /// True while the process is blocked inside the kernel (used for
-    /// deadlock diagnostics).
-    pub(crate) blocked: Mutex<bool>,
-}
-
-/// A pooled continuation task: a stackless state machine driven inline by
-/// whichever thread holds the run token. `fut` is `None` while the task is
-/// being polled and after it completes.
+/// A pooled continuation task: a stackless state machine polled inline by
+/// the dispatch loop. `fut` is `None` while the task is being polled and
+/// after it completes.
 pub(crate) struct TaskSlot {
     pub(crate) name: Arc<str>,
     pub(crate) fut: Option<Pin<Box<dyn Future<Output = ()> + Send>>>,
@@ -201,8 +145,6 @@ pub(crate) struct Shared {
     heap: BinaryHeap<Reverse<Event>>,
     pub(crate) now: SimTime,
     seq: u64,
-    pub(crate) live: usize,
-    pub(crate) procs: Vec<Arc<ProcSlot>>,
     pub(crate) tasks: Vec<TaskSlot>,
     /// Continuation tasks spawned but not yet completed.
     pub(crate) task_live: usize,
@@ -210,12 +152,12 @@ pub(crate) struct Shared {
     pub(crate) limit: SimTime,
     /// True once this sim is driven through [`Sim::run_window`]: the
     /// dispatch loop then pauses at `horizon` instead of failing, and an
-    /// empty queue with live processes is a window boundary, not a
-    /// deadlock. Never set on the classic [`Sim::run`] path.
+    /// empty queue with live tasks is a window boundary, not a deadlock.
+    /// Never set on the classic [`Sim::run`] path.
     windowed: bool,
     /// Exclusive upper bound on event times the current window may run.
     horizon: SimTime,
-    /// Events dispatched so far (wakes and callbacks), for throughput
+    /// Events dispatched so far (task wakes and callbacks), for throughput
     /// reporting via [`Sim::run_counted`].
     pub(crate) events: u64,
     /// Observability sink; a completed run reports itself here.
@@ -245,8 +187,6 @@ pub(crate) const PROF_SAMPLE: u64 = 31;
 #[derive(Clone)]
 pub(crate) struct KernelProf {
     pub(crate) prof: Arc<crate::obs::HostProfiler>,
-    /// Run-token handoff to a thread-backed process (condvar unpark).
-    pub(crate) wake: crate::obs::ProfKey,
     /// Inline poll of a pooled continuation task.
     pub(crate) task_poll: crate::obs::ProfKey,
     /// A kernel callback (timer/flow events scheduled via `call_at`).
@@ -261,12 +201,10 @@ impl Shared {
     }
 }
 
-pub(crate) struct Inner {
-    pub(crate) shared: Mutex<Shared>,
-    main_gate: Gate,
-}
+/// The kernel state every handle (`Sim`, `Sched`, `Cx`) shares.
+pub(crate) type Inner = Mutex<Shared>;
 
-/// A simulation instance: spawn processes, then [`Sim::run`] to completion.
+/// A simulation instance: spawn tasks, then [`Sim::run`] to completion.
 pub struct Sim {
     inner: Arc<Inner>,
 }
@@ -281,43 +219,28 @@ impl Sim {
     /// Create an empty simulation at t = 0.
     pub fn new() -> Sim {
         Sim {
-            inner: Arc::new(Inner {
-                shared: Mutex::new(Shared {
-                    heap: BinaryHeap::new(),
-                    now: SimTime::ZERO,
-                    seq: 0,
-                    live: 0,
-                    procs: Vec::new(),
-                    tasks: Vec::new(),
-                    task_live: 0,
-                    failure: None,
-                    limit: SimTime::MAX,
-                    windowed: false,
-                    horizon: SimTime::MAX,
-                    events: 0,
-                    recorder: None,
-                    profiler: None,
-                }),
-                main_gate: Gate::new(),
-            }),
+            inner: Arc::new(Mutex::new(Shared {
+                heap: BinaryHeap::new(),
+                now: SimTime::ZERO,
+                seq: 0,
+                tasks: Vec::new(),
+                task_live: 0,
+                failure: None,
+                limit: SimTime::MAX,
+                windowed: false,
+                horizon: SimTime::MAX,
+                events: 0,
+                recorder: None,
+                profiler: None,
+            })),
         }
-    }
-
-    /// Spawn a simulated process. The body runs in blocking style on its own
-    /// thread; it becomes runnable at the current virtual time. Processes may
-    /// spawn further processes via [`Proc::spawn`].
-    pub fn spawn<F>(&self, name: impl Into<String>, body: F) -> ProcId
-    where
-        F: FnOnce(Proc) + Send + 'static,
-    {
-        spawn_process(&self.inner, name.into(), body)
     }
 
     /// Spawn a pooled continuation task. `f` receives this task's
     /// [`crate::Cx`] and returns the task body as a future; the body runs as
-    /// a stackless state machine polled inline by whichever thread holds the
-    /// run token, so a blocked task occupies no OS thread. It becomes
-    /// runnable at the current virtual time, exactly like [`Sim::spawn`].
+    /// a stackless state machine polled inline by the dispatch loop, so a
+    /// blocked task occupies no OS thread. It becomes runnable at the
+    /// current virtual time.
     ///
     /// The body may suspend only through its `Cx` (see
     /// [`crate::exec`] for the blocking-point contract).
@@ -330,16 +253,16 @@ impl Sim {
     }
 
     /// Like [`Sim::run`], but fail with [`SimError::TimeLimitExceeded`] if
-    /// virtual time passes `limit` before the processes finish. As with a
-    /// deadlock, the still-blocked process threads are leaked by design —
-    /// the simulation is abandoned, not unwound.
+    /// virtual time passes `limit` before the tasks finish. As with a
+    /// deadlock, the still-suspended tasks are dropped when the run
+    /// returns — the simulation is abandoned, not unwound.
     pub fn run_until(self, limit: SimTime) -> Result<SimTime, SimError> {
-        self.inner.shared.lock().limit = limit;
+        self.inner.lock().limit = limit;
         self.run()
     }
 
-    /// Run the simulation until every process has finished. Returns the final
-    /// virtual time, or the first failure (process panic or deadlock).
+    /// Run the simulation until every task has finished. Returns the final
+    /// virtual time, or the first failure (task panic or deadlock).
     pub fn run(self) -> Result<SimTime, SimError> {
         self.run_counted().map(|s| s.end)
     }
@@ -350,73 +273,40 @@ impl Sim {
     /// dispatch count; recording happens host-side after the run ends, so
     /// it cannot perturb the event order or virtual timestamps) and the
     /// host-time self-profiler (the dispatch loop attributes its
-    /// wall-clock time to `desim;dispatch;{wake,task_poll,call}` stacks,
-    /// sampling one event in [`PROF_SAMPLE`] and extrapolating so the
-    /// clock reads stay far below the loop's own per-event cost; the
-    /// own-wake fast path stays uninstrumented by design — it is the
-    /// `advance()` hot path). Fields left `None` leave the corresponding
-    /// attachment untouched.
+    /// wall-clock time to `desim;dispatch;{task_poll,call}` stacks,
+    /// sampling one event in `PROF_SAMPLE` (31) and extrapolating so the
+    /// clock reads stay far below the loop's own per-event cost). Fields
+    /// left `None` leave the corresponding attachment untouched.
     pub fn attach_obs(&self, obs: &crate::obs::Obs) {
         if let Some(rec) = &obs.recorder {
-            self.inner.shared.lock().recorder = Some(Arc::clone(rec));
+            self.inner.lock().recorder = Some(Arc::clone(rec));
         }
         if let Some(prof) = &obs.profiler {
             let keys = KernelProf {
-                wake: prof.intern("desim;dispatch;wake"),
                 task_poll: prof.intern("desim;dispatch;task_poll"),
                 call: prof.intern("desim;dispatch;call"),
                 prof: Arc::clone(prof),
             };
-            self.inner.shared.lock().profiler = Some(keys);
+            self.inner.lock().profiler = Some(keys);
         }
-    }
-
-    /// Attach an observability recorder.
-    #[deprecated(note = "configure observability once via `Sim::attach_obs`")]
-    pub fn attach_recorder(&self, rec: Arc<dyn crate::obs::Recorder>) {
-        self.attach_obs(&crate::obs::Obs::none().recorder(rec));
-    }
-
-    /// Attach a host-time self-profiler.
-    #[deprecated(note = "configure observability once via `Sim::attach_obs`")]
-    pub fn attach_profiler(&self, prof: Arc<crate::obs::HostProfiler>) {
-        self.attach_obs(&crate::obs::Obs::none().profiler(prof));
     }
 
     /// Like [`Sim::run`], but also report how many events were dispatched —
     /// the denominator of the kernel's events-per-second throughput.
     pub fn run_counted(self) -> Result<RunStats, SimError> {
-        let done = {
-            let g = self.inner.shared.lock();
-            if g.live == 0 && g.task_live == 0 && g.heap.is_empty() {
-                Some((
-                    RunStats {
-                        end: g.now,
-                        events: g.events,
-                    },
-                    g.recorder.clone(),
-                ))
-            } else {
-                None
+        dispatch(&self.inner);
+        let (stats, recorder) = {
+            let g = self.inner.lock();
+            if let Some(e) = &g.failure {
+                return Err(e.clone());
             }
-        };
-        let (stats, recorder) = match done {
-            Some(pair) => pair,
-            None => {
-                dispatch(&self.inner, None, None);
-                self.inner.main_gate.park();
-                let g = self.inner.shared.lock();
-                match &g.failure {
-                    Some(e) => return Err(e.clone()),
-                    None => (
-                        RunStats {
-                            end: g.now,
-                            events: g.events,
-                        },
-                        g.recorder.clone(),
-                    ),
-                }
-            }
+            (
+                RunStats {
+                    end: g.now,
+                    events: g.events,
+                },
+                g.recorder.clone(),
+            )
         };
         if let Some(rec) = recorder {
             rec.record(&crate::obs::Event::KernelRun {
@@ -432,41 +322,29 @@ impl Sim {
     /// this does not consume the sim — the conservative-PDES driver
     /// ([`crate::shard::ShardedSim`]) calls it repeatedly, widening the
     /// horizon by the lookahead each round. A windowed sim keeps running
-    /// trailing kernel callbacks after its last process finishes (they may
+    /// trailing kernel callbacks after its last task finishes (they may
     /// post cross-shard mail); [`Window::Done`] therefore requires the
     /// queue to be fully drained, and a `Done` shard is revived by a later
     /// [`Sim::post_at`].
     pub fn run_window(&self, horizon: SimTime) -> Result<Window, SimError> {
         {
-            let mut g = self.inner.shared.lock();
+            let mut g = self.inner.lock();
             g.windowed = true;
             g.horizon = horizon;
-            if let Some(e) = &g.failure {
-                return Err(e.clone());
-            }
-            // Nothing runnable below the horizon: report without the
-            // dispatch/park round trip (dispatch would do the same, but
-            // this keeps empty windows cheap — they are the common case
-            // for shards waiting on a distant neighbor).
-            match g.heap.peek() {
-                Some(Reverse(ev)) if ev.time < horizon => {}
-                _ => return Ok(classify(&g)),
-            }
         }
-        dispatch(&self.inner, None, None);
-        self.inner.main_gate.park();
-        let g = self.inner.shared.lock();
+        dispatch(&self.inner);
+        let g = self.inner.lock();
         if let Some(e) = &g.failure {
             return Err(e.clone());
         }
         Ok(classify(&g))
     }
 
-    /// Schedule `f` at virtual time `at` from *outside* the run token —
+    /// Schedule `f` at virtual time `at` from *outside* the dispatch loop —
     /// the cross-shard mail delivery hook. The conservative horizon
     /// guarantees `at` is never in this shard's past (debug-asserted).
     pub fn post_at(&self, at: SimTime, f: impl FnOnce(&Sched) + Send + 'static) {
-        let mut g = self.inner.shared.lock();
+        let mut g = self.inner.lock();
         debug_assert!(
             at >= g.now,
             "cross-shard post into this shard's past ({at} < {})",
@@ -479,42 +357,23 @@ impl Sim {
     /// Time of the earliest pending event, if any. Between windows this is
     /// the shard's bid for the next global horizon.
     pub fn next_event_time(&self) -> Option<SimTime> {
-        self.inner
-            .shared
-            .lock()
-            .heap
-            .peek()
-            .map(|Reverse(ev)| ev.time)
+        self.inner.lock().heap.peek().map(|Reverse(ev)| ev.time)
     }
 
-    /// True while any process or task has not finished.
+    /// True while any task has not finished.
     pub fn anything_live(&self) -> bool {
-        let g = self.inner.shared.lock();
-        g.live > 0 || g.task_live > 0
+        self.inner.lock().task_live > 0
     }
 
-    /// Names of currently blocked processes and suspended tasks, for the
-    /// sharded driver's global-deadlock diagnostic.
+    /// Names of currently suspended tasks, for the sharded driver's
+    /// global-deadlock diagnostic.
     pub fn blocked_names(&self) -> Vec<String> {
-        let g = self.inner.shared.lock();
-        let mut names: Vec<String> = g
-            .procs
-            .iter()
-            .filter(|s| *s.blocked.lock())
-            .map(|s| s.name.clone())
-            .collect();
-        names.extend(
-            g.tasks
-                .iter()
-                .filter(|t| t.fut.is_some())
-                .map(|t| t.name.to_string()),
-        );
-        names
+        suspended_names(&self.inner.lock())
     }
 
     /// Current virtual time and dispatch count, without ending the run.
     pub fn stats(&self) -> RunStats {
-        let g = self.inner.shared.lock();
+        let g = self.inner.lock();
         RunStats {
             end: g.now,
             events: g.events,
@@ -522,11 +381,35 @@ impl Sim {
     }
 }
 
+impl Drop for Sim {
+    /// Release what a finished or abandoned run left behind: suspended
+    /// tasks hold a [`crate::Cx`] and trailing callbacks may hold a
+    /// [`Sched`], and either keeps this kernel alive through a reference
+    /// cycle. They are dropped after the lock is released, because their
+    /// destructors may touch the kernel.
+    fn drop(&mut self) {
+        let leftovers = {
+            let mut g = self.inner.lock();
+            (std::mem::take(&mut g.heap), std::mem::take(&mut g.tasks))
+        };
+        drop(leftovers);
+    }
+}
+
+/// Names of the tasks suspended at a blocking point.
+fn suspended_names(g: &Shared) -> Vec<String> {
+    g.tasks
+        .iter()
+        .filter(|t| t.fut.is_some())
+        .map(|t| t.name.to_string())
+        .collect()
+}
+
 /// Classify a quiescent (between-windows) shared state into a [`Window`].
 fn classify(g: &Shared) -> Window {
     match g.heap.peek() {
         Some(Reverse(ev)) => Window::Paused(ev.time),
-        None if g.live == 0 && g.task_live == 0 => Window::Done(RunStats {
+        None if g.task_live == 0 => Window::Done(RunStats {
             end: g.now,
             events: g.events,
         }),
@@ -539,63 +422,15 @@ fn classify(g: &Shared) -> Window {
 pub struct RunStats {
     /// Final virtual time.
     pub end: SimTime,
-    /// Total events dispatched (process wakes plus kernel callbacks).
+    /// Total events dispatched (task wakes plus kernel callbacks).
     pub events: u64,
 }
 
-pub(crate) fn spawn_process<F>(inner: &Arc<Inner>, name: String, body: F) -> ProcId
-where
-    F: FnOnce(Proc) + Send + 'static,
-{
-    let slot = {
-        let mut g = inner.shared.lock();
-        let id = ProcId(g.procs.len());
-        let slot = Arc::new(ProcSlot {
-            id,
-            name: name.clone(),
-            gate: Gate::new(),
-            blocked: Mutex::new(true),
-        });
-        g.procs.push(Arc::clone(&slot));
-        g.live += 1;
-        let now = g.now;
-        g.push(now, EventKind::Wake(id));
-        slot
-    };
-    let id = slot.id;
-    let inner2 = Arc::clone(inner);
-    thread::Builder::new()
-        .name(format!("sim:{name}"))
-        .spawn(move || {
-            slot.gate.park();
-            *slot.blocked.lock() = false;
-            let p = Proc::new(Arc::clone(&inner2), Arc::clone(&slot));
-            let result = catch_unwind(AssertUnwindSafe(move || body(p)));
-            let guard = {
-                let mut g = inner2.shared.lock();
-                g.live -= 1;
-                if let Err(payload) = result {
-                    let msg = panic_message(payload);
-                    if g.failure.is_none() {
-                        g.failure = Some(SimError::ProcessPanicked(msg));
-                    }
-                    // Fail fast: drop all pending work so the driver returns.
-                    g.heap.clear();
-                }
-                g
-            };
-            dispatch(&inner2, None, Some(guard));
-        })
-        .expect("failed to spawn simulation thread");
-    id
-}
-
-/// Register a continuation task: allocate its slot and push its first wake
-/// *before* constructing the body, so the task's initial wake occupies the
-/// same event-queue position a thread-backed process's would — the spawn
-/// sequence is engine-independent. Safe against the wake being dispatched
-/// before the future is stored: dispatching requires the run token, which
-/// the spawning context holds (or, before [`Sim::run`], nobody does).
+/// Register a continuation task: allocate its slot and push its first wake,
+/// then construct the body and store it. Safe against the wake being
+/// dispatched before the future is stored: the dispatch loop only pops the
+/// wake after the spawning task or callback has returned to it (or, before
+/// [`Sim::run`], nobody dispatches at all).
 pub(crate) fn spawn_task<F, Fut>(inner: &Arc<Inner>, name: String, f: F) -> TaskId
 where
     F: FnOnce(crate::exec::Cx) -> Fut,
@@ -603,7 +438,7 @@ where
 {
     let name: Arc<str> = name.into();
     let id = {
-        let mut g = inner.shared.lock();
+        let mut g = inner.lock();
         let id = TaskId(g.tasks.len());
         g.tasks.push(TaskSlot {
             name: Arc::clone(&name),
@@ -616,7 +451,7 @@ where
     };
     let cx = crate::exec::Cx::for_task(Arc::clone(inner), id, name);
     let fut = f(cx);
-    inner.shared.lock().tasks[id.0].fut = Some(Box::pin(fut));
+    inner.lock().tasks[id.0].fut = Some(Box::pin(fut));
     id
 }
 
@@ -630,54 +465,22 @@ fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
     }
 }
 
-/// Hand the run token to the owner of the next event. If `me` is given, the
-/// calling thread parks afterwards and the function returns once the token
-/// comes back to `me`; with `me = None` the caller exits the scheduler after
-/// handing off (used by finished processes and the driver).
-pub(crate) fn dispatch(
-    inner: &Arc<Inner>,
-    me: Option<&Arc<ProcSlot>>,
-    pre_locked: Option<crate::sync::MutexGuard<'_, Shared>>,
-) {
-    let mut guard = match pre_locked {
-        Some(g) => g,
-        None => inner.shared.lock(),
-    };
-    if let Some(slot) = me {
-        // Fast path: the next event is this thread's own wake (the common
-        // `advance()` shape). Take the token straight back without the
-        // park/unpark handshake or the blocked-flag round trips.
-        if guard.live > 0 {
-            if let Some(Reverse(ev)) = guard.heap.peek() {
-                if ev.time <= guard.limit && (!guard.windowed || ev.time < guard.horizon) {
-                    if let EventKind::Wake(pid) = ev.kind {
-                        if pid == slot.id {
-                            let Some(Reverse(ev)) = guard.heap.pop() else {
-                                unreachable!("peeked event vanished")
-                            };
-                            guard.now = guard.now.max(ev.time);
-                            guard.events += 1;
-                            return;
-                        }
-                    }
-                }
-            }
-        }
-        *slot.blocked.lock() = true;
-    }
+/// Run the dispatch loop until the run ends, the window closes, or the
+/// queue drains. The outcome (failure, clock, event count) is left in
+/// `Shared` for the caller to read.
+fn dispatch(inner: &Arc<Inner>) {
+    let mut guard = inner.lock();
     // Snapshot the profiler handle once per dispatch entry: it is
     // immutable for the whole run, and re-cloning the Arc per event
     // while holding the shared lock was measurable on the hot path.
     let prof = guard.profiler.clone();
     loop {
-        if guard.live == 0 && guard.task_live == 0 && !guard.windowed {
-            // All processes and tasks done: ignore any trailing
-            // timer/callback events (e.g. pending TCP window rounds) and end
-            // the simulation. A windowed shard instead keeps draining those
-            // callbacks — they may carry cross-shard mail.
-            drop(guard);
-            inner.main_gate.unpark();
-            break;
+        if guard.task_live == 0 && !guard.windowed {
+            // All tasks done: ignore any trailing timer/callback events
+            // (e.g. pending TCP window rounds) and end the simulation. A
+            // windowed shard instead keeps draining those callbacks — they
+            // may carry cross-shard mail.
+            return;
         }
         if guard.windowed
             && guard
@@ -686,9 +489,7 @@ pub(crate) fn dispatch(
                 .is_some_and(|Reverse(ev)| ev.time >= guard.horizon)
         {
             // Window boundary: hand control back to the sharded driver.
-            drop(guard);
-            inner.main_gate.unpark();
-            break;
+            return;
         }
         if guard
             .heap
@@ -698,140 +499,78 @@ pub(crate) fn dispatch(
             if guard.failure.is_none() {
                 guard.failure = Some(SimError::TimeLimitExceeded(guard.limit));
             }
-            drop(guard);
-            inner.main_gate.unpark();
-            break;
+            return;
         }
-        match guard.heap.pop() {
-            Some(Reverse(ev)) => {
-                debug_assert!(ev.time >= guard.now, "event queue went backwards");
-                guard.now = guard.now.max(ev.time);
-                guard.events += 1;
-                match ev.kind {
-                    EventKind::Wake(pid) => {
-                        if me.is_some_and(|s| s.id == pid) {
-                            // Token returns to the caller immediately.
-                            let slot = me.unwrap();
-                            *slot.blocked.lock() = false;
-                            return;
-                        }
-                        // Only the handoff itself (condvar signal) is
-                        // attributable here: the woken thread runs
-                        // application code outside the dispatch loop.
-                        let sample = prof.as_ref().filter(|_| guard.events % PROF_SAMPLE == 0);
-                        let target = Arc::clone(&guard.procs[pid.0]);
-                        drop(guard);
-                        let t0 = sample.map(|_| Instant::now());
-                        target.gate.unpark();
-                        if let (Some(p), Some(t0)) = (sample, t0) {
-                            p.prof.add_ns_sampled(
-                                p.wake,
-                                t0.elapsed().as_nanos() as u64,
-                                PROF_SAMPLE,
-                            );
-                        }
-                        break;
-                    }
-                    EventKind::TaskWake(tid) => {
-                        // Poll the task inline on this thread — the pooled
-                        // engine's ready path: no park/unpark, no context
-                        // switch. The future is taken out of its slot for
-                        // the duration of the poll so the task body can lock
-                        // `shared` (to push events) without aliasing it.
-                        let mut fut = guard.tasks[tid.0]
-                            .fut
-                            .take()
-                            .expect("task woken while running or after completion (double wake)");
-                        let sample = prof.as_ref().filter(|_| guard.events % PROF_SAMPLE == 0);
-                        drop(guard);
-                        let t0 = sample.map(|_| Instant::now());
-                        let poll = catch_unwind(AssertUnwindSafe(|| {
-                            fut.as_mut().poll(&mut Context::from_waker(Waker::noop()))
-                        }));
-                        if let (Some(p), Some(t0)) = (sample, t0) {
-                            p.prof.add_ns_sampled(
-                                p.task_poll,
-                                t0.elapsed().as_nanos() as u64,
-                                PROF_SAMPLE,
-                            );
-                        }
-                        guard = inner.shared.lock();
-                        match poll {
-                            Ok(Poll::Pending) => {
-                                // Suspended at a blocking point; its wake-up
-                                // (timer event or completion subscription) is
-                                // already registered.
-                                guard.tasks[tid.0].fut = Some(fut);
-                            }
-                            Ok(Poll::Ready(())) => {
-                                guard.task_live -= 1;
-                            }
-                            Err(payload) => {
-                                guard.task_live -= 1;
-                                let msg = panic_message(payload);
-                                if guard.failure.is_none() {
-                                    guard.failure = Some(SimError::ProcessPanicked(msg));
-                                }
-                                // Fail fast, as with a thread-backed panic.
-                                guard.heap.clear();
-                            }
-                        }
-                    }
-                    EventKind::Call(f) => {
-                        let sample = prof.as_ref().filter(|_| guard.events % PROF_SAMPLE == 0);
-                        drop(guard);
-                        let t0 = sample.map(|_| Instant::now());
-                        f(&Sched {
-                            inner: Arc::clone(inner),
-                        });
-                        if let (Some(p), Some(t0)) = (sample, t0) {
-                            p.prof.add_ns_sampled(
-                                p.call,
-                                t0.elapsed().as_nanos() as u64,
-                                PROF_SAMPLE,
-                            );
-                        }
-                        guard = inner.shared.lock();
-                    }
-                }
+        let Some(Reverse(ev)) = guard.heap.pop() else {
+            // An empty queue is not a verdict for a windowed shard: it may
+            // be waiting on cross-shard mail, and the driver decides.
+            if !guard.windowed && guard.task_live > 0 && guard.failure.is_none() {
+                // Every live task is suspended at a blocking point whose
+                // wake-up never arrived.
+                guard.failure = Some(SimError::Deadlock(suspended_names(&guard)));
             }
-            None => {
-                if guard.windowed {
-                    // An empty queue is not a verdict here: the shard may be
-                    // waiting on cross-shard mail. The driver decides.
-                    drop(guard);
-                    inner.main_gate.unpark();
-                    break;
-                }
-                if (guard.live > 0 || guard.task_live > 0) && guard.failure.is_none() {
-                    let mut blocked: Vec<String> = guard
-                        .procs
-                        .iter()
-                        .filter(|s| *s.blocked.lock())
-                        .map(|s| s.name.clone())
-                        .collect();
-                    // Every live task with a stored future is suspended at a
-                    // blocking point whose wake-up never arrived.
-                    blocked.extend(
-                        guard
-                            .tasks
-                            .iter()
-                            .filter(|t| t.fut.is_some())
-                            .map(|t| t.name.to_string()),
-                    );
-                    guard.failure = Some(SimError::Deadlock(blocked));
-                }
+            return;
+        };
+        debug_assert!(ev.time >= guard.now, "event queue went backwards");
+        guard.now = guard.now.max(ev.time);
+        guard.events += 1;
+        let sample = prof
+            .as_ref()
+            .filter(|_| guard.events.is_multiple_of(PROF_SAMPLE));
+        match ev.kind {
+            EventKind::TaskWake(tid) => {
+                // Poll the task inline: no park/unpark, no context switch.
+                // The future is taken out of its slot for the duration of
+                // the poll so the task body can lock the kernel (to push
+                // events) without aliasing it.
+                let mut fut = guard.tasks[tid.0]
+                    .fut
+                    .take()
+                    .expect("task woken while running or after completion (double wake)");
                 drop(guard);
-                inner.main_gate.unpark();
-                // A deadlocked caller parks forever; its thread is leaked by
-                // design (the driver has already reported the failure).
-                break;
+                let t0 = sample.map(|_| Instant::now());
+                let poll = catch_unwind(AssertUnwindSafe(|| {
+                    fut.as_mut().poll(&mut Context::from_waker(Waker::noop()))
+                }));
+                if let (Some(p), Some(t0)) = (sample, t0) {
+                    p.prof
+                        .add_ns_sampled(p.task_poll, t0.elapsed().as_nanos() as u64, PROF_SAMPLE);
+                }
+                guard = inner.lock();
+                match poll {
+                    Ok(Poll::Pending) => {
+                        // Suspended at a blocking point; its wake-up (timer
+                        // event or completion subscription) is already
+                        // registered.
+                        guard.tasks[tid.0].fut = Some(fut);
+                    }
+                    Ok(Poll::Ready(())) => {
+                        guard.task_live -= 1;
+                    }
+                    Err(payload) => {
+                        guard.task_live -= 1;
+                        let msg = panic_message(payload);
+                        if guard.failure.is_none() {
+                            guard.failure = Some(SimError::ProcessPanicked(msg));
+                        }
+                        // Fail fast: drop all pending work so the run ends.
+                        guard.heap.clear();
+                    }
+                }
+            }
+            EventKind::Call(f) => {
+                drop(guard);
+                let t0 = sample.map(|_| Instant::now());
+                f(&Sched {
+                    inner: Arc::clone(inner),
+                });
+                if let (Some(p), Some(t0)) = (sample, t0) {
+                    p.prof
+                        .add_ns_sampled(p.call, t0.elapsed().as_nanos() as u64, PROF_SAMPLE);
+                }
+                guard = inner.lock();
             }
         }
-    }
-    if let Some(slot) = me {
-        slot.gate.park();
-        *slot.blocked.lock() = false;
     }
 }
 
@@ -846,39 +585,13 @@ mod tests {
     }
 
     #[test]
-    fn single_process_advances_clock() {
+    fn single_task_advances_clock() {
         let sim = Sim::new();
-        sim.spawn("p", |p| {
-            p.advance(SimDuration::from_millis(10));
-            p.advance(SimDuration::from_millis(5));
+        sim.spawn_task("t", |cx| async move {
+            cx.advance(SimDuration::from_millis(10)).await;
+            cx.advance(SimDuration::from_millis(5)).await;
         });
         assert_eq!(sim.run().unwrap().as_millis(), 15);
-    }
-
-    #[test]
-    fn process_panic_is_reported() {
-        let sim = Sim::new();
-        sim.spawn("bad", |p| {
-            p.advance(SimDuration::from_millis(1));
-            panic!("boom with context");
-        });
-        match sim.run() {
-            Err(SimError::ProcessPanicked(m)) => assert!(m.contains("boom")),
-            other => panic!("expected panic error, got {other:?}"),
-        }
-    }
-
-    #[test]
-    fn deadlock_is_detected() {
-        let sim = Sim::new();
-        let (_tx, rx) = crate::completion::<()>();
-        sim.spawn("stuck", move |p| {
-            rx.wait(&p);
-        });
-        match sim.run() {
-            Err(SimError::Deadlock(names)) => assert_eq!(names, vec!["stuck".to_string()]),
-            other => panic!("expected deadlock, got {other:?}"),
-        }
     }
 
     #[test]
@@ -888,10 +601,10 @@ mod tests {
         let sim = Sim::new();
         for (name, step_ms) in [("a", 3u64), ("b", 5u64), ("c", 7u64)] {
             let log = Arc::clone(&log);
-            sim.spawn(name, move |p| {
+            sim.spawn_task(name, move |cx| async move {
                 for _ in 0..4 {
-                    p.advance(SimDuration::from_millis(step_ms));
-                    log.lock().unwrap().push((p.now().as_millis(), name));
+                    cx.advance(SimDuration::from_millis(step_ms)).await;
+                    log.lock().unwrap().push((cx.now().as_millis(), name));
                 }
             });
         }
@@ -905,30 +618,15 @@ mod tests {
     }
 
     #[test]
-    fn call_at_runs_between_processes() {
+    fn call_at_runs_between_tasks() {
         let sim = Sim::new();
         let (tx, rx) = crate::completion::<u64>();
-        sim.spawn("waiter", move |p| {
-            p.sched().call_after(SimDuration::from_millis(2), move |s| {
-                tx.fire_from(s, s.now().as_millis());
-            });
-            let v = rx.wait(&p);
-            assert_eq!(v, 2);
-        });
-        sim.run().unwrap();
-    }
-
-    #[test]
-    fn spawn_from_process() {
-        let sim = Sim::new();
-        sim.spawn("parent", |p| {
-            let (tx, rx) = crate::completion::<u32>();
-            p.spawn("child", move |c| {
-                c.advance(SimDuration::from_millis(4));
-                tx.fire(&c, 7);
-            });
-            assert_eq!(rx.wait(&p), 7);
-            assert_eq!(p.now().as_millis(), 4);
+        sim.spawn_task("waiter", move |cx| async move {
+            cx.sched()
+                .call_after(SimDuration::from_millis(2), move |s| {
+                    tx.fire_from(s, s.now().as_millis());
+                });
+            assert_eq!(cx.wait(rx).await, 2);
         });
         sim.run().unwrap();
     }
@@ -936,8 +634,8 @@ mod tests {
     #[test]
     fn run_until_reports_time_limit() {
         let sim = Sim::new();
-        sim.spawn("slow", |p| {
-            p.advance(SimDuration::from_secs(100));
+        sim.spawn_task("slow", |cx| async move {
+            cx.advance(SimDuration::from_secs(100)).await;
         });
         match sim.run_until(SimTime::from_nanos(1_000_000)) {
             Err(SimError::TimeLimitExceeded(t)) => assert_eq!(t.as_micros(), 1_000),
@@ -948,25 +646,13 @@ mod tests {
     #[test]
     fn run_until_is_inert_for_fast_runs() {
         let sim = Sim::new();
-        sim.spawn("fast", |p| {
-            p.advance(SimDuration::from_millis(1));
+        sim.spawn_task("fast", |cx| async move {
+            cx.advance(SimDuration::from_millis(1)).await;
         });
         let end = sim
             .run_until(SimTime::from_nanos(1_000_000_000))
             .expect("finishes before the limit");
         assert_eq!(end.as_millis(), 1);
-    }
-
-    #[test]
-    #[cfg(debug_assertions)]
-    fn gate_double_signal_panics() {
-        let gate = Gate::new();
-        gate.unpark();
-        // A second signal before the target parks is a double wake; the
-        // debug assert must turn it into a panic instead of silently
-        // coalescing the two wake-ups.
-        let err = std::panic::catch_unwind(AssertUnwindSafe(|| gate.unpark()));
-        assert!(err.is_err(), "double unpark must panic in debug builds");
     }
 
     #[test]
@@ -976,10 +662,11 @@ mod tests {
             let sim = Sim::new();
             for i in 0..8usize {
                 let log = Arc::clone(&log);
-                sim.spawn(format!("p{i}"), move |p| {
+                sim.spawn_task(format!("p{i}"), move |cx| async move {
                     for k in 0..16u64 {
-                        p.advance(SimDuration::from_nanos((i as u64 + 1) * 37 + k));
-                        log.lock().push((p.now().as_nanos(), i));
+                        cx.advance(SimDuration::from_nanos((i as u64 + 1) * 37 + k))
+                            .await;
+                        log.lock().push((cx.now().as_nanos(), i));
                     }
                 });
             }
@@ -988,5 +675,48 @@ mod tests {
             v
         }
         assert_eq!(trace(), trace());
+    }
+
+    /// A run that ends — cleanly, deadlocked, or past its limit — must
+    /// release everything it captured: suspended tasks and trailing
+    /// callbacks hold handles on the kernel, which would otherwise keep
+    /// the whole simulation alive in a reference cycle.
+    #[test]
+    fn ended_runs_release_captured_state() {
+        let probe = Arc::new(());
+
+        let sim = Sim::new();
+        let (_tx, rx) = crate::completion::<()>();
+        let p = Arc::clone(&probe);
+        sim.spawn_task("stuck", move |cx| async move {
+            let _p = p;
+            cx.wait(rx).await;
+        });
+        assert!(matches!(sim.run(), Err(SimError::Deadlock(_))));
+        assert_eq!(Arc::strong_count(&probe), 1, "deadlocked run leaked");
+
+        let sim = Sim::new();
+        let p = Arc::clone(&probe);
+        sim.spawn_task("slow", move |cx| async move {
+            let _p = p;
+            cx.advance(SimDuration::from_secs(100)).await;
+        });
+        let limit = SimTime::from_nanos(1_000);
+        assert!(matches!(
+            sim.run_until(limit),
+            Err(SimError::TimeLimitExceeded(_))
+        ));
+        assert_eq!(Arc::strong_count(&probe), 1, "timed-out run leaked");
+
+        let sim = Sim::new();
+        let p = Arc::clone(&probe);
+        sim.spawn_task("arm", move |cx| async move {
+            let s = cx.sched();
+            cx.sched().call_after(SimDuration::from_secs(1), move |_| {
+                let _keep = (p, s);
+            });
+        });
+        sim.run().unwrap();
+        assert_eq!(Arc::strong_count(&probe), 1, "trailing callback leaked");
     }
 }

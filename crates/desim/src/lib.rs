@@ -2,18 +2,17 @@
 
 //! # desim — deterministic discrete-event simulation kernel
 //!
-//! A small discrete-event kernel with *thread-backed processes* and a
-//! strictly serialized scheduler: at any host instant, exactly one simulated
-//! process (or kernel closure) is running, and the next runnable entity is
-//! always chosen from a single event queue ordered by `(virtual time,
-//! insertion sequence)`. Execution is therefore fully deterministic — the
-//! same program produces the same event trace on every run, regardless of
-//! host thread scheduling.
+//! A small discrete-event kernel with *pooled continuation tasks* and a
+//! strictly serialized scheduler: at any host instant, exactly one
+//! simulated task (or kernel closure) is running, and the next runnable
+//! entity is always chosen from a single event queue ordered by `(virtual
+//! time, insertion sequence)`. Execution is therefore fully deterministic
+//! — the same program produces the same event trace on every run.
 //!
 //! The design follows the SimGrid school of network simulators: simulated
-//! actors are written in ordinary blocking style (`send`, `recv`,
-//! `advance`), each running on its own OS thread, and the kernel hands a
-//! "run token" from thread to thread as virtual time progresses.
+//! actors are written in sequential style (`send`, `recv`, `advance`) as
+//! `async` bodies whose blocking points suspend a stackless state machine,
+//! and the kernel's dispatch loop resumes them as virtual time progresses.
 //!
 //! ## Quick example
 //!
@@ -22,14 +21,14 @@
 //!
 //! let sim = Sim::new();
 //! let (tx, rx) = desim::completion::<u32>();
-//! sim.spawn("producer", move |p| {
-//!     p.advance(SimDuration::from_millis(5));
-//!     tx.fire(&p, 42);
+//! sim.spawn_task("producer", move |cx| async move {
+//!     cx.advance(SimDuration::from_millis(5)).await;
+//!     tx.fire_from(&cx.sched(), 42);
 //! });
-//! sim.spawn("consumer", move |p| {
-//!     let v = rx.wait(&p);
+//! sim.spawn_task("consumer", move |cx| async move {
+//!     let v = cx.wait(rx).await;
 //!     assert_eq!(v, 42);
-//!     assert_eq!(p.now().as_millis(), 5);
+//!     assert_eq!(cx.now().as_millis(), 5);
 //! });
 //! let end = sim.run().unwrap();
 //! assert_eq!(end.as_millis(), 5);
@@ -40,19 +39,17 @@ pub mod exec;
 pub mod fault;
 mod kernel;
 pub mod obs;
-mod process;
 pub mod prop;
 pub mod shard;
 pub mod sync;
 mod time;
 
 pub use completion::{completion, Completion, Trigger};
-pub use exec::{run_sync, Cx, TaskId};
+pub use exec::{Cx, TaskId};
 pub use fault::{FaultEvent, FaultKind, FaultPlan};
 pub use kernel::{RunStats, Sched, Sim, SimError, Window};
 pub use obs::analysis::{Analysis, Collector, CriticalPath, FlowBlame, MessageBlame, RankProfile};
 pub use obs::{DigestSink, DigestValue, Event, Metrics, Obs, Recorder, RingSink, Tee};
 pub use obs::{HostProfiler, ProfKey, StreamHist, TimeSeries, TimeSeriesSink, Windowed};
-pub use process::{Proc, ProcId};
 pub use shard::{CrossPost, GroupBuffer, ShardStats, ShardedSim};
 pub use time::{SimDuration, SimTime};

@@ -194,8 +194,8 @@ impl Event {
 
 /// A consumer of observability events. Implementations must be cheap and
 /// must not interact with the simulation (no scheduling, no blocking on
-/// simulated state) — recording happens on whichever host thread holds
-/// the run token.
+/// simulated state) — recording happens inside the dispatch loop (under
+/// PDES, on whichever worker thread runs the shard's window).
 pub trait Recorder: Send + Sync {
     /// Consume one event.
     fn record(&self, ev: &Event);
@@ -204,9 +204,8 @@ pub trait Recorder: Send + Sync {
 /// The single observability configuration: which recorder receives the
 /// structured event stream and which host-time profiler the kernel and
 /// network attribute their wall-clock time to. One `Obs` is handed to the
-/// top of the stack (a `Scenario` or `MpiJob`) and fanned out from there,
-/// replacing the former per-layer `attach_recorder`/`attach_profiler`/
-/// `with_recorder` trio.
+/// top of the stack (a `Scenario` or `MpiJob`) and fanned out from there
+/// (`MpiJob::with_obs`, `Network::attach_obs`, [`crate::Sim::attach_obs`]).
 #[derive(Clone, Default)]
 pub struct Obs {
     /// Structured-event sink, if any.

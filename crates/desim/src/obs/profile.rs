@@ -612,9 +612,9 @@ mod tests {
     #[test]
     fn host_profiler_folds_and_counts() {
         let prof = Arc::new(HostProfiler::new());
-        let k1 = prof.intern("desim;dispatch;wake");
+        let k1 = prof.intern("desim;dispatch;call");
         let k2 = prof.intern("netsim;settle");
-        assert_eq!(k1, prof.intern("desim;dispatch;wake"));
+        assert_eq!(k1, prof.intern("desim;dispatch;call"));
         prof.add_ns(k1, 100);
         prof.add_ns(k1, 50);
         prof.add_ns(k2, 7);
@@ -628,7 +628,7 @@ mod tests {
             assert!(stack.contains(';') || !stack.is_empty());
             assert!(n > 0);
         }
-        assert!(folded.contains("desim;dispatch;wake 150"));
+        assert!(folded.contains("desim;dispatch;call 150"));
     }
 
     #[test]

@@ -177,10 +177,10 @@ impl ShardedSim {
                 break;
             };
             if !self.sims.iter().any(|s| s.anything_live()) {
-                // Every process and task everywhere has finished: what
+                // Every task everywhere has finished: what
                 // remains is trailing timer/callback events (e.g. armed
                 // TCP retransmit timers). Drop them, as the
-                // single-threaded kernel does after its last process
+                // single-threaded kernel does after its last task
                 // exits — running them would only drag shard clocks
                 // forward, at per-lookahead round granularity.
                 break;
@@ -191,7 +191,7 @@ impl ShardedSim {
                 }
                 // Only trailing events beyond the limit remain; drop them,
                 // as the single-threaded kernel does after its last
-                // process exits.
+                // task exits.
                 break;
             }
             let horizon = if n == 1 {
@@ -309,8 +309,8 @@ mod tests {
     #[test]
     fn single_shard_runs_to_completion() {
         let sim = Sim::new();
-        sim.spawn("p", |p| {
-            p.advance(SimDuration::from_millis(15));
+        sim.spawn_task("p", |cx| async move {
+            cx.advance(SimDuration::from_millis(15)).await;
         });
         let sharded = ShardedSim::new(vec![sim], SimDuration::ZERO, 1);
         let stats = sharded.run().unwrap();
@@ -334,12 +334,12 @@ mod tests {
             for (i, sim) in sharded.sims().iter().enumerate() {
                 let logs = Arc::clone(&logs);
                 let cross = cross.clone();
-                sim.spawn(format!("s{i}"), move |p| {
+                sim.spawn_task(format!("s{i}"), move |cx| async move {
                     for _ in 0..4 {
-                        p.advance(SimDuration::from_millis(3));
-                        logs[i].lock().push((p.now().as_nanos(), i));
+                        cx.advance(SimDuration::from_millis(3)).await;
+                        logs[i].lock().push((cx.now().as_nanos(), i));
                         let to = 1 - i;
-                        let at = sat_add(p.now(), SimDuration::from_millis(5));
+                        let at = sat_add(cx.now(), SimDuration::from_millis(5));
                         let logs2 = Arc::clone(&logs);
                         cross.post(i, to, at, move |s| {
                             logs2[to].lock().push((s.now().as_nanos(), 10 + to));
@@ -370,8 +370,8 @@ mod tests {
         let sims = vec![Sim::new(), Sim::new()];
         let sharded = ShardedSim::new(sims, SimDuration::from_millis(1), 2);
         let (_tx, rx) = crate::completion::<()>();
-        sharded.sims()[0].spawn("stuck", move |p| {
-            rx.wait(&p);
+        sharded.sims()[0].spawn_task("stuck", move |cx| async move {
+            cx.wait(rx).await;
         });
         match sharded.run() {
             Err(SimError::Deadlock(names)) => assert_eq!(names, vec!["stuck".to_string()]),
@@ -384,8 +384,8 @@ mod tests {
         let sims = vec![Sim::new(), Sim::new()];
         let mut sharded = ShardedSim::new(sims, SimDuration::from_millis(1), 2);
         sharded.set_limit(ms(10));
-        sharded.sims()[0].spawn("slow", |p| {
-            p.advance(SimDuration::from_secs(100));
+        sharded.sims()[0].spawn_task("slow", |cx| async move {
+            cx.advance(SimDuration::from_secs(100)).await;
         });
         match sharded.run() {
             Err(SimError::TimeLimitExceeded(t)) => assert_eq!(t, ms(10)),
@@ -403,18 +403,18 @@ mod tests {
         let cross = sharded.cross();
         {
             let log = Arc::clone(&log);
-            sharded.sims()[0].spawn("poster", move |p| {
-                p.advance(SimDuration::from_millis(20));
-                let at = sat_add(p.now(), SimDuration::from_millis(2));
+            sharded.sims()[0].spawn_task("poster", move |cx| async move {
+                cx.advance(SimDuration::from_millis(20)).await;
+                let at = sat_add(cx.now(), SimDuration::from_millis(2));
                 let log2 = Arc::clone(&log);
                 cross.post(0, 1, at, move |s| {
                     log2.lock().push(s.now().as_nanos());
                 });
-                p.advance(SimDuration::from_millis(5));
+                cx.advance(SimDuration::from_millis(5)).await;
             });
         }
-        sharded.sims()[1].spawn("early", |p| {
-            p.advance(SimDuration::from_millis(1));
+        sharded.sims()[1].spawn_task("early", |cx| async move {
+            cx.advance(SimDuration::from_millis(1)).await;
         });
         sharded.run().unwrap();
         assert_eq!(log.lock().clone(), vec![ms(22).as_nanos()]);
@@ -423,26 +423,26 @@ mod tests {
     #[test]
     fn trailing_mail_is_dropped_after_global_finish() {
         // Same shape, but the poster exits immediately after posting:
-        // once every process everywhere has finished, the driver drops
+        // once every task everywhere has finished, the driver drops
         // trailing events instead of running them — the same semantics
-        // as the single-threaded kernel after its last process exits.
+        // as the single-threaded kernel after its last task exits.
         let log = Arc::new(Mutex::new(Vec::new()));
         let sims = vec![Sim::new(), Sim::new()];
         let sharded = ShardedSim::new(sims, SimDuration::from_millis(2), 2);
         let cross = sharded.cross();
         {
             let log = Arc::clone(&log);
-            sharded.sims()[0].spawn("poster", move |p| {
-                p.advance(SimDuration::from_millis(20));
-                let at = sat_add(p.now(), SimDuration::from_millis(2));
+            sharded.sims()[0].spawn_task("poster", move |cx| async move {
+                cx.advance(SimDuration::from_millis(20)).await;
+                let at = sat_add(cx.now(), SimDuration::from_millis(2));
                 let log2 = Arc::clone(&log);
                 cross.post(0, 1, at, move |s| {
                     log2.lock().push(s.now().as_nanos());
                 });
             });
         }
-        sharded.sims()[1].spawn("early", |p| {
-            p.advance(SimDuration::from_millis(1));
+        sharded.sims()[1].spawn_task("early", |cx| async move {
+            cx.advance(SimDuration::from_millis(1)).await;
         });
         sharded.run().unwrap();
         assert!(log.lock().is_empty(), "trailing mail ran after finish");

@@ -1,16 +1,14 @@
-//! Thin wrappers over [`std::sync`] primitives with a non-poisoning API.
+//! A thin wrapper over [`std::sync::Mutex`] with a non-poisoning API.
 //!
 //! The kernel and the models built on it lock shared state on every event,
 //! so the locking API is deliberately minimal: `lock()` returns the guard
 //! directly rather than a `Result`. Poisoning is deliberately ignored — a
-//! panicking simulation process already aborts the run through the
-//! kernel's failure channel, and the state behind a poisoned lock is only
-//! ever read afterwards to report that failure.
+//! panicking simulated task already aborts the run through the kernel's
+//! failure channel, and the state behind a poisoned lock is only ever read
+//! afterwards to report that failure.
 
 use std::fmt;
-use std::ops::{Deref, DerefMut};
-use std::sync::PoisonError;
-use std::time::Duration;
+use std::sync::{MutexGuard, PoisonError};
 
 /// A mutual-exclusion lock whose `lock()` never fails.
 ///
@@ -19,15 +17,6 @@ use std::time::Duration;
 #[derive(Default)]
 pub struct Mutex<T: ?Sized> {
     inner: std::sync::Mutex<T>,
-}
-
-/// RAII guard returned by [`Mutex::lock`].
-///
-/// The inner guard lives in an `Option` so [`Condvar::wait`] can take it
-/// out, block, and put the reacquired guard back — mirroring the
-/// `wait(&mut guard)` style of `parking_lot`.
-pub struct MutexGuard<'a, T: ?Sized> {
-    inner: Option<std::sync::MutexGuard<'a, T>>,
 }
 
 impl<T> Mutex<T> {
@@ -42,82 +31,13 @@ impl<T> Mutex<T> {
 impl<T: ?Sized> Mutex<T> {
     /// Acquire the lock, blocking the current thread until it is free.
     pub fn lock(&self) -> MutexGuard<'_, T> {
-        MutexGuard {
-            inner: Some(self.inner.lock().unwrap_or_else(PoisonError::into_inner)),
-        }
+        self.inner.lock().unwrap_or_else(PoisonError::into_inner)
     }
 }
 
 impl<T: fmt::Debug> fmt::Debug for Mutex<T> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         self.inner.fmt(f)
-    }
-}
-
-impl<T: ?Sized> Deref for MutexGuard<'_, T> {
-    type Target = T;
-    fn deref(&self) -> &T {
-        self.inner.as_ref().expect("guard present")
-    }
-}
-
-impl<T: ?Sized> DerefMut for MutexGuard<'_, T> {
-    fn deref_mut(&mut self) -> &mut T {
-        self.inner.as_mut().expect("guard present")
-    }
-}
-
-/// A condition variable paired with [`Mutex`].
-#[derive(Default)]
-pub struct Condvar {
-    inner: std::sync::Condvar,
-}
-
-impl Condvar {
-    /// Create a new condition variable.
-    pub const fn new() -> Self {
-        Condvar {
-            inner: std::sync::Condvar::new(),
-        }
-    }
-
-    /// Atomically release the guard's lock and block until notified; the
-    /// lock is reacquired before returning.
-    pub fn wait<T>(&self, guard: &mut MutexGuard<'_, T>) {
-        let inner = guard.inner.take().expect("guard present");
-        guard.inner = Some(
-            self.inner
-                .wait(inner)
-                .unwrap_or_else(PoisonError::into_inner),
-        );
-    }
-
-    /// Like [`Condvar::wait`] but gives up after `timeout`; returns `true`
-    /// if the wait timed out.
-    pub fn wait_timeout<T>(&self, guard: &mut MutexGuard<'_, T>, timeout: Duration) -> bool {
-        let inner = guard.inner.take().expect("guard present");
-        let (inner, res) = self
-            .inner
-            .wait_timeout(inner, timeout)
-            .unwrap_or_else(PoisonError::into_inner);
-        guard.inner = Some(inner);
-        res.timed_out()
-    }
-
-    /// Wake one waiting thread.
-    pub fn notify_one(&self) {
-        self.inner.notify_one();
-    }
-
-    /// Wake every waiting thread.
-    pub fn notify_all(&self) {
-        self.inner.notify_all();
-    }
-}
-
-impl fmt::Debug for Condvar {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str("Condvar")
     }
 }
 
@@ -144,24 +64,5 @@ mod tests {
         .join();
         *m.lock() = 7;
         assert_eq!(*m.lock(), 7);
-    }
-
-    #[test]
-    fn condvar_handshake() {
-        let pair = Arc::new((Mutex::new(false), Condvar::new()));
-        let pair2 = Arc::clone(&pair);
-        let t = std::thread::spawn(move || {
-            let (lock, cv) = &*pair2;
-            let mut ready = lock.lock();
-            while !*ready {
-                cv.wait(&mut ready);
-            }
-        });
-        {
-            let (lock, cv) = &*pair;
-            *lock.lock() = true;
-            cv.notify_one();
-        }
-        t.join().unwrap();
     }
 }

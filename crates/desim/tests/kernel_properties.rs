@@ -6,7 +6,7 @@ use std::sync::{Arc, Mutex};
 use desim::prop::forall;
 use desim::{completion, Sim, SimDuration, SimTime};
 
-/// Observed event times never decrease, whatever the mix of process
+/// Observed event times never decrease, whatever the mix of task
 /// step lengths.
 #[test]
 fn time_never_goes_backwards() {
@@ -19,10 +19,10 @@ fn time_never_goes_backwards() {
         let sim = Sim::new();
         for (i, (dt, count)) in steps.into_iter().enumerate() {
             let log = Arc::clone(&log);
-            sim.spawn(format!("p{i}"), move |p| {
+            sim.spawn_task(format!("p{i}"), move |cx| async move {
                 for _ in 0..count {
-                    p.advance(SimDuration::from_nanos(dt));
-                    log.lock().unwrap().push(p.now().as_nanos());
+                    cx.advance(SimDuration::from_nanos(dt)).await;
+                    log.lock().unwrap().push(cx.now().as_nanos());
                 }
             });
         }
@@ -34,7 +34,7 @@ fn time_never_goes_backwards() {
     });
 }
 
-/// The final time equals the maximum per-process total, independent of
+/// The final time equals the maximum per-task total, independent of
 /// spawn order.
 #[test]
 fn end_time_is_the_slowest_process() {
@@ -44,8 +44,8 @@ fn end_time_is_the_slowest_process() {
         let expect = *durations.iter().max().unwrap();
         let sim = Sim::new();
         for (i, d) in durations.into_iter().enumerate() {
-            sim.spawn(format!("p{i}"), move |p| {
-                p.advance(SimDuration::from_nanos(d));
+            sim.spawn_task(format!("p{i}"), move |cx| async move {
+                cx.advance(SimDuration::from_nanos(d)).await;
             });
         }
         let end = sim.run().unwrap();
@@ -71,18 +71,18 @@ fn completion_chains_accumulate_delays() {
         for (i, d) in delays.into_iter().enumerate() {
             let prev = if i > 0 { rxs[i - 1].take() } else { None };
             let tx = txs[i].take().unwrap();
-            sim.spawn(format!("stage{i}"), move |p| {
+            sim.spawn_task(format!("stage{i}"), move |cx| async move {
                 if let Some(prev) = prev {
-                    prev.wait(&p);
+                    cx.wait(prev).await;
                 }
-                p.advance(SimDuration::from_nanos(d));
-                tx.fire(&p, ());
+                cx.advance(SimDuration::from_nanos(d)).await;
+                tx.fire_from(&cx.sched(), ());
             });
         }
         let last = rxs[n - 1].take().unwrap();
-        sim.spawn("sink", move |p| {
-            last.wait(&p);
-            assert_eq!(p.now().as_nanos(), total);
+        sim.spawn_task("sink", move |cx| async move {
+            cx.wait(last).await;
+            assert_eq!(cx.now().as_nanos(), total);
         });
         let end = sim.run().unwrap();
         assert_eq!(end.as_nanos(), total);
@@ -102,10 +102,10 @@ fn identical_runs_identical_traces() {
             let sim = Sim::new();
             for (i, &(base, step)) in seeds.iter().enumerate() {
                 let log = Arc::clone(&log);
-                sim.spawn(format!("p{i}"), move |p| {
+                sim.spawn_task(format!("p{i}"), move |cx| async move {
                     for k in 0..10u64 {
-                        p.advance(SimDuration::from_nanos(base + k * step));
-                        log.lock().unwrap().push((p.now().as_nanos(), i));
+                        cx.advance(SimDuration::from_nanos(base + k * step)).await;
+                        log.lock().unwrap().push((cx.now().as_nanos(), i));
                     }
                 });
             }
@@ -125,9 +125,9 @@ fn call_at_in_the_past_clamps_and_preserves_insertion_order() {
     let log = Arc::new(Mutex::new(Vec::new()));
     let log2 = Arc::clone(&log);
     let sim = Sim::new();
-    sim.spawn("driver", move |p| {
-        p.advance(SimDuration::from_millis(5));
-        let s = p.sched();
+    sim.spawn_task("driver", move |cx| async move {
+        cx.advance(SimDuration::from_millis(5)).await;
+        let s = cx.sched();
         // All four target times are now or earlier; each must clamp to
         // t = 5 ms and run in the order scheduled.
         for (label, at) in [
@@ -141,9 +141,9 @@ fn call_at_in_the_past_clamps_and_preserves_insertion_order() {
                 log.lock().unwrap().push((label, s2.now().as_nanos()));
             });
         }
-        // Let the callbacks drain before the process exits, so their
+        // Let the callbacks drain before the task exits, so their
         // firing times are observable.
-        p.advance(SimDuration::from_millis(1));
+        cx.advance(SimDuration::from_millis(1)).await;
     });
     let end = sim.run().unwrap();
     assert_eq!(end.as_millis(), 6);

@@ -1,17 +1,16 @@
-//! Typed execution configuration: which engine drives the ranks, whether
-//! the run is sharded over a conservative-PDES driver, and how the world
-//! may be partitioned.
+//! Typed execution configuration: whether the run is sharded over a
+//! conservative-PDES driver, how the world may be partitioned, and which
+//! collective algorithms run.
 //!
 //! `ExecConfig` is the single front door for knobs that used to be spread
-//! over builder methods and ad-hoc environment-variable reads. Environment
-//! variables (`MPISIM_ENGINE`, `NETSIM_NO_FAST_PATH`) remain *fallback*
-//! overrides only: an explicit `ExecConfig` field always wins.
+//! over builder methods and ad-hoc environment-variable reads. The
+//! `NETSIM_NO_FAST_PATH` environment variable remains a *fallback*
+//! override only: an explicit `ExecConfig` field always wins.
 
 use desim::SimDuration;
 use netsim::{Network, NodeId, SiteId};
 
 use crate::collectives::CollConfig;
-use crate::launcher::Engine;
 
 /// How the job's communication may be partitioned across PDES shards.
 ///
@@ -39,9 +38,6 @@ pub enum CommPattern {
 /// fallback or the built-in default.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct ExecConfig {
-    /// Rank execution engine. `None`: [`Engine::from_env`] (the
-    /// `MPISIM_ENGINE` fallback).
-    pub engine: Option<Engine>,
     /// `Some(n)`: run on the sharded conservative-PDES driver with `n`
     /// worker threads (shard *count* is fixed by the partition; `n` only
     /// sets how many windows run concurrently). `None`: the classic
@@ -60,15 +56,9 @@ pub struct ExecConfig {
 
 impl ExecConfig {
     /// The all-default configuration: classic kernel, environment-driven
-    /// engine and fast path.
+    /// fast path.
     pub fn new() -> ExecConfig {
         ExecConfig::default()
-    }
-
-    /// Select the rank execution engine explicitly.
-    pub fn engine(mut self, engine: Engine) -> ExecConfig {
-        self.engine = Some(engine);
-        self
     }
 
     /// Run on the PDES driver with `n` worker threads.
@@ -93,11 +83,6 @@ impl ExecConfig {
     pub fn coll(mut self, coll: CollConfig) -> ExecConfig {
         self.coll = coll;
         self
-    }
-
-    /// The engine to use, honouring the environment fallback.
-    pub(crate) fn resolved_engine(&self) -> Engine {
-        self.engine.unwrap_or_else(Engine::from_env)
     }
 }
 

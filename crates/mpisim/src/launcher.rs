@@ -14,6 +14,10 @@
 //!   only the *worker-thread* count — results are bit-identical for any
 //!   `n ≥ 1`, because the partition (and the deterministic cross-group
 //!   mail merge) never depends on it.
+//!
+//! Under either driver every rank is a pooled continuation task
+//! ([`desim::Sim::spawn_task`]), and so is the fault-injection bootstrap
+//! (`faultd`): no simulated actor occupies an OS thread.
 
 use std::future::Future;
 use std::pin::Pin;
@@ -22,7 +26,7 @@ use std::sync::Arc;
 use desim::fault::{FaultKind, FaultPlan};
 use desim::obs::{Obs, Recorder};
 use desim::shard::{merge_events, GroupBuffer, ShardedSim};
-use desim::{Cx, Sim, SimDuration, SimError, SimTime};
+use desim::{Sim, SimDuration, SimError, SimTime};
 
 use netsim::{Network, NodeId};
 
@@ -31,58 +35,6 @@ use crate::profile::{ImplProfile, MpiImpl, Tuning};
 use crate::rank::RankCtx;
 use crate::stats::CommStats;
 use crate::world::WorldInner;
-
-/// How simulated ranks execute.
-///
-/// Both engines drive the same rank programs through the same event queue
-/// and produce bit-identical event streams and virtual times (the golden
-/// digest suite pins this); they differ only in host-side mechanics.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub enum Engine {
-    /// One parked OS thread per rank; every blocking MPI call costs two
-    /// context switches. Kept as the determinism oracle while the pooled
-    /// engine is new; caps worlds at a few thousand ranks.
-    Threaded,
-    /// Ranks are stackless continuations multiplexed onto the kernel's
-    /// dispatch loop: no thread per rank, no context switch per call.
-    /// Scales to tens of thousands of ranks in one process. The default.
-    Pooled,
-}
-
-impl Engine {
-    /// Parse an `MPISIM_ENGINE` value: the engine to use, plus a warning
-    /// message when the value is not one of the accepted spellings. Pure,
-    /// so the unknown-value behaviour is testable without touching the
-    /// process environment.
-    fn resolve(val: Option<&str>) -> (Engine, Option<String>) {
-        match val {
-            Some("threaded") => (Engine::Threaded, None),
-            Some("pooled") | None => (Engine::Pooled, None),
-            Some(other) => (
-                Engine::Pooled,
-                Some(format!(
-                    "mpisim: unknown MPISIM_ENGINE value {other:?} \
-                     (accepted: \"threaded\", \"pooled\"); using pooled"
-                )),
-            ),
-        }
-    }
-
-    /// The default engine, honouring the `MPISIM_ENGINE` environment
-    /// variable (`threaded` or `pooled`; unset means pooled). An
-    /// unrecognised value falls back to pooled and prints a one-time
-    /// warning to stderr naming the accepted values — silently ignoring a
-    /// typo like `MPISIM_ENGINE=threded` cost real debugging time.
-    pub fn from_env() -> Engine {
-        let val = std::env::var("MPISIM_ENGINE").ok();
-        let (engine, warning) = Engine::resolve(val.as_deref());
-        if let Some(msg) = warning {
-            static WARNED: std::sync::OnceLock<()> = std::sync::OnceLock::new();
-            WARNED.get_or_init(|| eprintln!("{msg}"));
-        }
-        engine
-    }
-}
 
 /// An MPI program: SPMD body run by every rank. Implemented automatically
 /// for async closures taking the rank's [`RankCtx`] by value:
@@ -93,8 +45,8 @@ impl Engine {
 /// })
 /// ```
 pub trait MpiProgram: Send + Sync + 'static {
-    /// The per-rank body, as a boxed future (the engine decides how to
-    /// drive it).
+    /// The per-rank body, as a boxed future (the kernel polls it as a
+    /// pooled task).
     fn run(&self, ctx: RankCtx) -> Pin<Box<dyn Future<Output = ()> + Send + 'static>>;
 }
 
@@ -132,7 +84,7 @@ pub struct MpiJob {
     /// timed link flaps, NIC stalls, and rank kills. `None` (and the empty
     /// plan) leave every run bit-identical to a fault-free one.
     pub faults: Option<FaultPlan>,
-    /// Execution configuration: engine, PDES sharding, fast path.
+    /// Execution configuration: PDES sharding, fast path, collectives.
     pub exec: ExecConfig,
 }
 
@@ -152,17 +104,10 @@ impl MpiJob {
         }
     }
 
-    /// Replace the whole execution configuration (engine, PDES shards,
-    /// fast path, communication pattern).
+    /// Replace the whole execution configuration (PDES shards, fast path,
+    /// communication pattern, collective selection).
     pub fn with_exec(mut self, exec: ExecConfig) -> MpiJob {
         self.exec = exec;
-        self
-    }
-
-    /// Select the rank execution engine explicitly (tests comparing the
-    /// two engines use this; everyone else keeps the default).
-    pub fn with_engine(mut self, engine: Engine) -> MpiJob {
-        self.exec.engine = Some(engine);
         self
     }
 
@@ -200,18 +145,6 @@ impl MpiJob {
         self
     }
 
-    /// Attach an observability recorder.
-    #[deprecated(note = "configure observability once via `MpiJob::with_obs`")]
-    pub fn with_recorder(self, rec: Arc<dyn Recorder>) -> MpiJob {
-        self.with_obs(Obs::none().recorder(rec))
-    }
-
-    /// Attach a host-time self-profiler.
-    #[deprecated(note = "configure observability once via `MpiJob::with_obs`")]
-    pub fn with_host_profiler(self, prof: Arc<desim::obs::HostProfiler>) -> MpiJob {
-        self.with_obs(Obs::none().profiler(prof))
-    }
-
     /// Abort the run if it exceeds `limit` of virtual time.
     pub fn with_deadline(mut self, limit: SimTime) -> MpiJob {
         self.deadline = Some(limit);
@@ -219,7 +152,7 @@ impl MpiJob {
     }
 
     /// Inject faults from `plan`: per-channel segment loss/duplication is
-    /// installed on the network, and a bootstrap process schedules the
+    /// installed on the network, and a bootstrap task schedules the
     /// plan's timed events (link flaps and NIC stalls on the network, rank
     /// kills/restarts on the MPI world). An empty plan is ignored
     /// entirely, keeping the run on the fault-free fast path.
@@ -234,7 +167,7 @@ impl MpiJob {
     }
 
     /// Like [`MpiJob::run`], with a hook that can spawn auxiliary
-    /// simulation processes (e.g. background traffic generators) before
+    /// simulation tasks (e.g. background traffic generators) before
     /// the ranks start. Under PDES the hook runs on group 0's kernel,
     /// which also keeps the caller's original network handle.
     pub fn run_with_setup(
@@ -267,11 +200,10 @@ impl MpiJob {
         })
     }
 
-    /// Spawn one rank onto `sim` under `engine`, returning the completion
-    /// that yields its finish time.
+    /// Spawn one rank onto `sim`, returning the completion that yields
+    /// its finish time.
     fn spawn_rank(
         sim: &Sim,
-        engine: Engine,
         rank: usize,
         world: &Arc<WorldInner>,
         program: &Arc<impl MpiProgram>,
@@ -279,27 +211,12 @@ impl MpiJob {
         let world = Arc::clone(world);
         let program = Arc::clone(program);
         let (tx, rx) = desim::completion::<SimTime>();
-        match engine {
-            Engine::Pooled => {
-                sim.spawn_task(format!("rank{rank}"), move |cx| async move {
-                    let sched = cx.sched();
-                    let ctx = RankCtx::new(rank, cx, world);
-                    program.run(ctx).await;
-                    tx.fire_from(&sched, sched.now());
-                });
-            }
-            Engine::Threaded => {
-                sim.spawn(format!("rank{rank}"), move |p| {
-                    let cx = Cx::from_proc(p);
-                    let sched = cx.sched();
-                    let ctx = RankCtx::new(rank, cx, world);
-                    // A thread-backed rank blocks inside poll, so the
-                    // whole program future resolves in one call.
-                    desim::run_sync(program.run(ctx));
-                    tx.fire_from(&sched, sched.now());
-                });
-            }
-        }
+        sim.spawn_task(format!("rank{rank}"), move |cx| async move {
+            let sched = cx.sched();
+            let ctx = RankCtx::new(rank, cx, world);
+            program.run(ctx).await;
+            tx.fire_from(&sched, sched.now());
+        });
         rx
     }
 
@@ -311,7 +228,6 @@ impl MpiJob {
     ) -> Result<RunReport, SimError> {
         let n = self.placement.len();
         assert!(n > 0, "MPI job needs at least one rank");
-        let engine = self.exec.resolved_engine();
         let prof = self.prof_keys();
         let t_setup = prof.as_ref().map(|_| std::time::Instant::now());
         if let Some(on) = self.exec.fast_path {
@@ -337,8 +253,8 @@ impl MpiJob {
         setup(&sim);
         if let Some(plan) = self.faults {
             let world = Arc::clone(&world);
-            sim.spawn("faultd", move |p| {
-                let s = p.sched();
+            sim.spawn_task("faultd", move |cx| async move {
+                let s = cx.sched();
                 world.net.schedule_fault_events(&s, &plan);
                 for ev in plan.sorted_events() {
                     if let FaultKind::RankFail {
@@ -359,7 +275,7 @@ impl MpiJob {
             });
         }
         let finish_times: Vec<_> = (0..n)
-            .map(|rank| Self::spawn_rank(&sim, engine, rank, &world, &program))
+            .map(|rank| Self::spawn_rank(&sim, rank, &world, &program))
             .collect();
         let t_run = prof.as_ref().map(|(p, setup, ..)| {
             let t0 = t_setup.expect("setup timer exists with profiler");
@@ -424,7 +340,6 @@ impl MpiJob {
     ) -> Result<RunReport, SimError> {
         let n = self.placement.len();
         assert!(n > 0, "MPI job needs at least one rank");
-        let engine = self.exec.resolved_engine();
         let prof = self.prof_keys();
         let t_setup = prof.as_ref().map(|_| std::time::Instant::now());
         let groups = exec::partition(&self.net, &self.placement, self.exec.pattern);
@@ -507,8 +422,8 @@ impl MpiJob {
             for g in 0..n_groups {
                 let world = Arc::clone(&world);
                 let plan = plan.clone();
-                sharded.sims()[g].spawn(format!("faultd{g}"), move |p| {
-                    let s = p.sched();
+                sharded.sims()[g].spawn_task(format!("faultd{g}"), move |cx| async move {
+                    let s = cx.sched();
                     world.net_of_group(g).schedule_fault_events(&s, &plan);
                     for ev in plan.sorted_events() {
                         if let FaultKind::RankFail {
@@ -532,15 +447,7 @@ impl MpiJob {
             }
         }
         let finish_times: Vec<_> = (0..n)
-            .map(|rank| {
-                Self::spawn_rank(
-                    &sharded.sims()[groups[rank]],
-                    engine,
-                    rank,
-                    &world,
-                    &program,
-                )
-            })
+            .map(|rank| Self::spawn_rank(&sharded.sims()[groups[rank]], rank, &world, &program))
             .collect();
         let t_run = prof.as_ref().map(|(p, setup, ..)| {
             let t0 = t_setup.expect("setup timer exists with profiler");
@@ -642,34 +549,5 @@ impl RunReport {
             .filter(|(_, k, _)| k == key)
             .map(|(r, _, v)| (*r, *v))
             .collect()
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn engine_resolve_accepts_known_values() {
-        assert_eq!(Engine::resolve(None), (Engine::Pooled, None));
-        assert_eq!(Engine::resolve(Some("pooled")), (Engine::Pooled, None));
-        assert_eq!(Engine::resolve(Some("threaded")), (Engine::Threaded, None));
-    }
-
-    #[test]
-    fn engine_resolve_warns_on_unknown_values() {
-        for bad in ["threded", "POOLED", "", "1"] {
-            let (engine, warning) = Engine::resolve(Some(bad));
-            assert_eq!(engine, Engine::Pooled, "unknown values fall back");
-            let msg = warning.expect("unknown value must warn");
-            assert!(
-                msg.contains(bad) || bad.is_empty(),
-                "names the offender: {msg}"
-            );
-            assert!(
-                msg.contains("\"threaded\"") && msg.contains("\"pooled\""),
-                "names the accepted values: {msg}"
-            );
-        }
     }
 }

@@ -56,7 +56,7 @@ pub use desim::fault::{FaultEvent, FaultKind, FaultPlan};
 pub use desim::obs::Obs;
 pub use error::{FaultPolicy, MpiError};
 pub use exec::{CommPattern, ExecConfig};
-pub use launcher::{Engine, MpiJob, MpiProgram, RunReport};
+pub use launcher::{MpiJob, MpiProgram, RunReport};
 pub use profile::{
     AllreduceAlgo, BcastAlgo, CollectiveSuite, ImplProfile, MpiImpl, SocketPolicy, Tuning,
 };

@@ -8,11 +8,9 @@
 //! simulator models time, not values.
 //!
 //! Rank programs are `async`: every potentially blocking operation
-//! returns a future, and the engine decides how a suspended rank waits —
-//! parked on its own OS thread (threaded engine) or as a pooled
-//! continuation polled inline by the kernel (pooled engine, the default).
-//! The two engines produce bit-identical event streams; see
-//! `desim::exec` for the blocking-point contract.
+//! returns a future, and a suspended rank waits as a pooled continuation
+//! that the kernel polls inline when its wake-up event comes due (no OS
+//! thread per rank). See `desim::exec` for the blocking-point contract.
 
 use std::sync::Arc;
 

@@ -2,7 +2,7 @@
 //! `(topology, placement, pattern)`, never of the worker count, so a PDES
 //! run's observed event stream — and therefore its digest — must be
 //! bit-identical for any `shards` value. This property test drives random
-//! topologies, traffic shapes, engines, and fast-path settings through
+//! topologies, traffic shapes, and fast-path settings through
 //! worker counts 1 vs {2, 3..8} and compares digests.
 //!
 //! Traffic under [`CommPattern::SiteDisjoint`] honours the audit contract
@@ -15,7 +15,7 @@ use std::sync::Arc;
 use desim::obs::Obs;
 use desim::prop::forall;
 use desim::{DigestSink, DigestValue, Recorder, SimDuration};
-use mpisim::{CommPattern, Engine, ExecConfig, MpiImpl, MpiJob, RankCtx};
+use mpisim::{CommPattern, ExecConfig, MpiImpl, MpiJob, RankCtx};
 use netsim::{Network, NodeId, NodeParams, SiteParams, Topology};
 
 /// Pure data describing one randomized job — topologies can't be reused
@@ -26,7 +26,6 @@ struct Case {
     /// Symmetric RTT matrix in microseconds (upper triangle used).
     rtt_us: Vec<Vec<u64>>,
     pattern: CommPattern,
-    engine: Engine,
     fast_path: bool,
     traffic: Traffic,
 }
@@ -73,7 +72,6 @@ fn digest_of(case: &Case, shards: u32) -> DigestValue {
     let partner = case.ranks_per_site[0]; // first rank of the second site
     let sink = Arc::new(DigestSink::new());
     let exec = ExecConfig::new()
-        .engine(case.engine)
         .shards(shards)
         .fast_path(case.fast_path)
         .pattern(case.pattern);
@@ -215,7 +213,6 @@ fn digest_is_invariant_under_worker_count() {
             ranks_per_site,
             rtt_us,
             pattern,
-            engine: *rng.pick(&[Engine::Pooled, Engine::Threaded]),
             fast_path: rng.chance(0.5),
             traffic,
         };
@@ -224,8 +221,8 @@ fn digest_is_invariant_under_worker_count() {
             let got = digest_of(&case, shards);
             assert_eq!(
                 got, base,
-                "digest diverged at shards={shards} (pattern {:?}, engine {:?}, fast {})",
-                case.pattern, case.engine, case.fast_path
+                "digest diverged at shards={shards} (pattern {:?}, fast {})",
+                case.pattern, case.fast_path
             );
         }
     });

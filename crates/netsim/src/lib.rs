@@ -29,11 +29,11 @@
 //!
 //! let sim = Sim::new();
 //! let net2 = net.clone();
-//! sim.spawn("sender", move |p| {
+//! sim.spawn_task("sender", move |cx| async move {
 //!     let ch = net2.channel(a, b, SockBufRequest::OsDefault, SockBufRequest::OsDefault, false);
-//!     let done = net2.transfer(&p.sched(), ch, 1_000_000);
-//!     done.wait(&p);
-//!     assert!(p.now().as_micros() > 8000); // ~8 ms at 1 Gbps
+//!     let done = net2.transfer(&cx.sched(), ch, 1_000_000);
+//!     cx.wait(done).await;
+//!     assert!(cx.now().as_micros() > 8000); // ~8 ms at 1 Gbps
 //! });
 //! sim.run().unwrap();
 //! ```

@@ -3,7 +3,7 @@
 use std::sync::Arc;
 
 use desim::sync::Mutex;
-use desim::{completion, Completion, Proc, Sched, SimDuration, SimTime};
+use desim::{completion, Completion, Sched, SimDuration, SimTime};
 
 use desim::fault::{FaultKind, FaultPlan};
 
@@ -68,18 +68,6 @@ impl Network {
         if let Some(prof) = &obs.profiler {
             self.install_host_profiler(Arc::clone(prof));
         }
-    }
-
-    /// Attach an observability recorder.
-    #[deprecated(note = "configure observability once via `Network::attach_obs`")]
-    pub fn attach_recorder(&self, rec: Arc<dyn desim::obs::Recorder>) {
-        self.attach_obs(&desim::obs::Obs::none().recorder(rec));
-    }
-
-    /// Attach a host-time self-profiler.
-    #[deprecated(note = "configure observability once via `Network::attach_obs`")]
-    pub fn attach_host_profiler(&self, prof: Arc<desim::obs::HostProfiler>) {
-        self.attach_obs(&desim::obs::Obs::none().profiler(prof));
     }
 
     /// The profiler attachment body: interns per-link settle keys — settle
@@ -259,11 +247,6 @@ impl Network {
         start_transfer(&self.state, s, ch, bytes, DoneFn::AtFinish(Box::new(f)));
     }
 
-    /// Convenience: run a transfer to completion from a blocking process.
-    pub fn transfer_blocking(&self, p: &Proc, ch: ChannelId, bytes: u64) {
-        self.transfer(&p.sched(), ch, bytes).wait(p);
-    }
-
     /// Route properties between two nodes.
     pub fn route(&self, src: NodeId, dst: NodeId) -> Path {
         self.state.lock().topo.route(src, dst)
@@ -345,9 +328,9 @@ impl Network {
     /// Schedule the plan's explicit timed *network* events (link flaps,
     /// NIC stalls) as kernel callbacks. Rank failures are ignored here —
     /// they belong to the MPI layer, which owns rank lifecycles. Must be
-    /// called from scheduler context (e.g. a bootstrap process); the
-    /// scheduled callbacks do not keep the simulation alive past the last
-    /// process, so trailing faults after workload completion are inert.
+    /// called from scheduler context (e.g. a bootstrap task); the scheduled
+    /// callbacks do not keep the simulation alive past the last task, so
+    /// trailing faults after workload completion are inert.
     pub fn schedule_fault_events(&self, s: &Sched, plan: &FaultPlan) {
         for ev in plan.sorted_events() {
             let net = Arc::clone(&self.state);
@@ -376,8 +359,8 @@ impl Network {
         }
     }
 
-    /// Convenience: install `plan` and spawn a short-lived bootstrap
-    /// process that schedules its timed network events at t = 0.
+    /// Convenience: install `plan` and spawn a short-lived bootstrap task
+    /// that schedules its timed network events at t = 0.
     pub fn spawn_faultd(&self, sim: &desim::Sim, plan: &FaultPlan) {
         if plan.is_empty() {
             return;
@@ -385,8 +368,8 @@ impl Network {
         self.install_faults(plan);
         let net = self.clone();
         let plan = plan.clone();
-        sim.spawn("faultd", move |p| {
-            net.schedule_fault_events(&p.sched(), &plan);
+        sim.spawn_task("faultd", move |cx| async move {
+            net.schedule_fault_events(&cx.sched(), &plan);
         });
     }
 
@@ -416,7 +399,8 @@ impl Network {
         count: u32,
     ) {
         let net = self.clone();
-        sim.spawn(format!("bg-{}-{}", src.index(), dst.index()), move |p| {
+        let name = format!("bg-{}-{}", src.index(), dst.index());
+        sim.spawn_task(name, move |cx| async move {
             let ch = net.channel(
                 src,
                 dst,
@@ -425,10 +409,10 @@ impl Network {
                 false,
             );
             for _ in 0..count {
-                p.advance(period);
+                cx.advance(period).await;
                 // Fire-and-forget: the flow contends with foreground
                 // traffic while it drains.
-                drop(net.transfer(&p.sched(), ch, bytes));
+                drop(net.transfer(&cx.sched(), ch, bytes));
             }
         });
     }
@@ -472,7 +456,7 @@ mod tests {
         let (tx, rx) = completion::<f64>();
         let net2 = net.clone();
         let sim = Sim::new();
-        sim.spawn("xfer", move |p| {
+        sim.spawn_task("xfer", move |cx| async move {
             let ch = net2.channel(
                 a,
                 b,
@@ -481,11 +465,11 @@ mod tests {
                 false,
             );
             for _ in 0..warmup {
-                net2.transfer_blocking(&p, ch, bytes);
+                cx.wait(net2.transfer(&cx.sched(), ch, bytes)).await;
             }
-            let t0 = p.now();
-            net2.transfer_blocking(&p, ch, bytes);
-            tx.fire(&p, p.now().since(t0).as_secs_f64());
+            let t0 = cx.now();
+            cx.wait(net2.transfer(&cx.sched(), ch, bytes)).await;
+            tx.fire_from(&cx.sched(), cx.now().since(t0).as_secs_f64());
         });
         sim.run().unwrap();
         rx.try_take().ok().expect("duration recorded")
@@ -563,7 +547,7 @@ mod tests {
         let bytes: u64 = 16 << 20;
         for (src, dst, name) in [(a1, b1, "f1"), (a2, b2, "f2")] {
             let net2 = net.clone();
-            sim.spawn(name, move |p| {
+            sim.spawn_task(name, move |cx| async move {
                 let ch = net2.channel(
                     src,
                     dst,
@@ -571,7 +555,7 @@ mod tests {
                     SockBufRequest::OsDefault,
                     true,
                 );
-                net2.transfer_blocking(&p, ch, bytes);
+                cx.wait(net2.transfer(&cx.sched(), ch, bytes)).await;
             });
         }
         let end = sim.run().unwrap();
@@ -588,7 +572,7 @@ mod tests {
         let (net, a, b) = cluster_net(KernelConfig::untuned_2007());
         let sim = Sim::new();
         let net2 = net.clone();
-        sim.spawn("pipeline", move |p| {
+        sim.spawn_task("pipeline", move |cx| async move {
             let ch = net2.channel(
                 a,
                 b,
@@ -596,19 +580,15 @@ mod tests {
                 SockBufRequest::OsDefault,
                 false,
             );
-            let s = p.sched();
+            let s = cx.sched();
             let c1 = net2.transfer(&s, ch, 1 << 20);
             let c2 = net2.transfer(&s, ch, 1_000);
             // The big message was queued first: the small one must not
             // overtake it on the same socket.
-            let t_big = {
-                c1.wait(&p);
-                p.now()
-            };
-            let t_small = {
-                c2.wait(&p);
-                p.now()
-            };
+            cx.wait(c1).await;
+            let t_big = cx.now();
+            cx.wait(c2).await;
+            let t_small = cx.now();
             assert!(t_small >= t_big, "FIFO violated: {t_small:?} < {t_big:?}");
         });
         sim.run().unwrap();

@@ -95,7 +95,7 @@ fn run_sequence(sc: &Scenario, fast: bool) -> Vec<u64> {
     let log2 = Arc::clone(&log);
     let transfers = sc.transfers.clone();
     let sim = Sim::new();
-    sim.spawn("sender", move |p| {
+    sim.spawn_task("sender", move |cx| async move {
         let ch = net.channel(
             na,
             nb,
@@ -105,10 +105,10 @@ fn run_sequence(sc: &Scenario, fast: bool) -> Vec<u64> {
         );
         for (bytes, gap) in transfers {
             if gap > 0 {
-                p.advance(SimDuration::from_nanos(gap));
+                cx.advance(SimDuration::from_nanos(gap)).await;
             }
-            net.transfer_blocking(&p, ch, bytes);
-            log2.lock().push(p.now().as_nanos());
+            cx.wait(net.transfer(&cx.sched(), ch, bytes)).await;
+            log2.lock().push(cx.now().as_nanos());
         }
     });
     sim.run().unwrap();
@@ -153,7 +153,7 @@ fn interrupted_flows_are_bit_identical() {
             {
                 let net = net.clone();
                 let log = Arc::clone(&log);
-                sim.spawn(format!("f{i}"), move |p| {
+                sim.spawn_task(format!("f{i}"), move |cx| async move {
                     let ch = net.channel(
                         na,
                         nb,
@@ -162,10 +162,10 @@ fn interrupted_flows_are_bit_identical() {
                         true,
                     );
                     if delay > 0 {
-                        p.advance(SimDuration::from_nanos(delay));
+                        cx.advance(SimDuration::from_nanos(delay)).await;
                     }
-                    net.transfer_blocking(&p, ch, bytes);
-                    log.lock().push((i, p.now().as_nanos()));
+                    cx.wait(net.transfer(&cx.sched(), ch, bytes)).await;
+                    log.lock().push((i, cx.now().as_nanos()));
                 });
             }
             sim.run().unwrap();

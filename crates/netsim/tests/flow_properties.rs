@@ -144,7 +144,7 @@ fn timed_flows(net: &Network, flows: &[(NodeId, NodeId, u64)]) -> f64 {
     let sim = Sim::new();
     for (i, &(a, b, bytes)) in flows.iter().enumerate() {
         let net = net.clone();
-        sim.spawn(format!("f{i}"), move |p| {
+        sim.spawn_task(format!("f{i}"), move |cx| async move {
             let ch = net.channel(
                 a,
                 b,
@@ -152,7 +152,7 @@ fn timed_flows(net: &Network, flows: &[(NodeId, NodeId, u64)]) -> f64 {
                 SockBufRequest::OsDefault,
                 true,
             );
-            net.transfer_blocking(&p, ch, bytes);
+            cx.wait(net.transfer(&cx.sched(), ch, bytes)).await;
         });
     }
     sim.run().unwrap().as_secs_f64()

@@ -95,7 +95,7 @@ fn probed_transfer(
     let done = Arc::new(Mutex::new(0u64));
     let done2 = Arc::clone(&done);
     let sim = Sim::new();
-    sim.spawn("sender", move |p| {
+    sim.spawn_task("sender", move |cx| async move {
         let ch = net.channel(
             na,
             nb,
@@ -103,8 +103,8 @@ fn probed_transfer(
             SockBufRequest::OsDefault,
             pacing,
         );
-        net.transfer_blocking(&p, ch, bytes);
-        *done2.lock() = p.now().as_nanos();
+        cx.wait(net.transfer(&cx.sched(), ch, bytes)).await;
+        *done2.lock() = cx.now().as_nanos();
     });
     sim.run().unwrap();
     let events = sink.events();
@@ -198,7 +198,7 @@ fn probes_never_change_virtual_timestamps() {
             let log2 = Arc::clone(&log);
             let gaps = gaps.clone();
             let sim = Sim::new();
-            sim.spawn("sender", move |p| {
+            sim.spawn_task("sender", move |cx| async move {
                 let ch = net.channel(
                     na,
                     nb,
@@ -208,10 +208,10 @@ fn probes_never_change_virtual_timestamps() {
                 );
                 for gap in gaps {
                     if gap > 0 {
-                        p.advance(SimDuration::from_nanos(gap));
+                        cx.advance(SimDuration::from_nanos(gap)).await;
                     }
-                    net.transfer_blocking(&p, ch, bytes);
-                    log2.lock().push(p.now().as_nanos());
+                    cx.wait(net.transfer(&cx.sched(), ch, bytes)).await;
+                    log2.lock().push(cx.now().as_nanos());
                 }
             });
             sim.run().unwrap();

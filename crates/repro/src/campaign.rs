@@ -1,7 +1,7 @@
 //! `repro campaign` — the sweep engine and run-ledger writer.
 //!
 //! Expands a declarative spec (workload × implementation × tuning ×
-//! network × loss × collective pin × engine/shards) into scenario runs,
+//! network × loss × collective pin × shards) into scenario runs,
 //! executes them through [`crate::par::par_map_with`], and appends one
 //! structured JSONL row per run to a ledger file
 //! (`results/ledger/<label>.jsonl`) — config fingerprint, event digest,
@@ -35,8 +35,8 @@ use desim::obs::ledger::{RunRow, SCHEMA};
 use desim::obs::{CountingSink, DigestSink, Recorder, Tee};
 use desim::{Metrics, SimTime, StreamHist, Windowed};
 use mpisim::{
-    CollAlgo, CollConfig, CollOp, CollSel, CommPattern, Engine, ExecConfig, FaultPlan, MpiImpl,
-    MpiProgram, RankCtx, HEADER_BYTES,
+    CollAlgo, CollConfig, CollOp, CollSel, CommPattern, ExecConfig, FaultPlan, MpiImpl, MpiProgram,
+    RankCtx, HEADER_BYTES,
 };
 use netsim::{grid5000_four_sites, grid5000_pair, Network, NodeId};
 
@@ -127,8 +127,6 @@ pub struct Cell {
     /// Collective algorithm pin (`default`, or an algorithm name, with
     /// `+2lvl` for the grid-aware variant).
     pub coll: &'static str,
-    /// Execution engine.
-    pub engine: Engine,
     /// PDES worker count (0 = classic single-kernel driver).
     pub shards: u32,
 }
@@ -139,14 +137,13 @@ impl Cell {
     /// `ledger diff`/`top` can join them.
     pub fn scenario_key(&self) -> String {
         format!(
-            "{}|{}|{}|{}|loss={}|coll={}|{}|shards={}",
+            "{}|{}|{}|{}|loss={}|coll={}|shards={}",
             self.workload,
             self.impl_id.name(),
             level_key(self.level),
             self.net.key(),
             self.loss,
             self.coll,
-            engine_key(self.engine),
             self.shards
         )
     }
@@ -173,7 +170,6 @@ impl Cell {
             ("net".into(), Value::Str(self.net.key().into())),
             ("loss".into(), Value::Num(self.loss)),
             ("coll".into(), Value::Str(self.coll.into())),
-            ("engine".into(), Value::Str(engine_key(self.engine).into())),
             ("shards".into(), Value::Num(self.shards as f64)),
             ("perturb_loss".into(), Value::Num(perturb_loss)),
         ])
@@ -185,13 +181,6 @@ fn level_key(level: TuningLevel) -> &'static str {
         TuningLevel::Default => "default",
         TuningLevel::TcpTuned => "tcp_tuned",
         TuningLevel::FullyTuned => "fully_tuned",
-    }
-}
-
-fn engine_key(engine: Engine) -> &'static str {
-    match engine {
-        Engine::Threaded => "threaded",
-        Engine::Pooled => "pooled",
     }
 }
 
@@ -243,7 +232,6 @@ impl Spec {
             net: Net::Grid,
             loss: 0.0,
             coll: "default",
-            engine: Engine::Pooled,
             shards: 0,
         };
         // Iteration counts are sized so a cold quick sweep does real
@@ -316,19 +304,6 @@ impl Spec {
                                 });
                             }
                         }
-                    }
-                }
-                // Engine axis: the threaded oracle on the small ping-pong
-                // (6 cells; their pooled twins are in the grid above).
-                for impl_id in [MpiImpl::Mpich2, MpiImpl::GridMpi, MpiImpl::OpenMpi] {
-                    for net in [Net::Cluster, Net::Grid] {
-                        cells.push(Cell {
-                            impl_id,
-                            net,
-                            engine: Engine::Threaded,
-                            level: TuningLevel::FullyTuned,
-                            ..base("pp_1m", pp_1m)
-                        });
                     }
                 }
                 // Shards axis: the site-disjoint ring on the PDES driver
@@ -457,7 +432,7 @@ fn scenario_for(cell: &Cell, loss: f64) -> Scenario {
                 .tuning(cell.level.tuning(cell.impl_id))
         }
     };
-    let mut exec = ExecConfig::new().engine(cell.engine);
+    let mut exec = ExecConfig::new();
     if cell.shards > 0 {
         exec = exec.shards(cell.shards).pattern(CommPattern::SiteDisjoint);
     }
@@ -921,13 +896,12 @@ fn campaign_guidelines(rows: &[&RunRow]) -> Vec<(String, bool, String)> {
             continue;
         }
         let group = format!(
-            "{}|{}|{}|loss={}|coll={}|{}|shards={}",
+            "{}|{}|{}|loss={}|coll={}|shards={}",
             axis(row, "workload"),
             axis(row, "impl"),
             axis(row, "net"),
             axis(row, "loss"),
             axis(row, "coll"),
-            axis(row, "engine"),
             axis(row, "shards"),
         );
         by_tuning
@@ -969,13 +943,12 @@ fn campaign_guidelines(rows: &[&RunRow]) -> Vec<(String, bool, String)> {
             continue;
         }
         let group = format!(
-            "{}|{}|{}|{}|coll={}|{}|shards={}",
+            "{}|{}|{}|{}|coll={}|shards={}",
             axis(row, "workload"),
             axis(row, "impl"),
             axis(row, "tuning"),
             axis(row, "net"),
             axis(row, "coll"),
-            axis(row, "engine"),
             axis(row, "shards"),
         );
         by_loss

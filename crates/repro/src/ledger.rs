@@ -219,9 +219,8 @@ pub fn report(rows: &[RunRow]) -> (Vec<WorkloadTable>, String) {
     }
     let mut tables = Vec::new();
     for (workload, group) in &groups {
-        let mut dat = String::from(
-            "# impl tuning net loss coll engine shards elapsed_secs slow_start_share\n",
-        );
+        let mut dat =
+            String::from("# impl tuning net loss coll shards elapsed_secs slow_start_share\n");
         for row in group {
             let slow_start = row
                 .blame
@@ -229,13 +228,12 @@ pub fn report(rows: &[RunRow]) -> (Vec<WorkloadTable>, String) {
                 .and_then(Value::as_f64)
                 .unwrap_or(0.0);
             dat.push_str(&format!(
-                "{} {} {} {} {} {} {} {:.6} {:.4}\n",
+                "{} {} {} {} {} {} {:.6} {:.4}\n",
                 axis(row, "impl"),
                 axis(row, "tuning"),
                 axis(row, "net"),
                 axis(row, "loss"),
                 axis(row, "coll"),
-                axis(row, "engine"),
                 axis(row, "shards"),
                 row.elapsed_ns as f64 / 1e9,
                 slow_start,
@@ -287,7 +285,6 @@ mod tests {
                 ("net".into(), Value::Str("grid".into())),
                 ("loss".into(), Value::Num(0.0)),
                 ("coll".into(), Value::Str("default".into())),
-                ("engine".into(), Value::Str("pooled".into())),
                 ("shards".into(), Value::Num(0.0)),
             ]),
             digest: format!("{digest_seed:032x}"),

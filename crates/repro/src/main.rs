@@ -48,7 +48,7 @@ static METRICS_OUT: OnceLock<Option<std::path::PathBuf>> = OnceLock::new();
 
 /// When `--trace-out` or `--metrics` was given, a ring sink (with an
 /// attached metrics registry) to hang on a job via
-/// [`mpisim::MpiJob::with_recorder`]. Commands that support observability
+/// [`mpisim::MpiJob::with_obs`]. Commands that support observability
 /// call this, run, then hand the pair to [`write_obs`].
 pub(crate) fn obs_sink() -> Option<(
     std::sync::Arc<desim::RingSink>,
@@ -217,7 +217,7 @@ fn main() {
                 "usage: repro <table1|table2|table4|table5|table6|table7|\
                  fig3|fig5|fig6|fig7|fig9|fig10|fig11|fig12|fig13|testbed|ablation|g2|heterogeneity|perturbation|simri|\
                  utilization|placement|scaling|trace [BENCH]|cwnd|faults|\
-                 ring [--ranks N] [--rounds N]|\
+                 ring [--ranks N] [--rounds N] [--shards N]|\
                  blame [pingpong|nas|ray2mesh|faults] [--trace-in FILE] \
                  [--emit-events FILE] [--format text|json|dat]|\
                  profile [pingpong|nas|ray2mesh|faults] [--domain host|virtual] \
@@ -240,8 +240,8 @@ fn main() {
 
 /// `repro ring [--ranks N] [--rounds N] [--shards N]`: the rank-scale
 /// demonstration — a ring exchange far beyond the paper's 16-rank
-/// testbed, run in one process by the pooled continuation engine (or
-/// whatever `MPISIM_ENGINE` selects). Ranks are placed in contiguous
+/// testbed, run in one process with every rank a pooled continuation
+/// task (no OS thread per rank). Ranks are placed in contiguous
 /// blocks across an 8+8-node tuned testbed, so ring edges are mostly
 /// node-local and the run completes in seconds even at 4096+ ranks.
 /// `--shards N` runs on the sharded PDES driver with `N` workers: the
@@ -265,8 +265,7 @@ fn cmd_ring(args: &[String]) {
         .position(|a| a == "--shards")
         .and_then(|i| args.get(i + 1))
         .map(|v| v.parse::<u32>().expect("--shards takes a number"));
-    let engine = mpisim::Engine::from_env();
-    let mut exec = mpisim::ExecConfig::new().engine(engine);
+    let mut exec = mpisim::ExecConfig::new();
     if let Some(n) = shards {
         exec = exec.shards(n).pattern(mpisim::CommPattern::SiteDisjoint);
     }
@@ -291,10 +290,10 @@ fn cmd_ring(args: &[String]) {
         .expect("ring completes");
     let wall = wall.elapsed().as_secs_f64();
     match shards {
-        Some(n) => println!(
-            "# Rank-scale ring ({ranks} ranks x {rounds} rounds, engine {engine:?}, pdes {n} workers)"
-        ),
-        None => println!("# Rank-scale ring ({ranks} ranks x {rounds} rounds, engine {engine:?})"),
+        Some(n) => {
+            println!("# Rank-scale ring ({ranks} ranks x {rounds} rounds, pdes {n} workers)")
+        }
+        None => println!("# Rank-scale ring ({ranks} ranks x {rounds} rounds)"),
     }
     println!("ranks            {ranks}");
     println!("virtual elapsed  {:.6} s", report.elapsed.as_secs_f64());

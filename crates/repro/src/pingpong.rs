@@ -108,8 +108,8 @@ fn summarize(bytes: u64, one_ways: &[f64]) -> PingpongPoint {
 }
 
 /// The same pingpong written directly on the simulated sockets: two
-/// processes linked by pre-arranged completion chains (ping arrival wakes
-/// the echo; reply arrival wakes the pinger).
+/// tasks linked by pre-arranged completion chains (ping arrival wakes the
+/// echo; reply arrival wakes the pinger).
 fn raw_tcp_pingpong(
     net: netsim::Network,
     a: netsim::NodeId,
@@ -132,7 +132,7 @@ fn raw_tcp_pingpong(
         reply_rx.push(r);
     }
     let net2 = net.clone();
-    sim.spawn("echo", move |p| {
+    sim.spawn_task("echo", move |cx| async move {
         let back = net2.channel(
             b,
             a,
@@ -141,14 +141,14 @@ fn raw_tcp_pingpong(
             false,
         );
         for (arrived, reply) in ping_rx.into_iter().zip(reply_tx) {
-            arrived.wait(&p);
-            let s = p.sched();
+            cx.wait(arrived).await;
+            let s = cx.sched();
             net2.transfer_then(&s, back, bytes, move |s2| reply.fire_from(s2, ()));
         }
     });
     let (tx, rx) = desim::completion::<Vec<f64>>();
     let net3 = net.clone();
-    sim.spawn("pinger", move |p| {
+    sim.spawn_task("pinger", move |cx| async move {
         let fwd = net3.channel(
             a,
             b,
@@ -158,13 +158,13 @@ fn raw_tcp_pingpong(
         );
         let mut times = Vec::with_capacity(n);
         for (ping, reply) in ping_tx.into_iter().zip(reply_rx) {
-            let t0 = p.now();
-            let s = p.sched();
+            let t0 = cx.now();
+            let s = cx.sched();
             net3.transfer_then(&s, fwd, bytes, move |s2| ping.fire_from(s2, ()));
-            reply.wait(&p);
-            times.push(p.now().since(t0).as_secs_f64() / 2.0);
+            cx.wait(reply).await;
+            times.push(cx.now().since(t0).as_secs_f64() / 2.0);
         }
-        tx.fire(&p, times);
+        tx.fire_from(&cx.sched(), times);
     });
     sim.run().expect("raw tcp pingpong");
     rx.try_take().ok().expect("times recorded")

@@ -25,9 +25,8 @@
 #           blame guidelines hold
 #   profile both profiling domains emit parseable folded stacks and
 #           valid speedscope/timeline JSON on two scenarios
-#   ranks   the pooled execution engine reproduces the golden corpus
-#           bit for bit (both engines, explicitly) and a 1024-rank job
-#           completes in one process
+#   ranks   a 1024-rank ring job completes in one process (the golden
+#           corpus under the one rank engine is the `golden` stage)
 #   pdes    the sharded conservative-PDES driver reproduces its golden
 #           corpus bit for bit at 1, 2 and 4 workers, a 4-worker ring
 #           smoke completes, and `bench pdes` meets the speedup floor
@@ -175,14 +174,9 @@ stage_profile() {
 
 stage_ranks() {
     release_bins
-    # Engine independence is a digest contract: the golden corpus must
-    # match bit for bit whether ranks are pooled continuations (the
-    # default) or one OS thread each. stage_golden already covers the
-    # build default; here both engines are pinned explicitly so a change
-    # to the default cannot silently shrink coverage.
-    MPISIM_ENGINE=pooled ./target/release/repro golden check
-    MPISIM_ENGINE=threaded ./target/release/repro golden check
     # Rank-scale smoke: a 1024-rank ring in one process, clean exit.
+    # Every rank is a pooled continuation task, so this needs no OS
+    # thread per rank.
     ./target/release/repro ring --ranks 1024 --rounds 2 >/dev/null
 }
 

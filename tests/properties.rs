@@ -52,7 +52,7 @@ fn transfer_secs_n(
     let sim = Sim::new();
     let (tx, rx) = grid_mpi_lab::desim::completion::<f64>();
     let net = net.clone();
-    sim.spawn("x", move |p| {
+    sim.spawn_task("x", move |cx| async move {
         let ch = net.channel(
             a,
             b,
@@ -62,11 +62,11 @@ fn transfer_secs_n(
         );
         let mut last = 0.0;
         for _ in 0..n {
-            let t0 = p.now();
-            net.transfer_blocking(&p, ch, bytes);
-            last = p.now().since(t0).as_secs_f64();
+            let t0 = cx.now();
+            cx.wait(net.transfer(&cx.sched(), ch, bytes)).await;
+            last = cx.now().since(t0).as_secs_f64();
         }
-        tx.fire(&p, last);
+        tx.fire_from(&cx.sched(), last);
     });
     sim.run().unwrap();
     rx.try_take().ok().unwrap()
