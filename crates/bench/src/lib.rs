@@ -25,8 +25,8 @@ pub fn grid_job(ranks: usize, id: MpiImpl) -> MpiJob {
 /// its ring neighbours. Block placement keeps most edges node-local
 /// (loopback), so the measurement is dominated by per-MPI-call kernel
 /// overhead rather than by the fluid model recomputing thousands of
-/// concurrent WAN flows. Returns the virtual elapsed seconds.
-pub fn ping_ring(ranks: usize, rounds: u32) -> f64 {
+/// concurrent WAN flows. Returns the deterministic wire-message count.
+pub fn ping_ring(ranks: usize, rounds: u32) -> u64 {
     let (net, rn, nn) = tuned_pair(8);
     let nodes: Vec<NodeId> = rn.into_iter().chain(nn).collect();
     let placement: Vec<NodeId> = (0..ranks)
@@ -43,11 +43,12 @@ pub fn ping_ring(ranks: usize, rounds: u32) -> f64 {
             }
         })
         .expect("ring completes");
-    report.elapsed.as_secs_f64()
+    report.stats.wire_messages
 }
 
-/// One warmed pingpong round trip; returns the virtual one-way seconds.
-pub fn pingpong_once(id: MpiImpl, bytes: u64, iters: u32) -> f64 {
+/// `iters` grid pingpong round trips; returns the deterministic
+/// wire-message count.
+pub fn pingpong_once(id: MpiImpl, bytes: u64, iters: u32) -> u64 {
     let report = grid_job(2, id)
         .run(move |mut ctx: RankCtx| async move {
             const TAG: u64 = 1;
@@ -62,5 +63,5 @@ pub fn pingpong_once(id: MpiImpl, bytes: u64, iters: u32) -> f64 {
             }
         })
         .expect("pingpong completes");
-    report.elapsed.as_secs_f64()
+    report.stats.wire_messages
 }

@@ -29,8 +29,10 @@
 //! recorded files: exact on `events`, threshold (default 25%, slowdowns
 //! only) on `secs_per_iter`.
 //!
-//! Each JSON line carries `events` (simulated events per iteration, 0 if
-//! the benchmark does not count them) and `metrics` (a snapshot of the
+//! Each JSON line carries `events` (a deterministic work count per
+//! iteration: simulated kernel events for benchmarks that drive a
+//! [`desim::Sim`] directly, wire messages for MPI jobs, runs for the
+//! campaign) and `metrics` (a snapshot of the
 //! harness's metrics registry, cleared between benchmarks — populated by
 //! benchmarks that attach a recorder, `{}` otherwise).
 
@@ -64,7 +66,7 @@ struct Harness {
 }
 
 impl Harness {
-    /// Time `f` (returning simulated events per iteration, 0 if unknown)
+    /// Time `f` (returning its deterministic work count per iteration)
     /// and emit one JSON line.
     fn bench(&mut self, name: &str, mut f: impl FnMut() -> u64) {
         self.metrics.clear();
@@ -208,14 +210,9 @@ fn main() {
 /// territory (every rank is a pooled continuation task; the 512-rank row
 /// measures per-MPI-call overhead) and NPB EP at 1024 ranks.
 fn group_ranks(h: &mut Harness) {
-    for (label, ranks, rounds) in [
-        ("64", 64usize, 8u32),
-        ("4096", 4096, 2),
-        ("512_pooled", 512, 8),
-    ] {
+    for (label, ranks, rounds) in [("64", 64usize, 8u32), ("512_pooled", 512, 8)] {
         h.bench(&format!("ranks/ping_ring_{label}"), move || {
-            black_box(ping_ring(ranks, rounds));
-            0
+            ping_ring(ranks, rounds)
         });
     }
     h.bench("ranks/npb_ep_1024", || {
@@ -227,7 +224,7 @@ fn group_ranks(h: &mut Harness) {
             .run(run.program())
             .expect("EP completes");
         black_box(run.estimate(&report));
-        0
+        report.stats.wire_messages
     });
 }
 
@@ -439,15 +436,14 @@ fn group_tcp(h: &mut Harness) {
 fn group_pingpong(h: &mut Harness) {
     for id in MpiImpl::ALL {
         h.bench(&format!("pingpong_grid_1M/{}", id.name()), || {
-            black_box(pingpong_once(id, 1 << 20, 20));
-            0
+            pingpong_once(id, 1 << 20, 20)
         });
     }
 }
 
 /// Collective algorithms on the 8+8 grid (Fig. 10's FT/IS mechanism).
 fn group_collectives(h: &mut Harness) {
-    fn run_coll(id: MpiImpl, op: &'static str) -> f64 {
+    fn run_coll(id: MpiImpl, op: &'static str) -> u64 {
         let report = grid_job(16, id)
             .run(move |mut ctx: RankCtx| async move {
                 match op {
@@ -458,13 +454,13 @@ fn group_collectives(h: &mut Harness) {
                 }
             })
             .expect("collective completes");
-        report.elapsed.as_secs_f64()
+        black_box(report.elapsed);
+        report.stats.wire_messages
     }
     for op in ["bcast", "allreduce", "alltoall"] {
         for id in [MpiImpl::Mpich2, MpiImpl::GridMpi, MpiImpl::MpichMadeleine] {
             h.bench(&format!("coll_{op}_128k_8+8/{}", id.name()), || {
-                black_box(run_coll(id, op));
-                0
+                run_coll(id, op)
             });
         }
     }
@@ -541,7 +537,7 @@ fn group_npb(h: &mut Harness) {
                 .run(run.program())
                 .expect("NAS completes");
             black_box(run.estimate(&report));
-            0
+            report.stats.wire_messages
         });
     }
 }
@@ -560,7 +556,7 @@ fn group_ray2mesh(h: &mut Harness) {
             .run(cfg.program())
             .expect("ray2mesh completes");
         black_box(report.elapsed);
-        0
+        report.stats.wire_messages
     });
 }
 
@@ -629,7 +625,7 @@ fn group_fastpath(h: &mut Harness) {
 /// bit-identical either way (the observer-effect suite proves it); this
 /// measures the *host-side* wall-clock cost of recording.
 fn group_obs(h: &mut Harness) {
-    fn pingpong_64m(rec: Option<Arc<RingSink>>) -> f64 {
+    fn pingpong_64m(rec: Option<Arc<RingSink>>) -> u64 {
         let mut job = grid_job(2, MpiImpl::Mpich2);
         if let Some(rec) = rec {
             job = job.with_obs(desim::obs::Obs::none().recorder(rec));
@@ -648,7 +644,7 @@ fn group_obs(h: &mut Harness) {
                 }
             })
             .expect("pingpong completes");
-        report.elapsed.as_secs_f64()
+        report.stats.wire_messages
     }
     let mut timed = [0.0f64; 2];
     for (slot, traced) in [(0usize, false), (1, true)] {
@@ -666,17 +662,13 @@ fn group_obs(h: &mut Harness) {
         }
         timed[slot] = t0.elapsed().as_secs_f64() / iters as f64;
     }
-    h.bench("obs/pingpong_64M_untraced", || {
-        black_box(pingpong_64m(None));
-        0
-    });
+    h.bench("obs/pingpong_64M_untraced", || pingpong_64m(None));
     let metrics = h.metrics.clone();
     h.bench("obs/pingpong_64M_traced", move || {
         // Feed the harness registry so this line's metrics snapshot shows
         // the recorded event counts.
         let sink = Arc::new(RingSink::with_metrics(1 << 18, metrics.clone()));
-        black_box(pingpong_64m(Some(sink)));
-        0
+        pingpong_64m(Some(sink))
     });
     h.note(&format!(
         "{{\"name\": \"obs/tracing_overhead_pingpong_64M\", \"untraced_secs\": {:.6e}, \
@@ -694,7 +686,7 @@ fn group_obs(h: &mut Harness) {
 /// stay within 5% of the detached one — the gate retries once before
 /// failing to ride out scheduler noise.
 fn group_profile(h: &mut Harness) {
-    fn pingpong_64m(prof: Option<Arc<desim::HostProfiler>>) -> f64 {
+    fn pingpong_64m(prof: Option<Arc<desim::HostProfiler>>) -> u64 {
         let mut job = grid_job(2, MpiImpl::Mpich2);
         if let Some(prof) = prof {
             job = job.with_obs(desim::obs::Obs::none().profiler(prof));
@@ -717,7 +709,7 @@ fn group_profile(h: &mut Harness) {
                 }
             })
             .expect("pingpong completes");
-        report.elapsed.as_secs_f64()
+        report.stats.wire_messages
     }
     fn measure() -> [f64; 2] {
         // One profiler accumulating across jobs, as a real profiling
@@ -748,14 +740,10 @@ fn group_profile(h: &mut Harness) {
         timed = measure();
         ratio = timed[1] / timed[0];
     }
-    h.bench("profile/pingpong_64M_detached", || {
-        black_box(pingpong_64m(None));
-        0
-    });
+    h.bench("profile/pingpong_64M_detached", || pingpong_64m(None));
     let prof = Arc::new(desim::HostProfiler::new());
     h.bench("profile/pingpong_64M_attached", || {
-        black_box(pingpong_64m(Some(prof.clone())));
-        0
+        pingpong_64m(Some(prof.clone()))
     });
     h.note(&format!(
         "{{\"name\": \"profile/host_profiler_overhead_pingpong_64M\", \"detached_secs\": {:.6e}, \
@@ -818,7 +806,7 @@ fn group_blame(h: &mut Harness) {
 /// recovery machinery), plus the fault-tolerant ray2mesh surviving two
 /// mid-trace kills — the whole detection/reissue/degradation pipeline.
 fn group_faults(h: &mut Harness) {
-    fn bulk(plan: Option<FaultPlan>) -> f64 {
+    fn bulk(plan: Option<FaultPlan>) -> u64 {
         let mut job = grid_job(2, MpiImpl::Mpich2);
         if let Some(plan) = plan {
             job = job.with_faults(plan);
@@ -833,18 +821,12 @@ fn group_faults(h: &mut Harness) {
                 }
             })
             .expect("bulk transfer completes");
-        report.elapsed.as_secs_f64()
+        report.stats.wire_messages
     }
-    h.bench("faults/wan_16M_clean", || {
-        black_box(bulk(None));
-        0
-    });
+    h.bench("faults/wan_16M_clean", || bulk(None));
     for (label, loss) in [("1e-3", 1e-3), ("1e-2", 1e-2)] {
         h.bench(&format!("faults/wan_16M_loss_{label}"), move || {
-            black_box(bulk(Some(
-                FaultPlan::new().with_seed(42).with_wan_loss(loss),
-            )));
-            0
+            bulk(Some(FaultPlan::new().with_seed(42).with_wan_loss(loss)))
         });
     }
     h.bench("faults/ray2mesh_ft_2kills", || {
@@ -867,7 +849,7 @@ fn group_faults(h: &mut Harness) {
             .run(cfg.program_ft(FaultPolicy::grid_default()))
             .expect("FT ray2mesh completes");
         black_box(report.elapsed);
-        0
+        report.stats.wire_messages
     });
 }
 
@@ -944,8 +926,7 @@ fn group_smoke(h: &mut Harness) {
         sim.run_counted().unwrap().events
     });
     h.bench("smoke/pingpong_grid_1M_mpich2", || {
-        black_box(pingpong_once(MpiImpl::Mpich2, 1 << 20, 5));
-        0
+        pingpong_once(MpiImpl::Mpich2, 1 << 20, 5)
     });
     // Deterministic wire-message count of the sharded driver at 4
     // workers: catches any scheduling change that alters the simulated

@@ -23,6 +23,12 @@
 //!   hopping rank at matched message edges, with per-activity blame
 //!   percentages for the whole run.
 //!
+//! Alongside them, [`RankProfile::bytes_sent`] and [`Analysis::pairs`]
+//! account point-to-point payload bytes, and [`ascii_timeline`] paints
+//! the spans as a space-time diagram: the per-rank timelines the paper
+//! got from a "modified MPI implementation" (§3.1), as `repro trace`
+//! prints them.
+//!
 //! The analyzer consumes events either live (attach a [`Collector`] as a
 //! [`Recorder`]) or replayed from a JSON-lines trace file
 //! ([`events_from_jsonl`], the inverse of [`super::export::jsonl`]).
@@ -278,6 +284,8 @@ pub struct RankProfile {
     /// Computation imbalance: the heaviest rank's compute time minus this
     /// rank's (0 for the heaviest rank itself).
     pub imbalance_secs: f64,
+    /// Point-to-point payload bytes this rank sent.
+    pub bytes_sent: u64,
 }
 
 impl RankProfile {
@@ -430,6 +438,7 @@ impl CriticalPath {
 struct Span {
     rank: u64,
     op: &'static str,
+    peer: i64,
     bytes: u64,
     start_ns: u64,
     end_ns: u64,
@@ -446,6 +455,9 @@ pub struct Analysis {
     pub flows: Vec<FlowBlame>,
     /// Paired point-to-point messages, in send order.
     pub messages: Vec<MessageBlame>,
+    /// Point-to-point payload bytes per directed rank pair as
+    /// `(src, dst, bytes)`, heaviest first (ties in pair order).
+    pub pairs: Vec<(u64, u64, u64)>,
     /// Critical path (absent when the stream has no MPI spans).
     pub path: Option<CriticalPath>,
 }
@@ -459,11 +471,13 @@ impl Analysis {
         let flows = analyze_flows(events);
         let messages = pair_messages(&spans, &flows, header_bytes);
         let ranks = rank_profiles(&spans);
+        let pairs = pair_bytes(&spans);
         let path = critical_path(&spans);
         Analysis {
             ranks,
             flows,
             messages,
+            pairs,
             path,
         }
     }
@@ -551,14 +565,15 @@ fn collect_spans(events: &[Event]) -> Vec<Span> {
             Event::MpiSpan {
                 rank,
                 op,
+                peer,
                 bytes,
                 start_ns,
                 end_ns,
                 msg_id,
-                ..
             } => Some(Span {
                 rank: *rank,
                 op,
+                peer: *peer,
                 bytes: *bytes,
                 start_ns: *start_ns,
                 end_ns: *end_ns,
@@ -599,7 +614,10 @@ fn rank_profiles(spans: &[Span]) -> Vec<RankProfile> {
         let secs = s.end_ns.saturating_sub(s.start_ns) as f64 / 1e9;
         match s.op {
             "compute" => p.compute_secs += secs,
-            "send" => p.send_secs += secs,
+            "send" => {
+                p.send_secs += secs;
+                p.bytes_sent += s.bytes;
+            }
             "recv" => p.recv_secs += secs,
             "wait_send" => p.wait_send_secs += secs,
             _ => p.collective_secs += secs,
@@ -638,6 +656,62 @@ fn rank_profiles(spans: &[Span]) -> Vec<RankProfile> {
         p.imbalance_secs = max_compute - p.compute_secs;
     }
     out
+}
+
+fn pair_bytes(spans: &[Span]) -> Vec<(u64, u64, u64)> {
+    let mut by_pair: HashMap<(u64, u64), u64> = HashMap::new();
+    for s in spans.iter().filter(|s| s.op == "send" && s.peer >= 0) {
+        *by_pair.entry((s.rank, s.peer as u64)).or_insert(0) += s.bytes;
+    }
+    let mut pairs: Vec<(u64, u64, u64)> =
+        by_pair.into_iter().map(|((a, b), n)| (a, b, n)).collect();
+    pairs.sort_by(|x, y| y.2.cmp(&x.2).then((x.0, x.1).cmp(&(y.0, y.1))));
+    pairs
+}
+
+/// Render an ASCII space-time diagram of the MPI spans in `events`: one
+/// row per rank, `width` columns over `[t0_ns, t1_ns]`; `C` compute, `s`
+/// send/wait, `r` receive, `A` collective, `.` idle.
+pub fn ascii_timeline(
+    events: &[Event],
+    ranks: usize,
+    t0_ns: u64,
+    t1_ns: u64,
+    width: usize,
+) -> Vec<String> {
+    if width == 0 || t1_ns <= t0_ns {
+        // A zero-width canvas or an empty/inverted window has nothing to
+        // paint (and `width - 1` below would underflow).
+        return vec![String::new(); ranks];
+    }
+    let span = (t1_ns - t0_ns) as f64;
+    let mut rows = vec![vec!['.'; width]; ranks];
+    // Paint in priority order: collectives under p2p under compute, so the
+    // densest information wins ties within a cell.
+    let mut spans = collect_spans(events);
+    spans.sort_by_key(|s| match s.op {
+        "compute" => 2,
+        op if is_p2p(op) => 1,
+        _ => 0,
+    });
+    for s in spans {
+        let rank = s.rank as usize;
+        if rank >= ranks || s.end_ns < t0_ns || s.start_ns > t1_ns {
+            continue;
+        }
+        let a = ((s.start_ns.max(t0_ns) - t0_ns) as f64 / span * width as f64) as usize;
+        let b = ((s.end_ns.min(t1_ns) - t0_ns) as f64 / span * width as f64) as usize;
+        let c = match s.op {
+            "compute" => 'C',
+            "send" | "wait_send" => 's',
+            "recv" => 'r',
+            _ => 'A',
+        };
+        for cell in &mut rows[rank][a.min(width - 1)..=b.min(width - 1)] {
+            *cell = c;
+        }
+    }
+    rows.into_iter().map(|r| r.into_iter().collect()).collect()
 }
 
 /// Classification of one inter-sample segment of a flow.
@@ -1293,5 +1367,97 @@ mod tests {
                     \"bytes\":8,\"start_ns\":0,\"end_ns\":5}\n";
         let evs = events_from_jsonl(line).expect("old traces still replay");
         assert!(matches!(evs[0], Event::MpiSpan { msg_id: 0, .. }));
+    }
+
+    fn p2p(rank: u64, op: &'static str, peer: i64, bytes: u64, a: u64, b: u64) -> Event {
+        Event::MpiSpan {
+            rank,
+            op,
+            peer,
+            bytes,
+            start_ns: a,
+            end_ns: b,
+            msg_id: 0,
+        }
+    }
+
+    #[test]
+    fn summary_accumulates_by_kind() {
+        let events = vec![
+            span(0, "compute", 0, 0, 1_000_000_000, 0),
+            p2p(0, "send", 1, 500, 1_000_000_000, 1_100_000_000),
+            p2p(1, "recv", 0, 0, 0, 1_100_000_000),
+            span(1, "bcast", 64, 2_000_000_000, 2_500_000_000, 0),
+        ];
+        let a = Analysis::from_events(&events, 64);
+        let (r0, r1) = (&a.ranks[0], &a.ranks[1]);
+        let p2p_secs = |p: &RankProfile| p.send_secs + p.recv_secs + p.wait_send_secs;
+        assert!((r0.compute_secs - 1.0).abs() < 1e-9);
+        assert!((p2p_secs(r0) - 0.1).abs() < 1e-9);
+        assert_eq!(r0.bytes_sent, 500);
+        assert!((p2p_secs(r1) - 1.1).abs() < 1e-9);
+        assert!((r1.collective_secs - 0.5).abs() < 1e-9);
+        assert_eq!(r1.bytes_sent, 0);
+        assert_eq!(a.pairs, vec![(0, 1, 500)]);
+    }
+
+    #[test]
+    fn timeline_paints_rows() {
+        let events = vec![
+            span(0, "compute", 0, 0, 50, 0),
+            p2p(0, "recv", 1, 0, 50, 100),
+            span(1, "barrier", 0, 0, 100, 0),
+        ];
+        let rows = ascii_timeline(&events, 2, 0, 100, 10);
+        assert_eq!(rows.len(), 2);
+        assert!(rows[0].starts_with('C'));
+        assert!(rows[0].ends_with('r'));
+        assert!(rows[1].chars().all(|c| c == 'A'));
+    }
+
+    #[test]
+    fn timeline_clips_out_of_range_events() {
+        let events = vec![span(0, "compute", 0, 200, 300, 0)];
+        let rows = ascii_timeline(&events, 1, 0, 100, 10);
+        assert!(rows[0].chars().all(|c| c == '.'));
+    }
+
+    #[test]
+    fn timeline_degenerate_inputs_yield_empty_rows() {
+        let events = vec![span(0, "compute", 0, 0, 50, 0)];
+        // width == 0 used to underflow `width - 1` in the slice bound.
+        let rows = ascii_timeline(&events, 2, 0, 100, 0);
+        assert_eq!(rows, vec![String::new(), String::new()]);
+        // Empty window (t1 == t0) and inverted window (t1 < t0).
+        let rows = ascii_timeline(&events, 1, 100, 100, 10);
+        assert_eq!(rows, vec![String::new()]);
+        let rows = ascii_timeline(&events, 1, 100, 50, 10);
+        assert_eq!(rows, vec![String::new()]);
+        // No ranks: no rows, still no panic.
+        assert!(ascii_timeline(&events, 0, 0, 100, 0).is_empty());
+    }
+
+    #[test]
+    fn secs_clamps_inverted_spans() {
+        // A malformed span (end before start) counts as zero seconds
+        // rather than wrapping to ~584 years.
+        let a = Analysis::from_events(&[span(0, "compute", 0, 100, 40, 0)], 64);
+        assert_eq!(a.ranks[0].compute_secs, 0.0);
+    }
+
+    #[test]
+    fn kind_names_are_stable() {
+        let events = vec![
+            span(0, "compute", 0, 0, 10, 0),
+            span(0, "wait_send", 0, 10, 30, 0),
+            span(0, "allreduce", 8, 30, 60, 0),
+        ];
+        let r = &Analysis::from_events(&events, 64).ranks[0];
+        assert_eq!(
+            (r.compute_secs, r.wait_send_secs, r.collective_secs),
+            (10e-9, 20e-9, 30e-9)
+        );
+        let rows = ascii_timeline(&events, 1, 0, 60, 6);
+        assert_eq!(rows, vec!["CCssAA".to_string()]);
     }
 }

@@ -22,8 +22,8 @@
 //! One deliberate exception: [`Event::KernelRun`] is absorbed *without*
 //! its `events` count. The kernel dispatch count is an engine detail —
 //! the closed-form TCP bulk fast path replaces many per-round events with
-//! a single commit, so the count differs between `NETSIM_NO_FAST_PATH`
-//! on and off while every virtual timestamp stays bit-identical. A digest
+//! a single commit, so the count differs with the fast path on and off
+//! while every virtual timestamp stays bit-identical. A digest
 //! must pin simulation *semantics*, not the engine's step count, so it
 //! keeps `end_ns` and drops `events`.
 

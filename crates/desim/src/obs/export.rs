@@ -229,8 +229,8 @@ pub fn chrome_trace_with_drops(events: &[Event], dropped: u64) -> String {
                 seen_rank(&mut rows, &mut rank_rows, *rank);
                 let dur_ns = end_ns.saturating_sub(*start_ns);
                 rows.push(format!(
-                    "{{\"ph\":\"X\",\"pid\":{},\"tid\":{},\"name\":{},\"ts\":{},\"dur\":{},\
-                     \"args\":{{\"peer\":{},\"bytes\":{},\"msg_id\":{}}}}}",
+                    "{{\"ph\":\"X\",\"pid\":{},\"tid\":{},\"name\":{},\"cat\":\"mpi_span\",\
+                     \"ts\":{},\"dur\":{},\"args\":{{\"peer\":{},\"bytes\":{},\"msg_id\":{}}}}}",
                     PID_RANKS,
                     rank,
                     json_string(op),

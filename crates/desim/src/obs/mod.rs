@@ -96,7 +96,8 @@ pub enum Event {
         delivered_bytes: f64,
     },
     /// One MPI operation span on one rank (compute, send, recv, wait,
-    /// collective), mirroring `mpisim::trace`.
+    /// collective): the per-rank timeline of a "modified MPI
+    /// implementation" (§3.1), digested by [`analysis`].
     MpiSpan {
         /// Acting rank.
         rank: u64,

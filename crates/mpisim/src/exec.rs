@@ -3,9 +3,9 @@
 //! collective algorithms run.
 //!
 //! `ExecConfig` is the single front door for knobs that used to be spread
-//! over builder methods and ad-hoc environment-variable reads. The
-//! `NETSIM_NO_FAST_PATH` environment variable remains a *fallback*
-//! override only: an explicit `ExecConfig` field always wins.
+//! over builder methods and ad-hoc environment-variable reads; the
+//! library reads no environment variable. Netsim-only callers set the
+//! fast path with `Network::set_bulk_fast_path`.
 
 use desim::SimDuration;
 use netsim::{Network, NodeId, SiteId};
@@ -34,8 +34,8 @@ pub enum CommPattern {
 }
 
 /// Typed execution configuration for an [`crate::MpiJob`] (or a
-/// `repro`-level scenario). `None` fields defer to the environment
-/// fallback or the built-in default.
+/// `repro`-level scenario). `None` fields keep the built-in default (or,
+/// for `fast_path`, the network's own setting).
 #[derive(Clone, Copy, Debug, Default)]
 pub struct ExecConfig {
     /// `Some(n)`: run on the sharded conservative-PDES driver with `n`
@@ -44,7 +44,8 @@ pub struct ExecConfig {
     /// single-queue kernel, byte-identical to the pre-PDES code path.
     pub shards: Option<u32>,
     /// Force the closed-form bulk-transfer fast path on or off. `None`:
-    /// the network's default (`NETSIM_NO_FAST_PATH` fallback).
+    /// leave the network's setting (on unless
+    /// `Network::set_bulk_fast_path(false)` was called).
     pub fast_path: Option<bool>,
     /// Partition rule used when `shards` is set.
     pub pattern: CommPattern,
@@ -55,8 +56,8 @@ pub struct ExecConfig {
 }
 
 impl ExecConfig {
-    /// The all-default configuration: classic kernel, environment-driven
-    /// fast path.
+    /// The all-default configuration: classic kernel, the network's own
+    /// fast-path setting.
     pub fn new() -> ExecConfig {
         ExecConfig::default()
     }

@@ -70,8 +70,6 @@ pub struct MpiJob {
     pub profile: ImplProfile,
     /// Tuning overrides (§4.2).
     pub tuning: Tuning,
-    /// Record per-operation trace spans into the run report.
-    pub tracing: bool,
     /// Observability configuration (recorder + host profiler), consumed
     /// once at run start and attached to the network, the kernel(s), and
     /// every rank for the duration of the run.
@@ -96,7 +94,6 @@ impl MpiJob {
             placement,
             profile: impl_id.profile(),
             tuning: Tuning::none(),
-            tracing: false,
             obs: Obs::none(),
             deadline: None,
             faults: None,
@@ -120,12 +117,6 @@ impl MpiJob {
     /// Replace the whole profile (custom models).
     pub fn with_profile(mut self, profile: ImplProfile) -> MpiJob {
         self.profile = profile;
-        self
-    }
-
-    /// Enable per-operation tracing (see [`crate::trace`]).
-    pub fn with_tracing(mut self) -> MpiJob {
-        self.tracing = true;
         self
     }
 
@@ -243,7 +234,6 @@ impl MpiJob {
             self.profile,
             self.tuning,
             self.exec.coll,
-            self.tracing,
             self.obs.recorder.clone(),
         );
         let program = Arc::new(program);
@@ -302,21 +292,11 @@ impl MpiJob {
             .collect();
         let stats = world.stats.lock().clone();
         let records = world.records.lock().clone();
-        let trace = world
-            .trace
-            .as_ref()
-            .map(|t| {
-                let mut v = t.lock().clone();
-                v.sort_by_key(|e| (e.start_ns, e.rank));
-                v
-            })
-            .unwrap_or_default();
         let report = RunReport {
             elapsed: end.since(SimTime::ZERO),
             per_rank,
             stats,
             records,
-            trace,
             clean: world.quiescent(),
         };
         if let Some((p, _, _, collect)) = &prof {
@@ -408,7 +388,6 @@ impl MpiJob {
             self.profile,
             self.tuning,
             self.exec.coll,
-            self.tracing,
             obs_groups,
             Some(sharded.cross()),
         );
@@ -498,21 +477,11 @@ impl MpiJob {
         // own pushes are already serial).
         let mut records = world.records.lock().clone();
         records.sort_by_key(|r| r.0);
-        let trace = world
-            .trace
-            .as_ref()
-            .map(|t| {
-                let mut v = t.lock().clone();
-                v.sort_by_key(|e| (e.start_ns, e.rank));
-                v
-            })
-            .unwrap_or_default();
         let report = RunReport {
             elapsed,
             per_rank,
             stats,
             records,
-            trace,
             clean: world.quiescent(),
         };
         if let Some((p, _, _, collect)) = &prof {
@@ -534,8 +503,6 @@ pub struct RunReport {
     pub stats: CommStats,
     /// Named measurements emitted by ranks via [`RankCtx::record`].
     pub records: Vec<(usize, String, f64)>,
-    /// Traced spans (empty unless [`MpiJob::with_tracing`] was used).
-    pub trace: Vec<crate::trace::TraceEvent>,
     /// True if no posted receives or unexpected messages were left behind
     /// (a well-formed program drains everything).
     pub clean: bool,

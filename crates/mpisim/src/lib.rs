@@ -47,7 +47,6 @@ mod launcher;
 mod profile;
 mod rank;
 mod stats;
-pub mod trace;
 mod world;
 
 pub use collectives::{CollAlgo, CollConfig, CollOp, CollSel, SizeClass};

@@ -18,7 +18,6 @@ use desim::{Completion, Cx, SimDuration, SimTime};
 
 use crate::collectives;
 use crate::error::{FaultPolicy, MpiError};
-use crate::trace::{TraceEvent, TraceKind};
 use crate::world::{MsgInfo, Posted, RecvDone, WorldInner, CTRL_BYTES, HEADER_BYTES};
 
 /// A nonblocking operation handle (the `MPI_Request` analogue).
@@ -126,28 +125,24 @@ impl RankCtx {
     pub async fn compute(&self, d: SimDuration) {
         let t0 = self.cx.now();
         self.cx.advance(d).await;
-        self.trace(TraceKind::Compute, None, 0, t0, 0);
+        self.trace("compute", None, 0, t0, 0);
     }
 
-    /// Append a trace span ending now (no-op unless tracing or an
-    /// observability recorder is enabled).
-    fn trace(&self, kind: TraceKind, peer: Option<usize>, bytes: u64, start: SimTime, msg_id: u64) {
+    /// Emit an MPI span ending now (no-op unless an observability
+    /// recorder is attached).
+    fn trace(
+        &self,
+        op: &'static str,
+        peer: Option<usize>,
+        bytes: u64,
+        start: SimTime,
+        msg_id: u64,
+    ) {
         if let Some(rec) = self.world.obs_of(self.rank) {
             rec.record(&desim::obs::Event::MpiSpan {
                 rank: self.rank as u64,
-                op: kind.name(),
+                op,
                 peer: peer.map(|p| p as i64).unwrap_or(-1),
-                bytes,
-                start_ns: start.as_nanos(),
-                end_ns: self.cx.now().as_nanos(),
-                msg_id,
-            });
-        }
-        if let Some(t) = &self.world.trace {
-            t.lock().push(TraceEvent {
-                rank: self.rank,
-                kind,
-                peer,
                 bytes,
                 start_ns: start.as_nanos(),
                 end_ns: self.cx.now().as_nanos(),
@@ -206,7 +201,7 @@ impl RankCtx {
         let t0 = self.cx.now();
         let r = self.send_raw(dst, bytes, tag).await;
         if !self.in_collective {
-            self.trace(TraceKind::Send, Some(dst), bytes, t0, r.msg_id());
+            self.trace("send", Some(dst), bytes, t0, r.msg_id());
         }
         r
     }
@@ -339,7 +334,7 @@ impl RankCtx {
                 let t0 = self.cx.now();
                 let res = self.cx.wait(c).await;
                 if !self.in_collective {
-                    self.trace(TraceKind::WaitSend, None, 0, t0, msg_id);
+                    self.trace("wait_send", None, 0, t0, msg_id);
                 }
                 res.map(|()| None)
             }
@@ -359,7 +354,7 @@ impl RankCtx {
                 }
                 if !self.in_collective {
                     self.trace(
-                        TraceKind::Recv,
+                        "recv",
                         Some(done.info.src),
                         done.info.bytes,
                         t0,
@@ -374,7 +369,7 @@ impl RankCtx {
                     self.cx.advance(copy).await;
                 }
                 if !self.in_collective {
-                    self.trace(TraceKind::Recv, Some(info.src), info.bytes, t0, info.msg_id);
+                    self.trace("recv", Some(info.src), info.bytes, t0, info.msg_id);
                 }
                 Ok(Some(info))
             }
@@ -455,7 +450,7 @@ impl RankCtx {
         let r = f(self, tag).await;
         self.in_collective = was;
         if !was {
-            let kind = TraceKind::Collective(match op {
+            let name = match op {
                 "barrier" => "barrier",
                 "bcast" | "comm_bcast" => "bcast",
                 "reduce" | "comm_reduce" => "reduce",
@@ -466,8 +461,8 @@ impl RankCtx {
                 "gather" => "gather",
                 "scatter" => "scatter",
                 _ => "collective",
-            });
-            self.trace(kind, None, bytes, t0, 0);
+            };
+            self.trace(name, None, bytes, t0, 0);
         }
         r
     }

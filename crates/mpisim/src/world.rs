@@ -31,7 +31,6 @@ use netsim::{ChannelId, Network, NodeId};
 use crate::error::MpiError;
 use crate::profile::{ImplProfile, Tuning};
 use crate::stats::CommStats;
-use crate::trace::TraceEvent;
 
 /// MPI envelope header bytes added to every data message on the wire.
 pub const HEADER_BYTES: u64 = 64;
@@ -164,8 +163,6 @@ pub(crate) struct WorldInner {
     channels: Mutex<HashMap<(usize, usize, u32), ChannelId>>,
     pub stats: Mutex<CommStats>,
     pub records: Mutex<Vec<(usize, String, f64)>>,
-    /// Traced spans (populated only when tracing is enabled).
-    pub trace: Option<Mutex<Vec<TraceEvent>>>,
     /// Per-group observability sinks: every traced-or-not MPI span and
     /// app-phase marker is forwarded to the emitting rank's group's sink
     /// when set (classic mode: one sink). Read-only taps; recording never
@@ -181,7 +178,6 @@ impl WorldInner {
         profile: ImplProfile,
         tuning: Tuning,
         coll: crate::collectives::CollConfig,
-        tracing: bool,
         obs: Option<Arc<dyn desim::obs::Recorder>>,
     ) -> Arc<WorldInner> {
         let n = placement.len();
@@ -192,7 +188,6 @@ impl WorldInner {
             profile,
             tuning,
             coll,
-            tracing,
             vec![obs],
             None,
         )
@@ -209,7 +204,6 @@ impl WorldInner {
         profile: ImplProfile,
         tuning: Tuning,
         coll: crate::collectives::CollConfig,
-        tracing: bool,
         obs_groups: Vec<Option<Arc<dyn desim::obs::Recorder>>>,
         cross: Option<CrossPost>,
     ) -> Arc<WorldInner> {
@@ -256,7 +250,6 @@ impl WorldInner {
             channels: Mutex::new(HashMap::new()),
             stats: Mutex::new(CommStats::default()),
             records: Mutex::new(Vec::new()),
-            trace: tracing.then(|| Mutex::new(Vec::new())),
             obs_groups,
         })
     }

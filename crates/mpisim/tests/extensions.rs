@@ -1,8 +1,10 @@
-//! Tests for the extension surfaces: tracing, extended profiles,
+//! Tests for the extension surfaces: MPI span tracing, extended profiles,
 //! parallel streams, and statistics matrices.
 
-use mpisim::trace::{TraceKind, TraceSummary};
-use mpisim::{MpiImpl, MpiJob, RankCtx};
+use std::sync::Arc;
+
+use desim::{Analysis, Collector, Event, Obs};
+use mpisim::{MpiImpl, MpiJob, RankCtx, HEADER_BYTES};
 use netsim::{grid5000_pair, KernelConfig, Network, NodeId};
 
 fn grid(nodes_per_site: usize) -> (Network, Vec<NodeId>) {
@@ -16,8 +18,9 @@ fn grid(nodes_per_site: usize) -> (Network, Vec<NodeId>) {
 #[test]
 fn tracing_captures_all_activity_kinds() {
     let (net, placement) = grid(1);
-    let report = MpiJob::new(net, placement, MpiImpl::Mpich2)
-        .with_tracing()
+    let collector = Arc::new(Collector::new());
+    MpiJob::new(net, placement, MpiImpl::Mpich2)
+        .with_obs(Obs::none().recorder(collector.clone()))
         .run(|mut ctx: RankCtx| async move {
             ctx.compute_gflop(0.1).await;
             if ctx.rank() == 0 {
@@ -28,33 +31,32 @@ fn tracing_captures_all_activity_kinds() {
             ctx.barrier().await;
         })
         .unwrap();
-    assert!(!report.trace.is_empty());
-    let kinds: Vec<&TraceKind> = report.trace.iter().map(|e| &e.kind).collect();
-    assert!(kinds.contains(&&TraceKind::Compute));
-    assert!(kinds.contains(&&TraceKind::Send));
-    assert!(kinds.contains(&&TraceKind::Recv));
-    assert!(kinds
+    let events = collector.events();
+    let spans: Vec<(&str, u64, u64)> = events
         .iter()
-        .any(|k| matches!(k, TraceKind::Collective("barrier"))));
-    // Spans are well-formed and the summary accounts for both ranks.
-    for e in &report.trace {
-        assert!(e.end_ns >= e.start_ns);
-    }
-    let summary = TraceSummary::from_events(&report.trace, 2);
-    assert!(summary.per_rank[0].compute_secs > 0.0);
-    assert!(summary.per_rank[1].p2p_secs > 0.0);
-    assert_eq!(summary.top_pairs[0], (0, 1, 1000));
-}
-
-#[test]
-fn tracing_off_leaves_report_empty() {
-    let (net, placement) = grid(1);
-    let report = MpiJob::new(net, placement, MpiImpl::Mpich2)
-        .run(|mut ctx: RankCtx| async move {
-            ctx.barrier().await;
+        .filter_map(|e| match e {
+            Event::MpiSpan {
+                op,
+                start_ns,
+                end_ns,
+                ..
+            } => Some((*op, *start_ns, *end_ns)),
+            _ => None,
         })
-        .unwrap();
-    assert!(report.trace.is_empty());
+        .collect();
+    assert!(!spans.is_empty());
+    for kind in ["compute", "send", "recv", "barrier"] {
+        assert!(spans.iter().any(|s| s.0 == kind), "no {kind} span");
+    }
+    // Spans are well-formed and the analysis accounts for both ranks.
+    for s in &spans {
+        assert!(s.2 >= s.1);
+    }
+    let a = Analysis::from_events(&events, HEADER_BYTES);
+    assert!(a.ranks[0].compute_secs > 0.0);
+    let r1 = &a.ranks[1];
+    assert!(r1.send_secs + r1.recv_secs + r1.wait_send_secs > 0.0);
+    assert_eq!(a.pairs[0], (0, 1, 1000));
 }
 
 #[test]

@@ -211,14 +211,6 @@ pub(crate) struct NetProf {
 /// with the pattern length would sample the same site forever.
 pub(crate) const NET_PROF_SAMPLE: u64 = 13;
 
-/// Initial fast-path setting for new networks: on, unless the
-/// `NETSIM_NO_FAST_PATH` environment variable is set (a debug knob for
-/// diffing whole-program output against the per-round model).
-fn default_fast_enabled() -> bool {
-    static ENABLED: std::sync::OnceLock<bool> = std::sync::OnceLock::new();
-    *ENABLED.get_or_init(|| std::env::var_os("NETSIM_NO_FAST_PATH").is_none())
-}
-
 impl NetState {
     pub(crate) fn new(topo: Topology, stack_overhead: SimDuration) -> NetState {
         NetState {
@@ -232,7 +224,7 @@ impl NetState {
             fill: WaterFill::default(),
             finish_gen: 0,
             link_delivered: Vec::new(),
-            fast_enabled: default_fast_enabled(),
+            fast_enabled: true,
             fast: None,
             fast_gen: 0,
             obs: None,

@@ -8,10 +8,7 @@
 //!    fast path is enabled or the per-round event loop runs. The fast
 //!    path materializes the samples from its replay; per-channel virtual
 //!    timestamps, cwnd values, raw ssthresh bits, phases, and outcomes
-//!    must all match. (`Network::set_bulk_fast_path(false)` is the
-//!    in-process equivalent of the `NETSIM_NO_FAST_PATH=1` environment
-//!    knob, which is latched once per process and so cannot be toggled
-//!    inside one test binary.)
+//!    must all match. `Network::set_bulk_fast_path` selects the mode.
 //!
 //! 2. **Observer invariance** — attaching a recorder never changes a
 //!    run's virtual timestamps: probed and unprobed runs finish every

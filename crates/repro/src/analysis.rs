@@ -1,8 +1,11 @@
 //! Analysis experiments built on the instrumentation subsystems: traces,
 //! link utilization, placement optimisation, and application scaling.
 
+use std::sync::Arc;
+
+use desim::obs::analysis::ascii_timeline;
+use desim::{Analysis, Collector, Event, Obs, Recorder, Tee};
 use gridapps::Ray2MeshConfig;
-use mpisim::trace::{ascii_timeline, TraceSummary};
 use mpisim::{MpiImpl, MpiJob};
 use netsim::{grid5000_four_sites, KernelConfig, Network};
 use npb::{NasBenchmark, NasClass, NasRun};
@@ -10,9 +13,9 @@ use placer::{optimize_master, CommProfile};
 
 use crate::util::{npb_placement, TuningLevel};
 
-/// `repro trace <BENCH>`: run one kernel with tracing on the 8+8 grid and
-/// print the per-rank activity breakdown, hot pairs, and a space-time
-/// diagram of the first timed iterations.
+/// `repro trace <BENCH>`: run one kernel on the 8+8 grid with a
+/// [`Collector`] on the MPI span stream and print the per-rank activity
+/// breakdown, hot pairs, and a space-time diagram of the run.
 pub fn cmd_trace(bench: NasBenchmark) {
     crate::header(&format!(
         "Trace: {} class A, 8+8 grid, GridMPI — per-rank activity",
@@ -23,42 +26,54 @@ pub fn cmd_trace(bench: NasBenchmark) {
     let ranks = placement.len();
     let run = NasRun::quick(bench, NasClass::A);
     let obs = crate::obs_sink();
-    let mut job = MpiJob::new(net, placement, MpiImpl::GridMpi)
+    let collector = Arc::new(Collector::new());
+    let recorder: Arc<dyn Recorder> = match &obs {
+        Some((sink, _)) => Arc::new(Tee::new(vec![collector.clone(), sink.clone()])),
+        None => collector.clone(),
+    };
+    let report = MpiJob::new(net, placement, MpiImpl::GridMpi)
         .with_tuning(level.tuning(MpiImpl::GridMpi))
-        .with_tracing();
-    if let Some((sink, _)) = &obs {
-        job = job.with_obs(desim::obs::Obs::none().recorder(sink.clone()));
-    }
-    let report = job.run(run.program()).expect("traced run completes");
+        .with_obs(Obs::none().recorder(recorder))
+        .run(run.program())
+        .expect("traced run completes");
     if let Some((sink, metrics)) = &obs {
         crate::write_obs(sink, metrics);
     }
-    let summary = TraceSummary::from_events(&report.trace, ranks);
+    let events = collector.events();
+    let analysis = Analysis::from_events(&events, mpisim::HEADER_BYTES);
     println!(
         "{:>5} {:>12} {:>12} {:>12} {:>14}",
         "rank", "compute (s)", "p2p (s)", "coll (s)", "bytes sent"
     );
-    for (r, b) in summary.per_rank.iter().enumerate() {
+    for p in &analysis.ranks {
         println!(
-            "{r:>5} {:>12.4} {:>12.4} {:>12.4} {:>14}",
-            b.compute_secs, b.p2p_secs, b.collective_secs, b.bytes_sent
+            "{:>5} {:>12.4} {:>12.4} {:>12.4} {:>14}",
+            p.rank,
+            p.compute_secs,
+            p.send_secs + p.recv_secs + p.wait_send_secs,
+            p.collective_secs,
+            p.bytes_sent
         );
     }
-    if !summary.top_pairs.is_empty() {
+    if !analysis.pairs.is_empty() {
         println!("\nbusiest directed pairs:");
-        for &(a, b, n) in summary.top_pairs.iter().take(5) {
+        for &(a, b, n) in analysis.pairs.iter().take(5) {
             println!("  rank {a:>2} -> rank {b:>2}: {n} bytes");
         }
     }
     let t1 = report.elapsed.as_nanos();
     println!("\nspace-time diagram (C compute, s send, r recv, A collective, . idle):");
-    for (r, row) in ascii_timeline(&report.trace, ranks, 0, t1, 72)
+    for (r, row) in ascii_timeline(&events, ranks, 0, t1, 72)
         .into_iter()
         .enumerate()
     {
         println!("rank {r:>2} |{row}|");
     }
-    println!("({} traced events over {})", summary.events, report.elapsed);
+    let spans = events
+        .iter()
+        .filter(|e| matches!(e, Event::MpiSpan { .. }))
+        .count();
+    println!("({spans} traced events over {})", report.elapsed);
 }
 
 /// `repro utilization`: WAN bytes moved by each implementation for the

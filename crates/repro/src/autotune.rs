@@ -18,9 +18,11 @@
 use std::collections::BTreeMap;
 use std::path::PathBuf;
 
+use desim::obs::json::Value;
 use desim::SimTime;
 use mpisim::{CollAlgo, CollConfig, CollOp, CollSel, ExecConfig, MpiImpl, RankCtx};
 use netsim::{grid5000_four_sites, grid5000_pair, Network, NodeId};
+use repro::cache::{self, fnv1a64};
 
 use crate::par::par_map;
 use crate::scenario::Scenario;
@@ -30,8 +32,9 @@ use crate::util::{size_label, TuningLevel};
 const RANKS: usize = 16;
 /// Back-to-back repetitions per measurement (steady-state, not cold).
 const ROUNDS: u32 = 4;
-/// Bump to invalidate every cached measurement.
-const CACHE_VERSION: u32 = 1;
+/// Bump to invalidate every cached measurement (2: values are stored
+/// exactly; version 1 rounded them to 10 significant digits).
+const CACHE_VERSION: u32 = 2;
 
 /// The two placements every cell runs on.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -188,44 +191,6 @@ impl Cell {
     }
 }
 
-fn fnv1a64(s: &str) -> u64 {
-    let mut h = 0xcbf29ce484222325u64;
-    for b in s.bytes() {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x100000001b3);
-    }
-    h
-}
-
-fn load_cache(path: &PathBuf) -> BTreeMap<String, f64> {
-    let mut cache = BTreeMap::new();
-    let Ok(text) = std::fs::read_to_string(path) else {
-        return cache;
-    };
-    let Ok(desim::obs::json::Value::Obj(members)) = desim::obs::json::parse(&text) else {
-        return cache;
-    };
-    for (k, v) in members {
-        if let Some(secs) = v.as_f64() {
-            cache.insert(k, secs);
-        }
-    }
-    cache
-}
-
-fn save_cache(path: &PathBuf, cache: &BTreeMap<String, f64>) {
-    if let Some(parent) = path.parent() {
-        let _ = std::fs::create_dir_all(parent);
-    }
-    let body: Vec<String> = cache
-        .iter()
-        .map(|(k, v)| format!("  {}: {v:.9e}", crate::json_str(k)))
-        .collect();
-    if let Err(e) = std::fs::write(path, format!("{{\n{}\n}}\n", body.join(",\n"))) {
-        eprintln!("cannot write cache {}: {e}", path.display());
-    }
-}
-
 /// `--dat DIR` if given, else the committed default.
 fn out_dir() -> PathBuf {
     crate::DAT_DIR
@@ -278,7 +243,7 @@ pub fn cmd_autotune_coll(args: &[String]) {
         }
     }
 
-    let mut cache = load_cache(&cache_path);
+    let mut cache = cache::load(&cache_path, |v| v.as_f64());
     let missing: Vec<Cell> = cells
         .iter()
         .copied()
@@ -295,7 +260,9 @@ pub fn cmd_autotune_coll(args: &[String]) {
     for (key, secs) in measured {
         cache.insert(key, secs);
     }
-    save_cache(&cache_path, &cache);
+    if let Err(e) = cache::save(&cache_path, &cache, |&secs| Value::Num(secs)) {
+        eprintln!("{e}");
+    }
     let time_of = |c: &Cell| cache[&c.key()];
 
     // Per-profile decision tables: winner per (op, bytes, topo).

@@ -40,6 +40,7 @@ use mpisim::{
 };
 use netsim::{grid5000_four_sites, grid5000_pair, Network, NodeId};
 
+use crate::cache::{self, fnv1a64};
 use crate::par::par_map_with;
 use crate::scenario::Scenario;
 use crate::util::{Scope, TuningLevel};
@@ -182,15 +183,6 @@ fn level_key(level: TuningLevel) -> &'static str {
         TuningLevel::TcpTuned => "tcp_tuned",
         TuningLevel::FullyTuned => "fully_tuned",
     }
-}
-
-pub(crate) fn fnv1a64(s: &str) -> u64 {
-    let mut h = 0xcbf29ce484222325u64;
-    for b in s.bytes() {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x100000001b3);
-    }
-    h
 }
 
 // ------------------------------------------------------------------ specs
@@ -524,33 +516,6 @@ fn blame_value(a: &Analysis) -> Value {
 
 // ------------------------------------------------------------------ cache
 
-type Cache = BTreeMap<String, Value>;
-
-fn load_cache(path: &PathBuf) -> Cache {
-    let mut cache = Cache::new();
-    let Ok(text) = std::fs::read_to_string(path) else {
-        return cache;
-    };
-    let Ok(Value::Obj(members)) = json::parse(&text) else {
-        return cache;
-    };
-    for (k, v) in members {
-        if matches!(v, Value::Obj(_)) {
-            cache.insert(k, v);
-        }
-    }
-    cache
-}
-
-fn save_cache(path: &PathBuf, cache: &Cache) -> Result<(), String> {
-    if let Some(parent) = path.parent() {
-        let _ = std::fs::create_dir_all(parent);
-    }
-    let members: Vec<(String, Value)> = cache.iter().map(|(k, v)| (k.clone(), v.clone())).collect();
-    std::fs::write(path, json::write(&Value::Obj(members)))
-        .map_err(|e| format!("cannot write cache {}: {e}", path.display()))
-}
-
 /// The deterministic row subset stored under the fingerprint.
 fn cache_entry(scenario_key: &str, axes: &Value, out: &SimOut) -> Value {
     Value::Obj(vec![
@@ -704,7 +669,9 @@ pub fn run(cfg: &CampaignConfig) -> Result<CampaignReport, String> {
         .iter()
         .map(|c| c.fingerprint(cfg.perturb_loss))
         .collect();
-    let cache = Arc::new(load_cache(&cfg.cache_path));
+    let cache = Arc::new(cache::load(&cfg.cache_path, |v| {
+        matches!(v, Value::Obj(_)).then_some(v)
+    }));
     let pulse = Arc::new(Pulse::new(cells.len()));
     let started = Instant::now();
 
@@ -790,7 +757,7 @@ pub fn run(cfg: &CampaignConfig) -> Result<CampaignReport, String> {
             );
         }
     }
-    save_cache(&cfg.cache_path, &new_cache)?;
+    cache::save(&cfg.cache_path, &new_cache, Value::clone)?;
 
     let run_rows: Vec<&RunRow> = rows.iter().map(|(_, row, _)| row).collect();
     let guidelines = campaign_guidelines(&run_rows);

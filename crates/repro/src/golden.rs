@@ -15,6 +15,11 @@
 //! behaviour change; the diff of `results/golden/*.json` then documents
 //! exactly which scenarios moved (see DESIGN.md §10).
 //!
+//! `repro golden check` runs every scenario twice: as recorded, then with
+//! the closed-form bulk fast path pinned off through
+//! [`ExecConfig::fast_path`]. Both passes must match the corpus, because
+//! digests are defined to be identical in either mode.
+//!
 //! `--pdes N` runs the same scenarios on the sharded PDES driver with `N`
 //! worker threads against a *separate* corpus (default
 //! `results/golden/pdes/`): the PDES event stream is deterministic for
@@ -228,8 +233,8 @@ fn golden_faults(sink: &Arc<DigestSink>, exec: ExecConfig) -> u64 {
 /// path materializes that flow's round samples at commit time, which
 /// reorders the recorded stream (same events, same times) — and the
 /// digest folds stream order. Pinning the per-round model makes this
-/// scenario's digest identical under both `NETSIM_NO_FAST_PATH` modes,
-/// which the golden and pdes stages then verify.
+/// scenario's digest identical in both fast-path modes, which
+/// `repro golden check` then verifies.
 fn coll_testbed() -> Scenario {
     let (mut topo, _sites, nodes) = grid5000_four_sites(2);
     topo.set_kernel_all(KernelConfig::tuned(4 << 20));
@@ -377,6 +382,41 @@ fn read_record(dir: &Path, scenario: &str) -> Result<StoredRecord, String> {
     })
 }
 
+/// Recompute one scenario under `exec` and compare it with the corpus,
+/// printing the verdict. Returns whether it matched.
+fn check_scenario(dir: &Path, name: &'static str, f: GoldenFn, exec: ExecConfig) -> bool {
+    let got = run_scenario(name, f, exec);
+    match read_record(dir, name) {
+        Err(msg) => {
+            println!("{name:<10} FAIL  {msg}");
+            false
+        }
+        Ok(want) if want.digest == got.digest && want.events == got.events => {
+            println!(
+                "{:<10} ok    digest {} ({} events)",
+                name, got.digest, got.events
+            );
+            true
+        }
+        Ok(want) => {
+            println!("{name:<10} FAIL  behaviour diverged from the recorded golden run:");
+            println!(
+                "           digest     {} (want {})",
+                got.digest, want.digest
+            );
+            println!(
+                "           events     {} (want {})",
+                got.events, want.events
+            );
+            println!(
+                "           elapsed_ns {} (want {})",
+                got.elapsed_ns, want.elapsed_ns
+            );
+            false
+        }
+    }
+}
+
 /// `repro golden record|check [--dir DIR] [--pdes N]`.
 pub fn cmd_golden(args: &[String]) {
     let mode = args.get(1).map(String::as_str);
@@ -427,37 +467,15 @@ pub fn cmd_golden(args: &[String]) {
                 Some(n) => format!("Golden corpus: checking run digests (PDES, {n} workers)"),
                 None => "Golden corpus: checking run digests".to_string(),
             });
-            let mut failures: Vec<&str> = Vec::new();
-            for &(name, f) in SCENARIOS {
-                let got = run_scenario(name, f, exec);
-                match read_record(&dir, name) {
-                    Err(msg) => {
-                        println!("{name:<10} FAIL  {msg}");
-                        failures.push(name);
-                    }
-                    Ok(want) if want.digest == got.digest && want.events == got.events => {
-                        println!(
-                            "{:<10} ok    digest {} ({} events)",
-                            name, got.digest, got.events
-                        );
-                    }
-                    Ok(want) => {
-                        println!(
-                            "{name:<10} FAIL  behaviour diverged from the recorded golden run:"
-                        );
-                        println!(
-                            "           digest     {} (want {})",
-                            got.digest, want.digest
-                        );
-                        println!(
-                            "           events     {} (want {})",
-                            got.events, want.events
-                        );
-                        println!(
-                            "           elapsed_ns {} (want {})",
-                            got.elapsed_ns, want.elapsed_ns
-                        );
-                        failures.push(name);
+            let mut failures: Vec<String> = Vec::new();
+            for (mode, exec) in [
+                ("fast path as configured", exec),
+                ("fast path off", exec.fast_path(false)),
+            ] {
+                println!("-- {mode}");
+                for &(name, f) in SCENARIOS {
+                    if !check_scenario(&dir, name, f, exec) {
+                        failures.push(format!("{name} ({mode})"));
                     }
                 }
             }
@@ -470,7 +488,10 @@ pub fn cmd_golden(args: &[String]) {
                 );
                 std::process::exit(1);
             }
-            println!("\ngolden check passed ({} scenarios)", SCENARIOS.len());
+            println!(
+                "\ngolden check passed ({} scenarios, fast path on and off)",
+                SCENARIOS.len()
+            );
         }
         _ => {
             eprintln!("usage: repro golden <record|check> [--dir DIR] [--pdes N]");

@@ -10,12 +10,15 @@
 //!   faults → observability → run.
 //! - [`campaign`] — the sweep engine: expands a declarative spec into
 //!   scenario runs with digest-keyed caching and writes the run ledger.
+//! - [`cache`] — the digest-keyed JSON result cache behind `campaign`
+//!   and `autotune-coll`.
 //! - [`ledger`] — cross-run analysis over ledgers: `diff`, `top`,
 //!   `report`.
 //!
 //! The table/figure subcommands stay in the binary; everything here is
 //! deliberately free of CLI state (no `--dat` globals, no `exit`).
 
+pub mod cache;
 pub mod campaign;
 pub mod ledger;
 pub mod par;

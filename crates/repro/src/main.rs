@@ -110,12 +110,34 @@ fn out_file(name: &str, ext: &str) -> Option<std::fs::File> {
     std::fs::File::create(dir.join(format!("{name}.{ext}"))).ok()
 }
 
+/// Command-line synopsis (`repro help`, `--help`, `-h`).
+const USAGE: &str = "usage: repro <table1|table2|table4|table5|table6|table7|\
+     fig3|fig5|fig6|fig7|fig9|fig10|fig11|fig12|fig13|testbed|ablation|g2|heterogeneity|perturbation|simri|\
+     utilization|placement|scaling|trace [BENCH]|cwnd|faults|\
+     ring [--ranks N] [--rounds N] [--shards N]|\
+     blame [pingpong|nas|ray2mesh|faults] [--trace-in FILE] \
+     [--emit-events FILE] [--format text|json|dat]|\
+     profile [pingpong|nas|ray2mesh|faults] [--domain host|virtual] \
+     [--format folded|speedscope]|\
+     timeline [pingpong|nas|ray2mesh|faults] [--window MS]|\
+     autotune-coll [--quick] [--check] [--cache FILE]|\
+     golden <record|check> [--dir DIR] [--pdes N]|\
+     guidelines [NAME ...] [--format text|json]|\
+     campaign [--spec quick|tiny] [--label NAME] [--ledger-dir DIR] \
+     [--cache FILE] [--perturb loss[=RATE]] [--no-heartbeat] \
+     [--min-cache-hits PCT]|\
+     ledger <diff OLD NEW [--threshold PCT]|\
+     top OLD NEW [--limit N] [--min-delta X]|report FILE [--dat DIR]>|\
+     validate FILE [--require-event NAME] [--summary]|all> \
+     [--class-a] [--dat DIR] [--trace-out FILE] [--metrics FILE]";
+
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    // A leading flag means "trace with observability outputs", so that
-    // `repro --trace-out run.trace.json` does the obvious thing.
+    // A leading flag other than `--help`/`-h` means "trace with
+    // observability outputs", so that `repro --trace-out run.trace.json`
+    // does the obvious thing.
     let cmd = match args.first().map(String::as_str) {
-        Some(flag) if flag.starts_with('-') => "trace",
+        Some(flag) if flag.starts_with('-') && !matches!(flag, "--help" | "-h") => "trace",
         Some(cmd) => cmd,
         None => "help",
     };
@@ -212,29 +234,8 @@ fn main() {
             slowstart::cmd_cwnd();
             faults::cmd_faults();
         }
-        _ => {
-            eprintln!(
-                "usage: repro <table1|table2|table4|table5|table6|table7|\
-                 fig3|fig5|fig6|fig7|fig9|fig10|fig11|fig12|fig13|testbed|ablation|g2|heterogeneity|perturbation|simri|\
-                 utilization|placement|scaling|trace [BENCH]|cwnd|faults|\
-                 ring [--ranks N] [--rounds N] [--shards N]|\
-                 blame [pingpong|nas|ray2mesh|faults] [--trace-in FILE] \
-                 [--emit-events FILE] [--format text|json|dat]|\
-                 profile [pingpong|nas|ray2mesh|faults] [--domain host|virtual] \
-                 [--format folded|speedscope]|\
-                 timeline [pingpong|nas|ray2mesh|faults] [--window MS]|\
-                 autotune-coll [--quick] [--check] [--cache FILE]|\
-                 golden <record|check> [--dir DIR]|\
-                 guidelines [NAME ...] [--format text|json]|\
-                 campaign [--spec quick|tiny] [--label NAME] [--ledger-dir DIR] \
-                 [--cache FILE] [--perturb loss[=RATE]] [--no-heartbeat] \
-                 [--min-cache-hits PCT]|\
-                 ledger <diff OLD NEW [--threshold PCT]|\
-                 top OLD NEW [--limit N] [--min-delta X]|report FILE [--dat DIR]>|\
-                 validate FILE [--require-event NAME] [--summary]|all> \
-                 [--class-a] [--dat DIR] [--trace-out FILE] [--metrics FILE]"
-            );
-        }
+        "help" | "--help" | "-h" => println!("{USAGE}"),
+        _ => eprintln!("{USAGE}"),
     }
 }
 
@@ -434,7 +435,8 @@ fn validate_jsonl(path: &str, text: &str, summary: bool) {
 
 /// True if `doc` contains (at any depth) an object whose `"name"` is
 /// `want` exactly, or `want` followed by a ` #subject` suffix (the form
-/// fault instants use in the Chrome trace, e.g. `"rank_fail #3"`).
+/// fault instants use in the Chrome trace, e.g. `"rank_fail #3"`), or
+/// whose Chrome `"cat"` is `want` (every MPI span is `"mpi_span"`).
 fn event_named(doc: &desim::obs::json::Value, want: &str) -> bool {
     use desim::obs::json::Value;
     let name_matches = |name: &str| {
@@ -449,6 +451,7 @@ fn event_named(doc: &desim::obs::json::Value, want: &str) -> bool {
                 .get("name")
                 .and_then(Value::as_str)
                 .is_some_and(name_matches)
+                || doc.get("cat").and_then(Value::as_str) == Some(want)
             {
                 return true;
             }

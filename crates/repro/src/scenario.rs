@@ -2,7 +2,7 @@
 //!
 //! Every subcommand used to assemble the same pipeline by hand: build a
 //! topology, apply the tuning level's kernel + MPI knobs, construct an
-//! [`MpiJob`], attach tracing/recorder/deadline, run. `Scenario` owns
+//! [`MpiJob`], attach recorder/deadline, run. `Scenario` owns
 //! that chain (topology → tuning → workload → faults → recorder → run)
 //! so experiments only state what is *different* about them.
 
@@ -26,7 +26,6 @@ pub struct Scenario {
     faults: Option<FaultPlan>,
     observe: Obs,
     exec: ExecConfig,
-    tracing: bool,
     deadline: Option<SimTime>,
 }
 
@@ -94,7 +93,6 @@ impl Scenario {
             faults: None,
             observe: Obs::none(),
             exec: ExecConfig::new(),
-            tracing: false,
             deadline: None,
         }
     }
@@ -129,7 +127,7 @@ impl Scenario {
         self
     }
 
-    /// Configure execution: engine, PDES shard count, fast path,
+    /// Configure execution: PDES shard count, fast path,
     /// communication pattern.
     pub fn exec(mut self, exec: ExecConfig) -> Scenario {
         self.exec = exec;
@@ -157,13 +155,6 @@ impl Scenario {
         }
     }
 
-    /// Enable per-operation tracing.
-    #[allow(dead_code)] // part of the builder surface; used by ad-hoc analyses
-    pub fn tracing(mut self) -> Scenario {
-        self.tracing = true;
-        self
-    }
-
     /// Abort the run past `limit` of virtual time.
     pub fn deadline(mut self, limit: SimTime) -> Scenario {
         self.deadline = Some(limit);
@@ -178,9 +169,6 @@ impl Scenario {
             .with_exec(self.exec);
         if let Some(profile) = self.profile {
             job = job.with_profile(profile);
-        }
-        if self.tracing {
-            job = job.with_tracing();
         }
         if let Some(limit) = self.deadline {
             job = job.with_deadline(limit);

@@ -5,8 +5,10 @@
 //!
 //! Run with: `cargo run --release --example grid_aware_collectives`
 
-use grid_mpi_lab::mpisim::trace::TraceSummary;
-use grid_mpi_lab::mpisim::{BcastAlgo, ImplProfile, MpiImpl, MpiJob, RankCtx};
+use std::sync::Arc;
+
+use grid_mpi_lab::desim::{Analysis, Collector, Obs};
+use grid_mpi_lab::mpisim::{BcastAlgo, ImplProfile, MpiImpl, MpiJob, RankCtx, HEADER_BYTES};
 use grid_mpi_lab::netsim::{grid5000_pair, KernelConfig, Network};
 
 fn main() {
@@ -39,8 +41,9 @@ fn main() {
     // 2. A hand-written hierarchical broadcast over sub-communicators:
     //    one WAN hop to each remote site leader, then intra-site trees.
     let (net, placement) = testbed();
+    let collector = Arc::new(Collector::new());
     let report = MpiJob::new(net, placement, MpiImpl::GridMpi)
-        .with_tracing()
+        .with_obs(Obs::none().recorder(collector.clone()))
         .run(move |mut ctx: RankCtx| async move {
             let site = ctx.comm_site();
             let leaders = ctx.comm_split(|r| if r % 8 == 0 { 0 } else { 1 + r as u64 });
@@ -67,9 +70,9 @@ fn main() {
         t_oblivious.as_secs_f64() / t_hierarchical.as_secs_f64()
     );
 
-    let summary = TraceSummary::from_events(&report.trace, 16);
+    let analysis = Analysis::from_events(&collector.events(), HEADER_BYTES);
     println!("hierarchical version, busiest pairs (note: only 0->8 crosses the WAN):");
-    for &(a, b, n) in summary.top_pairs.iter().take(4) {
+    for &(a, b, n) in analysis.pairs.iter().take(4) {
         println!("  rank {a:>2} -> rank {b:>2}: {:.1} MB", n as f64 / 1e6);
     }
 }

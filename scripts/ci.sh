@@ -12,7 +12,8 @@
 #   fmt     rustfmt check
 #   clippy  lint the whole workspace, warnings are errors
 #   build   release build of every crate
-#   test    the tier-1 gate: full workspace test suite + named contracts
+#   test    the tier-1 gate: full workspace test suite + named contracts,
+#           and no environment-variable reads in the library crates
 #   smoke   end-to-end demos produce valid traces with required events
 #   golden  digests match the recorded corpus (fast path on AND off),
 #           and the paper's performance guidelines hold
@@ -71,6 +72,14 @@ stage_test() {
     # called out so a failure names the contract.)
     cargo test -q --offline --test fault_determinism
     cargo test -q --offline -p mpisim --test fault_semantics
+    # Library crates take configuration only through their APIs: no
+    # environment-variable reads anywhere in their sources.
+    if grep -rnE 'env::var' \
+        crates/desim/src crates/netsim/src crates/mpisim/src \
+        crates/npb/src crates/gridapps/src crates/placer/src; then
+        echo "library crates must not read environment variables" >&2
+        exit 1
+    fi
 }
 
 stage_smoke() {
@@ -89,15 +98,19 @@ stage_smoke() {
         --require-event rank_fail --require-event chunk_reissued
     test -s target/faultdat/faults_goodput.dat
     test -s target/faultdat/faults_ray2mesh.dat
+    # The per-rank trace runs on the obs MPI span stream; its exported
+    # trace carries those spans.
+    ./target/release/repro trace CG --trace-out target/trace_cg.json >/dev/null
+    ./target/release/repro validate target/trace_cg.json --require-event mpi_span
 }
 
 stage_golden() {
     release_bins
     # Every scenario's digest must match results/golden/ bit for bit —
-    # with the closed-form bulk fast path engaged and disabled, since
-    # digests are defined to be identical either way.
+    # `golden check` runs each one with the closed-form bulk fast path
+    # as recorded and again pinned off, since digests are defined to be
+    # identical either way.
     ./target/release/repro golden check
-    NETSIM_NO_FAST_PATH=1 ./target/release/repro golden check
     # And the paper's qualitative shapes must still hold.
     ./target/release/repro guidelines
 }
@@ -186,14 +199,13 @@ stage_pdes() {
     # The site partition is a pure function of (topology, placement,
     # pattern) — never of the worker count — so every worker count must
     # reproduce the corpus bit for bit, with the bulk fast path engaged
-    # and disabled (digests are defined to be identical either way, as
-    # for the classic corpus). The corpus includes the four-site
+    # and disabled (each `golden check` runs both modes, as for the
+    # classic corpus). The corpus includes the four-site
     # ray2mesh scenario, so `--pdes 4` doubles as the 4-shard ray2mesh
     # smoke.
     ./target/release/repro golden check --pdes 1
     ./target/release/repro golden check --pdes 2
     ./target/release/repro golden check --pdes 4
-    NETSIM_NO_FAST_PATH=1 ./target/release/repro golden check --pdes 4
     # Rank-scale smoke on the sharded driver: a 64-rank two-site ring at
     # 4 workers, clean exit (the ring asserts no undrained messages).
     ./target/release/repro ring --ranks 64 --rounds 2 --shards 4 >/dev/null

@@ -4,9 +4,8 @@
 //! The digest is the foundation of `repro golden check`: it must be a
 //! pure function of the simulated behaviour. These tests pin the three
 //! invariances that make that true — rerunning in the same process,
-//! toggling the TCP bulk fast path (`Network::set_bulk_fast_path` is the
-//! in-process form of `NETSIM_NO_FAST_PATH=1`, which is latched once per
-//! process), and attaching additional observers via [`Tee`] — and one
+//! toggling the TCP bulk fast path (`Network::set_bulk_fast_path`), and
+//! attaching additional observers via [`Tee`] — and one
 //! sensitivity: actually changing the workload must change the digest.
 
 use std::sync::Arc;
@@ -37,8 +36,7 @@ fn pingpong_digest(
     };
     let mut job = MpiJob::new(net, placement, MpiImpl::Mpich2)
         .with_tuning(Tuning::paper_tuned(MpiImpl::Mpich2))
-        .with_obs(Obs::none().recorder(rec))
-        .with_tracing();
+        .with_obs(Obs::none().recorder(rec));
     if let Some(seed) = seed {
         job = job.with_faults(FaultPlan::new().with_seed(seed).with_wan_loss(1e-3));
     }
@@ -83,7 +81,7 @@ fn fast_path_does_not_change_digest() {
     let (fast, _) = pingpong_digest(4 << 20, true, None, None);
     assert_eq!(
         slow, fast,
-        "digest differs across NETSIM_NO_FAST_PATH — an engine detail leaked \
+        "digest differs with the bulk fast path on and off — an engine detail leaked \
          into the canonical event encoding"
     );
 }

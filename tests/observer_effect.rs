@@ -4,10 +4,7 @@
 //! TCP, link), MPI spans, app-phase markers, kernel run stats, and the
 //! metrics registry — must not move a single virtual timestamp. Each
 //! scenario here runs once bare and once fully probed, with the TCP bulk
-//! fast path both enabled and disabled
-//! (`Network::set_bulk_fast_path(false)` is the in-process form of the
-//! `NETSIM_NO_FAST_PATH=1` environment knob, which is latched once per
-//! process and so cannot be toggled between runs of one test binary),
+//! fast path both enabled and disabled (`Network::set_bulk_fast_path`),
 //! and demands byte-identical elapsed and per-rank nanosecond times.
 
 use std::sync::Arc;
@@ -30,7 +27,6 @@ fn run_job(job: MpiJob, probed: bool, program: impl MpiProgram) -> Timing {
     let sink = Arc::new(RingSink::with_metrics(1 << 18, Arc::new(Metrics::new())));
     let job = if probed {
         job.with_obs(Obs::none().recorder(sink.clone()))
-            .with_tracing()
     } else {
         job
     };

@@ -88,7 +88,6 @@ fn fingerprint(job: MpiJob, program: impl MpiProgram) -> Fingerprint {
     let sink = Arc::new(DigestSink::new());
     let report = job
         .with_obs(Obs::none().recorder(sink.clone()))
-        .with_tracing()
         .run(program)
         .expect("scenario completes");
     sink.absorb_u64(report.elapsed.as_nanos());
