@@ -13,14 +13,15 @@
 //! * **BTL window cap** — OpenMPI with the pipeline cap removed matches
 //!   the other implementations at 64 MB.
 
-use desim::SimDuration;
 use mpisim::{BcastAlgo, ImplProfile, MpiImpl, MpiJob, RankCtx, Tuning};
 use netsim::{grid5000_pair_with_queue, CongestionControl, KernelConfig, Network};
 
-use crate::util::npb_placement;
+use crate::scenario::{min_one_way, pingpong_program};
+use crate::slowstart::{series_points, time_to};
+use crate::util::{mbps, npb_placement};
 
-/// Mean per-message bandwidth of the i-th decile of a 1 MB message train
-/// (slow-start ramp probe).
+/// Seconds until a train of 1 MB messages first reaches 500 Mbps
+/// one-way (slow-start ramp probe).
 fn ramp_time_to_500(
     mut profile: ImplProfile,
     queue_bytes: u64,
@@ -36,29 +37,9 @@ fn ramp_time_to_500(
     let bytes = 1u64 << 20;
     let report = MpiJob::new(Network::new(topo), vec![rn[0], nn[0]], profile.impl_id)
         .with_profile(profile)
-        .run(move |mut ctx: RankCtx| async move {
-            const TAG: u64 = 1;
-            for _ in 0..200 {
-                if ctx.rank() == 0 {
-                    let t0 = ctx.now();
-                    ctx.send(1, bytes, TAG).await;
-                    ctx.recv(1, TAG).await;
-                    let ow = ctx.now().since(t0).as_secs_f64() / 2.0;
-                    ctx.record("t", ctx.now().as_secs_f64());
-                    ctx.record("bw", bytes as f64 * 8.0 / ow / 1e6);
-                } else {
-                    ctx.recv(0, TAG).await;
-                    ctx.send(0, bytes, TAG).await;
-                }
-            }
-        })
+        .run(pingpong_program(bytes, 200))
         .expect("ramp probe completes");
-    let ts = report.values("t");
-    let bws = report.values("bw");
-    ts.iter()
-        .zip(bws.iter())
-        .find(|(_, &(_, bw))| bw >= 500.0)
-        .map(|(&(_, t), _)| t)
+    time_to(&series_points(bytes, &report), 500.0)
 }
 
 fn fmt_opt(t: Option<f64>) -> String {
@@ -144,30 +125,11 @@ pub fn cmd_ablation() {
         let report = MpiJob::new(Network::new(topo), vec![rn[0], nn[0]], MpiImpl::OpenMpi)
             .with_profile(profile)
             .with_tuning(Tuning::paper_tuned(MpiImpl::OpenMpi))
-            .run(move |mut ctx: RankCtx| async move {
-                const TAG: u64 = 1;
-                for _ in 0..8 {
-                    if ctx.rank() == 0 {
-                        let t0 = ctx.now();
-                        ctx.send(1, bytes, TAG).await;
-                        ctx.recv(1, TAG).await;
-                        ctx.record("ow", ctx.now().since(t0).as_secs_f64() / 2.0);
-                    } else {
-                        ctx.recv(0, TAG).await;
-                        ctx.send(0, bytes, TAG).await;
-                    }
-                }
-            })
+            .run(pingpong_program(bytes, 8))
             .expect("cap ablation completes");
-        let best = report
-            .values("ow")
-            .into_iter()
-            .map(|(_, v)| v)
-            .fold(f64::INFINITY, f64::min);
         println!(
             "{label:<18} -> {:>6.0} Mbps",
-            bytes as f64 * 8.0 / best / 1e6
+            mbps(bytes, min_one_way(&report))
         );
     }
-    let _ = SimDuration::ZERO;
 }

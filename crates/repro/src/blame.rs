@@ -21,7 +21,7 @@ use mpisim::{FaultPlan, MpiImpl, MpiProgram, RankCtx, HEADER_BYTES};
 use netsim::Grid5000Site;
 use npb::{NasBenchmark, NasClass, NasRun};
 
-use crate::scenario::Scenario;
+use crate::scenario::{pingpong_program, Scenario};
 use crate::util::{Scope, TuningLevel};
 
 /// One analyzed run (or replayed stream).
@@ -55,22 +55,6 @@ fn run_section(
         elapsed_ns: report.elapsed.as_nanos(),
         events,
         analysis,
-    }
-}
-
-/// The ping-pong program every comparison uses.
-fn pingpong_program(bytes: u64, iters: u32) -> impl MpiProgram {
-    move |mut ctx: RankCtx| async move {
-        const TAG: u64 = 1;
-        for _ in 0..iters {
-            if ctx.rank() == 0 {
-                ctx.send(1, bytes, TAG).await;
-                ctx.recv(1, TAG).await;
-            } else {
-                ctx.recv(0, TAG).await;
-                ctx.send(0, bytes, TAG).await;
-            }
-        }
     }
 }
 

@@ -42,7 +42,7 @@ use netsim::{grid5000_four_sites, grid5000_pair, Network, NodeId};
 
 use crate::cache::{self, fnv1a64};
 use crate::par::par_map_with;
-use crate::scenario::Scenario;
+use crate::scenario::{pingpong_program, Scenario};
 use crate::util::{Scope, TuningLevel};
 
 /// Bump to invalidate every cached campaign result.
@@ -378,21 +378,6 @@ fn simulate(cell: &Cell, perturb_loss: f64) -> SimOut {
                 ctx.sendrecv(right, 1024, left, TAG).await;
             }
         }),
-    }
-}
-
-fn pingpong_program(bytes: u64, iters: u32) -> impl MpiProgram {
-    move |mut ctx: RankCtx| async move {
-        const TAG: u64 = 1;
-        for _ in 0..iters {
-            if ctx.rank() == 0 {
-                ctx.send(1, bytes, TAG).await;
-                ctx.recv(1, TAG).await;
-            } else {
-                ctx.recv(0, TAG).await;
-                ctx.send(0, bytes, TAG).await;
-            }
-        }
     }
 }
 

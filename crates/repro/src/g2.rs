@@ -3,40 +3,21 @@
 //! collectives, GridFTP-style parallel TCP streams for large messages,
 //! and Globus's extra per-message overhead.
 
-use mpisim::{MpiImpl, MpiJob, RankCtx, Tuning};
-use netsim::Network;
-use npb::{NasBenchmark, NasClass, NasRun};
+use mpisim::MpiImpl;
 
-use crate::util::{npb_placement, pair_endpoints, Scope, TuningLevel};
+use crate::nas::{Exhibit, Layout, NasStore};
+use crate::scenario::{min_one_way, pingpong_program, Scenario};
+use crate::util::{mbps, Scope, TuningLevel};
 
 fn pingpong_mbps(id: MpiImpl, level: TuningLevel, bytes: u64) -> f64 {
-    let (net, a, b) = pair_endpoints(Scope::Grid, level.kernel(Some(id)));
-    let report = MpiJob::new(net, vec![a, b], id)
-        .with_tuning(level.tuning(id))
-        .run(move |mut ctx: RankCtx| async move {
-            const TAG: u64 = 1;
-            for _ in 0..20 {
-                if ctx.rank() == 0 {
-                    let t0 = ctx.now();
-                    ctx.send(1, bytes, TAG).await;
-                    ctx.recv(1, TAG).await;
-                    ctx.record("ow", ctx.now().since(t0).as_secs_f64() / 2.0);
-                } else {
-                    ctx.recv(0, TAG).await;
-                    ctx.send(0, bytes, TAG).await;
-                }
-            }
-        })
+    let report = Scenario::pair(Scope::Grid, level, id)
+        .run(pingpong_program(bytes, 20))
         .expect("G2 pingpong completes");
-    let best = report
-        .values("ow")
-        .into_iter()
-        .map(|(_, v)| v)
-        .fold(f64::INFINITY, f64::min);
-    bytes as f64 * 8.0 / best / 1e6
+    mbps(bytes, min_one_way(&report))
 }
 
-pub fn cmd_g2(class: NasClass) {
+/// Renders the [`Exhibit::G2`] cells of `store`.
+pub fn cmd_g2(store: &NasStore) {
     crate::header("Extension (paper §5): MPICH-G2 — parallel streams & topology-aware collectives");
 
     println!("\n8 MB grid pingpong (Mbps):");
@@ -55,38 +36,23 @@ pub fn cmd_g2(class: NasClass) {
 
     println!(
         "\nNPB class {} on 8+8 nodes (estimated seconds):",
-        class.name()
+        store.class().name()
     );
     print!("{:<6}", "");
     for id in MpiImpl::EXTENDED {
         print!("{:>16}", id.name());
     }
     println!();
-    for bench in [NasBenchmark::Ft, NasBenchmark::Is, NasBenchmark::Cg] {
+    for bench in Exhibit::G2_BENCHES {
         print!("{:<6}", bench.name());
         for id in MpiImpl::EXTENDED {
-            if id.profile().grid_timeouts.contains(&bench.name()) {
-                print!("{:>16}", "timeout");
-                continue;
+            match store.outcome(bench, id, Layout::Split(8, 8)).secs() {
+                Some(s) => print!("{s:>16.1}"),
+                None => print!("{:>16}", "timeout"),
             }
-            let level = TuningLevel::FullyTuned;
-            let (net, placement) = npb_placement(8, 8, 8, level.kernel(Some(id)));
-            let run = NasRun::new(bench, class);
-            let report = MpiJob::new(net, placement, id)
-                .with_tuning(if id == MpiImpl::MpichG2 {
-                    Tuning::paper_tuned(id)
-                } else {
-                    level.tuning(id)
-                })
-                .run(run.program())
-                .expect("G2 NAS run completes");
-            print!("{:>16.1}", run.estimate(&report).as_secs_f64());
         }
         println!();
     }
     println!("G2's topology-aware collectives track GridMPI on FT; its Globus");
     println!("overhead costs it on latency-bound kernels.");
-
-    // Re-export Network so the crate graph stays explicit.
-    let _ = |n: Network| n;
 }

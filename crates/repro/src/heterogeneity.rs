@@ -9,9 +9,12 @@
 //! per-message management overhead to find the break-even point.
 
 use desim::SimDuration;
-use mpisim::{ImplProfile, MpiImpl, MpiJob, RankCtx, Tuning};
+use mpisim::{ImplProfile, MpiImpl, MpiJob, Tuning};
 use netsim::{FastLanParams, KernelConfig, Network, NodeId, Topology};
 use npb::{NasBenchmark, NasClass, NasRun};
+
+use crate::scenario::{min_one_way, pingpong_program};
+use crate::util::mbps;
 
 /// The Fig. 2 testbed with Myrinet alongside Ethernet in both sites.
 fn myrinet_pair(nodes_per_site: usize) -> (Topology, Vec<NodeId>, Vec<NodeId>) {
@@ -58,27 +61,9 @@ fn lan_pingpong_us(profile: ImplProfile, bytes: u64) -> f64 {
     let report = MpiJob::new(Network::new(topo), vec![rn[0], rn[1]], profile.impl_id)
         .with_profile(profile)
         .with_tuning(Tuning::paper_tuned(MpiImpl::MpichMadeleine))
-        .run(move |mut ctx: RankCtx| async move {
-            const TAG: u64 = 1;
-            for _ in 0..10 {
-                if ctx.rank() == 0 {
-                    let t0 = ctx.now();
-                    ctx.send(1, bytes, TAG).await;
-                    ctx.recv(1, TAG).await;
-                    ctx.record("ow", ctx.now().since(t0).as_secs_f64() / 2.0);
-                } else {
-                    ctx.recv(0, TAG).await;
-                    ctx.send(0, bytes, TAG).await;
-                }
-            }
-        })
+        .run(pingpong_program(bytes, 10))
         .expect("fabric pingpong completes");
-    report
-        .values("ow")
-        .into_iter()
-        .map(|(_, v)| v)
-        .fold(f64::INFINITY, f64::min)
-        * 1e6
+    min_one_way(&report) * 1e6
 }
 
 fn nas_secs(bench: NasBenchmark, profile: ImplProfile) -> f64 {
@@ -115,7 +100,7 @@ pub fn cmd_heterogeneity() {
         ),
     ] {
         let ow = lan_pingpong_us(profile, 1 << 20) / 1e6;
-        println!("  {label:<24} {:6.0}", (1u64 << 20) as f64 * 8.0 / ow / 1e6);
+        println!("  {label:<24} {:6.0}", mbps(1 << 20, ow));
     }
 
     println!("\nNPB class B, 8+8 grid, MPICH-Madeleine (intra-site fabric, WAN stays TCP):");

@@ -28,7 +28,7 @@ use gridapps::Ray2MeshConfig;
 use mpisim::MpiImpl;
 use npb::NasClass;
 
-use nas::{impl_matrix, layout_matrix, table2, Layout};
+use nas::{table2, Exhibit, Layout, NasStore};
 use pingpong::{bandwidth_sweep, pingpong, Stack};
 use rays::master_location_matrix;
 use slowstart::{slowstart_series, time_to};
@@ -160,9 +160,10 @@ fn main() {
     };
     let _ = TRACE_OUT.set(flag_path("--trace-out"));
     let _ = METRICS_OUT.set(flag_path("--metrics"));
+    let store = |exhibit| NasStore::build(class, &[exhibit]);
     match cmd {
         "table1" => cmd_table1(),
-        "table2" => cmd_table2(class),
+        "table2" => cmd_table2(&store(Exhibit::Table2)),
         "table4" => cmd_table4(),
         "table5" => cmd_table5(),
         "table6" | "table7" => cmd_ray2mesh(),
@@ -171,13 +172,13 @@ fn main() {
         "fig6" => cmd_bandwidth(Scope::Grid, TuningLevel::TcpTuned, "Figure 6"),
         "fig7" => cmd_bandwidth(Scope::Grid, TuningLevel::FullyTuned, "Figure 7"),
         "fig9" => cmd_fig9(),
-        "fig10" => cmd_fig10(class, Layout::Split(8, 8), "Figure 10"),
-        "fig11" => cmd_fig10(class, Layout::Split(2, 2), "Figure 11"),
-        "fig12" => cmd_fig12(class),
-        "fig13" => cmd_fig13(class),
+        "fig10" => cmd_fig10(&store(Exhibit::Fig10), Layout::Split(8, 8), "Figure 10"),
+        "fig11" => cmd_fig10(&store(Exhibit::Fig11), Layout::Split(2, 2), "Figure 11"),
+        "fig12" => cmd_fig12(&store(Exhibit::Fig12)),
+        "fig13" => cmd_fig13(&store(Exhibit::Fig13)),
         "testbed" => cmd_testbed(),
         "ablation" => ablation::cmd_ablation(),
-        "g2" => g2::cmd_g2(class),
+        "g2" => g2::cmd_g2(&store(Exhibit::G2)),
         "heterogeneity" => heterogeneity::cmd_heterogeneity(),
         "perturbation" => methodology::cmd_perturbation(),
         "simri" => methodology::cmd_simri(),
@@ -217,14 +218,17 @@ fn main() {
             cmd_table4();
             cmd_table5();
             cmd_fig9();
-            cmd_table2(class);
-            cmd_fig10(class, Layout::Split(8, 8), "Figure 10");
-            cmd_fig10(class, Layout::Split(2, 2), "Figure 11");
-            cmd_fig12(class);
-            cmd_fig13(class);
+            // Every NPB exhibit renders from one store: each distinct
+            // cell is simulated once.
+            let store = NasStore::build(class, &Exhibit::ALL);
+            cmd_table2(&store);
+            cmd_fig10(&store, Layout::Split(8, 8), "Figure 10");
+            cmd_fig10(&store, Layout::Split(2, 2), "Figure 11");
+            cmd_fig12(&store);
+            cmd_fig13(&store);
             cmd_ray2mesh();
             ablation::cmd_ablation();
-            g2::cmd_g2(class);
+            g2::cmd_g2(&store);
             heterogeneity::cmd_heterogeneity();
             methodology::cmd_perturbation();
             methodology::cmd_simri();
@@ -235,7 +239,10 @@ fn main() {
             faults::cmd_faults();
         }
         "help" | "--help" | "-h" => println!("{USAGE}"),
-        _ => eprintln!("{USAGE}"),
+        _ => {
+            eprintln!("{USAGE}");
+            std::process::exit(2);
+        }
     }
 }
 
@@ -741,28 +748,12 @@ pub(crate) fn timed_mode(id: MpiImpl, scope: Scope, bytes: u64, threshold: Optio
     let level = TuningLevel::TcpTuned;
     let mut tuning = level.tuning(id);
     tuning.eager_threshold = threshold;
-    let report = scenario::Scenario::pair(scope, level, id)
-        .tuning(tuning)
-        .run(move |mut ctx: mpisim::RankCtx| async move {
-            const TAG: u64 = 1;
-            for _ in 0..10 {
-                if ctx.rank() == 0 {
-                    let t0 = ctx.now();
-                    ctx.send(1, bytes, TAG).await;
-                    ctx.recv(1, TAG).await;
-                    ctx.record("one_way", ctx.now().since(t0).as_secs_f64() / 2.0);
-                } else {
-                    ctx.recv(0, TAG).await;
-                    ctx.send(0, bytes, TAG).await;
-                }
-            }
-        })
-        .expect("mode probe completes");
-    report
-        .values("one_way")
-        .into_iter()
-        .map(|(_, v)| v)
-        .fold(f64::INFINITY, f64::min)
+    scenario::min_one_way(
+        &scenario::Scenario::pair(scope, level, id)
+            .tuning(tuning)
+            .run(scenario::pingpong_program(bytes, 10))
+            .expect("mode probe completes"),
+    )
 }
 
 fn cmd_fig9() {
@@ -796,21 +787,23 @@ fn cmd_fig9() {
     }
 }
 
-fn cmd_fig10(class: NasClass, layout: Layout, title: &str) {
+fn cmd_fig10(store: &NasStore, layout: Layout, title: &str) {
+    let class = store.class();
     header(&format!(
         "{title}: NPB class {} on {} — relative to MPICH2",
         class.name(),
         layout.label()
     ));
-    let matrix = impl_matrix(class, layout);
     if let Some(mut f) = json_file(&format!("{}_times", title.to_lowercase().replace(' ', ""))) {
         // Machine-readable record alongside the table; keys sorted so the
         // output is stable run-to-run.
-        let records: Vec<String> = matrix
+        let records: Vec<String> = npb::NasBenchmark::ALL
             .iter()
-            .map(|(bench, row)| {
-                let mut seconds: Vec<(&str, Option<f64>)> =
-                    row.iter().map(|(id, o)| (id.name(), o.secs())).collect();
+            .map(|&bench| {
+                let mut seconds: Vec<(&str, Option<f64>)> = MpiImpl::ALL
+                    .iter()
+                    .map(|&id| (id.name(), store.outcome(bench, id, layout).secs()))
+                    .collect();
                 seconds.sort_by_key(|(name, _)| *name);
                 let seconds = seconds
                     .iter()
@@ -839,15 +832,14 @@ fn cmd_fig10(class: NasClass, layout: Layout, title: &str) {
         "{:<6} {:>14} {:>14} {:>14} {:>14}   (time s | speedup vs MPICH2)",
         "", "MPICH2", "GridMPI", "MPICH-Mad.", "OpenMPI"
     );
-    for (bench, row) in matrix {
-        let reference = row
-            .iter()
-            .find(|(id, _)| *id == MpiImpl::Mpich2)
-            .and_then(|(_, o)| o.secs())
+    for bench in npb::NasBenchmark::ALL {
+        let reference = store
+            .outcome(bench, MpiImpl::Mpich2, layout)
+            .secs()
             .unwrap_or(f64::NAN);
         print!("{:<6}", bench.name());
-        for (_, outcome) in &row {
-            match outcome.secs() {
+        for id in MpiImpl::ALL {
+            match store.outcome(bench, id, layout).secs() {
                 Some(s) => print!("{:>8.1}|{:<5.2}", s, reference / s),
                 None => print!("{:>14}", "timeout"),
             }
@@ -856,33 +848,43 @@ fn cmd_fig10(class: NasClass, layout: Layout, title: &str) {
     }
 }
 
-fn cmd_fig12(class: NasClass) {
+fn cmd_fig12(store: &NasStore) {
     header(&format!(
         "Figure 12: NPB class {} — 8+8 grid relative to 16 nodes on one cluster",
-        class.name()
+        store.class().name()
     ));
-    let matrix = layout_matrix(class, Layout::Cluster(16), Layout::Split(8, 8));
-    print_layout_matrix(matrix, "t_cluster16/t_grid (1.0 = no grid penalty)");
+    print_layout_ratios(
+        store,
+        Layout::Cluster(16),
+        "t_cluster16/t_grid (1.0 = no grid penalty)",
+    );
 }
 
-fn cmd_fig13(class: NasClass) {
+fn cmd_fig13(store: &NasStore) {
     header(&format!(
         "Figure 13: NPB class {} — 8+8 grid speed-up over 4 nodes on one cluster",
-        class.name()
+        store.class().name()
     ));
-    let matrix = layout_matrix(class, Layout::Cluster(4), Layout::Split(8, 8));
-    print_layout_matrix(matrix, "speedup = t_cluster4/t_grid (ideal 4)");
+    print_layout_ratios(
+        store,
+        Layout::Cluster(4),
+        "speedup = t_cluster4/t_grid (ideal 4)",
+    );
 }
 
-fn print_layout_matrix(matrix: Vec<(npb::NasBenchmark, nas::LayoutRow)>, metric: &str) {
+/// Per kernel and implementation, `reference`'s time over the 8+8
+/// grid's (Figs. 12/13).
+fn print_layout_ratios(store: &NasStore, reference: Layout, metric: &str) {
     println!(
         "{:<6} {:>14} {:>14} {:>14} {:>14}   ({metric})",
         "", "MPICH2", "GridMPI", "MPICH-Mad.", "OpenMPI"
     );
-    for (bench, row) in matrix {
+    for bench in npb::NasBenchmark::ALL {
         print!("{:<6}", bench.name());
-        for (_, reference, grid) in &row {
-            match (reference.secs(), grid.secs()) {
+        for id in MpiImpl::ALL {
+            let r = store.outcome(bench, id, reference).secs();
+            let g = store.outcome(bench, id, Layout::Split(8, 8)).secs();
+            match (r, g) {
                 (Some(r), Some(g)) => print!("{:>14.2}", r / g),
                 _ => print!("{:>14}", "timeout"),
             }
@@ -891,12 +893,12 @@ fn print_layout_matrix(matrix: Vec<(npb::NasBenchmark, nas::LayoutRow)>, metric:
     }
 }
 
-fn cmd_table2(class: NasClass) {
+fn cmd_table2(store: &NasStore) {
     header(&format!(
         "Table 2: NPB communication features (class {}, 16 ranks, instrumented)",
-        class.name()
+        store.class().name()
     ));
-    for row in table2(class) {
+    for row in table2(store) {
         println!("\n{} [{}]", row.bench.name(), row.comm_type);
         if !row.p2p.is_empty() {
             print!("  p2p:");

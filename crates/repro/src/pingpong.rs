@@ -6,12 +6,12 @@
 //! state).
 
 use desim::Sim;
-use mpisim::{MpiImpl, RankCtx};
+use mpisim::MpiImpl;
 use netsim::SockBufRequest;
 
 use crate::par::par_map;
-use crate::scenario::Scenario;
-use crate::util::{pair_endpoints, Scope, TuningLevel};
+use crate::scenario::{min_one_way, pingpong_program, Scenario};
+use crate::util::{mbps, pair_endpoints, Scope, TuningLevel};
 
 /// Stacks compared in Figs. 3/5/6/7 and Table 4.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -66,44 +66,23 @@ pub fn pingpong(
     bytes: u64,
     iters: u32,
 ) -> PingpongPoint {
-    let one_ways = match stack {
+    let best = match stack {
         Stack::RawTcp => {
             let (net, a, b) = pair_endpoints(scope, level.kernel(None));
             raw_tcp_pingpong(net, a, b, bytes, iters)
-        }
-        Stack::Mpi(id) => {
-            let report = Scenario::pair(scope, level, id)
-                .run(move |mut ctx: RankCtx| async move {
-                    const TAG: u64 = 1;
-                    for _ in 0..iters {
-                        if ctx.rank() == 0 {
-                            let t0 = ctx.now();
-                            ctx.send(1, bytes, TAG).await;
-                            ctx.recv(1, TAG).await;
-                            ctx.record("one_way", ctx.now().since(t0).as_secs_f64() / 2.0);
-                        } else {
-                            ctx.recv(0, TAG).await;
-                            ctx.send(0, bytes, TAG).await;
-                        }
-                    }
-                })
-                .expect("pingpong completes");
-            report
-                .values("one_way")
                 .into_iter()
-                .map(|(_, v)| v)
-                .collect::<Vec<_>>()
+                .fold(f64::INFINITY, f64::min)
         }
+        Stack::Mpi(id) => min_one_way(
+            &Scenario::pair(scope, level, id)
+                .run(pingpong_program(bytes, iters))
+                .expect("pingpong completes"),
+        ),
     };
-    summarize(bytes, &one_ways)
-}
-
-fn summarize(bytes: u64, one_ways: &[f64]) -> PingpongPoint {
-    let min_one_way = one_ways.iter().copied().fold(f64::INFINITY, f64::min);
     PingpongPoint {
         bytes,
-        min_one_way,
-        max_mbps: crate::util::mbps(bytes, min_one_way),
+        min_one_way: best,
+        max_mbps: mbps(bytes, best),
     }
 }
 

@@ -33,24 +33,8 @@ use mpisim::{FaultPlan, MpiImpl, MpiProgram, RankCtx, RunReport, HEADER_BYTES};
 use netsim::Grid5000Site;
 use npb::{NasBenchmark, NasClass, NasRun};
 
-use crate::scenario::Scenario;
+use crate::scenario::{pingpong_program, Scenario};
 use crate::util::{Scope, TuningLevel};
-
-/// The ping-pong program the pingpong scenario profiles.
-fn pingpong_program(bytes: u64, iters: u32) -> impl MpiProgram {
-    move |mut ctx: RankCtx| async move {
-        const TAG: u64 = 1;
-        for _ in 0..iters {
-            if ctx.rank() == 0 {
-                ctx.send(1, bytes, TAG).await;
-                ctx.recv(1, TAG).await;
-            } else {
-                ctx.recv(0, TAG).await;
-                ctx.send(0, bytes, TAG).await;
-            }
-        }
-    }
-}
 
 fn launch(
     detail: &str,

@@ -11,7 +11,7 @@ use std::sync::Arc;
 use desim::fault::FaultPlan;
 use desim::obs::Obs;
 use desim::{SimError, SimTime};
-use mpisim::{ExecConfig, ImplProfile, MpiImpl, MpiJob, MpiProgram, RunReport, Tuning};
+use mpisim::{ExecConfig, ImplProfile, MpiImpl, MpiJob, MpiProgram, RankCtx, RunReport, Tuning};
 use netsim::{grid5000_four_sites, Grid5000Site, KernelConfig, Network, NodeId};
 
 use crate::util::{npb_placement, pair_endpoints, Scope, TuningLevel};
@@ -178,4 +178,36 @@ impl Scenario {
         }
         job.run(program)
     }
+}
+
+/// The ping-pong every two-rank experiment drives: `iters` round trips
+/// of `bytes` between ranks 0 and 1. After each round trip rank 0
+/// records `"one_way"` (half the round trip, seconds) and `"t"` (the
+/// virtual time at its end, seconds). Records emit no observability
+/// event, so traces and digests are those of the bare exchange.
+pub fn pingpong_program(bytes: u64, iters: u32) -> impl MpiProgram {
+    move |mut ctx: RankCtx| async move {
+        const TAG: u64 = 1;
+        for _ in 0..iters {
+            if ctx.rank() == 0 {
+                let t0 = ctx.now();
+                ctx.send(1, bytes, TAG).await;
+                ctx.recv(1, TAG).await;
+                ctx.record("one_way", ctx.now().since(t0).as_secs_f64() / 2.0);
+                ctx.record("t", ctx.now().as_secs_f64());
+            } else {
+                ctx.recv(0, TAG).await;
+                ctx.send(0, bytes, TAG).await;
+            }
+        }
+    }
+}
+
+/// The fastest one-way time (seconds) of a [`pingpong_program`] run.
+pub fn min_one_way(report: &RunReport) -> f64 {
+    report
+        .values("one_way")
+        .into_iter()
+        .map(|(_, v)| v)
+        .fold(f64::INFINITY, f64::min)
 }

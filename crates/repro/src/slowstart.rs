@@ -6,10 +6,10 @@ use std::io::Write as _;
 use std::sync::Arc;
 
 use desim::{Event, RingSink};
-use mpisim::{MpiImpl, RankCtx};
+use mpisim::{MpiImpl, RankCtx, RunReport};
 
 use crate::pingpong::Stack;
-use crate::scenario::Scenario;
+use crate::scenario::{pingpong_program, Scenario};
 use crate::util::{mbps, Scope, TuningLevel};
 
 /// One point of the Fig. 9 series.
@@ -24,65 +24,30 @@ pub struct SlowstartPoint {
 /// Run the Fig. 9 experiment for one stack (TCP-tuned configuration, as
 /// in §4.2.3): `count` messages of `bytes`.
 pub fn slowstart_series(stack: Stack, bytes: u64, count: u32) -> Vec<SlowstartPoint> {
-    match stack {
-        Stack::RawTcp => raw_series(bytes, count),
-        Stack::Mpi(id) => mpi_series(id, bytes, count),
-    }
-}
-
-fn mpi_series(id: MpiImpl, bytes: u64, count: u32) -> Vec<SlowstartPoint> {
-    let report = Scenario::pair(Scope::Grid, TuningLevel::FullyTuned, id)
-        .run(move |mut ctx: RankCtx| async move {
-            const TAG: u64 = 1;
-            for _ in 0..count {
-                if ctx.rank() == 0 {
-                    let t0 = ctx.now();
-                    ctx.send(1, bytes, TAG).await;
-                    ctx.recv(1, TAG).await;
-                    let one_way = ctx.now().since(t0).as_secs_f64() / 2.0;
-                    ctx.record("t", ctx.now().as_secs_f64());
-                    ctx.record("bw", mbps(bytes, one_way));
-                } else {
-                    ctx.recv(0, TAG).await;
-                    ctx.send(0, bytes, TAG).await;
-                }
-            }
-        })
+    let level = TuningLevel::FullyTuned;
+    let scenario = match stack {
+        // Raw TCP reuses the MPI machinery with a zero-overhead profile:
+        // an MPI stack with no software overhead, no rendezvous and no
+        // pacing.
+        Stack::RawTcp => Scenario::raw_pair(Scope::Grid, level),
+        Stack::Mpi(id) => Scenario::pair(Scope::Grid, level, id),
+    };
+    let report = scenario
+        .run(pingpong_program(bytes, count))
         .expect("slowstart run completes");
-    let ts = report.values("t");
-    let bws = report.values("bw");
-    ts.iter()
-        .zip(bws.iter())
-        .map(|(&(_, t), &(_, bw))| SlowstartPoint { t, mbps: bw })
-        .collect()
+    series_points(bytes, &report)
 }
 
-fn raw_series(bytes: u64, count: u32) -> Vec<SlowstartPoint> {
-    // Reuse the MPI machinery with a zero-overhead profile: raw TCP is an
-    // MPI stack with no software overhead, no rendezvous and no pacing.
-    let report = Scenario::raw_pair(Scope::Grid, TuningLevel::FullyTuned)
-        .run(move |mut ctx: RankCtx| async move {
-            const TAG: u64 = 1;
-            for _ in 0..count {
-                if ctx.rank() == 0 {
-                    let t0 = ctx.now();
-                    ctx.send(1, bytes, TAG).await;
-                    ctx.recv(1, TAG).await;
-                    let one_way = ctx.now().since(t0).as_secs_f64() / 2.0;
-                    ctx.record("t", ctx.now().as_secs_f64());
-                    ctx.record("bw", mbps(bytes, one_way));
-                } else {
-                    ctx.recv(0, TAG).await;
-                    ctx.send(0, bytes, TAG).await;
-                }
-            }
+/// Per-message `(t, Mbps)` points of a [`pingpong_program`] run.
+pub fn series_points(bytes: u64, report: &RunReport) -> Vec<SlowstartPoint> {
+    report
+        .values("t")
+        .into_iter()
+        .zip(report.values("one_way"))
+        .map(|((_, t), (_, one_way))| SlowstartPoint {
+            t,
+            mbps: mbps(bytes, one_way),
         })
-        .expect("raw slowstart completes");
-    let ts = report.values("t");
-    let bws = report.values("bw");
-    ts.iter()
-        .zip(bws.iter())
-        .map(|(&(_, t), &(_, bw))| SlowstartPoint { t, mbps: bw })
         .collect()
 }
 

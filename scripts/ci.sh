@@ -1,7 +1,7 @@
 #!/bin/sh
 # Staged offline CI for the whole simulator.
 #
-#     scripts/ci.sh [fmt|clippy|build|test|smoke|golden|simbench|blame|profile|ranks|pdes|collectives|campaign|bench|all]
+#     scripts/ci.sh [fmt|clippy|build|test|smoke|golden|repro|simbench|blame|profile|ranks|pdes|collectives|campaign|bench|all]
 #
 # Each stage is independently runnable and timed; `all` (the default)
 # runs them in order. The workspace has zero external dependencies, so
@@ -17,6 +17,9 @@
 #   smoke   end-to-end demos produce valid traces with required events
 #   golden  digests match the recorded corpus (fast path on AND off),
 #           and the paper's performance guidelines hold
+#   repro   the committed artifacts are current: `repro all --dat`
+#           prints results/repro_all.txt byte for byte and writes every
+#           dat file as committed under results/dat/
 #   simbench
 #           the end-to-end benchmark's own tests pass, and one short
 #           untraced run of each workload reproduces every job's
@@ -113,6 +116,23 @@ stage_golden() {
     ./target/release/repro golden check
     # And the paper's qualitative shapes must still hold.
     ./target/release/repro guidelines
+}
+
+stage_repro() {
+    release_bins
+    rm -rf target/repro_dat
+    ./target/release/repro all --dat target/repro_dat >target/repro_all.txt
+    if ! cmp target/repro_all.txt results/repro_all.txt; then
+        echo "repro all: stdout differs from results/repro_all.txt" >&2
+        exit 1
+    fi
+    for _f in target/repro_dat/*; do
+        _dat=$(basename "${_f}")
+        if ! cmp "${_f}" "results/dat/${_dat}"; then
+            echo "repro all --dat: ${_dat} differs from results/dat/${_dat}" >&2
+            exit 1
+        fi
+    done
 }
 
 stage_simbench() {
@@ -338,17 +358,17 @@ run_stage() {
 }
 
 case "${1:-all}" in
-fmt | clippy | build | test | smoke | golden | simbench | blame | profile | ranks | pdes | collectives | campaign | bench)
+fmt | clippy | build | test | smoke | golden | repro | simbench | blame | profile | ranks | pdes | collectives | campaign | bench)
     run_stage "$1"
     ;;
 all)
-    for _s in fmt clippy build test smoke golden simbench blame profile ranks pdes collectives campaign bench; do
+    for _s in fmt clippy build test smoke golden repro simbench blame profile ranks pdes collectives campaign bench; do
         run_stage "${_s}"
     done
     echo "==> ci: all stages passed"
     ;;
 *)
-    echo "usage: scripts/ci.sh [fmt|clippy|build|test|smoke|golden|simbench|blame|profile|ranks|pdes|collectives|campaign|bench|all]" >&2
+    echo "usage: scripts/ci.sh [fmt|clippy|build|test|smoke|golden|repro|simbench|blame|profile|ranks|pdes|collectives|campaign|bench|all]" >&2
     exit 2
     ;;
 esac
