@@ -45,8 +45,8 @@ use bench::{grid_job, ping_ring, pingpong_once, tuned_pair};
 use desim::{completion, Analysis, Collector, Metrics, RingSink, Sim, SimDuration, SimTime};
 use gridapps::Ray2MeshConfig;
 use mpisim::{
-    CollAlgo, CollConfig, CollOp, CollSel, CommPattern, ExecConfig, FaultPlan, FaultPolicy,
-    MpiImpl, MpiJob, RankCtx,
+    CollAlgo, CollConfig, CollOp, CollSel, ExecConfig, FaultPlan, FaultPolicy, MpiImpl, MpiJob,
+    RankCtx,
 };
 use netsim::{grid5000_four_sites, KernelConfig, Network, SockBufRequest};
 use npb::{NasBenchmark, NasClass, NasRun};
@@ -170,6 +170,16 @@ fn main() {
         "pdes",
         "campaign",
     ];
+    if let Some(bad) = groups.iter().find(|g| **g != "smoke" && !all.contains(g)) {
+        eprintln!(
+            "unknown group: {bad}\n\
+             usage: bench [GROUP ...] [--json FILE] [--baseline FILE|none]\n\
+             \x20      bench compare OLD.json NEW.json [--threshold PCT]\n\
+             groups: {} smoke",
+            all.join(" ")
+        );
+        std::process::exit(2);
+    }
     let groups: Vec<&str> = if groups.is_empty() {
         all.to_vec()
     } else {
@@ -198,7 +208,7 @@ fn main() {
             "pdes" => group_pdes(&mut h),
             "campaign" => group_campaign(&mut h),
             "smoke" => group_smoke(&mut h),
-            other => eprintln!("unknown group: {other}"),
+            other => unreachable!("group {other} was validated"),
         }
     }
     if groups.contains(&"smoke") && baseline != "none" {
@@ -956,9 +966,7 @@ fn pdes_four_site_run(workers: u32) -> u64 {
     for site_nodes in &nodes {
         placement.extend(site_nodes.iter().copied());
     }
-    let exec = ExecConfig::new()
-        .shards(workers)
-        .pattern(CommPattern::SiteDisjoint);
+    let exec = ExecConfig::new().shards(workers);
     let report = MpiJob::new(Network::new(topo), placement, MpiImpl::Mpich2)
         .with_exec(exec)
         .run(move |mut ctx: RankCtx| async move {

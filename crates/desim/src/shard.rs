@@ -119,13 +119,18 @@ fn sat_add(t: SimTime, d: SimDuration) -> SimTime {
 
 impl ShardedSim {
     /// Build a driver over `sims` with the given conservative lookahead
-    /// and worker-thread count (clamped to at least one). With more than
-    /// one shard the lookahead must be positive — a zero lookahead means
-    /// the partition has no latency separation and is invalid.
+    /// and worker-thread count (clamped to at least one). A one-shard
+    /// run belongs on a plain [`Sim`], so at least two shards are
+    /// required, and the lookahead must be positive — a zero lookahead
+    /// means the partition has no latency separation and is invalid.
     pub fn new(sims: Vec<Sim>, lookahead: SimDuration, workers: usize) -> ShardedSim {
         assert!(
-            sims.len() <= 1 || lookahead > SimDuration::ZERO,
-            "multi-shard execution requires a positive lookahead"
+            sims.len() >= 2,
+            "sharded execution needs at least two shards"
+        );
+        assert!(
+            lookahead > SimDuration::ZERO,
+            "sharded execution requires a positive lookahead"
         );
         let cross = CrossPost::new(sims.len());
         ShardedSim {
@@ -194,11 +199,7 @@ impl ShardedSim {
                 // task exits.
                 break;
             }
-            let horizon = if n == 1 {
-                limit_horizon
-            } else {
-                sat_add(t_min, self.lookahead).min(limit_horizon)
-            };
+            let horizon = sat_add(t_min, self.lookahead).min(limit_horizon);
             let eligible: Vec<usize> = (0..n)
                 .filter(|&i| nexts[i].is_some_and(|t| t < horizon))
                 .collect();
@@ -304,18 +305,6 @@ mod tests {
 
     fn ms(n: u64) -> SimTime {
         SimTime::from_nanos(n * 1_000_000)
-    }
-
-    #[test]
-    fn single_shard_runs_to_completion() {
-        let sim = Sim::new();
-        sim.spawn_task("p", |cx| async move {
-            cx.advance(SimDuration::from_millis(15)).await;
-        });
-        let sharded = ShardedSim::new(vec![sim], SimDuration::ZERO, 1);
-        let stats = sharded.run().unwrap();
-        assert_eq!(stats.end, ms(15));
-        assert_eq!(stats.groups.len(), 1);
     }
 
     #[test]

@@ -288,7 +288,7 @@ fn pos_in(group: &[usize], rank: usize) -> usize {
     group
         .iter()
         .position(|&g| g == rank)
-        .expect("caller is in group")
+        .expect("rank is in group")
 }
 
 /// Parent and children of vrank `v` in the in-order (range-splitting)
@@ -321,7 +321,7 @@ fn inorder_tree(p: usize, v: usize) -> (Option<usize>, Vec<usize>) {
 
 /// Linear (flat-tree) broadcast: the root sends the full payload to every
 /// other rank directly.
-async fn subgroup_linear_bcast(
+pub(crate) async fn subgroup_linear_bcast(
     ctx: &mut RankCtx,
     group: &[usize],
     root: usize,
@@ -472,7 +472,7 @@ async fn subgroup_inorder_bcast(
 }
 
 /// Linear reduce: every rank sends its contribution straight to the root.
-async fn subgroup_linear_reduce(
+pub(crate) async fn subgroup_linear_reduce(
     ctx: &mut RankCtx,
     group: &[usize],
     root: usize,
@@ -611,7 +611,9 @@ async fn subgroup_inorder_reduce(
 }
 
 /// Van de Geijn scatter+allgather broadcast over a subgroup (power-of-two
-/// group sizes; callers fall back to binomial otherwise).
+/// group sizes; callers fall back to binomial otherwise): binomial
+/// scatter, then ring allgather. Oblivious to sites — over the world in
+/// rank order the ring crosses the WAN twice per lap, the grid pathology.
 async fn subgroup_vdg_bcast(ctx: &mut RankCtx, group: &[usize], root: usize, bytes: u64, tag: u64) {
     let p = group.len();
     let me = pos_in(group, ctx.rank());
@@ -658,7 +660,8 @@ async fn subgroup_ring_allreduce(ctx: &mut RankCtx, group: &[usize], bytes: u64,
 }
 
 /// Rabenseifner allreduce over a subgroup (power-of-two sizes; callers
-/// fall back to recursive doubling otherwise).
+/// fall back to recursive doubling otherwise): reduce-scatter by
+/// recursive halving, then allgather by recursive doubling.
 async fn subgroup_rabenseifner_allreduce(ctx: &mut RankCtx, group: &[usize], bytes: u64, tag: u64) {
     let p = group.len();
     let me = pos_in(group, ctx.rank());
@@ -688,8 +691,10 @@ async fn subgroup_rd_allgather(ctx: &mut RankCtx, group: &[usize], bytes_each: u
     }
 }
 
-/// Pairwise-exchange alltoall over a subgroup with a uniform payload.
-async fn subgroup_pairwise_alltoall(ctx: &mut RankCtx, group: &[usize], bytes: u64, tag: u64) {
+/// Pairwise-exchange alltoall over a subgroup: `p - 1` rounds; in round
+/// `k` position `i` sends `sizes[i + k]` bytes to `group[i + k]` and
+/// receives from `group[i - k]` (indices mod `p`).
+async fn subgroup_pairwise_alltoall(ctx: &mut RankCtx, group: &[usize], sizes: &[u64], tag: u64) {
     let p = group.len();
     if p <= 1 {
         return;
@@ -701,7 +706,8 @@ async fn subgroup_pairwise_alltoall(ctx: &mut RankCtx, group: &[usize], bytes: u
     }
     let mut sends = Vec::with_capacity(p - 1);
     for k in 1..p {
-        sends.push(ctx.send_raw(group[(me + k) % p], bytes.max(1), tag).await);
+        let to = (me + k) % p;
+        sends.push(ctx.send_raw(group[to], sizes[to].max(1), tag).await);
     }
     ctx.waitall(recvs).await;
     ctx.waitall(sends).await;
@@ -971,26 +977,11 @@ async fn two_level_alltoall(ctx: &mut RankCtx, bytes: u64, tag: u64) {
             ctx.recv(leader, tag).await;
         }
     }
-    subgroup_pairwise_alltoall(ctx, &group, bytes, tag).await;
-}
-
-/// Dissemination barrier: ⌈log₂ p⌉ rounds of 1-byte messages.
-pub(crate) async fn barrier(ctx: &mut RankCtx, tag: u64) {
-    let p = ctx.size();
-    let r = ctx.rank();
-    let mut k = 1;
-    while k < p {
-        let to = (r + k) % p;
-        let from = (r + p - k) % p;
-        let req = ctx.send_raw(to, 1, tag).await;
-        ctx.recv(from, tag).await;
-        ctx.wait(req).await;
-        k <<= 1;
-    }
+    subgroup_pairwise_alltoall(ctx, &group, &vec![bytes; group.len()], tag).await;
 }
 
 /// Binomial-tree broadcast over an arbitrary rank subgroup.
-async fn subgroup_binomial_bcast(
+pub(crate) async fn subgroup_binomial_bcast(
     ctx: &mut RankCtx,
     group: &[usize],
     root: usize,
@@ -1001,14 +992,8 @@ async fn subgroup_binomial_bcast(
     if p <= 1 {
         return;
     }
-    let me = group
-        .iter()
-        .position(|&g| g == ctx.rank())
-        .expect("caller is in group");
-    let rootpos = group
-        .iter()
-        .position(|&g| g == root)
-        .expect("root is in group");
+    let me = pos_in(group, ctx.rank());
+    let rootpos = pos_in(group, root);
     let vrank = (me + p - rootpos) % p;
     let real = |v: usize| group[(v + rootpos) % p];
     let mut mask = 1usize;
@@ -1033,7 +1018,7 @@ async fn subgroup_binomial_bcast(
 }
 
 /// Binomial-tree reduce over an arbitrary rank subgroup.
-async fn subgroup_binomial_reduce(
+pub(crate) async fn subgroup_binomial_reduce(
     ctx: &mut RankCtx,
     group: &[usize],
     root: usize,
@@ -1044,14 +1029,8 @@ async fn subgroup_binomial_reduce(
     if p <= 1 {
         return;
     }
-    let me = group
-        .iter()
-        .position(|&g| g == ctx.rank())
-        .expect("caller is in group");
-    let rootpos = group
-        .iter()
-        .position(|&g| g == root)
-        .expect("root is in group");
+    let me = pos_in(group, ctx.rank());
+    let rootpos = pos_in(group, root);
     let vrank = (me + p - rootpos) % p;
     let real = |v: usize| group[(v + rootpos) % p];
     let mut mask = 1usize;
@@ -1070,15 +1049,17 @@ async fn subgroup_binomial_reduce(
 
 /// Ring allgather over a subgroup: `steps = |group| - 1` rounds of
 /// `chunk` bytes to the right neighbour.
-async fn subgroup_ring_allgather(ctx: &mut RankCtx, group: &[usize], chunk: u64, tag: u64) {
+pub(crate) async fn subgroup_ring_allgather(
+    ctx: &mut RankCtx,
+    group: &[usize],
+    chunk: u64,
+    tag: u64,
+) {
     let p = group.len();
     if p <= 1 {
         return;
     }
-    let me = group
-        .iter()
-        .position(|&g| g == ctx.rank())
-        .expect("caller is in group");
+    let me = pos_in(group, ctx.rank());
     let right = group[(me + 1) % p];
     let left = group[(me + p - 1) % p];
     for _ in 0..p - 1 {
@@ -1089,48 +1070,13 @@ async fn subgroup_ring_allgather(ctx: &mut RankCtx, group: &[usize], chunk: u64,
     }
 }
 
-/// Binomial bcast over an explicit subgroup (sub-communicator surface).
-pub(crate) async fn subgroup_bcast(
-    ctx: &mut RankCtx,
-    group: &[usize],
-    root: usize,
-    bytes: u64,
-    tag: u64,
-) {
-    subgroup_binomial_bcast(ctx, group, root, bytes, tag).await;
-}
-
-/// Binomial reduce over an explicit subgroup (sub-communicator surface).
-pub(crate) async fn subgroup_reduce(
-    ctx: &mut RankCtx,
-    group: &[usize],
-    root: usize,
-    bytes: u64,
-    tag: u64,
-) {
-    subgroup_binomial_reduce(ctx, group, root, bytes, tag).await;
-}
-
-/// Ring allgather over an explicit subgroup (sub-communicator surface).
-pub(crate) async fn subgroup_allgather(
-    ctx: &mut RankCtx,
-    group: &[usize],
-    bytes_each: u64,
-    tag: u64,
-) {
-    subgroup_ring_allgather(ctx, group, bytes_each, tag).await;
-}
-
 /// Dissemination barrier over an explicit subgroup.
 pub(crate) async fn subgroup_barrier(ctx: &mut RankCtx, group: &[usize], tag: u64) {
     let p = group.len();
     if p <= 1 {
         return;
     }
-    let me = group
-        .iter()
-        .position(|&g| g == ctx.rank())
-        .expect("caller is in group");
+    let me = pos_in(group, ctx.rank());
     let mut k = 1;
     while k < p {
         let to = group[(me + k) % p];
@@ -1149,10 +1095,7 @@ pub(crate) async fn subgroup_allreduce(ctx: &mut RankCtx, group: &[usize], bytes
     if p <= 1 {
         return;
     }
-    let me = group
-        .iter()
-        .position(|&g| g == ctx.rank())
-        .expect("caller is in group");
+    let me = pos_in(group, ctx.rank());
     let p2 = prev_pow2(p);
     let extra = p - p2;
     if me >= p2 {
@@ -1201,7 +1144,7 @@ pub(crate) async fn bcast(ctx: &mut RankCtx, root: usize, bytes: u64, tag: u64) 
         BcastAlgo::Binomial => subgroup_binomial_bcast(ctx, &all, root, bytes, tag).await,
         BcastAlgo::ScatterAllgather => {
             if bytes >= suite.large_threshold && p.is_power_of_two() && p > 2 {
-                scatter_allgather_bcast(ctx, root, bytes, tag).await;
+                subgroup_vdg_bcast(ctx, &all, root, bytes, tag).await;
             } else {
                 subgroup_binomial_bcast(ctx, &all, root, bytes, tag).await;
             }
@@ -1218,43 +1161,6 @@ pub(crate) async fn bcast(ctx: &mut RankCtx, root: usize, bytes: u64, tag: u64) 
                 subgroup_binomial_bcast(ctx, &all, root, bytes, tag).await;
             }
         }
-    }
-}
-
-/// Van de Geijn: binomial scatter + ring allgather, oblivious to sites.
-/// Requires power-of-two world size (callers fall back otherwise).
-async fn scatter_allgather_bcast(ctx: &mut RankCtx, root: usize, bytes: u64, tag: u64) {
-    let p = ctx.size();
-    let rank = ctx.rank();
-    let vrank = (rank + p - root) % p;
-    let real = |v: usize| (v + root) % p;
-    // Binomial scatter: the holder of a 2·mask block forwards its upper
-    // half.
-    let mut mask = p >> 1;
-    while mask >= 1 {
-        if vrank.is_multiple_of(mask << 1) {
-            let req = ctx
-                .send_raw(real(vrank + mask), bytes * mask as u64 / p as u64, tag)
-                .await;
-            ctx.wait(req).await;
-        } else if vrank % (mask << 1) == mask {
-            ctx.recv(real(vrank - mask), tag).await;
-        }
-        if mask == 1 {
-            break;
-        }
-        mask >>= 1;
-    }
-    // Ring allgather of the p chunks. In rank order the ring crosses the
-    // WAN twice per lap — the grid pathology.
-    let chunk = (bytes / p as u64).max(1);
-    let right = real((vrank + 1) % p);
-    let left = real((vrank + p - 1) % p);
-    for _ in 0..p - 1 {
-        let rr = ctx.irecv(left, tag);
-        let sr = ctx.send_raw(right, chunk, tag).await;
-        ctx.wait(rr).await;
-        ctx.wait(sr).await;
     }
 }
 
@@ -1339,7 +1245,7 @@ async fn grid_bcast(ctx: &mut RankCtx, root: usize, bytes: u64, tag: u64) {
         let group = groups[my_site].clone();
         let m = root_group.len().min(group.len());
         let chunk = (bytes / m as u64).max(1);
-        let me_pos = group.iter().position(|&g| g == rank).expect("in group");
+        let me_pos = pos_in(&group, rank);
         if me_pos < m {
             let holders: Vec<usize> = group[..m].to_vec();
             subgroup_ring_allgather(ctx, &holders, chunk, tag).await;
@@ -1402,13 +1308,14 @@ pub(crate) async fn allreduce(ctx: &mut RankCtx, bytes: u64, tag: u64) {
         return;
     }
     let suite = ctx.world().profile.collectives;
+    let all: Vec<usize> = (0..p).collect();
     match suite.allreduce {
-        AllreduceAlgo::RecursiveDoubling => recursive_doubling_allreduce(ctx, bytes, tag).await,
+        AllreduceAlgo::RecursiveDoubling => subgroup_allreduce(ctx, &all, bytes, tag).await,
         AllreduceAlgo::Rabenseifner => {
             if bytes >= suite.large_threshold && p.is_power_of_two() && p > 2 {
-                rabenseifner_allreduce(ctx, bytes, tag).await;
+                subgroup_rabenseifner_allreduce(ctx, &all, bytes, tag).await;
             } else {
-                recursive_doubling_allreduce(ctx, bytes, tag).await;
+                subgroup_allreduce(ctx, &all, bytes, tag).await;
             }
         }
         AllreduceAlgo::GridAware => {
@@ -1417,54 +1324,9 @@ pub(crate) async fn allreduce(ctx: &mut RankCtx, bytes: u64, tag: u64) {
             if ctx.world().site_groups.len() > 1 && bytes >= suite.large_threshold {
                 grid_allreduce(ctx, bytes, tag).await;
             } else {
-                recursive_doubling_allreduce(ctx, bytes, tag).await;
+                subgroup_allreduce(ctx, &all, bytes, tag).await;
             }
         }
-    }
-}
-
-async fn recursive_doubling_allreduce(ctx: &mut RankCtx, bytes: u64, tag: u64) {
-    let p = ctx.size();
-    let rank = ctx.rank();
-    let p2 = prev_pow2(p);
-    let extra = p - p2;
-    if rank >= p2 {
-        // Fold into the power-of-two core, then collect the result.
-        let req = ctx.send_raw(rank - p2, bytes, tag).await;
-        ctx.wait(req).await;
-        ctx.recv(rank - p2, tag).await;
-        return;
-    }
-    if rank < extra {
-        ctx.recv(rank + p2, tag).await;
-    }
-    let mut mask = 1;
-    while mask < p2 {
-        let partner = rank ^ mask;
-        ctx.sendrecv(partner, bytes, partner, tag).await;
-        mask <<= 1;
-    }
-    if rank < extra {
-        let req = ctx.send_raw(rank + p2, bytes, tag).await;
-        ctx.wait(req).await;
-    }
-}
-
-/// Rabenseifner: reduce-scatter (recursive halving) + allgather (recursive
-/// doubling). Power-of-two world sizes only.
-async fn rabenseifner_allreduce(ctx: &mut RankCtx, bytes: u64, tag: u64) {
-    let p = ctx.size();
-    let rank = ctx.rank();
-    let lg = p.trailing_zeros();
-    for k in 0..lg {
-        let partner = rank ^ (1 << k);
-        let size = (bytes >> (k + 1)).max(1);
-        ctx.sendrecv(partner, size, partner, tag).await;
-    }
-    for k in (0..lg).rev() {
-        let partner = rank ^ (1 << k);
-        let size = (bytes >> (k + 1)).max(1);
-        ctx.sendrecv(partner, size, partner, tag).await;
     }
 }
 
@@ -1507,7 +1369,7 @@ async fn grid_allreduce(ctx: &mut RankCtx, bytes: u64, tag: u64) {
         return;
     }
 
-    let pos = group.iter().position(|&g| g == rank).expect("in group");
+    let pos = pos_in(&group, rank);
     // Phase A: intra-site reduce-scatter (recursive halving).
     let lg = k.trailing_zeros();
     for j in 0..lg {
@@ -1557,11 +1419,9 @@ pub(crate) async fn ring_allgather(ctx: &mut RankCtx, bytes_each: u64, tag: u64)
 
 /// Alltoall(v) dispatch: a [`CollConfig`] pin can select the linear
 /// variant or (for uniform payloads on multi-site topologies) the
-/// two-level variant; the default is pairwise exchange — `p - 1` rounds;
-/// in round `k` rank `r` sends to `r + k` and receives from `r - k`.
+/// two-level variant; the default is the pairwise exchange over the world.
 pub(crate) async fn alltoallv(ctx: &mut RankCtx, send_sizes: &[u64], tag: u64) {
     let p = ctx.size();
-    let r = ctx.rank();
     if p <= 1 {
         return;
     }
@@ -1579,53 +1439,8 @@ pub(crate) async fn alltoallv(ctx: &mut RankCtx, send_sizes: &[u64], tag: u64) {
         }
         // Pairwise (and any other pin) falls through to the exchange below.
     }
-    let mut recvs = Vec::with_capacity(p - 1);
-    for k in 1..p {
-        let from = (r + p - k) % p;
-        recvs.push(ctx.irecv(from, tag));
-    }
-    let mut sends = Vec::with_capacity(p - 1);
-    for k in 1..p {
-        let to = (r + k) % p;
-        sends.push(ctx.send_raw(to, send_sizes[to].max(1), tag).await);
-    }
-    ctx.waitall(recvs).await;
-    ctx.waitall(sends).await;
-}
-
-/// Linear gather to `root`.
-pub(crate) async fn gather(ctx: &mut RankCtx, root: usize, bytes_each: u64, tag: u64) {
-    let p = ctx.size();
-    let r = ctx.rank();
-    if r == root {
-        for k in 0..p {
-            if k != root {
-                ctx.recv(k, tag).await;
-            }
-        }
-    } else {
-        let req = ctx.send_raw(root, bytes_each, tag).await;
-        ctx.wait(req).await;
-    }
-}
-
-/// Linear scatter from `root`.
-pub(crate) async fn scatter(ctx: &mut RankCtx, root: usize, bytes_each: u64, tag: u64) {
-    let p = ctx.size();
-    let r = ctx.rank();
-    if r == root {
-        let mut reqs = Vec::new();
-        for k in 0..p {
-            if k != root {
-                reqs.push(ctx.send_raw(k, bytes_each, tag).await);
-            }
-        }
-        for req in reqs {
-            ctx.wait(req).await;
-        }
-    } else {
-        ctx.recv(root, tag).await;
-    }
+    let all: Vec<usize> = (0..p).collect();
+    subgroup_pairwise_alltoall(ctx, &all, send_sizes, tag).await;
 }
 
 #[cfg(test)]

@@ -54,7 +54,7 @@ pub use comm::SubComm;
 pub use desim::fault::{FaultEvent, FaultKind, FaultPlan};
 pub use desim::obs::Obs;
 pub use error::{FaultPolicy, MpiError};
-pub use exec::{CommPattern, ExecConfig};
+pub use exec::ExecConfig;
 pub use launcher::{MpiJob, MpiProgram, RunReport};
 pub use profile::{
     AllreduceAlgo, BcastAlgo, CollectiveSuite, ImplProfile, MpiImpl, SocketPolicy, Tuning,

@@ -469,7 +469,11 @@ impl RankCtx {
 
     /// `MPI_Barrier` (dissemination algorithm).
     pub async fn barrier(&mut self) {
-        self.coll("barrier", 0, collectives::barrier).await;
+        self.coll("barrier", 0, async |c, tag| {
+            let all: Vec<usize> = (0..c.size()).collect();
+            collectives::subgroup_barrier(c, &all, tag).await
+        })
+        .await;
     }
 
     /// `MPI_Bcast` of `bytes` from `root` (algorithm per implementation).
@@ -526,7 +530,8 @@ impl RankCtx {
     /// `MPI_Gather` of `bytes_each` per rank to `root` (linear).
     pub async fn gather(&mut self, root: usize, bytes_each: u64) {
         self.coll("gather", bytes_each, async |c, tag| {
-            collectives::gather(c, root, bytes_each, tag).await
+            let all: Vec<usize> = (0..c.size()).collect();
+            collectives::subgroup_linear_reduce(c, &all, root, bytes_each, tag).await
         })
         .await;
     }
@@ -534,7 +539,8 @@ impl RankCtx {
     /// `MPI_Scatter` of `bytes_each` per rank from `root` (linear).
     pub async fn scatter(&mut self, root: usize, bytes_each: u64) {
         self.coll("scatter", bytes_each, async |c, tag| {
-            collectives::scatter(c, root, bytes_each, tag).await
+            let all: Vec<usize> = (0..c.size()).collect();
+            collectives::subgroup_linear_bcast(c, &all, root, bytes_each, tag).await
         })
         .await;
     }

@@ -118,21 +118,21 @@ struct RankMatch {
 pub(crate) struct WorldInner {
     /// The reference network (execution group 0's). Topology queries go
     /// here; flows go through [`Self::net_of`], which is the same handle
-    /// in classic mode.
+    /// with one group.
     pub net: Network,
     /// Per-execution-group flow engines. Classic mode: one entry, the
     /// reference network. PDES mode: one per logical group, each over a
     /// clone of the same topology; a directed channel `src → dst` lives
     /// in `src`'s group's engine.
     nets: Vec<Network>,
-    /// Rank → execution-group index (all zero in classic mode).
+    /// Rank → execution-group index (all zero with one group).
     exec_group: Vec<usize>,
-    /// The PDES cross-group mail fabric (`None` in classic mode).
+    /// The PDES cross-group mail fabric (`None` with one group).
     cross: Option<CrossPost>,
     /// Directed link → owning execution group, filled at channel
-    /// creation. Under `CommPattern::SiteDisjoint` every directed link
-    /// must carry flows of one group only; a conflict is a contract
-    /// violation and panics. Only consulted with more than one group.
+    /// creation. A sharded job promises that every directed link carries
+    /// flows of one group only; a conflict is a contract violation and
+    /// panics. Only consulted with more than one group.
     link_claims: Mutex<HashMap<usize, usize>>,
     pub profile: ImplProfile,
     pub eager_threshold: u64,
@@ -165,39 +165,18 @@ pub(crate) struct WorldInner {
     pub records: Mutex<Vec<(usize, String, f64)>>,
     /// Per-group observability sinks: every traced-or-not MPI span and
     /// app-phase marker is forwarded to the emitting rank's group's sink
-    /// when set (classic mode: one sink). Read-only taps; recording never
+    /// when set (one group: one sink). Read-only taps; recording never
     /// touches the simulation.
     obs_groups: Vec<Option<Arc<dyn desim::obs::Recorder>>>,
 }
 
 impl WorldInner {
-    /// Classic single-kernel world: one flow engine, one group.
-    pub fn new(
-        net: Network,
-        placement: Vec<NodeId>,
-        profile: ImplProfile,
-        tuning: Tuning,
-        coll: crate::collectives::CollConfig,
-        obs: Option<Arc<dyn desim::obs::Recorder>>,
-    ) -> Arc<WorldInner> {
-        let n = placement.len();
-        Self::new_grouped(
-            vec![net],
-            vec![0; n],
-            placement,
-            profile,
-            tuning,
-            coll,
-            vec![obs],
-            None,
-        )
-    }
-
-    /// A world partitioned into execution groups for the PDES driver.
-    /// `nets`, `obs_groups` are per-group (same length); `exec_group`
-    /// maps each rank to its group; `cross` is the driver's mail fabric.
+    /// A world partitioned into execution groups (one group on the plain
+    /// kernel). `nets`, `obs_groups` are per-group (same length);
+    /// `exec_group` maps each rank to its group; `cross` is the sharded
+    /// driver's mail fabric (`None` with one group).
     #[allow(clippy::too_many_arguments)] // construction-time wiring, deliberately flat
-    pub fn new_grouped(
+    pub fn new(
         nets: Vec<Network>,
         exec_group: Vec<usize>,
         placement: Vec<NodeId>,
@@ -259,12 +238,12 @@ impl WorldInner {
         self.placement.len()
     }
 
-    /// The execution group a rank runs in (0 for everyone in classic mode).
+    /// The execution group a rank runs in (0 for everyone with one group).
     pub fn group_of(&self, rank: usize) -> usize {
         self.exec_group[rank]
     }
 
-    /// True if both ranks execute in the same group (always, classically).
+    /// True if both ranks execute in the same group (always, with one).
     fn same_group(&self, a: usize, b: usize) -> bool {
         self.exec_group[a] == self.exec_group[b]
     }
@@ -284,7 +263,7 @@ impl WorldInner {
         self.obs_groups[self.exec_group[rank]].as_ref()
     }
 
-    /// The PDES mail fabric (panics in classic mode — cross-group traffic
+    /// The PDES mail fabric (panics with one group — cross-group traffic
     /// cannot arise there, since everyone is in group 0).
     fn cross_fabric(&self) -> &CrossPost {
         self.cross
@@ -302,7 +281,7 @@ impl WorldInner {
 
     /// Record that `src`'s group owns every directed link of the
     /// `src → dst` route, panicking if another group claimed one already
-    /// (the `SiteDisjoint` contract audit). No-op with a single group.
+    /// (the site-disjoint contract audit). No-op with a single group.
     fn claim_links(&self, src: usize, dst: usize, fast: bool) {
         if self.nets.len() <= 1 {
             return;
@@ -323,9 +302,9 @@ impl WorldInner {
             if let Some(prev) = claims.insert(l, owner) {
                 assert!(
                     prev == owner,
-                    "CommPattern::SiteDisjoint violated: directed link {l} carries \
+                    "sharded run is not site-disjoint: directed link {l} carries \
                      flows of groups {prev} and {owner} (channel rank{src} -> rank{dst}); \
-                     run this workload with CommPattern::General"
+                     run this workload without shards"
                 );
             }
         }

@@ -35,8 +35,8 @@ use desim::obs::ledger::{RunRow, SCHEMA};
 use desim::obs::{CountingSink, DigestSink, Recorder, Tee};
 use desim::{Metrics, SimTime, StreamHist, Windowed};
 use mpisim::{
-    CollAlgo, CollConfig, CollOp, CollSel, CommPattern, ExecConfig, FaultPlan, MpiImpl, MpiProgram,
-    RankCtx, HEADER_BYTES,
+    CollAlgo, CollConfig, CollOp, CollSel, ExecConfig, FaultPlan, MpiImpl, MpiProgram, RankCtx,
+    HEADER_BYTES,
 };
 use netsim::{grid5000_four_sites, grid5000_pair, Network, NodeId};
 
@@ -411,7 +411,7 @@ fn scenario_for(cell: &Cell, loss: f64) -> Scenario {
     };
     let mut exec = ExecConfig::new();
     if cell.shards > 0 {
-        exec = exec.shards(cell.shards).pattern(CommPattern::SiteDisjoint);
+        exec = exec.shards(cell.shards);
     }
     if cell.coll != "default" {
         let op = match cell.kind {

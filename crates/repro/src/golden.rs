@@ -20,14 +20,17 @@
 //! [`ExecConfig::fast_path`]. Both passes must match the corpus, because
 //! digests are defined to be identical in either mode.
 //!
-//! `--pdes N` runs the same scenarios on the sharded PDES driver with `N`
-//! worker threads against a *separate* corpus (default
-//! `results/golden/pdes/`): the PDES event stream is deterministic for
-//! any worker count but not byte-identical to the classic kernel's
-//! (merge ordering, per-group settle arithmetic — DESIGN.md §14), so the
-//! two corpora pin the two code paths independently. Checking `--pdes 1`,
-//! `--pdes 2`, and `--pdes 4` against one corpus is the shard-invariance
-//! gate.
+//! `--pdes N` runs the site-disjoint scenarios (`pingpong`, `slowstart`,
+//! `table4`, `faults`) with `shards(N)` against a *separate* corpus
+//! (default `results/golden/pdes/`). Their two-site runs take the sharded
+//! driver, whose event stream is deterministic for any worker count but
+//! not byte-identical to the plain kernel's (merge ordering, per-group
+//! settle arithmetic — DESIGN.md §14); the fault-tolerant ray2mesh
+//! sub-run of `faults` is not site-disjoint and runs unsharded. `nas`,
+//! `ray2mesh` and `coll` are not site-disjoint either, so they have no
+//! PDES entry: the classic corpus already pins their only run. Checking
+//! `--pdes 1`, `--pdes 2`, and `--pdes 4` against one corpus is the
+//! worker-count-invariance gate.
 
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
@@ -36,8 +39,8 @@ use desim::obs::digest::DigestSink;
 use desim::SimTime;
 use gridapps::Ray2MeshConfig;
 use mpisim::{
-    CollAlgo, CollConfig, CollOp, CollSel, CommPattern, ExecConfig, FaultPlan, FaultPolicy,
-    MpiImpl, RankCtx, RunReport,
+    CollAlgo, CollConfig, CollOp, CollSel, ExecConfig, FaultPlan, FaultPolicy, MpiImpl, RankCtx,
+    RunReport,
 };
 use netsim::{grid5000_four_sites, Grid5000Site, KernelConfig, Network};
 use npb::{NasBenchmark, NasClass, NasRun};
@@ -80,7 +83,7 @@ fn seal(sink: &DigestSink, label: &str, report: &RunReport) -> u64 {
 /// rendezvous, and the 64 MB bulk fast path, fully tuned MPICH2.
 fn golden_pingpong(sink: &Arc<DigestSink>, exec: ExecConfig) -> u64 {
     let report = Scenario::pair(Scope::Grid, TuningLevel::FullyTuned, MpiImpl::Mpich2)
-        .exec(exec.pattern(CommPattern::SiteDisjoint))
+        .exec(exec)
         .recorder(sink.clone())
         .run(|mut ctx: RankCtx| async move {
             const TAG: u64 = 1;
@@ -113,7 +116,7 @@ fn golden_slowstart(sink: &Arc<DigestSink>, exec: ExecConfig) -> u64 {
         ("tuned_paced", TuningLevel::TcpTuned, MpiImpl::GridMpi),
     ] {
         let report = Scenario::pair(Scope::Grid, level, id)
-            .exec(exec.pattern(CommPattern::SiteDisjoint))
+            .exec(exec)
             .recorder(sink.clone())
             .run(|mut ctx: RankCtx| async move {
                 const TAG: u64 = 1;
@@ -136,7 +139,7 @@ fn golden_table4(sink: &Arc<DigestSink>, exec: ExecConfig) -> u64 {
     for scope in [Scope::Cluster, Scope::Grid] {
         for id in MpiImpl::ALL {
             let report = Scenario::pair(scope, TuningLevel::Default, id)
-                .exec(exec.pattern(CommPattern::SiteDisjoint))
+                .exec(exec)
                 .recorder(sink.clone())
                 .run(|mut ctx: RankCtx| async move {
                     const TAG: u64 = 1;
@@ -166,7 +169,7 @@ fn golden_nas(sink: &Arc<DigestSink>, exec: ExecConfig) -> u64 {
     for bench in [NasBenchmark::Cg, NasBenchmark::Ft] {
         let run = NasRun::quick(bench, NasClass::S);
         let report = Scenario::npb(8, 8, 8, TuningLevel::FullyTuned, MpiImpl::GridMpi)
-            .exec(exec.pattern(CommPattern::General))
+            .exec(exec)
             .recorder(sink.clone())
             .run(run.program())
             .expect("golden NAS completes");
@@ -181,7 +184,7 @@ fn golden_nas(sink: &Arc<DigestSink>, exec: ExecConfig) -> u64 {
 fn golden_ray2mesh(sink: &Arc<DigestSink>, exec: ExecConfig) -> u64 {
     let cfg = Ray2MeshConfig::small();
     let report = Scenario::four_sites(2, Grid5000Site::ALL[0], MpiImpl::GridMpi)
-        .exec(exec.pattern(CommPattern::General))
+        .exec(exec)
         .recorder(sink.clone())
         .run(cfg.program())
         .expect("golden ray2mesh completes");
@@ -194,7 +197,7 @@ fn golden_ray2mesh(sink: &Arc<DigestSink>, exec: ExecConfig) -> u64 {
 fn golden_faults(sink: &Arc<DigestSink>, exec: ExecConfig) -> u64 {
     let mut total = 0;
     let report = Scenario::pair(Scope::Grid, TuningLevel::TcpTuned, MpiImpl::Mpich2)
-        .exec(exec.pattern(CommPattern::SiteDisjoint))
+        .exec(exec)
         .faults(FaultPlan::new().with_seed(42).with_wan_loss(1e-3))
         .recorder(sink.clone())
         .run(|mut ctx: RankCtx| async move {
@@ -217,8 +220,13 @@ fn golden_faults(sink: &Arc<DigestSink>, exec: ExecConfig) -> u64 {
         .with_wan_loss(5e-4)
         .kill_rank(3, SimTime::from_nanos(1_000_000_000))
         .kill_rank(6, SimTime::from_nanos(2_000_000_000));
+    // The master/worker fan-in is not site-disjoint, so this sub-run is
+    // never sharded.
     let report = Scenario::four_sites(2, Grid5000Site::ALL[0], MpiImpl::GridMpi)
-        .exec(exec.pattern(CommPattern::General))
+        .exec(ExecConfig {
+            shards: None,
+            ..exec
+        })
         .faults(plan)
         .recorder(sink.clone())
         .run(cfg.program_ft(FaultPolicy::grid_default()))
@@ -269,7 +277,7 @@ fn golden_coll(sink: &Arc<DigestSink>, exec: ExecConfig) -> u64 {
     for (label, sel) in bcast_sels {
         let coll = CollConfig::new().pin_all(CollOp::Bcast, sel);
         let report = coll_testbed()
-            .exec(exec.pattern(CommPattern::General).coll(coll))
+            .exec(exec.coll(coll))
             .recorder(sink.clone())
             .run(|mut ctx: RankCtx| async move {
                 for _ in 0..2 {
@@ -289,7 +297,7 @@ fn golden_coll(sink: &Arc<DigestSink>, exec: ExecConfig) -> u64 {
     for (label, sel) in allreduce_sels {
         let coll = CollConfig::new().pin_all(CollOp::Allreduce, sel);
         let report = coll_testbed()
-            .exec(exec.pattern(CommPattern::General).coll(coll))
+            .exec(exec.coll(coll))
             .recorder(sink.clone())
             .run(|mut ctx: RankCtx| async move {
                 for _ in 0..2 {
@@ -303,20 +311,21 @@ fn golden_coll(sink: &Arc<DigestSink>, exec: ExecConfig) -> u64 {
 }
 
 /// A golden scenario runner: feeds the sink, returns total elapsed ns.
-/// The [`ExecConfig`] selects classic vs PDES execution; each scenario
-/// fixes its own [`CommPattern`] (pairs are site-disjoint; collectives
-/// and master/worker fan-ins are general).
+/// The [`ExecConfig`] selects unsharded vs sharded (PDES) execution.
 type GoldenFn = fn(&Arc<DigestSink>, ExecConfig) -> u64;
 
-/// The corpus: scenario name → runner. Order is the check/record order.
-pub const SCENARIOS: &[(&str, GoldenFn)] = &[
-    ("pingpong", golden_pingpong),
-    ("slowstart", golden_slowstart),
-    ("table4", golden_table4),
-    ("nas", golden_nas),
-    ("ray2mesh", golden_ray2mesh),
-    ("faults", golden_faults),
-    ("coll", golden_coll),
+/// The corpus: scenario name → runner, and whether the scenario belongs
+/// to the `--pdes` corpus. Only site-disjoint traffic can be sharded;
+/// `nas`, `ray2mesh` and `coll` are not, and an unsharded run is already
+/// pinned by the classic corpus. Order is the check/record order.
+pub const SCENARIOS: &[(&str, GoldenFn, bool)] = &[
+    ("pingpong", golden_pingpong, true),
+    ("slowstart", golden_slowstart, true),
+    ("table4", golden_table4, true),
+    ("nas", golden_nas, false),
+    ("ray2mesh", golden_ray2mesh, false),
+    ("faults", golden_faults, true),
+    ("coll", golden_coll, false),
 ];
 
 /// Recompute one scenario's digest.
@@ -442,13 +451,18 @@ pub fn cmd_golden(args: &[String]) {
         Some(n) => ExecConfig::new().shards(n),
         None => ExecConfig::new(),
     };
+    let scenarios: Vec<(&'static str, GoldenFn)> = SCENARIOS
+        .iter()
+        .filter(|&&(_, _, shards)| shards || pdes.is_none())
+        .map(|&(name, f, _)| (name, f))
+        .collect();
     match mode {
         Some("record") => {
             crate::header(&match pdes {
                 Some(n) => format!("Golden corpus: recording run digests (PDES, {n} workers)"),
                 None => "Golden corpus: recording run digests".to_string(),
             });
-            for &(name, f) in SCENARIOS {
+            for &(name, f) in &scenarios {
                 let rec = run_scenario(name, f, exec);
                 write_record(&dir, &rec)
                     .unwrap_or_else(|e| panic!("cannot write golden record for {name}: {e}"));
@@ -473,7 +487,7 @@ pub fn cmd_golden(args: &[String]) {
                 ("fast path off", exec.fast_path(false)),
             ] {
                 println!("-- {mode}");
-                for &(name, f) in SCENARIOS {
+                for &(name, f) in &scenarios {
                     if !check_scenario(&dir, name, f, exec) {
                         failures.push(format!("{name} ({mode})"));
                     }
@@ -490,7 +504,7 @@ pub fn cmd_golden(args: &[String]) {
             }
             println!(
                 "\ngolden check passed ({} scenarios, fast path on and off)",
-                SCENARIOS.len()
+                scenarios.len()
             );
         }
         _ => {

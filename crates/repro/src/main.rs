@@ -275,7 +275,7 @@ fn cmd_ring(args: &[String]) {
         .map(|v| v.parse::<u32>().expect("--shards takes a number"));
     let mut exec = mpisim::ExecConfig::new();
     if let Some(n) = shards {
-        exec = exec.shards(n).pattern(mpisim::CommPattern::SiteDisjoint);
+        exec = exec.shards(n);
     }
     let (mut topo, rn, nn) = netsim::grid5000_pair(8);
     topo.set_kernel_all(netsim::KernelConfig::tuned(4 << 20));

@@ -39,7 +39,9 @@
 #           the selectable collective-algorithm suite: every algorithm
 #           is semantically equivalent to the baseline (property test),
 #           tags never collide across ops (regression), a quick
-#           autotune sweep finds a LAN/WAN algorithm divergence, and
+#           autotune sweep finds a LAN/WAN algorithm divergence, the
+#           full sweep rewrites the committed results/dat/coll_decision_*
+#           tables byte for byte, and
 #           the four collective guidelines hold, each named in output
 #   campaign
 #           the sweep engine and run ledger: a quick campaign runs
@@ -215,19 +217,19 @@ stage_ranks() {
 
 stage_pdes() {
     release_bins
-    # The PDES corpus (results/golden/pdes/) is recorded at one worker.
-    # The site partition is a pure function of (topology, placement,
-    # pattern) — never of the worker count — so every worker count must
-    # reproduce the corpus bit for bit, with the bulk fast path engaged
-    # and disabled (each `golden check` runs both modes, as for the
-    # classic corpus). The corpus includes the four-site
-    # ray2mesh scenario, so `--pdes 4` doubles as the 4-shard ray2mesh
-    # smoke.
+    # The PDES corpus (results/golden/pdes/) is recorded at one worker
+    # and holds the four site-disjoint scenarios (pingpong, slowstart,
+    # table4, faults). The site partition is a pure function of
+    # (topology, placement) — never of the worker count — so every
+    # worker count must reproduce the corpus bit for bit, with the bulk
+    # fast path engaged and disabled (each `golden check` runs both
+    # modes, as for the classic corpus).
     ./target/release/repro golden check --pdes 1
     ./target/release/repro golden check --pdes 2
     ./target/release/repro golden check --pdes 4
-    # Rank-scale smoke on the sharded driver: a 64-rank two-site ring at
-    # 4 workers, clean exit (the ring asserts no undrained messages).
+    # The multi-shard smoke: a 64-rank two-site ring on the sharded
+    # driver at 4 workers, clean exit (the ring asserts no undrained
+    # messages).
     ./target/release/repro ring --ranks 64 --rounds 2 --shards 4 >/dev/null
     # Host-side scaling. Correctness is the digest contract above; the
     # wall-clock speedup needs real cores, so the floor is enforced only
@@ -261,9 +263,23 @@ stage_collectives() {
     cargo test -q --offline -p mpisim --test coll_tag_regression
     # Autotune sweep smoke: the quick grid must run end to end and find
     # at least one (op, size class) whose winning algorithm differs
-    # between the LAN and the four-site WAN (--check enforces that).
+    # between the LAN and the four-site WAN (--check enforces that). Its
+    # tables go under target/: the default directory is results/dat,
+    # which holds the full sweep's tables.
     ./target/release/repro autotune-coll --quick --check \
-        --cache target/autotune_coll_cache.json
+        --dat target/coll_dat_quick --cache target/autotune_coll_cache.json
+    # The committed decision tables must be what the full sweep writes:
+    # rerun it cold (fresh cache) and byte-compare each table.
+    rm -rf target/coll_dat target/coll_dat_cache.json
+    ./target/release/repro autotune-coll --dat target/coll_dat \
+        --cache target/coll_dat_cache.json >/dev/null
+    for _dat in coll_decision_untuned.dat coll_decision_untuned.json \
+        coll_decision_tuned.dat coll_decision_tuned.json; do
+        if ! cmp "target/coll_dat/${_dat}" "results/dat/${_dat}"; then
+            echo "autotune-coll --dat: ${_dat} differs from results/dat/${_dat}" >&2
+            exit 1
+        fi
+    done
     # The four collective guidelines, each named in stage output. A
     # violated guideline fails the stage with its name on the FAIL line.
     ./target/release/repro guidelines \
