@@ -24,6 +24,7 @@ use mpisim::{CollAlgo, CollConfig, CollOp, CollSel, ExecConfig, MpiImpl, RankCtx
 use netsim::{grid5000_four_sites, grid5000_pair, Network, NodeId};
 use repro::cache::{self, fnv1a64};
 
+use crate::cli::Args;
 use crate::par::par_map;
 use crate::scenario::Scenario;
 use crate::util::{size_label, TuningLevel};
@@ -191,27 +192,15 @@ impl Cell {
     }
 }
 
-/// `--dat DIR` if given, else the committed default.
-fn out_dir() -> PathBuf {
-    crate::DAT_DIR
-        .get()
-        .and_then(|o| o.as_ref())
-        .cloned()
-        .unwrap_or_else(|| PathBuf::from("results/dat"))
-}
-
-/// `repro autotune-coll [--quick] [--check] [--cache FILE]`.
-pub fn cmd_autotune_coll(args: &[String]) {
-    let quick = args.iter().any(|a| a == "--quick");
-    let check = args.iter().any(|a| a == "--check");
-    let cache_path = args
-        .iter()
-        .position(|a| a == "--cache")
-        .and_then(|i| args.get(i + 1))
-        .map_or_else(
-            || PathBuf::from("target/autotune_coll_cache.json"),
-            PathBuf::from,
-        );
+/// `repro autotune-coll [--quick] [--check] [--cache FILE]`. The
+/// decision tables are written only with `--dat DIR`.
+pub fn cmd_autotune_coll(args: &Args) {
+    let quick = args.switch("--quick");
+    let check = args.switch("--check");
+    let cache_path = PathBuf::from(
+        args.text("--cache")
+            .unwrap_or("target/autotune_coll_cache.json"),
+    );
     let sizes: &[u64] = if quick {
         &[1 << 10, 64 << 10, 1 << 20]
     } else {
@@ -266,8 +255,6 @@ pub fn cmd_autotune_coll(args: &[String]) {
     let time_of = |c: &Cell| cache[&c.key()];
 
     // Per-profile decision tables: winner per (op, bytes, topo).
-    let dir = out_dir();
-    let _ = std::fs::create_dir_all(&dir);
     let mut divergences: Vec<String> = Vec::new();
     for (pi, profile) in PROFILES.iter().enumerate() {
         println!(
@@ -355,22 +342,22 @@ pub fn cmd_autotune_coll(args: &[String]) {
                 }
             }
         }
-        let dat_path = dir.join(format!("coll_decision_{}.dat", profile.name));
-        if let Err(e) = std::fs::write(&dat_path, &dat) {
-            eprintln!("cannot write {}: {e}", dat_path.display());
-        } else {
-            println!("wrote {}", dat_path.display());
-        }
-        let json_path = dir.join(format!("coll_decision_{}.json", profile.name));
-        let body = format!(
+        let Some(dir) = crate::global_path("--dat") else {
+            continue;
+        };
+        let _ = std::fs::create_dir_all(dir);
+        let json = format!(
             "{{\n  \"profile\": {},\n  \"ranks\": {RANKS},\n  \"rounds\": {ROUNDS},\n  \
              \"cells\": [\n{}\n  ]\n}}\n",
             crate::json_str(profile.name),
             json_cells.join(",\n")
         );
-        match std::fs::write(&json_path, body) {
-            Err(e) => eprintln!("cannot write {}: {e}", json_path.display()),
-            Ok(()) => println!("wrote {}", json_path.display()),
+        for (ext, body) in [("dat", dat), ("json", json)] {
+            let path = dir.join(format!("coll_decision_{}.{ext}", profile.name));
+            match std::fs::write(&path, body) {
+                Err(e) => eprintln!("cannot write {}: {e}", path.display()),
+                Ok(()) => println!("wrote {}", path.display()),
+            }
         }
     }
 

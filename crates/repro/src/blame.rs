@@ -15,14 +15,12 @@ use std::io::Write as _;
 use std::sync::Arc;
 
 use desim::obs::analysis::{events_from_jsonl, Analysis, Collector};
+use desim::obs::Obs;
 use desim::Event;
-use gridapps::Ray2MeshConfig;
-use mpisim::{FaultPlan, MpiImpl, MpiProgram, RankCtx, HEADER_BYTES};
-use netsim::Grid5000Site;
-use npb::{NasBenchmark, NasClass, NasRun};
+use mpisim::HEADER_BYTES;
 
-use crate::scenario::{pingpong_program, Scenario};
-use crate::util::{Scope, TuningLevel};
+use crate::catalogue;
+use crate::cli::Args;
 
 /// One analyzed run (or replayed stream).
 struct Section {
@@ -35,18 +33,12 @@ struct Section {
     analysis: Analysis,
 }
 
-/// Run `scenario` with a collector attached and analyze the stream.
-fn run_section(
-    label: &'static str,
-    detail: String,
-    scenario: Scenario,
-    program: impl MpiProgram,
-) -> Section {
+/// Execute a catalogued run with a collector attached and analyze the
+/// stream.
+fn analyze(run: catalogue::Run) -> Section {
     let col = Arc::new(Collector::new());
-    let report = scenario
-        .recorder(col.clone())
-        .run(program)
-        .unwrap_or_else(|e| panic!("blame scenario {label} failed: {e:?}"));
+    let (label, detail) = (run.label, run.detail.to_string());
+    let report = run.execute(Obs::none().recorder(col.clone()));
     let events = col.events();
     let analysis = Analysis::from_events(&events, HEADER_BYTES);
     Section {
@@ -58,132 +50,27 @@ fn run_section(
     }
 }
 
-/// A pair scenario with the eager/rendezvous decision forced.
-fn forced_mode(threshold: Option<u64>) -> Scenario {
-    let level = TuningLevel::TcpTuned;
-    let mut tuning = level.tuning(MpiImpl::Mpich2);
-    tuning.eager_threshold = threshold;
-    Scenario::pair(Scope::Grid, level, MpiImpl::Mpich2).tuning(tuning)
-}
-
 /// 64 MB WAN ping-pong, untuned vs tuned kernel: the aggregate
 /// slow-start share of each (the guideline
 /// `blame-slow-start-share` asserts untuned > tuned > absent).
 pub(crate) fn slow_start_shares() -> (f64, f64) {
-    let bytes = 64 << 20;
-    let untuned = run_section(
-        "untuned",
-        String::new(),
-        Scenario::pair(Scope::Grid, TuningLevel::Default, MpiImpl::Mpich2),
-        pingpong_program(bytes, 1),
-    );
-    let tuned = run_section(
-        "tuned",
-        String::new(),
-        Scenario::pair(Scope::Grid, TuningLevel::TcpTuned, MpiImpl::Mpich2),
-        pingpong_program(bytes, 1),
-    );
-    (
-        untuned.analysis.slow_start_share(),
-        tuned.analysis.slow_start_share(),
-    )
+    let share = |label| analyze(catalogue::run(label)).analysis.slow_start_share();
+    (share("untuned"), share("tuned"))
 }
 
 /// Crossover-sized WAN message under forced eager vs forced rendezvous:
 /// mean handshake seconds of each (the guideline `blame-rndv-handshake`
 /// asserts the difference is at least one WAN round trip).
 pub(crate) fn handshake_split() -> (f64, f64) {
-    let bytes = 1 << 20;
-    let mean = |s: &Section| {
-        let msgs = &s.analysis.messages;
-        if msgs.is_empty() {
-            return 0.0;
-        }
-        msgs.iter().map(|m| m.handshake_secs).sum::<f64>() / msgs.len() as f64
-    };
-    let eager = run_section(
-        "eager",
-        String::new(),
-        forced_mode(Some(u64::MAX)),
-        pingpong_program(bytes, 1),
-    );
-    let rndv = run_section(
-        "rendezvous",
-        String::new(),
-        forced_mode(Some(0)),
-        pingpong_program(bytes, 1),
-    );
-    (mean(&eager), mean(&rndv))
+    let mean = |label| mean_handshake(&analyze(catalogue::run(label)));
+    (mean("eager"), mean("rendezvous"))
 }
 
-fn sections_for(scenario: &str) -> Vec<Section> {
-    match scenario {
-        "pingpong" => {
-            let bytes = 64 << 20;
-            vec![
-                run_section(
-                    "untuned",
-                    "64 MB WAN ping-pong, untuned kernel (default buffers)".into(),
-                    Scenario::pair(Scope::Grid, TuningLevel::Default, MpiImpl::Mpich2),
-                    pingpong_program(bytes, 1),
-                ),
-                run_section(
-                    "tuned",
-                    "64 MB WAN ping-pong, tuned kernel (4 MB buffers)".into(),
-                    Scenario::pair(Scope::Grid, TuningLevel::TcpTuned, MpiImpl::Mpich2),
-                    pingpong_program(bytes, 1),
-                ),
-                run_section(
-                    "eager",
-                    "1 MB WAN message, protocol forced eager".into(),
-                    forced_mode(Some(u64::MAX)),
-                    pingpong_program(1 << 20, 1),
-                ),
-                run_section(
-                    "rendezvous",
-                    "1 MB WAN message, protocol forced rendezvous".into(),
-                    forced_mode(Some(0)),
-                    pingpong_program(1 << 20, 1),
-                ),
-            ]
-        }
-        "nas" => {
-            let run = NasRun::quick(NasBenchmark::Cg, NasClass::S);
-            vec![run_section(
-                "nas_cg",
-                "NPB CG class S quick run, 8+8 grid, GridMPI fully tuned".into(),
-                Scenario::npb(8, 8, 8, TuningLevel::FullyTuned, MpiImpl::GridMpi),
-                run.program(),
-            )]
-        }
-        "ray2mesh" => {
-            let cfg = Ray2MeshConfig::small();
-            vec![run_section(
-                "ray2mesh",
-                "ray2mesh small, four sites, master on the first site".into(),
-                Scenario::four_sites(2, Grid5000Site::ALL[0], MpiImpl::GridMpi),
-                cfg.program(),
-            )]
-        }
-        "faults" => vec![run_section(
-            "lossy_wan",
-            "16 MB WAN transfer with seeded 1e-3 segment loss".into(),
-            Scenario::pair(Scope::Grid, TuningLevel::TcpTuned, MpiImpl::Mpich2)
-                .faults(FaultPlan::new().with_seed(42).with_wan_loss(1e-3)),
-            |mut ctx: RankCtx| async move {
-                const TAG: u64 = 7;
-                if ctx.rank() == 0 {
-                    ctx.send(1, 16 << 20, TAG).await;
-                } else {
-                    ctx.recv(0, TAG).await;
-                }
-            },
-        )],
-        other => {
-            eprintln!("unknown blame scenario {other:?} (want pingpong|nas|ray2mesh|faults)");
-            std::process::exit(2);
-        }
-    }
+/// Mean handshake seconds over a section's paired messages (0 if none).
+fn mean_handshake(s: &Section) -> f64 {
+    let msgs = &s.analysis.messages;
+    let total: f64 = msgs.iter().map(|m| m.handshake_secs).sum();
+    total / (msgs.len() as f64).max(1.0)
 }
 
 fn print_text(section: &Section) {
@@ -367,41 +254,13 @@ fn dat_lines(sections: &[Section]) -> String {
     out
 }
 
-/// `repro blame <pingpong|nas|ray2mesh|faults> [--trace-in FILE]
+/// `repro blame [pingpong|nas|ray2mesh|faults] [--trace-in FILE]
 /// [--emit-events FILE] [--format text|json|dat]`.
-pub fn cmd_blame(args: &[String]) {
-    let mut scenario: Option<&str> = None;
-    let mut format = "text";
-    let mut trace_in: Option<&str> = None;
-    let mut emit: Option<&str> = None;
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--format" => {
-                format = args.get(i + 1).map(String::as_str).unwrap_or("text");
-                i += 2;
-            }
-            "--trace-in" => {
-                trace_in = args.get(i + 1).map(String::as_str);
-                i += 2;
-            }
-            "--emit-events" => {
-                emit = args.get(i + 1).map(String::as_str);
-                i += 2;
-            }
-            // Global flags main() already consumed; skip their values.
-            "--dat" | "--trace-out" | "--metrics" => i += 2,
-            s if !s.starts_with('-') && scenario.is_none() => {
-                scenario = Some(s);
-                i += 1;
-            }
-            _ => i += 1,
-        }
-    }
-    if !matches!(format, "text" | "json" | "dat") {
-        eprintln!("unknown --format {format:?} (want text|json|dat)");
-        std::process::exit(2);
-    }
+pub fn cmd_blame(args: &Args) {
+    let scenario = args.positional(0);
+    let format = args.text("--format").unwrap_or("text");
+    let trace_in = args.text("--trace-in");
+    let emit = args.text("--emit-events");
 
     let sections = match trace_in {
         Some(path) => {
@@ -422,7 +281,10 @@ pub fn cmd_blame(args: &[String]) {
                 analysis,
             }]
         }
-        None => sections_for(scenario.unwrap_or("pingpong")),
+        None => catalogue::labels(scenario.unwrap_or("pingpong"))
+            .iter()
+            .map(|&label| analyze(catalogue::run(label)))
+            .collect(),
     };
 
     if let Some(path) = emit {
@@ -470,14 +332,7 @@ pub fn cmd_blame(args: &[String]) {
             }
             if name == "pingpong" && sections.len() == 4 {
                 let share = |i: usize| sections[i].analysis.slow_start_share();
-                let hs = |i: usize| {
-                    let m = &sections[i].analysis.messages;
-                    if m.is_empty() {
-                        0.0
-                    } else {
-                        m.iter().map(|m| m.handshake_secs).sum::<f64>() / m.len() as f64
-                    }
-                };
+                let hs = |i: usize| mean_handshake(&sections[i]);
                 println!("\nsummary:");
                 println!(
                     "  slow-start share: untuned {:.1}% vs tuned {:.1}% \

@@ -45,6 +45,7 @@ use mpisim::{
 use netsim::{grid5000_four_sites, Grid5000Site, KernelConfig, Network};
 use npb::{NasBenchmark, NasClass, NasRun};
 
+use crate::cli::Args;
 use crate::scenario::Scenario;
 use crate::util::{Scope, TuningLevel};
 
@@ -426,27 +427,15 @@ fn check_scenario(dir: &Path, name: &'static str, f: GoldenFn, exec: ExecConfig)
     }
 }
 
-/// `repro golden record|check [--dir DIR] [--pdes N]`.
-pub fn cmd_golden(args: &[String]) {
-    let mode = args.get(1).map(String::as_str);
-    let pdes: Option<u32> = args.iter().position(|a| a == "--pdes").map(|i| {
-        args.get(i + 1)
-            .and_then(|v| v.parse().ok())
-            .unwrap_or_else(|| {
-                eprintln!("--pdes needs a worker count");
-                std::process::exit(2);
-            })
-    });
+/// `repro golden <record|check> [--dir DIR] [--pdes N]`.
+pub fn cmd_golden(args: &Args) {
+    let pdes = args.num("--pdes").map(|n| n as u32);
     let default_dir = if pdes.is_some() {
         "results/golden/pdes"
     } else {
         "results/golden"
     };
-    let dir = args
-        .iter()
-        .position(|a| a == "--dir")
-        .and_then(|i| args.get(i + 1))
-        .map_or_else(|| PathBuf::from(default_dir), PathBuf::from);
+    let dir = PathBuf::from(args.text("--dir").unwrap_or(default_dir));
     let exec = match pdes {
         Some(n) => ExecConfig::new().shards(n),
         None => ExecConfig::new(),
@@ -456,16 +445,18 @@ pub fn cmd_golden(args: &[String]) {
         .filter(|&&(_, _, shards)| shards || pdes.is_none())
         .map(|&(name, f, _)| (name, f))
         .collect();
-    match mode {
-        Some("record") => {
+    match args.arg(0) {
+        "record" => {
             crate::header(&match pdes {
                 Some(n) => format!("Golden corpus: recording run digests (PDES, {n} workers)"),
                 None => "Golden corpus: recording run digests".to_string(),
             });
             for &(name, f) in &scenarios {
                 let rec = run_scenario(name, f, exec);
-                write_record(&dir, &rec)
-                    .unwrap_or_else(|e| panic!("cannot write golden record for {name}: {e}"));
+                if let Err(e) = write_record(&dir, &rec) {
+                    eprintln!("cannot write golden record for {name}: {e}");
+                    std::process::exit(1);
+                }
                 println!(
                     "{:<10} digest {} ({} events, {:.3}s simulated) -> {}",
                     rec.scenario,
@@ -476,7 +467,7 @@ pub fn cmd_golden(args: &[String]) {
                 );
             }
         }
-        Some("check") => {
+        "check" => {
             crate::header(&match pdes {
                 Some(n) => format!("Golden corpus: checking run digests (PDES, {n} workers)"),
                 None => "Golden corpus: checking run digests".to_string(),
@@ -507,9 +498,6 @@ pub fn cmd_golden(args: &[String]) {
                 scenarios.len()
             );
         }
-        _ => {
-            eprintln!("usage: repro golden <record|check> [--dir DIR] [--pdes N]");
-            std::process::exit(2);
-        }
+        other => unreachable!("the parser admits only record and check, not {other:?}"),
     }
 }

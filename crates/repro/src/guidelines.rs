@@ -16,6 +16,7 @@ use mpisim::{
 };
 use netsim::Grid5000Site;
 
+use crate::cli::Args;
 use crate::pingpong::{pingpong, Stack};
 use crate::scenario::Scenario;
 use crate::util::{size_label, Scope, TuningLevel};
@@ -477,48 +478,19 @@ const GUIDELINES: &[Guideline] = &[
 /// violated ones. `--format json` emits one array of
 /// `{name, claim, pass, detail}` objects instead of the text table (the
 /// exit code still reflects failures).
-pub fn cmd_guidelines(args: &[String]) {
-    let json = match args
-        .iter()
-        .position(|a| a == "--format")
-        .and_then(|i| args.get(i + 1))
-        .map(String::as_str)
-    {
-        None | Some("text") => false,
-        Some("json") => true,
-        Some(other) => {
-            eprintln!("unknown format {other:?} (expected text or json)");
-            std::process::exit(2);
-        }
-    };
-    let mut skip_next = false;
-    let wanted: Vec<&str> = args
-        .iter()
-        .filter(|a| {
-            if skip_next {
-                skip_next = false;
-                return false;
-            }
-            if *a == "--format" {
-                skip_next = true;
-                return false;
-            }
-            !a.starts_with('-')
-        })
-        .map(String::as_str)
-        .collect();
-    for w in &wanted {
-        if !GUIDELINES.iter().any(|g| g.name == *w) {
-            eprintln!("unknown guideline {w:?}");
-            eprintln!(
-                "known: {}",
+pub fn cmd_guidelines(args: &Args) {
+    let json = args.text("--format") == Some("json");
+    let wanted = args.positionals();
+    for w in wanted {
+        if !GUIDELINES.iter().any(|g| g.name == w.as_str()) {
+            args.fail(format!(
+                "unknown guideline {w:?}; known: {}",
                 GUIDELINES
                     .iter()
                     .map(|g| g.name)
                     .collect::<Vec<_>>()
                     .join(", ")
-            );
-            std::process::exit(2);
+            ));
         }
     }
     if !json {
@@ -528,7 +500,7 @@ pub fn cmd_guidelines(args: &[String]) {
     let mut checked = 0usize;
     let mut records: Vec<String> = Vec::new();
     for g in GUIDELINES {
-        if !wanted.is_empty() && !wanted.contains(&g.name) {
+        if !wanted.is_empty() && !wanted.iter().any(|w| w == g.name) {
             continue;
         }
         checked += 1;

@@ -1,5 +1,5 @@
-//! CLI front-ends for the campaign engine and the ledger tools: arg
-//! parsing, printing, and exit codes. The actual work lives in
+//! CLI front-ends for the campaign engine and the ledger tools:
+//! printing and exit codes. The actual work lives in
 //! [`repro::campaign`] and [`repro::ledger`].
 
 use std::path::PathBuf;
@@ -7,63 +7,31 @@ use std::path::PathBuf;
 use repro::campaign::{self, CampaignConfig, Spec};
 use repro::ledger;
 
-fn flag_value<'a>(args: &'a [String], flag: &str) -> Option<&'a str> {
-    args.iter()
-        .position(|a| a == flag)
-        .and_then(|i| args.get(i + 1))
-        .map(String::as_str)
-}
-
-fn flag_num(args: &[String], flag: &str, default: f64) -> f64 {
-    flag_value(args, flag).map_or(default, |v| {
-        v.parse()
-            .unwrap_or_else(|_| panic!("{flag} takes a number, got {v:?}"))
-    })
-}
+use crate::cli::Args;
 
 /// `repro campaign [--spec quick|tiny] [--label NAME] [--ledger-dir DIR]
 /// [--cache FILE] [--perturb loss[=RATE]] [--no-heartbeat]
 /// [--min-cache-hits PCT] [--no-guidelines]`
-pub(crate) fn cmd_campaign(args: &[String]) {
-    // `--quick` is an alias for the default spec so CI reads naturally.
-    let spec_name = flag_value(args, "--spec").unwrap_or(if args.iter().any(|a| a == "--tiny") {
-        "tiny"
-    } else {
-        "quick"
-    });
-    let Some(spec) = Spec::parse(spec_name) else {
-        eprintln!("unknown spec {spec_name:?} (expected quick or tiny)");
-        std::process::exit(2);
-    };
+pub(crate) fn cmd_campaign(args: &Args) {
+    let spec = Spec::parse(args.text("--spec").unwrap_or("quick"))
+        .expect("the parser admits only quick and tiny");
     let mut cfg = CampaignConfig::new(spec);
-    if let Some(label) = flag_value(args, "--label") {
+    if let Some(label) = args.text("--label") {
         cfg.label = label.to_string();
     }
-    if let Some(dir) = flag_value(args, "--ledger-dir") {
+    if let Some(dir) = args.text("--ledger-dir") {
         cfg.ledger_dir = PathBuf::from(dir);
     }
-    if let Some(path) = flag_value(args, "--cache") {
+    if let Some(path) = args.text("--cache") {
         cfg.cache_path = PathBuf::from(path);
     }
-    if let Some(what) = flag_value(args, "--perturb") {
-        cfg.perturb_loss = match what.split_once('=') {
-            Some(("loss", rate)) => rate
-                .parse()
-                .unwrap_or_else(|_| panic!("--perturb loss takes a rate, got {rate:?}")),
-            None if what == "loss" => 3e-3,
-            _ => {
-                eprintln!("unknown perturbation {what:?} (expected loss or loss=RATE)");
-                std::process::exit(2);
-            }
-        };
+    if let Some(rate) = args.num("--perturb") {
+        cfg.perturb_loss = rate;
     }
-    if args.iter().any(|a| a == "--no-heartbeat") {
+    if args.switch("--no-heartbeat") {
         cfg.heartbeat_secs = None;
     }
-    let min_hits = flag_value(args, "--min-cache-hits").map(|v| {
-        v.parse::<f64>()
-            .unwrap_or_else(|_| panic!("--min-cache-hits takes a percentage, got {v:?}"))
-    });
+    let min_hits = args.num("--min-cache-hits");
 
     crate::header(&format!(
         "Campaign: {} spec, {} cells{}",
@@ -104,7 +72,7 @@ pub(crate) fn cmd_campaign(args: &[String]) {
     // CI runs it with --no-guidelines: outcomes are still printed and
     // recorded in the ledger, they just stop gating the exit status.
     if failed > 0 {
-        if args.iter().any(|a| a == "--no-guidelines") {
+        if args.switch("--no-guidelines") {
             eprintln!("{failed} campaign guideline(s) failed (not gating: --no-guidelines)");
         } else {
             eprintln!("{failed} campaign guideline(s) failed");
@@ -123,35 +91,7 @@ pub(crate) fn cmd_campaign(args: &[String]) {
 }
 
 /// `repro ledger <diff|top|report> ...`
-pub(crate) fn cmd_ledger(args: &[String]) {
-    let usage = || -> ! {
-        eprintln!(
-            "usage: repro ledger <diff OLD NEW [--threshold PCT]|\
-             top OLD NEW [--limit N] [--min-delta X]|report FILE [--dat DIR]>"
-        );
-        std::process::exit(2);
-    };
-    let Some(sub) = args.first().map(String::as_str) else {
-        usage()
-    };
-    // Skip flag values when collecting positionals: every flag here
-    // takes exactly one argument.
-    let positional: Vec<&str> = {
-        let mut out = Vec::new();
-        let mut skip = false;
-        for a in &args[1..] {
-            if skip {
-                skip = false;
-                continue;
-            }
-            if a.starts_with('-') {
-                skip = true;
-                continue;
-            }
-            out.push(a.as_str());
-        }
-        out
-    };
+pub(crate) fn cmd_ledger(args: &Args) {
     let load = |path: &str| -> Vec<desim::obs::ledger::RunRow> {
         match ledger::load(std::path::Path::new(path)) {
             Ok(rows) => rows,
@@ -161,12 +101,10 @@ pub(crate) fn cmd_ledger(args: &[String]) {
             }
         }
     };
-    match sub {
-        "diff" => {
-            let [old_path, new_path] = positional[..] else {
-                usage()
-            };
-            let threshold = flag_num(args, "--threshold", 5.0);
+    match args.name() {
+        "ledger diff" => {
+            let (old_path, new_path) = (args.arg(0), args.arg(1));
+            let threshold = args.num("--threshold").unwrap_or(5.0);
             let (old, new) = (load(old_path), load(new_path));
             let d = ledger::diff(&old, &new);
             crate::header(&format!("Ledger diff: {old_path} -> {new_path}"));
@@ -216,15 +154,10 @@ pub(crate) fn cmd_ledger(args: &[String]) {
                 std::process::exit(3);
             }
         }
-        "top" => {
-            let [old_path, new_path] = positional[..] else {
-                usage()
-            };
-            let limit = flag_num(args, "--limit", 10.0) as usize;
-            let min_delta = flag_value(args, "--min-delta").map(|v| {
-                v.parse::<f64>()
-                    .unwrap_or_else(|_| panic!("--min-delta takes a number, got {v:?}"))
-            });
+        "ledger top" => {
+            let (old_path, new_path) = (args.arg(0), args.arg(1));
+            let limit = args.num("--limit").map_or(10, |n| n as usize);
+            let min_delta = args.num("--min-delta");
             let (old, new) = (load(old_path), load(new_path));
             let shifts = ledger::top(&old, &new, limit);
             crate::header(&format!(
@@ -256,8 +189,8 @@ pub(crate) fn cmd_ledger(args: &[String]) {
                 }
             }
         }
-        "report" => {
-            let [path] = positional[..] else { usage() };
+        "ledger report" => {
+            let path = args.arg(0);
             let rows = load(path);
             let (tables, summary) = ledger::report(&rows);
             crate::header(&format!("Ledger report: {path}"));
@@ -273,6 +206,6 @@ pub(crate) fn cmd_ledger(args: &[String]) {
                 }
             }
         }
-        _ => usage(),
+        other => unreachable!("{other:?} is not a ledger command"),
     }
 }

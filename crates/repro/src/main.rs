@@ -6,6 +6,8 @@ mod ablation;
 mod analysis;
 mod autotune;
 mod blame;
+mod catalogue;
+mod cli;
 mod faults;
 mod g2;
 mod golden;
@@ -37,14 +39,14 @@ use util::{fig_sizes, size_label, Scope, TuningLevel};
 use std::io::Write as _;
 use std::sync::OnceLock;
 
-/// Directory for gnuplot-ready `.dat` files (`--dat DIR`).
-static DAT_DIR: OnceLock<Option<std::path::PathBuf>> = OnceLock::new();
+/// The global flags (`--class-a`, `--dat`, `--trace-out`, `--metrics`),
+/// set once by `main` before any subcommand runs.
+static GLOBALS: OnceLock<cli::Args> = OnceLock::new();
 
-/// Chrome trace-event output path (`--trace-out FILE`).
-static TRACE_OUT: OnceLock<Option<std::path::PathBuf>> = OnceLock::new();
-
-/// Metrics snapshot output path (`--metrics FILE`).
-static METRICS_OUT: OnceLock<Option<std::path::PathBuf>> = OnceLock::new();
+/// A global flag's path value, if given.
+pub(crate) fn global_path(flag: &str) -> Option<&'static std::path::Path> {
+    GLOBALS.get()?.text(flag).map(std::path::Path::new)
+}
 
 /// When `--trace-out` or `--metrics` was given, a ring sink (with an
 /// attached metrics registry) to hang on a job via
@@ -54,11 +56,7 @@ pub(crate) fn obs_sink() -> Option<(
     std::sync::Arc<desim::RingSink>,
     std::sync::Arc<desim::Metrics>,
 )> {
-    let want =
-        |cell: &OnceLock<Option<std::path::PathBuf>>| cell.get().is_some_and(|p| p.is_some());
-    if !want(&TRACE_OUT) && !want(&METRICS_OUT) {
-        return None;
-    }
+    global_path("--trace-out").or(global_path("--metrics"))?;
     let metrics = std::sync::Arc::new(desim::Metrics::new());
     let sink = std::sync::Arc::new(desim::RingSink::with_metrics(1 << 21, metrics.clone()));
     Some((sink, metrics))
@@ -66,7 +64,7 @@ pub(crate) fn obs_sink() -> Option<(
 
 /// Export whatever `--trace-out` / `--metrics` asked for.
 pub(crate) fn write_obs(sink: &desim::RingSink, metrics: &desim::Metrics) {
-    if let Some(Some(path)) = TRACE_OUT.get() {
+    if let Some(path) = global_path("--trace-out") {
         let events = sink.events();
         let body = desim::obs::export::chrome_trace_with_drops(&events, sink.dropped());
         match std::fs::write(path, body) {
@@ -86,7 +84,7 @@ pub(crate) fn write_obs(sink: &desim::RingSink, metrics: &desim::Metrics) {
             );
         }
     }
-    if let Some(Some(path)) = METRICS_OUT.get() {
+    if let Some(path) = global_path("--metrics") {
         match std::fs::write(path, metrics.snapshot().to_json()) {
             Ok(()) => println!("wrote metrics snapshot to {}", path.display()),
             Err(e) => eprintln!("cannot write {}: {e}", path.display()),
@@ -105,63 +103,22 @@ pub(crate) fn json_file(name: &str) -> Option<std::fs::File> {
 }
 
 fn out_file(name: &str, ext: &str) -> Option<std::fs::File> {
-    let dir = DAT_DIR.get()?.as_ref()?;
+    let dir = global_path("--dat")?;
     std::fs::create_dir_all(dir).ok()?;
     std::fs::File::create(dir.join(format!("{name}.{ext}"))).ok()
 }
 
-/// Command-line synopsis (`repro help`, `--help`, `-h`).
-const USAGE: &str = "usage: repro <table1|table2|table4|table5|table6|table7|\
-     fig3|fig5|fig6|fig7|fig9|fig10|fig11|fig12|fig13|testbed|ablation|g2|heterogeneity|perturbation|simri|\
-     utilization|placement|scaling|trace [BENCH]|cwnd|faults|\
-     ring [--ranks N] [--rounds N] [--shards N]|\
-     blame [pingpong|nas|ray2mesh|faults] [--trace-in FILE] \
-     [--emit-events FILE] [--format text|json|dat]|\
-     profile [pingpong|nas|ray2mesh|faults] [--domain host|virtual] \
-     [--format folded|speedscope]|\
-     timeline [pingpong|nas|ray2mesh|faults] [--window MS]|\
-     autotune-coll [--quick] [--check] [--cache FILE]|\
-     golden <record|check> [--dir DIR] [--pdes N]|\
-     guidelines [NAME ...] [--format text|json]|\
-     campaign [--spec quick|tiny] [--label NAME] [--ledger-dir DIR] \
-     [--cache FILE] [--perturb loss[=RATE]] [--no-heartbeat] \
-     [--min-cache-hits PCT]|\
-     ledger <diff OLD NEW [--threshold PCT]|\
-     top OLD NEW [--limit N] [--min-delta X]|report FILE [--dat DIR]>|\
-     validate FILE [--require-event NAME] [--summary]|all> \
-     [--class-a] [--dat DIR] [--trace-out FILE] [--metrics FILE]";
-
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    // A leading flag other than `--help`/`-h` means "trace with
-    // observability outputs", so that `repro --trace-out run.trace.json`
-    // does the obvious thing.
-    let cmd = match args.first().map(String::as_str) {
-        Some(flag) if flag.starts_with('-') && !matches!(flag, "--help" | "-h") => "trace",
-        Some(cmd) => cmd,
-        None => "help",
-    };
-    let class = if args.iter().any(|a| a == "--class-a") {
+    let argv: Vec<String> = std::env::args().skip(1).collect();
+    let (globals, args) = cli::parse(&argv);
+    let class = if globals.switch("--class-a") {
         NasClass::A
     } else {
         NasClass::B
     };
-    let dat = args
-        .iter()
-        .position(|a| a == "--dat")
-        .and_then(|i| args.get(i + 1))
-        .map(std::path::PathBuf::from);
-    let _ = DAT_DIR.set(dat);
-    let flag_path = |flag: &str| {
-        args.iter()
-            .position(|a| a == flag)
-            .and_then(|i| args.get(i + 1))
-            .map(std::path::PathBuf::from)
-    };
-    let _ = TRACE_OUT.set(flag_path("--trace-out"));
-    let _ = METRICS_OUT.set(flag_path("--metrics"));
+    let _ = GLOBALS.set(globals);
     let store = |exhibit| NasStore::build(class, &[exhibit]);
-    match cmd {
+    match args.name() {
         "table1" => cmd_table1(),
         "table2" => cmd_table2(&store(Exhibit::Table2)),
         "table4" => cmd_table4(),
@@ -186,28 +143,24 @@ fn main() {
         "placement" => analysis::cmd_placement(),
         "scaling" => analysis::cmd_scaling(),
         "trace" => {
-            let bench = args
-                .get(1)
-                .and_then(|a| {
-                    npb::NasBenchmark::ALL
-                        .into_iter()
-                        .find(|b| b.name().eq_ignore_ascii_case(a))
-                })
-                .unwrap_or(npb::NasBenchmark::Cg);
-            analysis::cmd_trace(bench);
+            let name = args.positional(0).unwrap_or("CG");
+            let bench = npb::NasBenchmark::ALL
+                .into_iter()
+                .find(|b| b.name() == name);
+            analysis::cmd_trace(bench.expect("the parser admits only NPB kernel names"));
         }
-        "ring" => cmd_ring(&args[1..]),
+        "ring" => cmd_ring(&args),
         "cwnd" => slowstart::cmd_cwnd(),
         "faults" => faults::cmd_faults(),
-        "blame" => blame::cmd_blame(&args[1..]),
-        "profile" => profile::cmd_profile(&args[1..]),
-        "timeline" => profile::cmd_timeline(&args[1..]),
-        "autotune-coll" => autotune::cmd_autotune_coll(&args[1..]),
+        "blame" => blame::cmd_blame(&args),
+        "profile" => profile::cmd_profile(&args),
+        "timeline" => profile::cmd_timeline(&args),
+        "autotune-coll" => autotune::cmd_autotune_coll(&args),
         "golden" => golden::cmd_golden(&args),
-        "guidelines" => guidelines::cmd_guidelines(&args[1..]),
-        "campaign" => ledgercli::cmd_campaign(&args[1..]),
-        "ledger" => ledgercli::cmd_ledger(&args[1..]),
-        "validate" => cmd_validate(&args[1..]),
+        "guidelines" => guidelines::cmd_guidelines(&args),
+        "campaign" => ledgercli::cmd_campaign(&args),
+        "ledger diff" | "ledger top" | "ledger report" => ledgercli::cmd_ledger(&args),
+        "validate" => cmd_validate(&args),
         "all" => {
             cmd_testbed();
             cmd_table1();
@@ -238,11 +191,7 @@ fn main() {
             slowstart::cmd_cwnd();
             faults::cmd_faults();
         }
-        "help" | "--help" | "-h" => println!("{USAGE}"),
-        _ => {
-            eprintln!("{USAGE}");
-            std::process::exit(2);
-        }
+        other => unreachable!("{other:?} is in the command table but has no handler"),
     }
 }
 
@@ -255,24 +204,10 @@ fn main() {
 /// `--shards N` runs on the sharded PDES driver with `N` workers: the
 /// ring is eager with in-degree 1 per rank, so it satisfies the
 /// site-disjoint partition contract and splits into one shard per site.
-fn cmd_ring(args: &[String]) {
-    let flag_num = |flag: &str, default: usize| -> usize {
-        args.iter()
-            .position(|a| a == flag)
-            .and_then(|i| args.get(i + 1))
-            .map(|v| {
-                v.parse()
-                    .unwrap_or_else(|_| panic!("{flag} takes a number"))
-            })
-            .unwrap_or(default)
-    };
-    let ranks = flag_num("--ranks", 4096);
-    let rounds = flag_num("--rounds", 4) as u32;
-    let shards = args
-        .iter()
-        .position(|a| a == "--shards")
-        .and_then(|i| args.get(i + 1))
-        .map(|v| v.parse::<u32>().expect("--shards takes a number"));
+fn cmd_ring(args: &cli::Args) {
+    let ranks = args.num("--ranks").map_or(4096, |n| n as usize);
+    let rounds = args.num("--rounds").map_or(4, |n| n as u32);
+    let shards = args.num("--shards").map(|n| n as u32);
     let mut exec = mpisim::ExecConfig::new();
     if let Some(n) = shards {
         exec = exec.shards(n);
@@ -321,24 +256,11 @@ fn cmd_ring(args: &[String]) {
 /// event count per kind and the total span coverage of the document, and
 /// every parse warns when the trace records that its recording ring
 /// dropped events.
-fn cmd_validate(args: &[String]) {
-    let path = args
-        .iter()
-        .find(|a| !a.starts_with('-'))
-        .map(String::as_str);
-    let required: Vec<&str> = args
-        .iter()
-        .enumerate()
-        .filter(|(_, a)| *a == "--require-event")
-        .filter_map(|(i, _)| args.get(i + 1))
-        .map(String::as_str)
-        .collect();
-    let summary = args.iter().any(|a| a == "--summary");
+fn cmd_validate(args: &cli::Args) {
+    let path = args.arg(0);
+    let required = args.texts("--require-event");
+    let summary = args.switch("--summary");
     let required_total = required.len();
-    let Some(path) = path else {
-        eprintln!("usage: repro validate FILE [--require-event NAME ...] [--summary]");
-        std::process::exit(2);
-    };
     let text = match std::fs::read_to_string(path) {
         Ok(t) => t,
         Err(e) => {
@@ -745,15 +667,10 @@ fn cmd_table5() {
 
 /// Steady-state one-way time for `bytes` with a forced protocol mode.
 pub(crate) fn timed_mode(id: MpiImpl, scope: Scope, bytes: u64, threshold: Option<u64>) -> f64 {
-    let level = TuningLevel::TcpTuned;
-    let mut tuning = level.tuning(id);
-    tuning.eager_threshold = threshold;
-    scenario::min_one_way(
-        &scenario::Scenario::pair(scope, level, id)
-            .tuning(tuning)
-            .run(scenario::pingpong_program(bytes, 10))
-            .expect("mode probe completes"),
-    )
+    let report = catalogue::forced_mode(scope, id, threshold)
+        .run(scenario::pingpong_program(bytes, 10))
+        .expect("mode probe completes");
+    scenario::min_one_way(&report)
 }
 
 fn cmd_fig9() {

@@ -27,143 +27,27 @@ use std::sync::Arc;
 
 use desim::obs::analysis::{Analysis, Collector};
 use desim::obs::profile::{folded_text, speedscope_json, virtual_stacks};
+use desim::obs::Obs;
 use desim::{HostProfiler, TimeSeries, TimeSeriesSink};
-use gridapps::Ray2MeshConfig;
-use mpisim::{FaultPlan, MpiImpl, MpiProgram, RankCtx, RunReport, HEADER_BYTES};
-use netsim::Grid5000Site;
-use npb::{NasBenchmark, NasClass, NasRun};
+use mpisim::HEADER_BYTES;
 
-use crate::scenario::{pingpong_program, Scenario};
-use crate::util::{Scope, TuningLevel};
+use crate::catalogue;
+use crate::cli::Args;
 
-fn launch(
-    detail: &str,
-    scenario: Scenario,
-    rec: Arc<dyn desim::obs::Recorder>,
-    prof: Option<Arc<HostProfiler>>,
-    program: impl MpiProgram,
-) -> (String, RunReport) {
-    let mut scenario = scenario.recorder(rec);
-    if let Some(p) = prof {
-        scenario = scenario.host_profiler(p);
-    }
-    let report = scenario
-        .run(program)
-        .unwrap_or_else(|e| panic!("profile scenario failed: {e:?}"));
-    (detail.to_string(), report)
-}
-
-/// Run the named scenario with `rec` (and optionally a host profiler)
-/// attached. The scenario set mirrors `repro blame`.
-fn run_scenario(
-    name: &str,
-    rec: Arc<dyn desim::obs::Recorder>,
-    prof: Option<Arc<HostProfiler>>,
-) -> (String, RunReport) {
-    match name {
-        "pingpong" => launch(
-            "64 MB WAN ping-pong, tuned kernel (4 MB buffers)",
-            Scenario::pair(Scope::Grid, TuningLevel::TcpTuned, MpiImpl::Mpich2),
-            rec,
-            prof,
-            pingpong_program(64 << 20, 1),
-        ),
-        "nas" => {
-            let run = NasRun::quick(NasBenchmark::Cg, NasClass::S);
-            launch(
-                "NPB CG class S quick run, 8+8 grid, GridMPI fully tuned",
-                Scenario::npb(8, 8, 8, TuningLevel::FullyTuned, MpiImpl::GridMpi),
-                rec,
-                prof,
-                run.program(),
-            )
-        }
-        "ray2mesh" => {
-            let cfg = Ray2MeshConfig::small();
-            launch(
-                "ray2mesh small, four sites, master on the first site",
-                Scenario::four_sites(2, Grid5000Site::ALL[0], MpiImpl::GridMpi),
-                rec,
-                prof,
-                cfg.program(),
-            )
-        }
-        "faults" => launch(
-            "16 MB WAN transfer with seeded 1e-3 segment loss",
-            Scenario::pair(Scope::Grid, TuningLevel::TcpTuned, MpiImpl::Mpich2)
-                .faults(FaultPlan::new().with_seed(42).with_wan_loss(1e-3)),
-            rec,
-            prof,
-            |mut ctx: RankCtx| async move {
-                const TAG: u64 = 7;
-                if ctx.rank() == 0 {
-                    ctx.send(1, 16 << 20, TAG).await;
-                } else {
-                    ctx.recv(0, TAG).await;
-                }
-            },
-        ),
-        other => {
-            eprintln!("unknown profile scenario {other:?} (want pingpong|nas|ray2mesh|faults)");
-            std::process::exit(2);
-        }
-    }
-}
-
-/// Parse the common `SCENARIO [--flag value]` argument shape; returns the
-/// scenario name and a lookup for flag values.
-fn parse_args<'a>(args: &'a [String], flags: &[&str]) -> (&'a str, Vec<(String, String)>) {
-    let mut scenario: Option<&str> = None;
-    let mut got: Vec<(String, String)> = Vec::new();
-    let mut i = 0;
-    while i < args.len() {
-        let a = args[i].as_str();
-        if flags.contains(&a) {
-            if let Some(v) = args.get(i + 1) {
-                got.push((a.to_string(), v.clone()));
-            }
-            i += 2;
-        } else if matches!(a, "--dat" | "--trace-out" | "--metrics") {
-            // Global flags main() already consumed; skip their values.
-            i += 2;
-        } else if !a.starts_with('-') && scenario.is_none() {
-            scenario = Some(a);
-            i += 1;
-        } else {
-            i += 1;
-        }
-    }
-    (scenario.unwrap_or("pingpong"), got)
-}
-
-fn flag<'a>(got: &'a [(String, String)], name: &str, default: &'a str) -> &'a str {
-    got.iter()
-        .rev()
-        .find(|(k, _)| k == name)
-        .map(|(_, v)| v.as_str())
-        .unwrap_or(default)
-}
-
-/// `repro profile <pingpong|nas|ray2mesh|faults> [--domain host|virtual]
+/// `repro profile [pingpong|nas|ray2mesh|faults] [--domain host|virtual]
 /// [--format folded|speedscope]`.
-pub fn cmd_profile(args: &[String]) {
-    let (scenario, got) = parse_args(args, &["--domain", "--format"]);
-    let domain = flag(&got, "--domain", "host");
-    let format = flag(&got, "--format", "folded");
-    if !matches!(domain, "host" | "virtual") {
-        eprintln!("unknown --domain {domain:?} (want host|virtual)");
-        std::process::exit(2);
-    }
-    if !matches!(format, "folded" | "speedscope") {
-        eprintln!("unknown --format {format:?} (want folded|speedscope)");
-        std::process::exit(2);
-    }
+pub fn cmd_profile(args: &Args) {
+    let scenario = args.positional(0).unwrap_or("pingpong");
+    let domain = args.text("--domain").unwrap_or("host");
+    let format = args.text("--format").unwrap_or("folded");
+    let run = catalogue::instrumented(scenario);
+    let detail = run.detail;
 
     let col = Arc::new(Collector::new());
-    let (detail, report, stacks) = match domain {
+    let (report, stacks) = match domain {
         "host" => {
             let prof = Arc::new(HostProfiler::new());
-            let (detail, report) = run_scenario(scenario, col.clone(), Some(prof.clone()));
+            let report = run.execute(Obs::none().recorder(col.clone()).profiler(prof.clone()));
             // The analysis pass is part of the simulator's host-time
             // budget too: time it under its own stack.
             let events = col.events();
@@ -177,11 +61,11 @@ pub fn cmd_profile(args: &[String]) {
                 .into_iter()
                 .map(|(s, ns, _)| (s, ns))
                 .collect();
-            (detail, report, stacks)
+            (report, stacks)
         }
         _ => {
-            let (detail, report) = run_scenario(scenario, col.clone(), None);
-            (detail, report, virtual_stacks(&col.events()))
+            let report = run.execute(Obs::none().recorder(col.clone()));
+            (report, virtual_stacks(&col.events()))
         }
     };
 
@@ -229,17 +113,15 @@ fn write_gauge_dat(name: &str, series: &desim::Windowed) {
     }
 }
 
-/// `repro timeline <pingpong|nas|ray2mesh|faults> [--window MS]`.
-pub fn cmd_timeline(args: &[String]) {
-    let (scenario, got) = parse_args(args, &["--window"]);
-    let window_ms: u64 = flag(&got, "--window", "10").parse().unwrap_or_else(|_| {
-        eprintln!("--window takes a number of milliseconds");
-        std::process::exit(2);
-    });
-    let window_ms = window_ms.max(1);
+/// `repro timeline [pingpong|nas|ray2mesh|faults] [--window MS]`.
+pub fn cmd_timeline(args: &Args) {
+    let scenario = args.positional(0).unwrap_or("pingpong");
+    let window_ms = args.num("--window").map_or(10, |n| n as u64);
+    let run = catalogue::instrumented(scenario);
+    let detail = run.detail;
 
     let sink = Arc::new(TimeSeriesSink::new(window_ms * 1_000_000));
-    let (detail, report) = run_scenario(scenario, sink.clone(), None);
+    let report = run.execute(Obs::none().recorder(sink.clone()));
     let series = sink.series();
 
     let base = format!("timeline_{scenario}");

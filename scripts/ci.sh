@@ -104,9 +104,10 @@ stage_smoke() {
     test -s target/faultdat/faults_goodput.dat
     test -s target/faultdat/faults_ray2mesh.dat
     # The per-rank trace runs on the obs MPI span stream; its exported
-    # trace carries those spans.
+    # trace carries those spans. The flag comes before the file: a flag's
+    # value is never taken for a positional.
     ./target/release/repro trace CG --trace-out target/trace_cg.json >/dev/null
-    ./target/release/repro validate target/trace_cg.json --require-event mpi_span
+    ./target/release/repro validate --require-event mpi_span target/trace_cg.json
 }
 
 stage_golden() {
@@ -264,8 +265,7 @@ stage_collectives() {
     # Autotune sweep smoke: the quick grid must run end to end and find
     # at least one (op, size class) whose winning algorithm differs
     # between the LAN and the four-site WAN (--check enforces that). Its
-    # tables go under target/: the default directory is results/dat,
-    # which holds the full sweep's tables.
+    # tables go under target/, away from the full sweep's committed ones.
     ./target/release/repro autotune-coll --quick --check \
         --dat target/coll_dat_quick --cache target/autotune_coll_cache.json
     # The committed decision tables must be what the full sweep writes:
