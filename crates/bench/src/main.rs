@@ -17,8 +17,8 @@
 //! `fastpath`, `obs` (observability overhead), `blame` (post-hoc
 //! analyzer cost), `profile` (host self-profiler overhead, gated ≤5%),
 //! `faults` (lossy-path and fault-tolerance overhead), `ranks`
-//! (rank-scale execution), `pdes` (sharded-PDES wall-clock
-//! scaling), `campaign` (sweep engine cold vs warm result cache),
+//! (rank-scale execution), `campaign` (sweep engine cold vs warm
+//! result cache),
 //! `smoke` (a quick CI subset).
 //! No groups = all of them except `smoke`.
 //!
@@ -167,7 +167,6 @@ fn main() {
         "profile",
         "faults",
         "ranks",
-        "pdes",
         "campaign",
     ];
     if let Some(bad) = groups.iter().find(|g| **g != "smoke" && !all.contains(g)) {
@@ -205,7 +204,6 @@ fn main() {
             "profile" => group_profile(&mut h),
             "faults" => group_faults(&mut h),
             "ranks" => group_ranks(&mut h),
-            "pdes" => group_pdes(&mut h),
             "campaign" => group_campaign(&mut h),
             "smoke" => group_smoke(&mut h),
             other => unreachable!("group {other} was validated"),
@@ -938,102 +936,4 @@ fn group_smoke(h: &mut Harness) {
     h.bench("smoke/pingpong_grid_1M_mpich2", || {
         pingpong_once(MpiImpl::Mpich2, 1 << 20, 5)
     });
-    // Deterministic wire-message count of the sharded driver at 4
-    // workers: catches any scheduling change that alters the simulated
-    // traffic, independent of the golden-digest gate.
-    h.bench("smoke/pdes_four_site_4w", || pdes_four_site_run(4));
-}
-
-/// The `pdes` group's workload, shared with the smoke gate: a four-site
-/// job whose traffic satisfies the site-disjoint partition contract — a
-/// heavy eager ring inside each site (in-degree 1 per rank) plus an
-/// ack-paced gateway stream between dedicated per-site gateway ranks
-/// that receive no intra-site traffic. Returns the deterministic
-/// wire-message count.
-fn pdes_four_site_run(workers: u32) -> u64 {
-    // 8 ranks per site: offset 0 is the gateway sender, offset 1 the
-    // gateway receiver, offsets 2..8 form the intra-site ring.
-    const K: usize = 8;
-    const SITES: usize = 4;
-    const INTRA_ROUNDS: u32 = 1500;
-    const CROSS_ROUNDS: u32 = 4;
-    const TAG_DATA: u64 = 1;
-    const TAG_ACK: u64 = 2;
-    const TAG_RING: u64 = 3;
-    let (mut topo, _sites, nodes) = grid5000_four_sites(K);
-    topo.set_kernel_all(KernelConfig::tuned(4 << 20));
-    let mut placement = Vec::new();
-    for site_nodes in &nodes {
-        placement.extend(site_nodes.iter().copied());
-    }
-    let exec = ExecConfig::new().shards(workers);
-    let report = MpiJob::new(Network::new(topo), placement, MpiImpl::Mpich2)
-        .with_exec(exec)
-        .run(move |mut ctx: RankCtx| async move {
-            let (site, off) = (ctx.rank() / K, ctx.rank() % K);
-            match off {
-                0 => {
-                    // Gateway sender: ack-paced eager stream to the
-                    // next site's gateway receiver.
-                    let peer = ((site + 1) % SITES) * K + 1;
-                    for _ in 0..CROSS_ROUNDS {
-                        ctx.send(peer, 4096, TAG_DATA).await;
-                        ctx.recv(peer, TAG_ACK).await;
-                    }
-                }
-                1 => {
-                    // Gateway receiver: inbound cross-site only, so
-                    // its downlink is claimed by exactly one group.
-                    let peer = ((site + SITES - 1) % SITES) * K;
-                    for _ in 0..CROSS_ROUNDS {
-                        ctx.recv(peer, TAG_DATA).await;
-                        ctx.send(peer, 64, TAG_ACK).await;
-                    }
-                }
-                _ => {
-                    let m = K - 2;
-                    let j = off - 2;
-                    let right = site * K + 2 + (j + 1) % m;
-                    let left = site * K + 2 + (j + m - 1) % m;
-                    for _ in 0..INTRA_ROUNDS {
-                        ctx.send(right, 1024, TAG_RING).await;
-                        ctx.recv(left, TAG_RING).await;
-                    }
-                }
-            }
-        })
-        .expect("pdes four-site run completes");
-    report.stats.wire_messages
-}
-
-/// Sharded-PDES wall-clock scaling: [`pdes_four_site_run`] on the PDES
-/// driver at 1 and 4 workers. Virtual results are digest-identical
-/// across worker counts (the PDES golden corpus pins that); this group
-/// measures only the host-side scaling, and reports `host_cpus` so
-/// single-core CI hosts can treat the speedup line as informational.
-fn group_pdes(h: &mut Harness) {
-    let mut timed = [0.0f64; 2];
-    for (slot, workers) in [(0usize, 1u32), (1, 4)] {
-        let t0 = Instant::now();
-        let mut iters = 0u32;
-        while t0.elapsed().as_secs_f64() < TARGET_SECS || iters < 3 {
-            black_box(pdes_four_site_run(workers));
-            iters += 1;
-            if iters >= MAX_ITERS {
-                break;
-            }
-        }
-        timed[slot] = t0.elapsed().as_secs_f64() / iters as f64;
-        h.bench(&format!("pdes/four_site_ring_{workers}w"), || {
-            pdes_four_site_run(workers)
-        });
-    }
-    let cpus = std::thread::available_parallelism().map_or(1, |n| n.get());
-    h.note(&format!(
-        "{{\"name\": \"pdes/speedup_four_site\", \"one_worker_secs\": {:.6e}, \
-         \"four_worker_secs\": {:.6e}, \"speedup\": {:.2}, \"host_cpus\": {cpus}}}",
-        timed[0],
-        timed[1],
-        timed[0] / timed[1]
-    ));
 }

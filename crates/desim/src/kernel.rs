@@ -4,9 +4,9 @@
 //!
 //! Every simulated actor is a pooled continuation task (see
 //! [`crate::exec`]). The dispatch loop runs on the thread that called
-//! [`Sim::run`] (or [`Sim::run_window`]): it pops the next event, then
-//! either polls the woken task inline or runs the kernel callback, and
-//! returns to its caller when the run ends or the window closes. Events
+//! [`Sim::run`]: it pops the next event, then either polls the woken task
+//! inline or runs the kernel callback, and returns to its caller when the
+//! run ends. Events
 //! are ordered by `(virtual time, insertion sequence)` so the execution
 //! order is a pure function of the simulated program.
 
@@ -53,20 +53,6 @@ impl std::fmt::Display for SimError {
 }
 
 impl std::error::Error for SimError {}
-
-/// Outcome of one bounded dispatch window (see [`Sim::run_window`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Window {
-    /// Every task finished and the event queue drained.
-    Done(RunStats),
-    /// The next event lies at or beyond the horizon; contains its time.
-    Paused(SimTime),
-    /// The event queue drained while tasks are still blocked.
-    /// Not a deadlock verdict: a blocked shard may be waiting on cross-shard
-    /// mail that another shard has yet to send. The sharded driver declares
-    /// a global deadlock only when *every* shard is idle.
-    Idle,
-}
 
 /// A scheduling capability handed to kernel callbacks, and obtainable from
 /// any task via [`crate::Cx::sched`]. It can read the clock, schedule
@@ -150,13 +136,6 @@ pub(crate) struct Shared {
     pub(crate) task_live: usize,
     pub(crate) failure: Option<SimError>,
     pub(crate) limit: SimTime,
-    /// True once this sim is driven through [`Sim::run_window`]: the
-    /// dispatch loop then pauses at `horizon` instead of failing, and an
-    /// empty queue with live tasks is a window boundary, not a deadlock.
-    /// Never set on the classic [`Sim::run`] path.
-    windowed: bool,
-    /// Exclusive upper bound on event times the current window may run.
-    horizon: SimTime,
     /// Events dispatched so far (task wakes and callbacks), for throughput
     /// reporting via [`Sim::run_counted`].
     pub(crate) events: u64,
@@ -227,8 +206,6 @@ impl Sim {
                 task_live: 0,
                 failure: None,
                 limit: SimTime::MAX,
-                windowed: false,
-                horizon: SimTime::MAX,
                 events: 0,
                 recorder: None,
                 profiler: None,
@@ -316,69 +293,6 @@ impl Sim {
         }
         Ok(stats)
     }
-
-    /// Run one bounded dispatch window: execute events strictly below
-    /// `horizon`, then report how the window ended. Unlike [`Sim::run`]
-    /// this does not consume the sim — the conservative-PDES driver
-    /// ([`crate::shard::ShardedSim`]) calls it repeatedly, widening the
-    /// horizon by the lookahead each round. A windowed sim keeps running
-    /// trailing kernel callbacks after its last task finishes (they may
-    /// post cross-shard mail); [`Window::Done`] therefore requires the
-    /// queue to be fully drained, and a `Done` shard is revived by a later
-    /// [`Sim::post_at`].
-    pub fn run_window(&self, horizon: SimTime) -> Result<Window, SimError> {
-        {
-            let mut g = self.inner.lock();
-            g.windowed = true;
-            g.horizon = horizon;
-        }
-        dispatch(&self.inner);
-        let g = self.inner.lock();
-        if let Some(e) = &g.failure {
-            return Err(e.clone());
-        }
-        Ok(classify(&g))
-    }
-
-    /// Schedule `f` at virtual time `at` from *outside* the dispatch loop —
-    /// the cross-shard mail delivery hook. The conservative horizon
-    /// guarantees `at` is never in this shard's past (debug-asserted).
-    pub fn post_at(&self, at: SimTime, f: impl FnOnce(&Sched) + Send + 'static) {
-        let mut g = self.inner.lock();
-        debug_assert!(
-            at >= g.now,
-            "cross-shard post into this shard's past ({at} < {})",
-            g.now
-        );
-        let at = at.max(g.now);
-        g.push(at, EventKind::Call(Box::new(f)));
-    }
-
-    /// Time of the earliest pending event, if any. Between windows this is
-    /// the shard's bid for the next global horizon.
-    pub fn next_event_time(&self) -> Option<SimTime> {
-        self.inner.lock().heap.peek().map(|Reverse(ev)| ev.time)
-    }
-
-    /// True while any task has not finished.
-    pub fn anything_live(&self) -> bool {
-        self.inner.lock().task_live > 0
-    }
-
-    /// Names of currently suspended tasks, for the sharded driver's
-    /// global-deadlock diagnostic.
-    pub fn blocked_names(&self) -> Vec<String> {
-        suspended_names(&self.inner.lock())
-    }
-
-    /// Current virtual time and dispatch count, without ending the run.
-    pub fn stats(&self) -> RunStats {
-        let g = self.inner.lock();
-        RunStats {
-            end: g.now,
-            events: g.events,
-        }
-    }
 }
 
 impl Drop for Sim {
@@ -403,18 +317,6 @@ fn suspended_names(g: &Shared) -> Vec<String> {
         .filter(|t| t.fut.is_some())
         .map(|t| t.name.to_string())
         .collect()
-}
-
-/// Classify a quiescent (between-windows) shared state into a [`Window`].
-fn classify(g: &Shared) -> Window {
-    match g.heap.peek() {
-        Some(Reverse(ev)) => Window::Paused(ev.time),
-        None if g.task_live == 0 => Window::Done(RunStats {
-            end: g.now,
-            events: g.events,
-        }),
-        None => Window::Idle,
-    }
 }
 
 /// Outcome of a completed run: final virtual time and event count.
@@ -465,8 +367,7 @@ fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
     }
 }
 
-/// Run the dispatch loop until the run ends, the window closes, or the
-/// queue drains. The outcome (failure, clock, event count) is left in
+/// Run the dispatch loop until the run ends or the queue drains. The outcome (failure, clock, event count) is left in
 /// `Shared` for the caller to read.
 fn dispatch(inner: &Arc<Inner>) {
     let mut guard = inner.lock();
@@ -475,20 +376,9 @@ fn dispatch(inner: &Arc<Inner>) {
     // while holding the shared lock was measurable on the hot path.
     let prof = guard.profiler.clone();
     loop {
-        if guard.task_live == 0 && !guard.windowed {
+        if guard.task_live == 0 {
             // All tasks done: ignore any trailing timer/callback events
-            // (e.g. pending TCP window rounds) and end the simulation. A
-            // windowed shard instead keeps draining those callbacks — they
-            // may carry cross-shard mail.
-            return;
-        }
-        if guard.windowed
-            && guard
-                .heap
-                .peek()
-                .is_some_and(|Reverse(ev)| ev.time >= guard.horizon)
-        {
-            // Window boundary: hand control back to the sharded driver.
+            // (e.g. pending TCP window rounds) and end the simulation.
             return;
         }
         if guard
@@ -502,9 +392,7 @@ fn dispatch(inner: &Arc<Inner>) {
             return;
         }
         let Some(Reverse(ev)) = guard.heap.pop() else {
-            // An empty queue is not a verdict for a windowed shard: it may
-            // be waiting on cross-shard mail, and the driver decides.
-            if !guard.windowed && guard.task_live > 0 && guard.failure.is_none() {
+            if guard.failure.is_none() {
                 // Every live task is suspended at a blocking point whose
                 // wake-up never arrived.
                 guard.failure = Some(SimError::Deadlock(suspended_names(&guard)));

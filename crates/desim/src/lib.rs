@@ -40,16 +40,14 @@ pub mod fault;
 mod kernel;
 pub mod obs;
 pub mod prop;
-pub mod shard;
 pub mod sync;
 mod time;
 
 pub use completion::{completion, Completion, Trigger};
 pub use exec::{Cx, TaskId};
 pub use fault::{FaultEvent, FaultKind, FaultPlan};
-pub use kernel::{RunStats, Sched, Sim, SimError, Window};
+pub use kernel::{RunStats, Sched, Sim, SimError};
 pub use obs::analysis::{Analysis, Collector, CriticalPath, FlowBlame, MessageBlame, RankProfile};
 pub use obs::{DigestSink, DigestValue, Event, Metrics, Obs, Recorder, RingSink, Tee};
 pub use obs::{HostProfiler, ProfKey, StreamHist, TimeSeries, TimeSeriesSink, Windowed};
-pub use shard::{CrossPost, GroupBuffer, ShardStats, ShardedSim};
 pub use time::{SimDuration, SimTime};

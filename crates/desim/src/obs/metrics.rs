@@ -243,7 +243,7 @@ const STREAM_LIN_BITS: u32 = 4;
 /// grouped into 16 linear sub-buckets per power of two (HDR-style), so
 /// the whole `u64` range fits in at most 976 sparse buckets with ≤ 6.25 %
 /// relative error. Snapshots are plain clones and [`StreamHist::merge`]
-/// is an element-wise add, so per-shard histograms combine exactly
+/// is an element-wise add, so per-part histograms combine exactly
 /// (merge is associative and commutative by construction).
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct StreamHist {
@@ -306,7 +306,7 @@ impl StreamHist {
     }
 
     /// Fold `other` into `self`. Element-wise bucket addition: merging is
-    /// associative and commutative, and merging per-shard snapshots gives
+    /// associative and commutative, and merging per-part snapshots gives
     /// bit-identical buckets to observing the union directly.
     pub fn merge(&mut self, other: &StreamHist) {
         for (idx, n) in &other.buckets {
@@ -630,7 +630,7 @@ mod tests {
             let mut right = parts[0].clone();
             right.merge(&bc);
             assert_eq!(left, right, "merge must be associative");
-            assert_eq!(left, union, "merged shards must equal the union");
+            assert_eq!(left, union, "merged parts must equal the union");
         });
     }
 

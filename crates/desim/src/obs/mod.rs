@@ -160,23 +160,6 @@ impl Event {
         }
     }
 
-    /// The event's virtual timestamp in nanoseconds — the key the sharded
-    /// kernel merges per-shard streams by. Interval events (spans, kernel
-    /// runs) sort by their *end*: that is the moment they are emitted, so
-    /// merging by it reproduces single-stream emission order.
-    pub fn time_ns(&self) -> u64 {
-        match self {
-            Event::KernelRun { end_ns, .. } => *end_ns,
-            Event::TcpSample { t_ns, .. }
-            | Event::FlowStart { t_ns, .. }
-            | Event::FlowFinish { t_ns, .. }
-            | Event::LinkSample { t_ns, .. }
-            | Event::Phase { t_ns, .. }
-            | Event::Fault { t_ns, .. } => *t_ns,
-            Event::MpiSpan { end_ns, .. } => *end_ns,
-        }
-    }
-
     /// Metrics counter key for the event's kind (`"events.<kind>"`),
     /// precomputed so recording stays allocation-free.
     fn counter_key(&self) -> &'static str {
@@ -195,8 +178,7 @@ impl Event {
 
 /// A consumer of observability events. Implementations must be cheap and
 /// must not interact with the simulation (no scheduling, no blocking on
-/// simulated state) — recording happens inside the dispatch loop (under
-/// PDES, on whichever worker thread runs the shard's window).
+/// simulated state) — recording happens inside the dispatch loop.
 pub trait Recorder: Send + Sync {
     /// Consume one event.
     fn record(&self, ev: &Event);

@@ -6,8 +6,7 @@
 //!   instrumentation inside the simulator itself (kernel dispatch loop,
 //!   netsim settle/allocate, mpisim job phases, the analysis pass)
 //!   attributing *wall-clock* nanoseconds to `layer;component;detail`
-//!   stacks — the data the PDES-sharding work needs to pick shard
-//!   boundaries. Keys are interned once ([`HostProfiler::intern`]) so the
+//!   stacks. Keys are interned once ([`HostProfiler::intern`]) so the
 //!   hot-path cost is one `Instant` pair and one indexed add under a
 //!   short lock.
 //! * **Virtual-time profiler** ([`virtual_stacks`]): folds the recorded

@@ -1,21 +1,9 @@
 //! The `mpirun` analogue: place ranks on nodes, apply a profile and
 //! tuning, execute an SPMD program, and collect the run report.
 //!
-//! One run body ([`MpiJob::run_with_setup`]) serves every job. The
-//! partition decides the kernel:
-//!
-//! * **one group** — `shards: None`, or a sharded job whose ranks all sit
-//!   on one site: one plain [`Sim`], the recorder attached directly. A
-//!   one-site `shards(n)` run is the unsharded run, bit for bit.
-//! * **two or more groups** — `shards: Some(n)` over a placement spanning
-//!   several sites: one group per site, each with its own kernel and flow
-//!   engine, advanced in lock-step rounds bounded by the WAN one-way
-//!   lookahead by the conservative windowed driver
-//!   ([`desim::ShardedSim`]). `n` sets only the *worker-thread* count —
-//!   results are bit-identical for any `n ≥ 1`, because the partition
-//!   (and the deterministic cross-group mail merge) never depends on it.
-//!
-//! Under either kernel every rank is a pooled continuation task
+//! One run body ([`MpiJob::run_with_setup`]) serves every job: one plain
+//! [`Sim`] over the job's one [`Network`], with the recorder attached
+//! directly. Every rank is a pooled continuation task
 //! ([`desim::Sim::spawn_task`]), and so is the fault-injection bootstrap
 //! (`faultd`): no simulated actor occupies an OS thread.
 
@@ -24,13 +12,12 @@ use std::pin::Pin;
 use std::sync::Arc;
 
 use desim::fault::{FaultKind, FaultPlan};
-use desim::obs::{Obs, Recorder};
-use desim::shard::{merge_events, CrossPost, GroupBuffer, ShardedSim};
+use desim::obs::Obs;
 use desim::{Sim, SimDuration, SimError, SimTime};
 
 use netsim::{Network, NodeId};
 
-use crate::exec::{self, ExecConfig};
+use crate::exec::ExecConfig;
 use crate::profile::{ImplProfile, MpiImpl, Tuning};
 use crate::rank::RankCtx;
 use crate::stats::CommStats;
@@ -71,7 +58,7 @@ pub struct MpiJob {
     /// Tuning overrides (§4.2).
     pub tuning: Tuning,
     /// Observability configuration (recorder + host profiler), consumed
-    /// once at run start and attached to the network, the kernel(s), and
+    /// once at run start and attached to the network, the kernel, and
     /// every rank for the duration of the run.
     pub obs: Obs,
     /// Abort the run (with [`SimError::TimeLimitExceeded`]) if virtual time
@@ -82,7 +69,7 @@ pub struct MpiJob {
     /// timed link flaps, NIC stalls, and rank kills. `None` (and the empty
     /// plan) leave every run bit-identical to a fault-free one.
     pub faults: Option<FaultPlan>,
-    /// Execution configuration: PDES sharding, fast path, collectives.
+    /// Execution configuration: fast path, collectives.
     pub exec: ExecConfig,
 }
 
@@ -101,8 +88,8 @@ impl MpiJob {
         }
     }
 
-    /// Replace the whole execution configuration (PDES shards, fast path,
-    /// collective selection).
+    /// Replace the whole execution configuration (fast path, collective
+    /// selection).
     pub fn with_exec(mut self, exec: ExecConfig) -> MpiJob {
         self.exec = exec;
         self
@@ -159,13 +146,7 @@ impl MpiJob {
 
     /// Like [`MpiJob::run`], with a hook that can spawn auxiliary
     /// simulation tasks (e.g. background traffic generators) before
-    /// the ranks start. Under PDES the hook runs on group 0's kernel,
-    /// which also keeps the caller's original network handle.
-    ///
-    /// One body serves both drivers. It branches only where they really
-    /// differ: the per-group networks, the per-group event buffers and
-    /// their merge, [`ShardedSim`] versus [`Sim::run`], and the records
-    /// sort.
+    /// the ranks start.
     pub fn run_with_setup(
         self,
         setup: impl FnOnce(&Sim),
@@ -175,134 +156,60 @@ impl MpiJob {
         assert!(n > 0, "MPI job needs at least one rank");
         let prof = self.prof_keys();
         let t_setup = prof.as_ref().map(|_| std::time::Instant::now());
-        let groups = match self.exec.shards {
-            Some(_) => exec::partition(&self.net, &self.placement),
-            None => vec![0; n],
-        };
-        let n_groups = groups.iter().copied().max().unwrap_or(0) + 1;
-        // Group 0 keeps the caller's handle (setup hooks and background
-        // traffic land there); further groups get their own flow engine
-        // over a clone of the same topology.
-        let mut nets = vec![self.net.clone()];
-        for _ in 1..n_groups {
-            let topo = self.net.with_topology(|t| t.clone());
-            nets.push(Network::with_stack_overhead(
-                topo,
-                self.net.stack_overhead(),
-            ));
+        if let Some(on) = self.exec.fast_path {
+            self.net.set_bulk_fast_path(on);
         }
-        for net in &nets {
-            if let Some(on) = self.exec.fast_path {
-                net.set_bulk_fast_path(on);
-            }
-            if let Some(plan) = &self.faults {
-                net.install_faults(plan);
-            }
+        if let Some(plan) = &self.faults {
+            self.net.install_faults(plan);
         }
-        // One group records straight into the job's recorder. Several
-        // groups record into per-group buffers, merged deterministically
-        // by (time, group, sequence) after the run.
-        let buffers: Vec<Arc<GroupBuffer>> = match &self.obs.recorder {
-            Some(_) if n_groups > 1 => (0..n_groups)
-                .map(|_| Arc::new(GroupBuffer::new()))
-                .collect(),
-            _ => Vec::new(),
-        };
-        let group_obs = |g: usize| match buffers.get(g) {
-            Some(b) => Obs {
-                recorder: Some(Arc::clone(b) as Arc<dyn Recorder>),
-                profiler: self.obs.profiler.clone(),
-            },
-            None => self.obs.clone(),
-        };
-        let sims: Vec<Sim> = (0..n_groups)
-            .map(|g| {
-                let sim = Sim::new();
-                sim.attach_obs(&group_obs(g));
-                sim
-            })
-            .collect();
-        for (g, net) in nets.iter().enumerate() {
-            net.attach_obs(&group_obs(g));
-        }
-        let driver = if n_groups > 1 {
-            let lookahead = exec::lookahead(&self.net, &self.placement, &groups);
-            let workers = self.exec.shards.unwrap_or(1).max(1) as usize;
-            let mut sharded = ShardedSim::new(sims, lookahead, workers);
-            if let Some(limit) = self.deadline {
-                sharded.set_limit(limit);
-            }
-            Driver::Sharded(sharded)
-        } else {
-            Driver::Plain(sims.into_iter().next().expect("one group"))
-        };
+        let sim = Sim::new();
+        sim.attach_obs(&self.obs);
+        self.net.attach_obs(&self.obs);
         let world = WorldInner::new(
-            nets,
-            groups,
+            self.net,
             self.placement,
             self.profile,
             self.tuning,
             self.exec.coll,
-            (0..n_groups).map(|g| group_obs(g).recorder).collect(),
-            driver.cross(),
+            self.obs.recorder.clone(),
         );
         let program = Arc::new(program);
-        setup(&driver.sims()[0]);
-        if let Some(plan) = &self.faults {
-            // Every group runs its own faultd: network events apply to
-            // the group's own flow engine; a rank kill runs in full in
-            // the dead rank's group and as a local abort everywhere else
-            // (see WorldInner::fail_rank_lite).
-            for (g, sim) in driver.sims().iter().enumerate() {
-                let world = Arc::clone(&world);
-                let plan = plan.clone();
-                sim.spawn_task(format!("faultd{g}"), move |cx| async move {
-                    let s = cx.sched();
-                    world.net_of_group(g).schedule_fault_events(&s, &plan);
-                    for ev in plan.sorted_events() {
-                        if let FaultKind::RankFail {
-                            rank,
-                            restart_after,
-                        } = ev.kind
-                        {
-                            let w = Arc::clone(&world);
-                            s.call_at(ev.at, move |s2| {
-                                let until = restart_after.map(|d| s2.now() + d);
-                                let rank = rank as usize;
-                                if w.group_of(rank) == g {
-                                    w.fail_rank(s2, rank, until);
-                                } else {
-                                    w.fail_rank_lite(s2, g, rank, until);
-                                }
-                            });
-                        }
+        setup(&sim);
+        if let Some(plan) = self.faults {
+            let world = Arc::clone(&world);
+            sim.spawn_task("faultd", move |cx| async move {
+                let s = cx.sched();
+                world.net.schedule_fault_events(&s, &plan);
+                for ev in plan.sorted_events() {
+                    if let FaultKind::RankFail {
+                        rank,
+                        restart_after,
+                    } = ev.kind
+                    {
+                        let w = Arc::clone(&world);
+                        s.call_at(ev.at, move |s2| {
+                            let until = restart_after.map(|d| s2.now() + d);
+                            w.fail_rank(s2, rank as usize, until);
+                        });
                     }
-                    // The bootstrap exits immediately; its scheduled
-                    // callbacks do not keep the simulation alive, so
-                    // faults trailing the workload are inert.
-                });
-            }
+                }
+                // The bootstrap exits immediately; its scheduled
+                // callbacks do not keep the simulation alive, so
+                // faults trailing the workload are inert.
+            });
         }
         let finish_times: Vec<_> = (0..n)
-            .map(|rank| {
-                let sim = &driver.sims()[world.group_of(rank)];
-                Self::spawn_rank(sim, rank, &world, &program)
-            })
+            .map(|rank| Self::spawn_rank(&sim, rank, &world, &program))
             .collect();
         let t_run = prof.as_ref().map(|(p, setup, ..)| {
             let t0 = t_setup.expect("setup timer exists with profiler");
             p.add_ns(*setup, t0.elapsed().as_nanos() as u64);
             std::time::Instant::now()
         });
-        let (end, shard_stats) = match driver {
-            Driver::Plain(sim) => {
-                let end = match self.deadline {
-                    Some(limit) => sim.run_until(limit)?,
-                    None => sim.run()?,
-                };
-                (Some(end), None)
-            }
-            Driver::Sharded(sharded) => (None, Some(sharded.run()?)),
+        // The kernel stops at its last event, which is the job's elapsed.
+        let end = match self.deadline {
+            Some(limit) => sim.run_until(limit)?,
+            None => sim.run()?,
         };
         let t_collect = prof.as_ref().map(|(p, _, run, _)| {
             let t0 = t_run.expect("run timer exists with profiler");
@@ -318,46 +225,11 @@ impl MpiJob {
                     .since(SimTime::ZERO)
             })
             .collect();
-        // The plain kernel stops at its last event, which is the job's
-        // elapsed. The windowed driver keeps draining trailing kernel
-        // callbacks after the last rank exits (a shard is only Done on
-        // an empty heap), so there "job elapsed" is the last rank's
-        // finish — the same quantity.
-        let elapsed = match end {
-            Some(end) => end.since(SimTime::ZERO),
-            None => per_rank.iter().copied().max().unwrap_or(SimDuration::ZERO),
-        };
-        if let (Some(stats), Some(rec)) = (&shard_stats, &self.obs.recorder) {
-            for (b, group) in buffers.iter().zip(&stats.groups) {
-                // Stamped with the job's elapsed rather than the group's
-                // own final clock: a group clock can overrun the last
-                // rank's finish by however much of the final window the
-                // trailing flow callbacks consumed, which depends on the
-                // per-round-vs-fast-path execution shape. The job elapsed
-                // is pure physics — identical for any worker count and
-                // either fast-path mode — so the merged stream's digest
-                // stays invariant across all of them. (`events` is
-                // excluded from digests, like the plain KernelRun's.)
-                b.push(desim::obs::Event::KernelRun {
-                    end_ns: elapsed.as_nanos(),
-                    events: group.events,
-                });
-            }
-            merge_events(buffers.iter().map(|b| b.take()).collect(), rec.as_ref());
-        }
-        let stats = world.stats.lock().clone();
-        let mut records = world.records.lock().clone();
-        if n_groups > 1 {
-            // Concurrent groups interleave pushes arbitrarily; a stable
-            // sort by rank restores a worker-count-independent order
-            // (each rank's own pushes are already serial).
-            records.sort_by_key(|r| r.0);
-        }
         let report = RunReport {
-            elapsed,
+            elapsed: end.since(SimTime::ZERO),
             per_rank,
-            stats,
-            records,
+            stats: world.stats.lock().clone(),
+            records: world.records.lock().clone(),
             clean: world.quiescent(),
         };
         if let Some((p, _, _, collect)) = &prof {
@@ -404,31 +276,6 @@ impl MpiJob {
             tx.fire_from(&sched, sched.now());
         });
         rx
-    }
-}
-
-/// The kernel a job runs on: one plain [`Sim`] for a one-group
-/// partition, the windowed [`ShardedSim`] for two or more groups.
-enum Driver {
-    Plain(Sim),
-    Sharded(ShardedSim),
-}
-
-impl Driver {
-    /// The per-group kernels, in group order.
-    fn sims(&self) -> &[Sim] {
-        match self {
-            Driver::Plain(sim) => std::slice::from_ref(sim),
-            Driver::Sharded(sharded) => sharded.sims(),
-        }
-    }
-
-    /// The cross-group mail fabric (none with one group).
-    fn cross(&self) -> Option<CrossPost> {
-        match self {
-            Driver::Plain(_) => None,
-            Driver::Sharded(sharded) => Some(sharded.cross()),
-        }
     }
 }
 

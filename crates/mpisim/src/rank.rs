@@ -138,7 +138,7 @@ impl RankCtx {
         start: SimTime,
         msg_id: u64,
     ) {
-        if let Some(rec) = self.world.obs_of(self.rank) {
+        if let Some(rec) = &self.world.obs {
             rec.record(&desim::obs::Event::MpiSpan {
                 rank: self.rank as u64,
                 op,
@@ -157,14 +157,14 @@ impl RankCtx {
     /// timing either way.
     pub fn emit_fault(&self, kind: &'static str, subject: u64, info: f64) {
         let s = self.cx.sched();
-        self.world.emit_fault(&s, self.rank, kind, subject, info);
+        self.world.emit_fault(&s, kind, subject, info);
     }
 
     /// Emit an application-phase marker (e.g. `"warmup"`, `"timed"`) into
     /// the observability stream. No-op without a recorder; never affects
     /// timing either way.
     pub fn phase(&self, name: &'static str) {
-        if let Some(rec) = self.world.obs_of(self.rank) {
+        if let Some(rec) = &self.world.obs {
             rec.record(&desim::obs::Event::Phase {
                 rank: self.rank as u64,
                 name,

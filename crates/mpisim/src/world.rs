@@ -23,7 +23,6 @@ use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use desim::shard::CrossPost;
 use desim::sync::Mutex;
 use desim::{completion, Completion, Sched, SimDuration, SimTime, Trigger};
 use netsim::{ChannelId, Network, NodeId};
@@ -116,24 +115,8 @@ struct RankMatch {
 
 /// Shared state of one MPI world (all ranks of one run).
 pub(crate) struct WorldInner {
-    /// The reference network (execution group 0's). Topology queries go
-    /// here; flows go through [`Self::net_of`], which is the same handle
-    /// with one group.
+    /// The network every channel of the run lives on.
     pub net: Network,
-    /// Per-execution-group flow engines. Classic mode: one entry, the
-    /// reference network. PDES mode: one per logical group, each over a
-    /// clone of the same topology; a directed channel `src → dst` lives
-    /// in `src`'s group's engine.
-    nets: Vec<Network>,
-    /// Rank → execution-group index (all zero with one group).
-    exec_group: Vec<usize>,
-    /// The PDES cross-group mail fabric (`None` with one group).
-    cross: Option<CrossPost>,
-    /// Directed link → owning execution group, filled at channel
-    /// creation. A sharded job promises that every directed link carries
-    /// flows of one group only; a conflict is a contract violation and
-    /// panics. Only consulted with more than one group.
-    link_claims: Mutex<HashMap<usize, usize>>,
     pub profile: ImplProfile,
     pub eager_threshold: u64,
     /// Collective-algorithm pins (see [`crate::CollConfig`]); consulted
@@ -146,13 +129,10 @@ pub(crate) struct WorldInner {
     /// Rank → index into `site_groups`.
     pub rank_site: Vec<usize>,
     matchers: Vec<Mutex<RankMatch>>,
-    /// Per-rank failure window: `Some((at, until))` means the rank is
-    /// dead for virtual times `at ≤ t < until` (`SimTime::MAX` = no
-    /// restart). The kill instant is stored so a concurrently-running
-    /// group whose clock has not yet reached `at` still reads "alive" —
-    /// every group writes the same tuple at virtual time `at`, making
-    /// the write idempotent and the read race-free.
-    failed: Vec<Mutex<Option<(SimTime, SimTime)>>>,
+    /// Per-rank failure window: `Some(until)` means the rank has been
+    /// dead since its kill and stays dead for virtual times `t < until`
+    /// (`SimTime::MAX` = no restart).
+    failed: Vec<Mutex<Option<SimTime>>>,
     next_posted_id: AtomicU64,
     /// Per-directed-pair message sequence counters, keyed `(src, dst)` and
     /// created on first use — dense `n × n` storage would cost O(n²) memory
@@ -163,31 +143,22 @@ pub(crate) struct WorldInner {
     channels: Mutex<HashMap<(usize, usize, u32), ChannelId>>,
     pub stats: Mutex<CommStats>,
     pub records: Mutex<Vec<(usize, String, f64)>>,
-    /// Per-group observability sinks: every traced-or-not MPI span and
-    /// app-phase marker is forwarded to the emitting rank's group's sink
-    /// when set (one group: one sink). Read-only taps; recording never
-    /// touches the simulation.
-    obs_groups: Vec<Option<Arc<dyn desim::obs::Recorder>>>,
+    /// Observability sink: every traced-or-not MPI span, app-phase marker
+    /// and fault event is forwarded here when set. A read-only tap;
+    /// recording never touches the simulation.
+    pub obs: Option<Arc<dyn desim::obs::Recorder>>,
 }
 
 impl WorldInner {
-    /// A world partitioned into execution groups (one group on the plain
-    /// kernel). `nets`, `obs_groups` are per-group (same length);
-    /// `exec_group` maps each rank to its group; `cross` is the sharded
-    /// driver's mail fabric (`None` with one group).
-    #[allow(clippy::too_many_arguments)] // construction-time wiring, deliberately flat
+    /// The world of one run on `net`.
     pub fn new(
-        nets: Vec<Network>,
-        exec_group: Vec<usize>,
+        net: Network,
         placement: Vec<NodeId>,
         profile: ImplProfile,
         tuning: Tuning,
         coll: crate::collectives::CollConfig,
-        obs_groups: Vec<Option<Arc<dyn desim::obs::Recorder>>>,
-        cross: Option<CrossPost>,
+        obs: Option<Arc<dyn desim::obs::Recorder>>,
     ) -> Arc<WorldInner> {
-        assert_eq!(nets.len(), obs_groups.len(), "one sink slot per group");
-        let net = nets[0].clone();
         let eager_threshold = tuning.eager_threshold.unwrap_or(profile.eager_threshold);
         let mut profile = profile;
         if let Some(buf) = tuning.socket_buffer {
@@ -212,10 +183,6 @@ impl WorldInner {
         let site_groups = site_groups.into_iter().map(|(_, g)| g).collect();
         Arc::new(WorldInner {
             net,
-            nets,
-            exec_group,
-            cross,
-            link_claims: Mutex::new(HashMap::new()),
             profile,
             eager_threshold,
             coll,
@@ -229,85 +196,13 @@ impl WorldInner {
             channels: Mutex::new(HashMap::new()),
             stats: Mutex::new(CommStats::default()),
             records: Mutex::new(Vec::new()),
-            obs_groups,
+            obs,
         })
     }
 
     /// Number of ranks.
     pub fn size(&self) -> usize {
         self.placement.len()
-    }
-
-    /// The execution group a rank runs in (0 for everyone with one group).
-    pub fn group_of(&self, rank: usize) -> usize {
-        self.exec_group[rank]
-    }
-
-    /// True if both ranks execute in the same group (always, with one).
-    fn same_group(&self, a: usize, b: usize) -> bool {
-        self.exec_group[a] == self.exec_group[b]
-    }
-
-    /// The flow engine owning flows that *originate* at `rank`.
-    fn net_of(&self, rank: usize) -> &Network {
-        &self.nets[self.exec_group[rank]]
-    }
-
-    /// Group `g`'s flow engine.
-    pub fn net_of_group(&self, g: usize) -> &Network {
-        &self.nets[g]
-    }
-
-    /// The observability sink for events emitted by `rank`'s group.
-    pub fn obs_of(&self, rank: usize) -> Option<&Arc<dyn desim::obs::Recorder>> {
-        self.obs_groups[self.exec_group[rank]].as_ref()
-    }
-
-    /// The PDES mail fabric (panics with one group — cross-group traffic
-    /// cannot arise there, since everyone is in group 0).
-    fn cross_fabric(&self) -> &CrossPost {
-        self.cross
-            .as_ref()
-            .expect("cross-group traffic outside pdes mode")
-    }
-
-    /// One-way wire latency from `src`'s node to `dst`'s node — by
-    /// construction at least the PDES lookahead when the ranks are in
-    /// different groups.
-    fn one_way(&self, src: usize, dst: usize) -> SimDuration {
-        let rtt = self.net.rtt(self.placement[src], self.placement[dst]);
-        SimDuration::from_nanos(rtt.as_nanos() / 2)
-    }
-
-    /// Record that `src`'s group owns every directed link of the
-    /// `src → dst` route, panicking if another group claimed one already
-    /// (the site-disjoint contract audit). No-op with a single group.
-    fn claim_links(&self, src: usize, dst: usize, fast: bool) {
-        if self.nets.len() <= 1 {
-            return;
-        }
-        let owner = self.exec_group[src];
-        let (a, b) = (self.placement[src], self.placement[dst]);
-        let links: Vec<usize> = self.net_of(src).with_topology(|t| {
-            let path = if fast {
-                t.route_fast(a, b)
-            } else {
-                Some(t.route(a, b))
-            };
-            path.map(|p| p.links.iter().map(|l| l.index()).collect())
-                .unwrap_or_default()
-        });
-        let mut claims = self.link_claims.lock();
-        for l in links {
-            if let Some(prev) = claims.insert(l, owner) {
-                assert!(
-                    prev == owner,
-                    "sharded run is not site-disjoint: directed link {l} carries \
-                     flows of groups {prev} and {owner} (channel rank{src} -> rank{dst}); \
-                     run this workload without shards"
-                );
-            }
-        }
     }
 
     /// Allocate the next message id for the directed pair `src → dst`:
@@ -356,24 +251,23 @@ impl WorldInner {
     fn channel_stream(&self, src: usize, dst: usize, stream: u32) -> ChannelId {
         let mut g = self.channels.lock();
         *g.entry((src, dst, stream)).or_insert_with(|| {
-            let net = self.net_of(src);
             if self.profile.fast_lan.is_some() {
-                if let Some(ch) = net.fast_channel(self.placement[src], self.placement[dst]) {
-                    self.claim_links(src, dst, true);
+                if let Some(ch) = self
+                    .net
+                    .fast_channel(self.placement[src], self.placement[dst])
+                {
                     return ch;
                 }
             }
             let req = self.profile.socket_policy.request();
-            let ch = net.channel_with(
+            self.net.channel_with(
                 self.placement[src],
                 self.placement[dst],
                 req,
                 req,
                 self.profile.pacing,
                 self.profile.data_window_cap,
-            );
-            self.claim_links(src, dst, false);
-            ch
+            )
         })
     }
 
@@ -394,14 +288,9 @@ impl WorldInner {
             Some((threshold, k)) if bytes > threshold && k > 1 => k,
             _ => 1,
         };
-        debug_assert!(
-            self.same_group(src, dst),
-            "cross-group data uses data_transfer_finish"
-        );
         if streams == 1 {
             let ch = self.channel_stream(src, dst, 0);
-            self.net_of(src)
-                .transfer_then(s, ch, bytes + HEADER_BYTES, done);
+            self.net.transfer_then(s, ch, bytes + HEADER_BYTES, done);
             return;
         }
         let chunk = bytes / streams as u64;
@@ -414,7 +303,7 @@ impl WorldInner {
             };
             let ch = self.channel_stream(src, dst, k);
             let pending = Arc::clone(&pending);
-            self.net_of(src)
+            self.net
                 .transfer_then(s, ch, this_chunk + HEADER_BYTES, move |s2| {
                     let mut g = pending.lock();
                     g.0 -= 1;
@@ -424,62 +313,6 @@ impl WorldInner {
                         done(s2);
                     }
                 });
-        }
-    }
-
-    /// Cross-group sibling of [`Self::data_transfer`]: moves the same
-    /// bytes over the same (possibly striped) channels, but `finish(s,
-    /// arrival)` runs in the *source* group at wire-finish time carrying
-    /// the arrival stamp, so the caller can split completions between the
-    /// sender's group (a local `call_at(arrival, …)`) and the receiver's
-    /// group (cross mail at `arrival`). `arrival − finish` is at least
-    /// the path's one-way latency, which is at least the driver's
-    /// lookahead — the cross mail is always causally safe.
-    fn data_transfer_finish(
-        self: &Arc<Self>,
-        s: &Sched,
-        src: usize,
-        dst: usize,
-        bytes: u64,
-        finish: impl FnOnce(&Sched, SimTime) + Send + 'static,
-    ) {
-        let streams = match self.profile.parallel_streams {
-            Some((threshold, k)) if bytes > threshold && k > 1 => k,
-            _ => 1,
-        };
-        if streams == 1 {
-            let ch = self.channel_stream(src, dst, 0);
-            self.net_of(src)
-                .transfer_finish_then(s, ch, bytes + HEADER_BYTES, finish);
-            return;
-        }
-        let chunk = bytes / streams as u64;
-        // (remaining stripes, latest arrival, the callback).
-        let pending = Arc::new(Mutex::new((streams, SimTime::ZERO, Some(finish))));
-        for k in 0..streams {
-            let this_chunk = if k == streams - 1 {
-                bytes - chunk * (streams as u64 - 1)
-            } else {
-                chunk
-            };
-            let ch = self.channel_stream(src, dst, k);
-            let pending = Arc::clone(&pending);
-            self.net_of(src).transfer_finish_then(
-                s,
-                ch,
-                this_chunk + HEADER_BYTES,
-                move |s2, arrival| {
-                    let mut g = pending.lock();
-                    g.0 -= 1;
-                    g.1 = g.1.max(arrival);
-                    if g.0 == 0 {
-                        let finish = g.2.take().expect("stripe callback pending");
-                        let last_arrival = g.1;
-                        drop(g);
-                        finish(s2, last_arrival);
-                    }
-                },
-            );
         }
     }
 
@@ -494,19 +327,9 @@ impl WorldInner {
         msg_id: u64,
     ) {
         let w = Arc::clone(self);
-        if self.same_group(src, dst) {
-            self.data_transfer(s, src, dst, bytes, move |s2| {
-                w.deliver_eager(s2, src, dst, tag, bytes, msg_id)
-            });
-        } else {
-            let cross = self.cross_fabric().clone();
-            let (from, to) = (self.exec_group[src], self.exec_group[dst]);
-            self.data_transfer_finish(s, src, dst, bytes, move |_s2, arrival| {
-                cross.post(from, to, arrival, move |s3| {
-                    w.deliver_eager(s3, src, dst, tag, bytes, msg_id)
-                });
-            });
-        }
+        self.data_transfer(s, src, dst, bytes, move |s2| {
+            w.deliver_eager(s2, src, dst, tag, bytes, msg_id)
+        });
     }
 
     #[allow(clippy::too_many_arguments)] // protocol state, deliberately flat
@@ -514,7 +337,7 @@ impl WorldInner {
         if self.rank_failed(dst, s.now()) {
             // The destination is dead: the message vanishes on its NIC
             // (buffered-send semantics — the sender completed long ago).
-            self.emit_fault(s, dst, "msg_dropped", dst as u64, bytes as f64);
+            self.emit_fault(s, "msg_dropped", dst as u64, bytes as f64);
             return;
         }
         let mut m = self.matchers[dst].lock();
@@ -562,21 +385,9 @@ impl WorldInner {
         let (stx, srx) = completion();
         let ch = self.channel(src, dst);
         let w = Arc::clone(self);
-        if self.same_group(src, dst) {
-            self.net_of(src)
-                .transfer_then(s, ch, CTRL_BYTES, move |s2| {
-                    w.deliver_rndv_req(s2, src, dst, tag, bytes, msg_id, stx)
-                });
-        } else {
-            let cross = self.cross_fabric().clone();
-            let (from, to) = (self.exec_group[src], self.exec_group[dst]);
-            self.net_of(src)
-                .transfer_finish_then(s, ch, CTRL_BYTES, move |_s2, arrival| {
-                    cross.post(from, to, arrival, move |s3| {
-                        w.deliver_rndv_req(s3, src, dst, tag, bytes, msg_id, stx)
-                    });
-                });
-        }
+        self.net.transfer_then(s, ch, CTRL_BYTES, move |s2| {
+            w.deliver_rndv_req(s2, src, dst, tag, bytes, msg_id, stx)
+        });
         srx
     }
 
@@ -594,19 +405,8 @@ impl WorldInner {
         if self.rank_failed(dst, s.now()) {
             // The handshake request reached a dead receiver: the sender's
             // blocking send aborts with a typed error instead of hanging.
-            self.emit_fault(s, dst, "msg_dropped", dst as u64, bytes as f64);
-            if self.same_group(src, dst) {
-                sender_done.fire_from(s, Err(MpiError::PeerFailed { rank: dst }));
-            } else {
-                // The abort notice rides the wire back to the sender's
-                // group — one-way latency keeps the mail causally safe.
-                let cross = self.cross_fabric().clone();
-                let (from, to) = (self.exec_group[dst], self.exec_group[src]);
-                let at = s.now() + self.one_way(dst, src);
-                cross.post(from, to, at, move |s2| {
-                    sender_done.fire_from(s2, Err(MpiError::PeerFailed { rank: dst }));
-                });
-            }
+            self.emit_fault(s, "msg_dropped", dst as u64, bytes as f64);
+            sender_done.fire_from(s, Err(MpiError::PeerFailed { rank: dst }));
             return;
         }
         let mut m = self.matchers[dst].lock();
@@ -645,65 +445,24 @@ impl WorldInner {
     ) {
         let ack_ch = self.channel(dst, src);
         let w = Arc::clone(self);
-        if self.same_group(src, dst) {
-            self.net_of(dst)
-                .transfer_then(s, ack_ch, CTRL_BYTES, move |s2| {
-                    let w2 = Arc::clone(&w);
-                    w2.data_transfer(s2, src, dst, bytes, move |s3| {
-                        recv_tx.fire_from(
-                            s3,
-                            Ok(RecvDone {
-                                info: MsgInfo {
-                                    src,
-                                    tag,
-                                    bytes,
-                                    msg_id,
-                                },
-                                copy: SimDuration::ZERO,
-                            }),
-                        );
-                        sender_done.fire_from(s3, Ok(()));
-                    });
-                });
-        } else {
-            // Cross-group rendezvous: the acknowledgement crosses back to
-            // the sender's group, the bulk data leaves from there, and at
-            // wire finish the two completions split — the sender's fires
-            // locally at arrival, the receiver's crosses as mail stamped
-            // with the arrival time.
-            let cross = self.cross_fabric().clone();
-            let (gd, gs) = (self.exec_group[dst], self.exec_group[src]);
-            self.net_of(dst).transfer_finish_then(
-                s,
-                ack_ch,
-                CTRL_BYTES,
-                move |_s2, ack_arrival| {
-                    cross.post(gd, gs, ack_arrival, move |s3| {
-                        let cross_back = w.cross_fabric().clone();
-                        let w2 = Arc::clone(&w);
-                        w2.data_transfer_finish(s3, src, dst, bytes, move |s4, arrival| {
-                            s4.call_at(arrival, move |s5| {
-                                sender_done.fire_from(s5, Ok(()));
-                            });
-                            cross_back.post(gs, gd, arrival, move |s5| {
-                                recv_tx.fire_from(
-                                    s5,
-                                    Ok(RecvDone {
-                                        info: MsgInfo {
-                                            src,
-                                            tag,
-                                            bytes,
-                                            msg_id,
-                                        },
-                                        copy: SimDuration::ZERO,
-                                    }),
-                                );
-                            });
-                        });
-                    });
-                },
-            );
-        }
+        self.net.transfer_then(s, ack_ch, CTRL_BYTES, move |s2| {
+            let w2 = Arc::clone(&w);
+            w2.data_transfer(s2, src, dst, bytes, move |s3| {
+                recv_tx.fire_from(
+                    s3,
+                    Ok(RecvDone {
+                        info: MsgInfo {
+                            src,
+                            tag,
+                            bytes,
+                            msg_id,
+                        },
+                        copy: SimDuration::ZERO,
+                    }),
+                );
+                sender_done.fire_from(s3, Ok(()));
+            });
+        });
     }
 
     /// Post a receive for rank `me`. Returns [`Posted::Immediate`] if an
@@ -788,15 +547,8 @@ impl WorldInner {
     }
 
     /// True if `rank` is inside a failure window at `now`.
-    ///
-    /// The window is stored as `(at, until)` and checked against the
-    /// *asking* rank's clock: under PDES another group may host-side
-    /// observe the write before its own virtual clock reaches the kill
-    /// time, so membership must be a pure function of virtual time.
     pub fn rank_failed(&self, rank: usize, now: SimTime) -> bool {
-        self.failed[rank]
-            .lock()
-            .is_some_and(|(at, until)| at <= now && now < until)
+        self.failed[rank].lock().is_some_and(|until| now < until)
     }
 
     /// Kill `rank` at the current instant, optionally restarting it at
@@ -815,10 +567,9 @@ impl WorldInner {
     ///   on delivery ([`Self::deliver_eager`] / [`Self::deliver_rndv_req`]).
     pub fn fail_rank(self: &Arc<Self>, s: &Sched, rank: usize, until: Option<SimTime>) {
         let until = until.unwrap_or(SimTime::MAX);
-        *self.failed[rank].lock() = Some((s.now(), until));
+        *self.failed[rank].lock() = Some(until);
         self.emit_fault(
             s,
-            rank,
             "rank_fail",
             rank as u64,
             if until == SimTime::MAX {
@@ -838,60 +589,24 @@ impl WorldInner {
             pr.tx.fire_from(s, Err(MpiError::SelfFailed));
         }
         for u in own_unexpected {
-            if let Unexpected::RndvReq {
-                src, sender_done, ..
-            } = u
-            {
-                if self.same_group(src, rank) {
-                    sender_done.fire_from(s, Err(MpiError::PeerFailed { rank }));
-                } else {
-                    // The sender blocks in another group: the abort notice
-                    // crosses as mail, delayed by one-way latency so it
-                    // lands beyond the lookahead horizon.
-                    let cross = self.cross_fabric().clone();
-                    let (from, to) = (self.exec_group[rank], self.exec_group[src]);
-                    let at = s.now() + self.one_way(rank, src);
-                    cross.post(from, to, at, move |s2| {
-                        sender_done.fire_from(s2, Err(MpiError::PeerFailed { rank }));
-                    });
-                }
+            if let Unexpected::RndvReq { sender_done, .. } = u {
+                sender_done.fire_from(s, Err(MpiError::PeerFailed { rank }));
             }
         }
-        // Abort this group's source-selected receives on the dead rank;
-        // other groups run the lite path at the same virtual instant.
-        self.abort_selected_on(s, self.exec_group[rank], rank);
+        self.abort_selected_on(s, rank);
         if until != SimTime::MAX {
             let w = Arc::clone(self);
             s.call_at(until, move |s2| {
-                w.emit_fault(s2, rank, "rank_restart", rank as u64, 0.0);
+                w.emit_fault(s2, "rank_restart", rank as u64, 0.0);
             });
         }
     }
 
-    /// The non-owning-group half of a rank failure under PDES: every group
-    /// schedules this at the same virtual instant the owning group runs
-    /// [`Self::fail_rank`]. It writes the identical `(at, until)` window
-    /// (idempotent) and aborts *this* group's source-selected receives on
-    /// the dead rank; emission, matcher drain, and restart bookkeeping
-    /// stay with the owning group.
-    pub fn fail_rank_lite(
-        self: &Arc<Self>,
-        s: &Sched,
-        group: usize,
-        rank: usize,
-        until: Option<SimTime>,
-    ) {
-        let until = until.unwrap_or(SimTime::MAX);
-        *self.failed[rank].lock() = Some((s.now(), until));
-        self.abort_selected_on(s, group, rank);
-    }
-
-    /// Abort posted receives that select `rank` as their source, restricted
-    /// to receivers executing in `group` (wildcard receives stay posted —
-    /// another sender may still satisfy them).
-    fn abort_selected_on(&self, s: &Sched, group: usize, rank: usize) {
+    /// Abort posted receives that select `rank` as their source (wildcard
+    /// receives stay posted — another sender may still satisfy them).
+    fn abort_selected_on(&self, s: &Sched, rank: usize) {
         for (r, matcher) in self.matchers.iter().enumerate() {
-            if r == rank || self.exec_group[r] != group {
+            if r == rank {
                 continue;
             }
             let aborted: Vec<PostedRecv> = {
@@ -914,17 +629,10 @@ impl WorldInner {
         }
     }
 
-    /// Forward a fault event to `rank`'s group's observability bus (no-op
-    /// without a recorder; never touches the simulation).
-    pub(crate) fn emit_fault(
-        &self,
-        s: &Sched,
-        rank: usize,
-        kind: &'static str,
-        subject: u64,
-        info: f64,
-    ) {
-        if let Some(rec) = self.obs_of(rank) {
+    /// Forward a fault event to the observability bus (no-op without a
+    /// recorder; never touches the simulation).
+    pub(crate) fn emit_fault(&self, s: &Sched, kind: &'static str, subject: u64, info: f64) {
+        if let Some(rec) = &self.obs {
             rec.record(&desim::obs::Event::Fault {
                 kind,
                 subject,

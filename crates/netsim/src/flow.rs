@@ -50,36 +50,9 @@ pub struct ChannelId(pub(crate) usize);
 /// reaches the receiving host.
 pub(crate) type ArrivalFn = Box<dyn FnOnce(&Sched) + Send>;
 
-/// Callback invoked (in `Sched` context) at the *finish* time — when the
-/// last byte leaves the sender — receiving the computed receiver-side
-/// arrival time as a value instead of as a scheduled event.
-pub(crate) type FinishFn = Box<dyn FnOnce(&Sched, SimTime) + Send>;
-
-/// How a transfer's completion is delivered. `AtArrival` schedules the
-/// callback at the arrival time via the local event queue — the classic
-/// path, byte-identical to the pre-PDES engine. `AtFinish` hands the
-/// arrival time over at finish time instead: the sharded engine uses it
-/// to ship cross-shard completions while they are still a full one-way
-/// WAN latency (≥ the conservative lookahead) in the future.
-pub(crate) enum DoneFn {
-    AtArrival(ArrivalFn),
-    AtFinish(FinishFn),
-}
-
-impl DoneFn {
-    /// Deliver the completion: schedule or hand over, per the variant.
-    /// Must be called without the net lock held.
-    fn deliver(self, s: &Sched, arrival: SimTime) {
-        match self {
-            DoneFn::AtArrival(done) => s.call_at(arrival, done),
-            DoneFn::AtFinish(f) => f(s, arrival),
-        }
-    }
-}
-
 pub(crate) struct PendingTransfer {
     bytes: u64,
-    done: DoneFn,
+    done: ArrivalFn,
 }
 
 pub(crate) struct ChannelState {
@@ -108,7 +81,7 @@ struct FlowState {
     rate: f64,
     started: SimTime,
     last_settle: SimTime,
-    done: Option<DoneFn>,
+    done: Option<ArrivalFn>,
 }
 
 /// A committed plan for an uncontended bulk transfer: the flow's whole
@@ -165,9 +138,8 @@ pub(crate) struct NetState {
 
 /// The flow engine's handle on an attached
 /// [`HostProfiler`]: event-handler keys are
-/// interned at attach time, per-link settle keys carry shard-candidate
-/// labels (`site:<name>` for LAN access links, `wan:<a>-><b>` for WAN
-/// trunks — the boundaries a PDES sharding of netsim would cut along),
+/// interned at attach time, per-link settle keys carry link labels
+/// (`site:<name>` for LAN access links, `wan:<a>-><b>` for WAN trunks),
 /// and per-channel round keys are interned lazily on first round.
 ///
 /// Attribution is *layer-local*: `netsim;settle;<link>` rows re-slice
@@ -188,7 +160,7 @@ pub(crate) struct NetProf {
     pub(crate) replay: ProfKey,
     /// Per-directed-link settle keys (`netsim;settle;<label>`).
     pub(crate) link_keys: Vec<ProfKey>,
-    /// Shard-candidate label of each directed link.
+    /// Label of each directed link.
     pub(crate) link_labels: Vec<String>,
     /// Lazily interned per-channel round keys
     /// (`netsim;round_event;<label>`).
@@ -245,7 +217,7 @@ impl NetState {
     }
 
     /// Scope guard for one channel's round handler, keyed by the
-    /// channel's shard-candidate label (its WAN trunk if it crosses one,
+    /// channel's link label (its WAN trunk if it crosses one,
     /// else its first access link's site). Sampled like [`Self::prof_scope`].
     fn round_scope(&mut self, ch: usize) -> Option<ProfScope> {
         {
@@ -341,7 +313,7 @@ impl NetState {
         // When profiling (1-in-NET_PROF_SAMPLE sampled), snapshot the
         // per-link byte counters so the elapsed wall clock can be
         // attributed to the links that actually moved bytes — the
-        // per-shard-candidate breakdown. The snapshot reuses the scratch
+        // per-link breakdown. The snapshot reuses the scratch
         // buffer: no allocation on the settle path.
         let t0 = match self.host_prof.as_mut() {
             Some(hp) => {
@@ -1099,13 +1071,19 @@ fn fast_commit(net: &SharedNet, s: &Sched, gen: u64) {
     reallocate(&mut g, net, s, now);
     drop(g);
     if let Some(done) = done {
-        done.deliver(s, arrival);
+        s.call_at(arrival, done);
     }
 }
 
 /// Enqueue a transfer on `ch`; the returned trigger fires when the last
 /// byte reaches the receiver.
-pub(crate) fn start_transfer(net: &SharedNet, s: &Sched, ch: ChannelId, bytes: u64, done: DoneFn) {
+pub(crate) fn start_transfer(
+    net: &SharedNet,
+    s: &Sched,
+    ch: ChannelId,
+    bytes: u64,
+    done: ArrivalFn,
+) {
     let now = s.now();
     let mut g = net.lock();
     // Duplicate traffic (fault injection): spurious retransmissions put
@@ -1435,7 +1413,7 @@ fn finish_event(net: &SharedNet, s: &Sched, gen: u64) {
         }
         !done
     });
-    let mut fires: Vec<(DoneFn, SimTime)> = Vec::new();
+    let mut fires: Vec<(ArrivalFn, SimTime)> = Vec::new();
     for fid in finished {
         let mut f = g.flows[fid].take().expect("finished flow exists");
         g.free.push(fid);
@@ -1478,7 +1456,7 @@ fn finish_event(net: &SharedNet, s: &Sched, gen: u64) {
     reallocate(&mut g, net, s, now);
     drop(g);
     for (done, at) in fires {
-        done.deliver(s, at);
+        s.call_at(at, done);
     }
 }
 
@@ -1886,20 +1864,20 @@ mod tests {
                 g.add_channel(ac, TcpState::new(flow_params(w))),
             )
         };
-        // At X's finish: how many flows are left, and Z's backlog.
+        // At X's arrival: how many flows are left, and Z's backlog.
         let seen: Arc<Mutex<Option<(usize, f64)>>> = Arc::new(Mutex::new(None));
         let sim = desim::Sim::new();
         let (net2, seen2) = (Arc::clone(&net), Arc::clone(&seen));
         sim.spawn_task("sender", move |cx| async move {
             let s = cx.sched();
             let net3 = Arc::clone(&net2);
-            let on_x = DoneFn::AtFinish(Box::new(move |_: &Sched, _| {
+            let on_x: ArrivalFn = Box::new(move |_: &Sched| {
                 let g = net3.lock();
                 let z = g.channels[ch_x.0].active.expect("Z started");
                 let z_remaining = g.flows[z].as_ref().unwrap().remaining;
                 *seen2.lock() = Some((g.active.len(), z_remaining));
-            }));
-            let noop = || DoneFn::AtFinish(Box::new(|_: &Sched, _| {}));
+            });
+            let noop = || -> ArrivalFn { Box::new(|_: &Sched| {}) };
             start_transfer(&net2, &s, ch_x, x_bytes, on_x);
             start_transfer(&net2, &s, ch_y, y_bytes, noop());
             start_transfer(&net2, &s, ch_x, z_bytes, noop());

@@ -3,12 +3,12 @@
 use std::sync::Arc;
 
 use desim::sync::Mutex;
-use desim::{completion, Completion, Sched, SimDuration, SimTime};
+use desim::{completion, Completion, Sched, SimDuration};
 
 use desim::fault::{FaultKind, FaultPlan};
 
 use crate::config::SockBufRequest;
-use crate::flow::{fault_path_outage, start_transfer, ChannelId, DoneFn, NetState, SharedNet};
+use crate::flow::{fault_path_outage, start_transfer, ChannelId, NetState, SharedNet};
 use crate::tcp::{TcpParams, TcpState};
 use crate::topology::{LinkId, NodeId, Path, SiteId, Topology};
 
@@ -72,8 +72,7 @@ impl Network {
 
     /// The profiler attachment body: interns per-link settle keys — settle
     /// time per directed link (labelled `site:<name>` for LAN access links
-    /// and `wan:<a>-><b>` for WAN trunks, the candidate PDES shard
-    /// boundaries), the max-min allocator, and the per-channel round /
+    /// and `wan:<a>-><b>` for WAN trunks), the max-min allocator, and the per-channel round /
     /// finish / fast-path handlers. The profiler reads only the host
     /// clock, so virtual time is untouched.
     fn install_host_profiler(&self, prof: Arc<desim::obs::HostProfiler>) {
@@ -211,7 +210,7 @@ impl Network {
             s,
             ch,
             bytes,
-            DoneFn::AtArrival(Box::new(move |s2: &Sched| tx.fire_from(s2, ()))),
+            Box::new(move |s2: &Sched| tx.fire_from(s2, ())),
         );
         rx
     }
@@ -228,23 +227,7 @@ impl Network {
         bytes: u64,
         f: impl FnOnce(&Sched) + Send + 'static,
     ) {
-        start_transfer(&self.state, s, ch, bytes, DoneFn::AtArrival(Box::new(f)));
-    }
-
-    /// Like [`Network::transfer_then`], but invokes the callback at the
-    /// sender-side *finish* time with the receiver-side arrival time as an
-    /// argument. The sharded engine uses this for transfers whose receiver
-    /// lives on another shard: at finish time the arrival still lies a
-    /// full one-way latency ahead, so the completion can cross the shard
-    /// boundary as conservative-safe mail instead of a local event.
-    pub fn transfer_finish_then(
-        &self,
-        s: &Sched,
-        ch: ChannelId,
-        bytes: u64,
-        f: impl FnOnce(&Sched, SimTime) + Send + 'static,
-    ) {
-        start_transfer(&self.state, s, ch, bytes, DoneFn::AtFinish(Box::new(f)));
+        start_transfer(&self.state, s, ch, bytes, Box::new(f));
     }
 
     /// Route properties between two nodes.
@@ -255,11 +238,6 @@ impl Network {
     /// Round-trip time between two nodes.
     pub fn rtt(&self, src: NodeId, dst: NodeId) -> SimDuration {
         self.route(src, dst).rtt
-    }
-
-    /// Per-message host software overhead.
-    pub fn stack_overhead(&self) -> SimDuration {
-        self.state.lock().stack_overhead
     }
 
     /// Site of a node.

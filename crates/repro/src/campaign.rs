@@ -1,7 +1,7 @@
 //! `repro campaign` — the sweep engine and run-ledger writer.
 //!
 //! Expands a declarative spec (workload × implementation × tuning ×
-//! network × loss × collective pin × shards) into scenario runs,
+//! network × loss × collective pin) into scenario runs,
 //! executes them through [`crate::par::par_map_with`], and appends one
 //! structured JSONL row per run to a ledger file
 //! (`results/ledger/<label>.jsonl`) — config fingerprint, event digest,
@@ -71,7 +71,7 @@ pub enum Workload {
         /// Back-to-back repetitions.
         rounds: u32,
     },
-    /// A 16-rank ring exchange (site-disjoint, PDES-shardable).
+    /// A 16-rank ring exchange.
     Ring {
         /// Exchange rounds.
         rounds: u32,
@@ -128,8 +128,6 @@ pub struct Cell {
     /// Collective algorithm pin (`default`, or an algorithm name, with
     /// `+2lvl` for the grid-aware variant).
     pub coll: &'static str,
-    /// PDES worker count (0 = classic single-kernel driver).
-    pub shards: u32,
 }
 
 impl Cell {
@@ -138,14 +136,13 @@ impl Cell {
     /// `ledger diff`/`top` can join them.
     pub fn scenario_key(&self) -> String {
         format!(
-            "{}|{}|{}|{}|loss={}|coll={}|shards={}",
+            "{}|{}|{}|{}|loss={}|coll={}",
             self.workload,
             self.impl_id.name(),
             level_key(self.level),
             self.net.key(),
             self.loss,
-            self.coll,
-            self.shards
+            self.coll
         )
     }
 
@@ -171,7 +168,6 @@ impl Cell {
             ("net".into(), Value::Str(self.net.key().into())),
             ("loss".into(), Value::Num(self.loss)),
             ("coll".into(), Value::Str(self.coll.into())),
-            ("shards".into(), Value::Num(self.shards as f64)),
             ("perturb_loss".into(), Value::Num(perturb_loss)),
         ])
     }
@@ -192,7 +188,7 @@ fn level_key(level: TuningLevel) -> &'static str {
 pub enum Spec {
     /// The CI sweep: ≥100 runs over every axis (~2 min cold on 8 cores).
     Quick,
-    /// A 12-run subset for tests and benchmarks.
+    /// An 11-run subset for tests and benchmarks.
     Tiny,
 }
 
@@ -224,7 +220,6 @@ impl Spec {
             net: Net::Grid,
             loss: 0.0,
             coll: "default",
-            shards: 0,
         };
         // Iteration counts are sized so a cold quick sweep does real
         // work (the cold/warm cache speedup gate in CI needs simulation
@@ -298,15 +293,10 @@ impl Spec {
                         }
                     }
                 }
-                // Shards axis: the site-disjoint ring on the PDES driver
-                // (3 cells).
-                for shards in [0, 2, 4] {
-                    cells.push(Cell {
-                        net: Net::Pair16,
-                        shards,
-                        ..base("ring16", ring)
-                    });
-                }
+                cells.push(Cell {
+                    net: Net::Pair16,
+                    ..base("ring16", ring)
+                });
             }
             Spec::Tiny => {
                 for impl_id in [MpiImpl::Mpich2, MpiImpl::GridMpi] {
@@ -328,13 +318,10 @@ impl Spec {
                         ..base("bcast_64k", bcast_64k)
                     });
                 }
-                for shards in [0, 2] {
-                    cells.push(Cell {
-                        net: Net::Pair16,
-                        shards,
-                        ..base("ring16", ring)
-                    });
-                }
+                cells.push(Cell {
+                    net: Net::Pair16,
+                    ..base("ring16", ring)
+                });
             }
         }
         cells
@@ -410,9 +397,6 @@ fn scenario_for(cell: &Cell, loss: f64) -> Scenario {
         }
     };
     let mut exec = ExecConfig::new();
-    if cell.shards > 0 {
-        exec = exec.shards(cell.shards);
-    }
     if cell.coll != "default" {
         let op = match cell.kind {
             Workload::Coll { op, .. } => op,
@@ -437,8 +421,10 @@ fn scenario_for(cell: &Cell, loss: f64) -> Scenario {
     let mut scenario = base.exec(exec).deadline(SimTime::from_nanos(DEADLINE_NS));
     if loss > 0.0 && cell.net.has_wan() {
         // Seeded per scenario key so every cell's loss pattern is stable
-        // across campaigns and cache generations.
-        let seed = fnv1a64(&cell.scenario_key()) | 1;
+        // across campaigns and cache generations. The hashed string keeps
+        // the key's retired last axis (`|shards=0`), so every lossy cell
+        // draws the loss pattern, and so the digest, it was recorded with.
+        let seed = fnv1a64(&format!("{}|shards=0", cell.scenario_key())) | 1;
         scenario = scenario.faults(FaultPlan::new().with_seed(seed).with_wan_loss(loss));
     }
     scenario
@@ -848,13 +834,12 @@ fn campaign_guidelines(rows: &[&RunRow]) -> Vec<(String, bool, String)> {
             continue;
         }
         let group = format!(
-            "{}|{}|{}|loss={}|coll={}|shards={}",
+            "{}|{}|{}|loss={}|coll={}",
             axis(row, "workload"),
             axis(row, "impl"),
             axis(row, "net"),
             axis(row, "loss"),
             axis(row, "coll"),
-            axis(row, "shards"),
         );
         by_tuning
             .entry(group)
@@ -895,13 +880,12 @@ fn campaign_guidelines(rows: &[&RunRow]) -> Vec<(String, bool, String)> {
             continue;
         }
         let group = format!(
-            "{}|{}|{}|{}|coll={}|shards={}",
+            "{}|{}|{}|{}|coll={}",
             axis(row, "workload"),
             axis(row, "impl"),
             axis(row, "tuning"),
             axis(row, "net"),
             axis(row, "coll"),
-            axis(row, "shards"),
         );
         by_loss
             .entry(group)

@@ -5,11 +5,11 @@
 
 use desim::obs::Obs;
 use gridapps::Ray2MeshConfig;
-use mpisim::{FaultPlan, MpiImpl, MpiProgram, RankCtx, RunReport};
+use mpisim::{FaultPlan, MpiImpl, MpiProgram, RunReport};
 use netsim::Grid5000Site;
 use npb::{NasBenchmark, NasClass, NasRun};
 
-use crate::scenario::{pingpong_program, Scenario};
+use crate::scenario::{pingpong_program, send_program, Scenario};
 use crate::util::{Scope, TuningLevel};
 
 /// The scenario names the three commands accept.
@@ -94,14 +94,7 @@ pub(crate) fn run(label: &'static str) -> Run {
         "lossy_wan" => (
             "16 MB WAN transfer with seeded 1e-3 segment loss",
             wan(TuningLevel::TcpTuned).faults(FaultPlan::new().with_seed(42).with_wan_loss(1e-3)),
-            Box::new(|mut ctx: RankCtx| async move {
-                const TAG: u64 = 7;
-                if ctx.rank() == 0 {
-                    ctx.send(1, 16 << 20, TAG).await;
-                } else {
-                    ctx.recv(0, TAG).await;
-                }
-            }),
+            Box::new(send_program(16 << 20, 7)),
         ),
         other => unreachable!("no catalogued run is labelled {other:?}"),
     };

@@ -53,8 +53,6 @@ struct Command {
 /// Upper bound of `--perturb loss=RATE`: the campaign adds the rate to
 /// its cells' own loss (at most 1e-3), and the sum must stay below 1.
 const MAX_LOSS: f64 = 0.5;
-/// Upper bound of a PDES worker count (`--shards`, `--pdes`).
-const MAX_WORKERS: u64 = 1024;
 /// The NPB kernels `trace` accepts (`npb::NasBenchmark::name`).
 const BENCHES: [&str; 8] = ["EP", "CG", "MG", "LU", "SP", "BT", "IS", "FT"];
 const SCENARIO: &[Pos] = &[Pos::MaybeOneOf("", &crate::catalogue::NAMES)];
@@ -88,7 +86,6 @@ const COMMANDS: &[Command] = &[
     cmd("ring", &[], &[
         ("--ranks", Int("N", 1, 1 << 20)),
         ("--rounds", Int("N", 1, U32)),
-        ("--shards", Int("N", 1, MAX_WORKERS)),
     ]),
     cmd("blame", SCENARIO, &[
         ("--trace-in", Text("FILE")),
@@ -106,10 +103,7 @@ const COMMANDS: &[Command] = &[
         ("--check", Switch),
         ("--cache", Text("FILE")),
     ]),
-    cmd("golden", &[Pos::OneOf(&["record", "check"])], &[
-        ("--dir", Text("DIR")),
-        ("--pdes", Int("N", 1, MAX_WORKERS)),
-    ]),
+    cmd("golden", &[Pos::OneOf(&["record", "check"])], &[("--dir", Text("DIR"))]),
     cmd("guidelines", &[Pos::Rest("NAME")], &[("--format", Choice(&["text", "json"]))]),
     cmd("campaign", &[], &[
         ("--spec", Choice(&["quick", "tiny"])),

@@ -24,11 +24,11 @@ use std::io::Write as _;
 
 use desim::{SimDuration, SimTime};
 use gridapps::Ray2MeshConfig;
-use mpisim::{FaultPlan, FaultPolicy, MpiImpl, RankCtx};
+use mpisim::{FaultPlan, FaultPolicy, MpiImpl};
 use netsim::{Grid5000Site, KernelConfig, Network, NodeId, NodeParams, SiteParams, Topology};
 
 use crate::par::par_map;
-use crate::scenario::Scenario;
+use crate::scenario::{send_program, Scenario};
 
 /// Bulk-transfer size for the loss sweep.
 const BULK: u64 = 16 << 20;
@@ -60,14 +60,7 @@ fn goodput_run(rtt: SimDuration, loss: f64) -> (f64, f64) {
     let plan = FaultPlan::new().with_seed(42).with_wan_loss(loss);
     let report = Scenario::custom(net, vec![a, b], MpiImpl::Mpich2)
         .faults(plan)
-        .run(move |mut ctx: RankCtx| async move {
-            const TAG: u64 = 7;
-            if ctx.rank() == 0 {
-                ctx.send(1, BULK, TAG).await;
-            } else {
-                ctx.recv(0, TAG).await;
-            }
-        })
+        .run(send_program(BULK, 7))
         .expect("loss-sweep transfer completes");
     let secs = report.elapsed.as_secs_f64();
     (BULK as f64 * 8.0 / secs / 1e6, secs)

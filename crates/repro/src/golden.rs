@@ -19,18 +19,6 @@
 //! the closed-form bulk fast path pinned off through
 //! [`ExecConfig::fast_path`]. Both passes must match the corpus, because
 //! digests are defined to be identical in either mode.
-//!
-//! `--pdes N` runs the site-disjoint scenarios (`pingpong`, `slowstart`,
-//! `table4`, `faults`) with `shards(N)` against a *separate* corpus
-//! (default `results/golden/pdes/`). Their two-site runs take the sharded
-//! driver, whose event stream is deterministic for any worker count but
-//! not byte-identical to the plain kernel's (merge ordering, per-group
-//! settle arithmetic — DESIGN.md §14); the fault-tolerant ray2mesh
-//! sub-run of `faults` is not site-disjoint and runs unsharded. `nas`,
-//! `ray2mesh` and `coll` are not site-disjoint either, so they have no
-//! PDES entry: the classic corpus already pins their only run. Checking
-//! `--pdes 1`, `--pdes 2`, and `--pdes 4` against one corpus is the
-//! worker-count-invariance gate.
 
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
@@ -46,7 +34,7 @@ use netsim::{grid5000_four_sites, Grid5000Site, KernelConfig, Network};
 use npb::{NasBenchmark, NasClass, NasRun};
 
 use crate::cli::Args;
-use crate::scenario::Scenario;
+use crate::scenario::{send_program, Scenario};
 use crate::util::{Scope, TuningLevel};
 
 /// One recomputed golden entry.
@@ -119,14 +107,7 @@ fn golden_slowstart(sink: &Arc<DigestSink>, exec: ExecConfig) -> u64 {
         let report = Scenario::pair(Scope::Grid, level, id)
             .exec(exec)
             .recorder(sink.clone())
-            .run(|mut ctx: RankCtx| async move {
-                const TAG: u64 = 1;
-                if ctx.rank() == 0 {
-                    ctx.send(1, 16 << 20, TAG).await;
-                } else {
-                    ctx.recv(0, TAG).await;
-                }
-            })
+            .run(send_program(16 << 20, 1))
             .expect("golden slowstart completes");
         total += seal(sink, label, &report);
     }
@@ -201,14 +182,7 @@ fn golden_faults(sink: &Arc<DigestSink>, exec: ExecConfig) -> u64 {
         .exec(exec)
         .faults(FaultPlan::new().with_seed(42).with_wan_loss(1e-3))
         .recorder(sink.clone())
-        .run(|mut ctx: RankCtx| async move {
-            const TAG: u64 = 7;
-            if ctx.rank() == 0 {
-                ctx.send(1, 16 << 20, TAG).await;
-            } else {
-                ctx.recv(0, TAG).await;
-            }
-        })
+        .run(send_program(16 << 20, 7))
         .expect("golden lossy transfer completes");
     total += seal(sink, "lossy_wan", &report);
 
@@ -221,13 +195,8 @@ fn golden_faults(sink: &Arc<DigestSink>, exec: ExecConfig) -> u64 {
         .with_wan_loss(5e-4)
         .kill_rank(3, SimTime::from_nanos(1_000_000_000))
         .kill_rank(6, SimTime::from_nanos(2_000_000_000));
-    // The master/worker fan-in is not site-disjoint, so this sub-run is
-    // never sharded.
     let report = Scenario::four_sites(2, Grid5000Site::ALL[0], MpiImpl::GridMpi)
-        .exec(ExecConfig {
-            shards: None,
-            ..exec
-        })
+        .exec(exec)
         .faults(plan)
         .recorder(sink.clone())
         .run(cfg.program_ft(FaultPolicy::grid_default()))
@@ -312,21 +281,18 @@ fn golden_coll(sink: &Arc<DigestSink>, exec: ExecConfig) -> u64 {
 }
 
 /// A golden scenario runner: feeds the sink, returns total elapsed ns.
-/// The [`ExecConfig`] selects unsharded vs sharded (PDES) execution.
+/// The [`ExecConfig`] selects the fast-path mode.
 type GoldenFn = fn(&Arc<DigestSink>, ExecConfig) -> u64;
 
-/// The corpus: scenario name → runner, and whether the scenario belongs
-/// to the `--pdes` corpus. Only site-disjoint traffic can be sharded;
-/// `nas`, `ray2mesh` and `coll` are not, and an unsharded run is already
-/// pinned by the classic corpus. Order is the check/record order.
-pub const SCENARIOS: &[(&str, GoldenFn, bool)] = &[
-    ("pingpong", golden_pingpong, true),
-    ("slowstart", golden_slowstart, true),
-    ("table4", golden_table4, true),
-    ("nas", golden_nas, false),
-    ("ray2mesh", golden_ray2mesh, false),
-    ("faults", golden_faults, true),
-    ("coll", golden_coll, false),
+/// The corpus: scenario name → runner. Order is the check/record order.
+pub const SCENARIOS: &[(&str, GoldenFn)] = &[
+    ("pingpong", golden_pingpong),
+    ("slowstart", golden_slowstart),
+    ("table4", golden_table4),
+    ("nas", golden_nas),
+    ("ray2mesh", golden_ray2mesh),
+    ("faults", golden_faults),
+    ("coll", golden_coll),
 ];
 
 /// Recompute one scenario's digest.
@@ -427,31 +393,14 @@ fn check_scenario(dir: &Path, name: &'static str, f: GoldenFn, exec: ExecConfig)
     }
 }
 
-/// `repro golden <record|check> [--dir DIR] [--pdes N]`.
+/// `repro golden <record|check> [--dir DIR]`.
 pub fn cmd_golden(args: &Args) {
-    let pdes = args.num("--pdes").map(|n| n as u32);
-    let default_dir = if pdes.is_some() {
-        "results/golden/pdes"
-    } else {
-        "results/golden"
-    };
-    let dir = PathBuf::from(args.text("--dir").unwrap_or(default_dir));
-    let exec = match pdes {
-        Some(n) => ExecConfig::new().shards(n),
-        None => ExecConfig::new(),
-    };
-    let scenarios: Vec<(&'static str, GoldenFn)> = SCENARIOS
-        .iter()
-        .filter(|&&(_, _, shards)| shards || pdes.is_none())
-        .map(|&(name, f, _)| (name, f))
-        .collect();
+    let dir = PathBuf::from(args.text("--dir").unwrap_or("results/golden"));
+    let exec = ExecConfig::new();
     match args.arg(0) {
         "record" => {
-            crate::header(&match pdes {
-                Some(n) => format!("Golden corpus: recording run digests (PDES, {n} workers)"),
-                None => "Golden corpus: recording run digests".to_string(),
-            });
-            for &(name, f) in &scenarios {
+            crate::header("Golden corpus: recording run digests");
+            for &(name, f) in SCENARIOS {
                 let rec = run_scenario(name, f, exec);
                 if let Err(e) = write_record(&dir, &rec) {
                     eprintln!("cannot write golden record for {name}: {e}");
@@ -468,17 +417,14 @@ pub fn cmd_golden(args: &Args) {
             }
         }
         "check" => {
-            crate::header(&match pdes {
-                Some(n) => format!("Golden corpus: checking run digests (PDES, {n} workers)"),
-                None => "Golden corpus: checking run digests".to_string(),
-            });
+            crate::header("Golden corpus: checking run digests");
             let mut failures: Vec<String> = Vec::new();
             for (mode, exec) in [
                 ("fast path as configured", exec),
                 ("fast path off", exec.fast_path(false)),
             ] {
                 println!("-- {mode}");
-                for &(name, f) in &scenarios {
+                for &(name, f) in SCENARIOS {
                     if !check_scenario(&dir, name, f, exec) {
                         failures.push(format!("{name} ({mode})"));
                     }
@@ -495,7 +441,7 @@ pub fn cmd_golden(args: &Args) {
             }
             println!(
                 "\ngolden check passed ({} scenarios, fast path on and off)",
-                scenarios.len()
+                SCENARIOS.len()
             );
         }
         other => unreachable!("the parser admits only record and check, not {other:?}"),

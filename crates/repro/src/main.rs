@@ -195,23 +195,15 @@ fn main() {
     }
 }
 
-/// `repro ring [--ranks N] [--rounds N] [--shards N]`: the rank-scale
+/// `repro ring [--ranks N] [--rounds N]`: the rank-scale
 /// demonstration — a ring exchange far beyond the paper's 16-rank
 /// testbed, run in one process with every rank a pooled continuation
 /// task (no OS thread per rank). Ranks are placed in contiguous
 /// blocks across an 8+8-node tuned testbed, so ring edges are mostly
 /// node-local and the run completes in seconds even at 4096+ ranks.
-/// `--shards N` runs on the sharded PDES driver with `N` workers: the
-/// ring is eager with in-degree 1 per rank, so it satisfies the
-/// site-disjoint partition contract and splits into one shard per site.
 fn cmd_ring(args: &cli::Args) {
     let ranks = args.num("--ranks").map_or(4096, |n| n as usize);
     let rounds = args.num("--rounds").map_or(4, |n| n as u32);
-    let shards = args.num("--shards").map(|n| n as u32);
-    let mut exec = mpisim::ExecConfig::new();
-    if let Some(n) = shards {
-        exec = exec.shards(n);
-    }
     let (mut topo, rn, nn) = netsim::grid5000_pair(8);
     topo.set_kernel_all(netsim::KernelConfig::tuned(4 << 20));
     let nodes: Vec<netsim::NodeId> = rn.into_iter().chain(nn).collect();
@@ -221,7 +213,6 @@ fn cmd_ring(args: &cli::Args) {
     let wall = std::time::Instant::now();
     let report = mpisim::MpiJob::new(netsim::Network::new(topo), placement, MpiImpl::Mpich2)
         .with_tuning(mpisim::Tuning::paper_tuned(MpiImpl::Mpich2))
-        .with_exec(exec)
         .run(move |mut ctx: mpisim::RankCtx| async move {
             const TAG: u64 = 7;
             let right = (ctx.rank() + 1) % ctx.size();
@@ -232,12 +223,7 @@ fn cmd_ring(args: &cli::Args) {
         })
         .expect("ring completes");
     let wall = wall.elapsed().as_secs_f64();
-    match shards {
-        Some(n) => {
-            println!("# Rank-scale ring ({ranks} ranks x {rounds} rounds, pdes {n} workers)")
-        }
-        None => println!("# Rank-scale ring ({ranks} ranks x {rounds} rounds)"),
-    }
+    println!("# Rank-scale ring ({ranks} ranks x {rounds} rounds)");
     println!("ranks            {ranks}");
     println!("virtual elapsed  {:.6} s", report.elapsed.as_secs_f64());
     println!("p2p messages     {}", report.stats.p2p_messages());

@@ -6,7 +6,7 @@
 //!
 //! * `--domain host` attaches a [`desim::HostProfiler`] to the whole
 //!   stack (kernel dispatch, netsim settle/allocate with per-link
-//!   shard-candidate labels, mpisim job phases) and additionally times
+//!   labels, mpisim job phases) and additionally times
 //!   the post-run analysis pass under `analysis;from_events`. Weights
 //!   are wall-clock nanoseconds.
 //! * `--domain virtual` collects the structured event stream and folds

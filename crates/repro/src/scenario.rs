@@ -127,8 +127,7 @@ impl Scenario {
         self
     }
 
-    /// Configure execution: PDES shard count, fast path,
-    /// communication pattern.
+    /// Configure execution: fast path, collective selection.
     pub fn exec(mut self, exec: ExecConfig) -> Scenario {
         self.exec = exec;
         self
@@ -199,6 +198,18 @@ pub fn pingpong_program(bytes: u64, iters: u32) -> impl MpiProgram {
                 ctx.recv(0, TAG).await;
                 ctx.send(0, bytes, TAG).await;
             }
+        }
+    }
+}
+
+/// One one-way transfer: rank 0 sends `bytes` with `tag` and rank 1
+/// receives it. The run's elapsed time is the transfer's completion.
+pub fn send_program(bytes: u64, tag: u64) -> impl MpiProgram {
+    move |mut ctx: RankCtx| async move {
+        if ctx.rank() == 0 {
+            ctx.send(1, bytes, tag).await;
+        } else {
+            ctx.recv(0, tag).await;
         }
     }
 }

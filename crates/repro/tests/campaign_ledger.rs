@@ -151,7 +151,7 @@ fn perturbation_surfaces_in_ledger_top_with_blame_delta() {
     ]);
     let stdout = String::from_utf8_lossy(&out.stdout);
     assert!(out.status.success(), "diff: {stdout}");
-    assert!(stdout.contains("12 config changes"), "unexpected: {stdout}");
+    assert!(stdout.contains("11 config changes"), "unexpected: {stdout}");
     assert!(stdout.contains("0 digest changes"), "unexpected: {stdout}");
 
     // The triage view must attribute the damage: some scenario's blame

@@ -21,7 +21,7 @@ fn help_flags_print_usage_without_running_a_trace() {
             stdout.contains("usage:"),
             "repro {flag}: no usage in {stdout:?}"
         );
-        assert!(stdout.contains("golden <record|check> [--dir DIR] [--pdes N]"));
+        assert!(stdout.contains("golden <record|check> [--dir DIR]"));
         assert!(!stdout.contains("Trace:"), "repro {flag} ran the CG trace");
     }
 }
@@ -51,6 +51,9 @@ const CASES: &[Case] = &[
     Case { args: &["fig10", "--dat"], code: 2, stdout: &[], stderr: &["--dat needs a value", "usage: repro fig10"] },
     Case { args: &["ring", "--ranks", "x"], code: 2, stdout: &[], stderr: &["--ranks", "usage: repro ring"] },
     Case { args: &["ring", "--ranks", "0"], code: 2, stdout: &[], stderr: &["--ranks", "usage: repro ring"] },
+    // The execution driver is not a knob: there is one.
+    Case { args: &["ring", "--shards", "2"], code: 2, stdout: &[], stderr: &["unknown flag --shards", "usage: repro ring"] },
+    Case { args: &["golden", "check", "--pdes", "1"], code: 2, stdout: &[], stderr: &["unknown flag --pdes", "usage: repro golden"] },
     // The flag's value is not taken for the file.
     Case {
         args: &["validate", "--require-event", "mpi_span", "{dir}/mini.json"],
