@@ -18,7 +18,7 @@ use desim::obs::json::{self, Value};
 
 /// One parsed bench line; `None` fields were absent from the JSON.
 pub struct BenchLine {
-    /// Benchmark name, e.g. `smoke/wan_transfer_64k`.
+    /// Benchmark name, e.g. `kernel/10k_timers_one_process`.
     pub name: String,
     /// Wall-clock seconds per iteration (host-dependent).
     pub secs_per_iter: Option<f64>,

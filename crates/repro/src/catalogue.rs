@@ -20,7 +20,7 @@ pub(crate) struct Run {
     pub(crate) label: &'static str,
     /// What the run is, for report headers.
     pub(crate) detail: &'static str,
-    scenario: Scenario,
+    pub(crate) scenario: Scenario,
     program: Box<dyn MpiProgram>,
 }
 

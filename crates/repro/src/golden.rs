@@ -24,6 +24,7 @@ use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
 use desim::obs::digest::DigestSink;
+use desim::obs::Obs;
 use desim::SimTime;
 use gridapps::Ray2MeshConfig;
 use mpisim::{
@@ -33,6 +34,7 @@ use mpisim::{
 use netsim::{grid5000_four_sites, Grid5000Site, KernelConfig, Network};
 use npb::{NasBenchmark, NasClass, NasRun};
 
+use crate::catalogue;
 use crate::cli::Args;
 use crate::scenario::{send_program, Scenario};
 use crate::util::{Scope, TuningLevel};
@@ -162,30 +164,24 @@ fn golden_nas(sink: &Arc<DigestSink>, exec: ExecConfig) -> u64 {
     total
 }
 
+/// The catalogued run `label` with `exec` and the digest sink attached.
+fn catalogued(label: &'static str, sink: &Arc<DigestSink>, exec: ExecConfig) -> u64 {
+    let mut run = catalogue::run(label);
+    run.scenario = run.scenario.exec(exec);
+    let report = run.execute(Obs::none().recorder(sink.clone()));
+    seal(sink, label, &report)
+}
+
 /// The §4.4 master/worker application over four sites.
 fn golden_ray2mesh(sink: &Arc<DigestSink>, exec: ExecConfig) -> u64 {
-    let cfg = Ray2MeshConfig::small();
-    let report = Scenario::four_sites(2, Grid5000Site::ALL[0], MpiImpl::GridMpi)
-        .exec(exec)
-        .recorder(sink.clone())
-        .run(cfg.program())
-        .expect("golden ray2mesh completes");
-    seal(sink, "ray2mesh", &report)
+    catalogued("ray2mesh", sink, exec)
 }
 
 /// The fault-injection stack: a lossy 16 MB WAN transfer (seeded loss
 /// RNG, recovery machinery, RTO path) and the fault-tolerant ray2mesh
 /// surviving two mid-trace kills.
 fn golden_faults(sink: &Arc<DigestSink>, exec: ExecConfig) -> u64 {
-    let mut total = 0;
-    let report = Scenario::pair(Scope::Grid, TuningLevel::TcpTuned, MpiImpl::Mpich2)
-        .exec(exec)
-        .faults(FaultPlan::new().with_seed(42).with_wan_loss(1e-3))
-        .recorder(sink.clone())
-        .run(send_program(16 << 20, 7))
-        .expect("golden lossy transfer completes");
-    total += seal(sink, "lossy_wan", &report);
-
+    let mut total = catalogued("lossy_wan", sink, exec);
     let cfg = Ray2MeshConfig {
         total_rays: 20_000,
         ..Ray2MeshConfig::small()

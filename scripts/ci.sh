@@ -1,7 +1,7 @@
 #!/bin/sh
 # Staged offline CI for the whole simulator.
 #
-#     scripts/ci.sh [fmt|clippy|build|test|smoke|golden|repro|simbench|blame|profile|ranks|collectives|campaign|bench|all]
+#     scripts/ci.sh [fmt|clippy|build|test|smoke|golden|repro|simbench|blame|profile|ranks|collectives|campaign|all]
 #
 # Each stage is independently runnable and timed; `all` (the default)
 # runs them in order. The workspace has zero external dependencies, so
@@ -12,7 +12,8 @@
 #   fmt     rustfmt check
 #   clippy  lint the whole workspace, warnings are errors
 #   build   release build of every crate
-#   test    the tier-1 gate: full workspace test suite + named contracts,
+#   test    the tier-1 gate: full workspace test suite (it pins every
+#           bench work count, `crates/bench/tests/counts.rs`) + named contracts,
 #           and no environment-variable reads in the library crates
 #   smoke   end-to-end demos produce valid traces with required events
 #   golden  digests match the recorded corpus (fast path on AND off),
@@ -45,11 +46,10 @@
 #           both ledgers validate, `ledger diff` sees zero digest
 #           changes, and an injected loss perturbation surfaces in
 #           `ledger top` with a nonzero blame-share delta
-#   bench   deterministic event counts match BENCH_baseline.json
 set -eu
 cd "$(dirname "$0")/.."
 
-# Quiet no-op when `build` already ran; lets smoke/golden/bench run alone.
+# Quiet no-op when `build` already ran; lets smoke/golden/... run alone.
 release_bins() {
     cargo build --release --workspace --offline --quiet
 }
@@ -302,28 +302,10 @@ stage_campaign() {
     # are deterministic, so the baseline compare pins the spec shape.
     # Compare against the baseline's campaign rows only, so every other
     # group's row is not reported as dropped.
-    ./target/release/bench campaign --json target/bench_campaign.json \
-        --baseline none
+    ./target/release/bench campaign --json target/bench_campaign.json
     grep '"name": "campaign/' BENCH_baseline.json >target/bench_campaign_baseline.json
     ./target/release/bench compare target/bench_campaign_baseline.json \
         target/bench_campaign.json --threshold 400
-}
-
-stage_bench() {
-    release_bins
-    # `bench smoke` itself asserts exact events counts against the
-    # baseline; the explicit compare then exercises the diff tool. The
-    # huge wall-clock threshold is deliberate: sub-millisecond smoke
-    # benches jitter wildly on shared CI hosts, and the deterministic
-    # events check above is the real gate.
-    ./target/release/bench smoke --json target/bench_smoke.json
-    ./target/release/bench compare BENCH_baseline.json target/bench_smoke.json \
-        --threshold 400
-    # Collective-algorithm suite: wire-message counts are deterministic,
-    # so the compare gates every coll/* entry exactly.
-    ./target/release/bench coll --json target/bench_coll.json --baseline none
-    ./target/release/bench compare BENCH_baseline.json target/bench_coll.json \
-        --threshold 400
 }
 
 run_stage() {
@@ -335,17 +317,17 @@ run_stage() {
 }
 
 case "${1:-all}" in
-fmt | clippy | build | test | smoke | golden | repro | simbench | blame | profile | ranks | collectives | campaign | bench)
+fmt | clippy | build | test | smoke | golden | repro | simbench | blame | profile | ranks | collectives | campaign)
     run_stage "$1"
     ;;
 all)
-    for _s in fmt clippy build test smoke golden repro simbench blame profile ranks collectives campaign bench; do
+    for _s in fmt clippy build test smoke golden repro simbench blame profile ranks collectives campaign; do
         run_stage "${_s}"
     done
     echo "==> ci: all stages passed"
     ;;
 *)
-    echo "usage: scripts/ci.sh [fmt|clippy|build|test|smoke|golden|repro|simbench|blame|profile|ranks|collectives|campaign|bench|all]" >&2
+    echo "usage: scripts/ci.sh [fmt|clippy|build|test|smoke|golden|repro|simbench|blame|profile|ranks|collectives|campaign|all]" >&2
     exit 2
     ;;
 esac

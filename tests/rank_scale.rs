@@ -51,7 +51,7 @@ fn ring_program(rounds: u32) -> impl MpiProgram {
 
 /// (a) A 4096-rank ring runs to completion in this single process. The
 /// budget is generous — debug builds are several times slower than the
-/// sub-second release number in BENCH_baseline.json — but it would still
+/// sub-second release run (`simbench rank_ring`) — but it would still
 /// catch the engine degenerating to thread-per-rank (thousands of thread
 /// spawns) or losing wakeups (deadlock → test timeout).
 #[test]
