@@ -259,7 +259,11 @@ fn group_profile(h: &mut Harness) {
 /// exactly, and the note records the cache speedup.
 fn group_campaign(h: &mut Harness) {
     use repro::campaign::{run, CampaignConfig, Spec};
-    let dir = std::path::PathBuf::from("target/bench_campaign");
+    // Under the workspace's own target directory, wherever `bench` runs.
+    let dir = std::path::PathBuf::from(concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/../../target/bench_campaign"
+    ));
     let _ = std::fs::remove_dir_all(&dir);
     std::fs::create_dir_all(&dir).expect("create target/bench_campaign");
     let cfg = |label: &str, cache: &str| {

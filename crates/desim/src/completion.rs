@@ -7,9 +7,8 @@
 //! primitive on which all higher-level blocking (message delivery, MPI
 //! request completion, flow completion) is built.
 
-use std::sync::Arc;
-
-use crate::sync::Mutex;
+use std::cell::RefCell;
+use std::rc::Rc;
 
 use crate::exec::TaskId;
 use crate::kernel::Sched;
@@ -25,40 +24,34 @@ enum State<T> {
     Taken,
 }
 
-struct Shared<T> {
-    state: Mutex<State<T>>,
-}
-
 /// The firing half of a one-shot completion.
 pub struct Trigger<T> {
-    shared: Arc<Shared<T>>,
+    state: Rc<RefCell<State<T>>>,
 }
 
 /// The waiting half of a one-shot completion.
 pub struct Completion<T> {
-    shared: Arc<Shared<T>>,
+    state: Rc<RefCell<State<T>>>,
 }
 
 /// Create a connected one-shot `Trigger`/`Completion` pair.
-pub fn completion<T: Send + 'static>() -> (Trigger<T>, Completion<T>) {
-    let shared = Arc::new(Shared {
-        state: Mutex::new(State::Empty),
-    });
+pub fn completion<T>() -> (Trigger<T>, Completion<T>) {
+    let state = Rc::new(RefCell::new(State::Empty));
     (
         Trigger {
-            shared: Arc::clone(&shared),
+            state: Rc::clone(&state),
         },
-        Completion { shared },
+        Completion { state },
     )
 }
 
-impl<T: Send + 'static> Trigger<T> {
+impl<T: 'static> Trigger<T> {
     /// Fire with `value` at the current instant, waking the waiter (if
     /// any). `s` is the firing task's [`crate::Cx::sched`] or a callback's
     /// own handle.
     pub fn fire_from(self, s: &Sched, value: T) {
         let wake = {
-            let mut st = self.shared.state.lock();
+            let mut st = self.state.borrow_mut();
             match std::mem::replace(&mut *st, State::Taken) {
                 State::Empty => {
                     *st = State::Fired(value);
@@ -84,18 +77,18 @@ impl<T: Send + 'static> Trigger<T> {
     }
 }
 
-impl<T: Send + 'static> Completion<T> {
+impl<T> Completion<T> {
     /// True once the trigger has fired (value not yet taken).
     pub fn is_fired(&self) -> bool {
         matches!(
-            &*self.shared.state.lock(),
+            &*self.state.borrow(),
             State::Fired(_) | State::FiredWaking(_)
         )
     }
 
     /// Take the value if already fired, without blocking.
     pub fn try_take(self) -> Result<T, Completion<T>> {
-        let mut st = self.shared.state.lock();
+        let mut st = self.state.borrow_mut();
         match std::mem::replace(&mut *st, State::Taken) {
             State::Fired(v) | State::FiredWaking(v) => Ok(v),
             other => {
@@ -111,7 +104,7 @@ impl<T: Send + 'static> Completion<T> {
     /// is handed back so the suspended task can take the value when
     /// re-polled.
     pub(crate) fn take_or_subscribe(self, tid: TaskId) -> Result<T, Completion<T>> {
-        let mut st = self.shared.state.lock();
+        let mut st = self.state.borrow_mut();
         match std::mem::replace(&mut *st, State::Taken) {
             State::Fired(v) | State::FiredWaking(v) => Ok(v),
             State::Empty => {

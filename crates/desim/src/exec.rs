@@ -23,7 +23,7 @@
 
 use std::future::Future;
 use std::pin::Pin;
-use std::sync::Arc;
+use std::rc::Rc;
 use std::task::{Context, Poll};
 
 use crate::kernel::{EventKind, Inner};
@@ -47,19 +47,19 @@ impl TaskId {
 /// Its blocking operations return futures that suspend the task's state
 /// machine until the kernel resumes it.
 pub struct Cx {
-    inner: Arc<Inner>,
+    inner: Rc<Inner>,
     id: TaskId,
-    name: Arc<str>,
+    name: Rc<str>,
 }
 
 impl Cx {
-    pub(crate) fn for_task(inner: Arc<Inner>, id: TaskId, name: Arc<str>) -> Cx {
+    pub(crate) fn for_task(inner: Rc<Inner>, id: TaskId, name: Rc<str>) -> Cx {
         Cx { inner, id, name }
     }
 
     /// Current virtual time.
     pub fn now(&self) -> SimTime {
-        self.inner.lock().now
+        self.inner.borrow().now
     }
 
     /// This actor's name.
@@ -70,7 +70,7 @@ impl Cx {
     /// A non-blocking scheduling handle usable from kernel callbacks.
     pub fn sched(&self) -> Sched {
         Sched {
-            inner: Arc::clone(&self.inner),
+            inner: Rc::clone(&self.inner),
         }
     }
 
@@ -105,7 +105,7 @@ impl Cx {
     }
 
     /// Block until `c` fires; resolves to the fired value.
-    pub fn wait<T: Send + 'static>(&self, c: Completion<T>) -> Wait<'_, T> {
+    pub fn wait<T>(&self, c: Completion<T>) -> Wait<'_, T> {
         Wait {
             cx: self,
             c: Some(c),
@@ -135,7 +135,7 @@ impl Future for Sleep<'_> {
         if this.suspended {
             return Poll::Ready(());
         }
-        let mut g = this.cx.inner.lock();
+        let mut g = this.cx.inner.borrow_mut();
         let at = match this.target {
             SleepTarget::After(d) => g.now + d,
             SleepTarget::Until(at) => at.max(g.now),
@@ -153,7 +153,7 @@ pub struct Wait<'a, T> {
     c: Option<Completion<T>>,
 }
 
-impl<T: Send + 'static> Future for Wait<'_, T> {
+impl<T> Future for Wait<'_, T> {
     type Output = T;
 
     fn poll(mut self: Pin<&mut Self>, _: &mut Context<'_>) -> Poll<T> {
@@ -173,7 +173,7 @@ impl<T: Send + 'static> Future for Wait<'_, T> {
 mod tests {
     use super::*;
     use crate::{Sim, SimDuration};
-    use std::sync::Mutex as StdMutex;
+    use std::cell::{Cell, RefCell};
 
     #[test]
     fn task_advances_clock() {
@@ -204,20 +204,20 @@ mod tests {
     /// Run `n` tasks; task `i` advances by `(i + 1) * stride + k` on its
     /// `k`-th of `steps` steps and logs `(now, i)` after each.
     fn stride_trace(n: usize, stride: u64, steps: u64) -> Vec<(u64, usize)> {
-        let log = Arc::new(StdMutex::new(Vec::new()));
+        let log = Rc::new(RefCell::new(Vec::new()));
         let sim = Sim::new();
         for i in 0..n {
-            let log = Arc::clone(&log);
+            let log = Rc::clone(&log);
             sim.spawn_task(format!("a{i}"), move |cx| async move {
                 for k in 0..steps {
                     cx.advance(SimDuration::from_nanos((i as u64 + 1) * stride + k))
                         .await;
-                    log.lock().unwrap().push((cx.now().as_nanos(), i));
+                    log.borrow_mut().push((cx.now().as_nanos(), i));
                 }
             });
         }
         sim.run().unwrap();
-        let v = log.lock().unwrap().clone();
+        let v = log.borrow().clone();
         v
     }
 
@@ -284,20 +284,20 @@ mod tests {
 
     #[test]
     fn yield_now_interleaves_tasks_in_spawn_order() {
-        let log = Arc::new(StdMutex::new(Vec::new()));
+        let log = Rc::new(RefCell::new(Vec::new()));
         let sim = Sim::new();
         for name in ["a", "b"] {
-            let log = Arc::clone(&log);
+            let log = Rc::clone(&log);
             sim.spawn_task(name, move |cx| async move {
                 for i in 0..3 {
-                    log.lock().unwrap().push(format!("{name}{i}"));
+                    log.borrow_mut().push(format!("{name}{i}"));
                     cx.yield_now().await;
                 }
             });
         }
         sim.run().unwrap();
         assert_eq!(
-            *log.lock().unwrap(),
+            *log.borrow(),
             vec!["a0", "b0", "a1", "b1", "a2", "b2"]
                 .into_iter()
                 .map(String::from)
@@ -328,15 +328,15 @@ mod tests {
     #[test]
     fn ten_thousand_tasks_one_process() {
         let sim = Sim::new();
-        let counter = Arc::new(std::sync::atomic::AtomicUsize::new(0));
+        let counter = Rc::new(Cell::new(0usize));
         for i in 0..10_000usize {
-            let counter = Arc::clone(&counter);
+            let counter = Rc::clone(&counter);
             sim.spawn_task(format!("t{i}"), move |cx| async move {
                 cx.advance(SimDuration::from_nanos(i as u64 + 1)).await;
-                counter.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+                counter.set(counter.get() + 1);
             });
         }
         sim.run().unwrap();
-        assert_eq!(counter.load(std::sync::atomic::Ordering::Relaxed), 10_000);
+        assert_eq!(counter.get(), 10_000);
     }
 }

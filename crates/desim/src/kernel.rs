@@ -9,17 +9,21 @@
 //! run ends. Events
 //! are ordered by `(virtual time, insertion sequence)` so the execution
 //! order is a pure function of the simulated program.
+//!
+//! The kernel state has one owner thread: `Sim`, `Sched` and `Cx` share
+//! it through an `Rc<RefCell<_>>`, so dispatching an event takes no lock
+//! and bumps no atomic count.
 
+use std::cell::RefCell;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 use std::future::Future;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::pin::Pin;
+use std::rc::Rc;
 use std::sync::Arc;
 use std::task::{Context, Poll, Waker};
 use std::time::Instant;
-
-use crate::sync::Mutex;
 
 use crate::exec::TaskId;
 use crate::time::{SimDuration, SimTime};
@@ -58,34 +62,42 @@ impl std::error::Error for SimError {}
 /// any task via [`crate::Cx::sched`]. It can read the clock, schedule
 /// further callbacks and fire [`crate::Trigger`]s, but cannot block.
 /// Cloning is cheap (a reference-count bump).
+///
+/// Like [`Sim`], a `Sched` belongs to the thread that built the
+/// simulation:
+///
+/// ```compile_fail
+/// fn assert_send<T: Send>() {}
+/// assert_send::<desim::Sched>();
+/// ```
 #[derive(Clone)]
 pub struct Sched {
-    pub(crate) inner: Arc<Inner>,
+    pub(crate) inner: Rc<Inner>,
 }
 
 impl Sched {
     /// Current virtual time.
     pub fn now(&self) -> SimTime {
-        self.inner.lock().now
+        self.inner.borrow().now
     }
 
     /// Schedule `f` to run at virtual time `at` (clamped to now if in the
     /// past). The callback runs inside the dispatch loop.
-    pub fn call_at(&self, at: SimTime, f: impl FnOnce(&Sched) + Send + 'static) {
-        let mut g = self.inner.lock();
+    pub fn call_at(&self, at: SimTime, f: impl FnOnce(&Sched) + 'static) {
+        let mut g = self.inner.borrow_mut();
         let at = at.max(g.now);
         g.push(at, EventKind::Call(Box::new(f)));
     }
 
     /// Schedule `f` to run `after` from now.
-    pub fn call_after(&self, after: SimDuration, f: impl FnOnce(&Sched) + Send + 'static) {
-        let mut g = self.inner.lock();
+    pub fn call_after(&self, after: SimDuration, f: impl FnOnce(&Sched) + 'static) {
+        let mut g = self.inner.borrow_mut();
         let at = g.now + after;
         g.push(at, EventKind::Call(Box::new(f)));
     }
 
     pub(crate) fn wake_task_at(&self, at: SimTime, tid: TaskId) {
-        let mut g = self.inner.lock();
+        let mut g = self.inner.borrow_mut();
         let at = at.max(g.now);
         g.push(at, EventKind::TaskWake(tid));
     }
@@ -93,7 +105,7 @@ impl Sched {
 
 pub(crate) enum EventKind {
     TaskWake(TaskId),
-    Call(Box<dyn FnOnce(&Sched) + Send>),
+    Call(Box<dyn FnOnce(&Sched)>),
 }
 
 struct Event {
@@ -123,8 +135,8 @@ impl Ord for Event {
 /// the dispatch loop. `fut` is `None` while the task is being polled and
 /// after it completes.
 pub(crate) struct TaskSlot {
-    pub(crate) name: Arc<str>,
-    pub(crate) fut: Option<Pin<Box<dyn Future<Output = ()> + Send>>>,
+    pub(crate) name: Rc<str>,
+    pub(crate) fut: Option<Pin<Box<dyn Future<Output = ()>>>>,
 }
 
 pub(crate) struct Shared {
@@ -180,12 +192,23 @@ impl Shared {
     }
 }
 
-/// The kernel state every handle (`Sim`, `Sched`, `Cx`) shares.
-pub(crate) type Inner = Mutex<Shared>;
+/// The kernel state every handle (`Sim`, `Sched`, `Cx`) shares. A
+/// simulation has one owner thread, so a `RefCell` borrow stands where a
+/// lock would: each borrow spans exactly one kernel operation and is
+/// released before a task is polled or a callback runs.
+pub(crate) type Inner = RefCell<Shared>;
 
 /// A simulation instance: spawn tasks, then [`Sim::run`] to completion.
+///
+/// A simulation is owned by the thread that builds it; its state is not
+/// shared across threads, so neither the `Sim` nor its handles are `Send`:
+///
+/// ```compile_fail
+/// fn assert_send<T: Send>() {}
+/// assert_send::<desim::Sim>();
+/// ```
 pub struct Sim {
-    inner: Arc<Inner>,
+    inner: Rc<Inner>,
 }
 
 impl Default for Sim {
@@ -198,7 +221,7 @@ impl Sim {
     /// Create an empty simulation at t = 0.
     pub fn new() -> Sim {
         Sim {
-            inner: Arc::new(Mutex::new(Shared {
+            inner: Rc::new(RefCell::new(Shared {
                 heap: BinaryHeap::new(),
                 now: SimTime::ZERO,
                 seq: 0,
@@ -224,7 +247,7 @@ impl Sim {
     pub fn spawn_task<F, Fut>(&self, name: impl Into<String>, f: F) -> TaskId
     where
         F: FnOnce(crate::exec::Cx) -> Fut,
-        Fut: Future<Output = ()> + Send + 'static,
+        Fut: Future<Output = ()> + 'static,
     {
         spawn_task(&self.inner, name.into(), f)
     }
@@ -234,7 +257,7 @@ impl Sim {
     /// deadlock, the still-suspended tasks are dropped when the run
     /// returns — the simulation is abandoned, not unwound.
     pub fn run_until(self, limit: SimTime) -> Result<SimTime, SimError> {
-        self.inner.lock().limit = limit;
+        self.inner.borrow_mut().limit = limit;
         self.run()
     }
 
@@ -256,7 +279,7 @@ impl Sim {
     /// left `None` leave the corresponding attachment untouched.
     pub fn attach_obs(&self, obs: &crate::obs::Obs) {
         if let Some(rec) = &obs.recorder {
-            self.inner.lock().recorder = Some(Arc::clone(rec));
+            self.inner.borrow_mut().recorder = Some(Arc::clone(rec));
         }
         if let Some(prof) = &obs.profiler {
             let keys = KernelProf {
@@ -264,7 +287,7 @@ impl Sim {
                 call: prof.intern("desim;dispatch;call"),
                 prof: Arc::clone(prof),
             };
-            self.inner.lock().profiler = Some(keys);
+            self.inner.borrow_mut().profiler = Some(keys);
         }
     }
 
@@ -273,7 +296,7 @@ impl Sim {
     pub fn run_counted(self) -> Result<RunStats, SimError> {
         dispatch(&self.inner);
         let (stats, recorder) = {
-            let g = self.inner.lock();
+            let g = self.inner.borrow();
             if let Some(e) = &g.failure {
                 return Err(e.clone());
             }
@@ -299,11 +322,11 @@ impl Drop for Sim {
     /// Release what a finished or abandoned run left behind: suspended
     /// tasks hold a [`crate::Cx`] and trailing callbacks may hold a
     /// [`Sched`], and either keeps this kernel alive through a reference
-    /// cycle. They are dropped after the lock is released, because their
+    /// cycle. They are dropped after the borrow is released, because their
     /// destructors may touch the kernel.
     fn drop(&mut self) {
         let leftovers = {
-            let mut g = self.inner.lock();
+            let mut g = self.inner.borrow_mut();
             (std::mem::take(&mut g.heap), std::mem::take(&mut g.tasks))
         };
         drop(leftovers);
@@ -333,17 +356,17 @@ pub struct RunStats {
 /// dispatched before the future is stored: the dispatch loop only pops the
 /// wake after the spawning task or callback has returned to it (or, before
 /// [`Sim::run`], nobody dispatches at all).
-pub(crate) fn spawn_task<F, Fut>(inner: &Arc<Inner>, name: String, f: F) -> TaskId
+pub(crate) fn spawn_task<F, Fut>(inner: &Rc<Inner>, name: String, f: F) -> TaskId
 where
     F: FnOnce(crate::exec::Cx) -> Fut,
-    Fut: Future<Output = ()> + Send + 'static,
+    Fut: Future<Output = ()> + 'static,
 {
-    let name: Arc<str> = name.into();
+    let name: Rc<str> = name.into();
     let id = {
-        let mut g = inner.lock();
+        let mut g = inner.borrow_mut();
         let id = TaskId(g.tasks.len());
         g.tasks.push(TaskSlot {
-            name: Arc::clone(&name),
+            name: Rc::clone(&name),
             fut: None,
         });
         g.task_live += 1;
@@ -351,9 +374,9 @@ where
         g.push(now, EventKind::TaskWake(id));
         id
     };
-    let cx = crate::exec::Cx::for_task(Arc::clone(inner), id, name);
+    let cx = crate::exec::Cx::for_task(Rc::clone(inner), id, name);
     let fut = f(cx);
-    inner.lock().tasks[id.0].fut = Some(Box::pin(fut));
+    inner.borrow_mut().tasks[id.0].fut = Some(Box::pin(fut));
     id
 }
 
@@ -369,11 +392,11 @@ fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
 
 /// Run the dispatch loop until the run ends or the queue drains. The outcome (failure, clock, event count) is left in
 /// `Shared` for the caller to read.
-fn dispatch(inner: &Arc<Inner>) {
-    let mut guard = inner.lock();
+fn dispatch(inner: &Rc<Inner>) {
+    let mut guard = inner.borrow_mut();
     // Snapshot the profiler handle once per dispatch entry: it is
     // immutable for the whole run, and re-cloning the Arc per event
-    // while holding the shared lock was measurable on the hot path.
+    // while holding the kernel borrow was measurable on the hot path.
     let prof = guard.profiler.clone();
     loop {
         if guard.task_live == 0 {
@@ -409,7 +432,7 @@ fn dispatch(inner: &Arc<Inner>) {
             EventKind::TaskWake(tid) => {
                 // Poll the task inline: no park/unpark, no context switch.
                 // The future is taken out of its slot for the duration of
-                // the poll so the task body can lock the kernel (to push
+                // the poll so the task body can borrow the kernel (to push
                 // events) without aliasing it.
                 let mut fut = guard.tasks[tid.0]
                     .fut
@@ -424,7 +447,7 @@ fn dispatch(inner: &Arc<Inner>) {
                     p.prof
                         .add_ns_sampled(p.task_poll, t0.elapsed().as_nanos() as u64, PROF_SAMPLE);
                 }
-                guard = inner.lock();
+                guard = inner.borrow_mut();
                 match poll {
                     Ok(Poll::Pending) => {
                         // Suspended at a blocking point; its wake-up (timer
@@ -450,13 +473,13 @@ fn dispatch(inner: &Arc<Inner>) {
                 drop(guard);
                 let t0 = sample.map(|_| Instant::now());
                 f(&Sched {
-                    inner: Arc::clone(inner),
+                    inner: Rc::clone(inner),
                 });
                 if let (Some(p), Some(t0)) = (sample, t0) {
                     p.prof
                         .add_ns_sampled(p.call, t0.elapsed().as_nanos() as u64, PROF_SAMPLE);
                 }
-                guard = inner.lock();
+                guard = inner.borrow_mut();
             }
         }
     }
@@ -484,20 +507,19 @@ mod tests {
 
     #[test]
     fn interleaving_is_time_ordered() {
-        use std::sync::Mutex as StdMutex;
-        let log = Arc::new(StdMutex::new(Vec::new()));
+        let log = Rc::new(RefCell::new(Vec::new()));
         let sim = Sim::new();
         for (name, step_ms) in [("a", 3u64), ("b", 5u64), ("c", 7u64)] {
-            let log = Arc::clone(&log);
+            let log = Rc::clone(&log);
             sim.spawn_task(name, move |cx| async move {
                 for _ in 0..4 {
                     cx.advance(SimDuration::from_millis(step_ms)).await;
-                    log.lock().unwrap().push((cx.now().as_millis(), name));
+                    log.borrow_mut().push((cx.now().as_millis(), name));
                 }
             });
         }
         sim.run().unwrap();
-        let log = log.lock().unwrap();
+        let log = log.borrow();
         let times: Vec<u64> = log.iter().map(|(t, _)| *t).collect();
         let mut sorted = times.clone();
         sorted.sort_unstable();
@@ -546,20 +568,20 @@ mod tests {
     #[test]
     fn determinism_same_trace_twice() {
         fn trace() -> Vec<(u64, usize)> {
-            let log = Arc::new(crate::sync::Mutex::new(Vec::new()));
+            let log = Rc::new(RefCell::new(Vec::new()));
             let sim = Sim::new();
             for i in 0..8usize {
-                let log = Arc::clone(&log);
+                let log = Rc::clone(&log);
                 sim.spawn_task(format!("p{i}"), move |cx| async move {
                     for k in 0..16u64 {
                         cx.advance(SimDuration::from_nanos((i as u64 + 1) * 37 + k))
                             .await;
-                        log.lock().push((cx.now().as_nanos(), i));
+                        log.borrow_mut().push((cx.now().as_nanos(), i));
                     }
                 });
             }
             sim.run().unwrap();
-            let v = log.lock().clone();
+            let v = log.borrow().clone();
             v
         }
         assert_eq!(trace(), trace());
@@ -571,20 +593,20 @@ mod tests {
     /// the whole simulation alive in a reference cycle.
     #[test]
     fn ended_runs_release_captured_state() {
-        let probe = Arc::new(());
+        let probe = Rc::new(());
 
         let sim = Sim::new();
         let (_tx, rx) = crate::completion::<()>();
-        let p = Arc::clone(&probe);
+        let p = Rc::clone(&probe);
         sim.spawn_task("stuck", move |cx| async move {
             let _p = p;
             cx.wait(rx).await;
         });
         assert!(matches!(sim.run(), Err(SimError::Deadlock(_))));
-        assert_eq!(Arc::strong_count(&probe), 1, "deadlocked run leaked");
+        assert_eq!(Rc::strong_count(&probe), 1, "deadlocked run leaked");
 
         let sim = Sim::new();
-        let p = Arc::clone(&probe);
+        let p = Rc::clone(&probe);
         sim.spawn_task("slow", move |cx| async move {
             let _p = p;
             cx.advance(SimDuration::from_secs(100)).await;
@@ -594,10 +616,10 @@ mod tests {
             sim.run_until(limit),
             Err(SimError::TimeLimitExceeded(_))
         ));
-        assert_eq!(Arc::strong_count(&probe), 1, "timed-out run leaked");
+        assert_eq!(Rc::strong_count(&probe), 1, "timed-out run leaked");
 
         let sim = Sim::new();
-        let p = Arc::clone(&probe);
+        let p = Rc::clone(&probe);
         sim.spawn_task("arm", move |cx| async move {
             let s = cx.sched();
             cx.sched().call_after(SimDuration::from_secs(1), move |_| {
@@ -605,6 +627,6 @@ mod tests {
             });
         });
         sim.run().unwrap();
-        assert_eq!(Arc::strong_count(&probe), 1, "trailing callback leaked");
+        assert_eq!(Rc::strong_count(&probe), 1, "trailing callback leaked");
     }
 }

@@ -40,7 +40,7 @@ pub mod fault;
 mod kernel;
 pub mod obs;
 pub mod prop;
-pub mod sync;
+mod sync;
 mod time;
 
 pub use completion::{completion, Completion, Trigger};

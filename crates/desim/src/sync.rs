@@ -1,13 +1,14 @@
-//! A thin wrapper over [`std::sync::Mutex`] with a non-poisoning API.
+//! A thin wrapper over [`std::sync::Mutex`] with a non-poisoning API,
+//! private to the crate: the observability sinks in [`crate::obs`] are
+//! `Send + Sync`, as the public [`crate::obs::Recorder`] trait requires,
+//! and lock their buffers with it. The simulation itself is single-owner
+//! and takes no lock.
 //!
-//! The kernel and the models built on it lock shared state on every event,
-//! so the locking API is deliberately minimal: `lock()` returns the guard
-//! directly rather than a `Result`. Poisoning is deliberately ignored — a
-//! panicking simulated task already aborts the run through the kernel's
-//! failure channel, and the state behind a poisoned lock is only ever read
-//! afterwards to report that failure.
+//! `lock()` returns the guard directly rather than a `Result`. Poisoning
+//! is deliberately ignored — a panicking simulated task already aborts
+//! the run through the kernel's failure channel, and the state behind a
+//! poisoned lock is only ever read afterwards to report that failure.
 
-use std::fmt;
 use std::sync::{MutexGuard, PoisonError};
 
 /// A mutual-exclusion lock whose `lock()` never fails.
@@ -32,12 +33,6 @@ impl<T: ?Sized> Mutex<T> {
     /// Acquire the lock, blocking the current thread until it is free.
     pub fn lock(&self) -> MutexGuard<'_, T> {
         self.inner.lock().unwrap_or_else(PoisonError::into_inner)
-    }
-}
-
-impl<T: fmt::Debug> fmt::Debug for Mutex<T> {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        self.inner.fmt(f)
     }
 }
 

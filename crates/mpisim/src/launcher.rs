@@ -9,6 +9,7 @@
 
 use std::future::Future;
 use std::pin::Pin;
+use std::rc::Rc;
 use std::sync::Arc;
 
 use desim::fault::{FaultKind, FaultPlan};
@@ -31,18 +32,18 @@ use crate::world::WorldInner;
 ///     ctx.barrier().await;
 /// })
 /// ```
-pub trait MpiProgram: Send + Sync + 'static {
+pub trait MpiProgram: 'static {
     /// The per-rank body, as a boxed future (the kernel polls it as a
     /// pooled task).
-    fn run(&self, ctx: RankCtx) -> Pin<Box<dyn Future<Output = ()> + Send + 'static>>;
+    fn run(&self, ctx: RankCtx) -> Pin<Box<dyn Future<Output = ()> + 'static>>;
 }
 
 impl<F, Fut> MpiProgram for F
 where
-    F: Fn(RankCtx) -> Fut + Send + Sync + 'static,
-    Fut: Future<Output = ()> + Send + 'static,
+    F: Fn(RankCtx) -> Fut + 'static,
+    Fut: Future<Output = ()> + 'static,
 {
-    fn run(&self, ctx: RankCtx) -> Pin<Box<dyn Future<Output = ()> + Send + 'static>> {
+    fn run(&self, ctx: RankCtx) -> Pin<Box<dyn Future<Output = ()> + 'static>> {
         Box::pin(self(ctx))
     }
 }
@@ -173,10 +174,10 @@ impl MpiJob {
             self.exec.coll,
             self.obs.recorder.clone(),
         );
-        let program = Arc::new(program);
+        let program = Rc::new(program);
         setup(&sim);
         if let Some(plan) = self.faults {
-            let world = Arc::clone(&world);
+            let world = Rc::clone(&world);
             sim.spawn_task("faultd", move |cx| async move {
                 let s = cx.sched();
                 world.net.schedule_fault_events(&s, &plan);
@@ -186,7 +187,7 @@ impl MpiJob {
                         restart_after,
                     } = ev.kind
                     {
-                        let w = Arc::clone(&world);
+                        let w = Rc::clone(&world);
                         s.call_at(ev.at, move |s2| {
                             let until = restart_after.map(|d| s2.now() + d);
                             w.fail_rank(s2, rank as usize, until);
@@ -228,8 +229,8 @@ impl MpiJob {
         let report = RunReport {
             elapsed: end.since(SimTime::ZERO),
             per_rank,
-            stats: world.stats.lock().clone(),
-            records: world.records.lock().clone(),
+            stats: world.stats.borrow().clone(),
+            records: world.records.borrow().clone(),
             clean: world.quiescent(),
         };
         if let Some((p, _, _, collect)) = &prof {
@@ -263,11 +264,11 @@ impl MpiJob {
     fn spawn_rank(
         sim: &Sim,
         rank: usize,
-        world: &Arc<WorldInner>,
-        program: &Arc<impl MpiProgram>,
+        world: &Rc<WorldInner>,
+        program: &Rc<impl MpiProgram>,
     ) -> desim::Completion<SimTime> {
-        let world = Arc::clone(world);
-        let program = Arc::clone(program);
+        let world = Rc::clone(world);
+        let program = Rc::clone(program);
         let (tx, rx) = desim::completion::<SimTime>();
         sim.spawn_task(format!("rank{rank}"), move |cx| async move {
             let sched = cx.sched();

@@ -12,7 +12,7 @@
 //! that the kernel polls inline when its wake-up event comes due (no OS
 //! thread per rank). See `desim::exec` for the blocking-point contract.
 
-use std::sync::Arc;
+use std::rc::Rc;
 
 use desim::{Completion, Cx, SimDuration, SimTime};
 
@@ -53,7 +53,7 @@ pub struct RankCtx {
     rank: usize,
     size: usize,
     cx: Cx,
-    world: Arc<WorldInner>,
+    world: Rc<WorldInner>,
     gflops: f64,
     /// Per-op-kind collective sequence counters. Tags are namespaced by
     /// [`collectives::CollOp`], so overlapping collectives of different
@@ -66,7 +66,7 @@ pub struct RankCtx {
 }
 
 impl RankCtx {
-    pub(crate) fn new(rank: usize, cx: Cx, world: Arc<WorldInner>) -> RankCtx {
+    pub(crate) fn new(rank: usize, cx: Cx, world: Rc<WorldInner>) -> RankCtx {
         let gflops = world.net.cpu_gflops(world.placement[rank]);
         RankCtx {
             rank,
@@ -105,7 +105,7 @@ impl RankCtx {
         self.gflops
     }
 
-    pub(crate) fn world(&self) -> &Arc<WorldInner> {
+    pub(crate) fn world(&self) -> &Rc<WorldInner> {
         &self.world
     }
 
@@ -177,7 +177,7 @@ impl RankCtx {
     pub fn record(&self, key: impl Into<String>, value: f64) {
         self.world
             .records
-            .lock()
+            .borrow_mut()
             .push((self.rank, key.into(), value));
     }
 
@@ -196,7 +196,7 @@ impl RankCtx {
     /// software overhead; the transfer itself never blocks the caller.
     pub async fn isend(&mut self, dst: usize, bytes: u64, tag: u64) -> Request {
         if !self.in_collective {
-            self.world.stats.lock().record_p2p(bytes);
+            self.world.stats.borrow_mut().record_p2p(bytes);
         }
         let t0 = self.cx.now();
         let r = self.send_raw(dst, bytes, tag).await;
@@ -209,19 +209,25 @@ impl RankCtx {
     /// Internal send without application-level statistics (collective
     /// steps).
     pub(crate) async fn send_raw(&mut self, dst: usize, bytes: u64, tag: u64) -> Request {
-        self.world.stats.lock().record_pair(self.rank, dst, bytes);
+        self.world
+            .stats
+            .borrow_mut()
+            .record_pair(self.rank, dst, bytes);
         self.pay_overhead(dst).await;
         let s = self.cx.sched();
         let msg_id = self.world.next_msg_id(self.rank, dst);
         if bytes <= self.world.eager_threshold {
-            self.world.stats.lock().record_wire(bytes + HEADER_BYTES);
+            self.world
+                .stats
+                .borrow_mut()
+                .record_wire(bytes + HEADER_BYTES);
             self.world
                 .eager_send(&s, self.rank, dst, tag, bytes, msg_id);
             Request(ReqInner::Done(msg_id, None))
         } else {
             self.world
                 .stats
-                .lock()
+                .borrow_mut()
                 .record_wire(bytes + HEADER_BYTES + 2 * CTRL_BYTES);
             let c = self.world.rndv_send(&s, self.rank, dst, tag, bytes, msg_id);
             Request(ReqInner::Send(msg_id, c))
@@ -341,7 +347,7 @@ impl RankCtx {
             ReqInner::Recv(id, c) => {
                 let t0 = self.cx.now();
                 if let (Some(timeout), Some(id)) = (self.policy.recv_timeout, id) {
-                    let w = Arc::clone(&self.world);
+                    let w = Rc::clone(&self.world);
                     let me = self.rank;
                     let s = self.cx.sched();
                     s.call_at(self.cx.now() + timeout, move |s2| {
@@ -441,7 +447,7 @@ impl RankCtx {
         bytes: u64,
         f: impl AsyncFnOnce(&mut RankCtx, u64) -> R,
     ) -> R {
-        self.world.stats.lock().record_collective(op, bytes);
+        self.world.stats.borrow_mut().record_collective(op, bytes);
         let kind = collectives::CollOp::from_name(op);
         self.coll_seq[kind as usize] += 1;
         let tag = collectives::coll_tag(kind, self.coll_seq[kind as usize]);

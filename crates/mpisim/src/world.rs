@@ -19,11 +19,11 @@
 //! Both control and data messages share the per-(src,dst) TCP channel, so
 //! head-of-line blocking across messages is modelled faithfully.
 
+use std::cell::{Cell, RefCell};
 use std::collections::{HashMap, VecDeque};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::rc::Rc;
 use std::sync::Arc;
 
-use desim::sync::Mutex;
 use desim::{completion, Completion, Sched, SimDuration, SimTime, Trigger};
 use netsim::{ChannelId, Network, NodeId};
 
@@ -113,7 +113,10 @@ struct RankMatch {
     posted: VecDeque<PostedRecv>,
 }
 
-/// Shared state of one MPI world (all ranks of one run).
+/// Shared state of one MPI world (all ranks of one run). The world is
+/// owned by the run's one simulation thread, so its mutable parts are
+/// plain cells; each borrow is released before anything that could
+/// re-enter the world (a trigger fire, a network transfer's callback).
 pub(crate) struct WorldInner {
     /// The network every channel of the run lives on.
     pub net: Network,
@@ -128,21 +131,21 @@ pub(crate) struct WorldInner {
     pub site_groups: Vec<Vec<usize>>,
     /// Rank → index into `site_groups`.
     pub rank_site: Vec<usize>,
-    matchers: Vec<Mutex<RankMatch>>,
+    matchers: Vec<RefCell<RankMatch>>,
     /// Per-rank failure window: `Some(until)` means the rank has been
     /// dead since its kill and stays dead for virtual times `t < until`
     /// (`SimTime::MAX` = no restart).
-    failed: Vec<Mutex<Option<SimTime>>>,
-    next_posted_id: AtomicU64,
+    failed: Vec<Cell<Option<SimTime>>>,
+    next_posted_id: Cell<u64>,
     /// Per-directed-pair message sequence counters, keyed `(src, dst)` and
     /// created on first use — dense `n × n` storage would cost O(n²) memory
     /// at rank scale while real traffic touches only O(active pairs).
     /// Ids are assigned at the MPI layer, before any network timing, so
     /// they are identical with the TCP fast path on or off.
-    msg_seq: Mutex<HashMap<(usize, usize), u64>>,
-    channels: Mutex<HashMap<(usize, usize, u32), ChannelId>>,
-    pub stats: Mutex<CommStats>,
-    pub records: Mutex<Vec<(usize, String, f64)>>,
+    msg_seq: RefCell<HashMap<(usize, usize), u64>>,
+    channels: RefCell<HashMap<(usize, usize, u32), ChannelId>>,
+    pub stats: RefCell<CommStats>,
+    pub records: RefCell<Vec<(usize, String, f64)>>,
     /// Observability sink: every traced-or-not MPI span, app-phase marker
     /// and fault event is forwarded here when set. A read-only tap;
     /// recording never touches the simulation.
@@ -158,7 +161,7 @@ impl WorldInner {
         tuning: Tuning,
         coll: crate::collectives::CollConfig,
         obs: Option<Arc<dyn desim::obs::Recorder>>,
-    ) -> Arc<WorldInner> {
+    ) -> Rc<WorldInner> {
         let eager_threshold = tuning.eager_threshold.unwrap_or(profile.eager_threshold);
         let mut profile = profile;
         if let Some(buf) = tuning.socket_buffer {
@@ -181,7 +184,7 @@ impl WorldInner {
             }
         }
         let site_groups = site_groups.into_iter().map(|(_, g)| g).collect();
-        Arc::new(WorldInner {
+        Rc::new(WorldInner {
             net,
             profile,
             eager_threshold,
@@ -189,13 +192,13 @@ impl WorldInner {
             placement,
             site_groups,
             rank_site,
-            matchers: (0..n).map(|_| Mutex::new(RankMatch::default())).collect(),
-            failed: (0..n).map(|_| Mutex::new(None)).collect(),
-            next_posted_id: AtomicU64::new(1),
-            msg_seq: Mutex::new(HashMap::new()),
-            channels: Mutex::new(HashMap::new()),
-            stats: Mutex::new(CommStats::default()),
-            records: Mutex::new(Vec::new()),
+            matchers: (0..n).map(|_| RefCell::new(RankMatch::default())).collect(),
+            failed: (0..n).map(|_| Cell::new(None)).collect(),
+            next_posted_id: Cell::new(1),
+            msg_seq: RefCell::new(HashMap::new()),
+            channels: RefCell::new(HashMap::new()),
+            stats: RefCell::new(CommStats::default()),
+            records: RefCell::new(Vec::new()),
             obs,
         })
     }
@@ -210,7 +213,7 @@ impl WorldInner {
     /// number in the low 32. Never 0, so 0 can mean "no message".
     pub(crate) fn next_msg_id(&self, src: usize, dst: usize) -> u64 {
         let pair = src * self.size() + dst;
-        let mut g = self.msg_seq.lock();
+        let mut g = self.msg_seq.borrow_mut();
         let seq = g.entry((src, dst)).or_insert(0);
         *seq += 1;
         ((pair as u64) << 32) | (*seq & 0xffff_ffff)
@@ -249,7 +252,7 @@ impl WorldInner {
     /// One of the parallel sockets between a pair (stream 0 carries
     /// control traffic and unstriped data).
     fn channel_stream(&self, src: usize, dst: usize, stream: u32) -> ChannelId {
-        let mut g = self.channels.lock();
+        let mut g = self.channels.borrow_mut();
         *g.entry((src, dst, stream)).or_insert_with(|| {
             if self.profile.fast_lan.is_some() {
                 if let Some(ch) = self
@@ -277,12 +280,12 @@ impl WorldInner {
     /// connections (MPICH-G2, §2.1.5); the callback fires when every
     /// stripe has landed.
     fn data_transfer(
-        self: &Arc<Self>,
+        self: &Rc<Self>,
         s: &Sched,
         src: usize,
         dst: usize,
         bytes: u64,
-        done: impl FnOnce(&Sched) + Send + 'static,
+        done: impl FnOnce(&Sched) + 'static,
     ) {
         let streams = match self.profile.parallel_streams {
             Some((threshold, k)) if bytes > threshold && k > 1 => k,
@@ -294,7 +297,7 @@ impl WorldInner {
             return;
         }
         let chunk = bytes / streams as u64;
-        let pending = Arc::new(Mutex::new((streams, Some(done))));
+        let pending = Rc::new(RefCell::new((streams, Some(done))));
         for k in 0..streams {
             let this_chunk = if k == streams - 1 {
                 bytes - chunk * (streams as u64 - 1)
@@ -302,10 +305,10 @@ impl WorldInner {
                 chunk
             };
             let ch = self.channel_stream(src, dst, k);
-            let pending = Arc::clone(&pending);
+            let pending = Rc::clone(&pending);
             self.net
                 .transfer_then(s, ch, this_chunk + HEADER_BYTES, move |s2| {
-                    let mut g = pending.lock();
+                    let mut g = pending.borrow_mut();
                     g.0 -= 1;
                     if g.0 == 0 {
                         let done = g.1.take().expect("stripe callback pending");
@@ -318,7 +321,7 @@ impl WorldInner {
 
     /// Start an eager transmission (sender does not block).
     pub fn eager_send(
-        self: &Arc<Self>,
+        self: &Rc<Self>,
         s: &Sched,
         src: usize,
         dst: usize,
@@ -326,7 +329,7 @@ impl WorldInner {
         bytes: u64,
         msg_id: u64,
     ) {
-        let w = Arc::clone(self);
+        let w = Rc::clone(self);
         self.data_transfer(s, src, dst, bytes, move |s2| {
             w.deliver_eager(s2, src, dst, tag, bytes, msg_id)
         });
@@ -340,7 +343,7 @@ impl WorldInner {
             self.emit_fault(s, "msg_dropped", dst as u64, bytes as f64);
             return;
         }
-        let mut m = self.matchers[dst].lock();
+        let mut m = self.matchers[dst].borrow_mut();
         if let Some(pos) = m
             .posted
             .iter()
@@ -374,7 +377,7 @@ impl WorldInner {
     /// the sender) once the data has been delivered.
     #[allow(clippy::too_many_arguments)] // protocol state, deliberately flat
     pub fn rndv_send(
-        self: &Arc<Self>,
+        self: &Rc<Self>,
         s: &Sched,
         src: usize,
         dst: usize,
@@ -384,7 +387,7 @@ impl WorldInner {
     ) -> Completion<Result<(), MpiError>> {
         let (stx, srx) = completion();
         let ch = self.channel(src, dst);
-        let w = Arc::clone(self);
+        let w = Rc::clone(self);
         self.net.transfer_then(s, ch, CTRL_BYTES, move |s2| {
             w.deliver_rndv_req(s2, src, dst, tag, bytes, msg_id, stx)
         });
@@ -393,7 +396,7 @@ impl WorldInner {
 
     #[allow(clippy::too_many_arguments)] // protocol state, deliberately flat
     fn deliver_rndv_req(
-        self: &Arc<Self>,
+        self: &Rc<Self>,
         s: &Sched,
         src: usize,
         dst: usize,
@@ -409,7 +412,7 @@ impl WorldInner {
             sender_done.fire_from(s, Err(MpiError::PeerFailed { rank: dst }));
             return;
         }
-        let mut m = self.matchers[dst].lock();
+        let mut m = self.matchers[dst].borrow_mut();
         if let Some(pos) = m
             .posted
             .iter()
@@ -433,7 +436,7 @@ impl WorldInner {
     /// acknowledgement back, then the bulk data.
     #[allow(clippy::too_many_arguments)] // protocol state, deliberately flat
     fn rndv_matched(
-        self: &Arc<Self>,
+        self: &Rc<Self>,
         s: &Sched,
         src: usize,
         dst: usize,
@@ -444,9 +447,9 @@ impl WorldInner {
         recv_tx: Trigger<Result<RecvDone, MpiError>>,
     ) {
         let ack_ch = self.channel(dst, src);
-        let w = Arc::clone(self);
+        let w = Rc::clone(self);
         self.net.transfer_then(s, ack_ch, CTRL_BYTES, move |s2| {
-            let w2 = Arc::clone(&w);
+            let w2 = Rc::clone(&w);
             w2.data_transfer(s2, src, dst, bytes, move |s3| {
                 recv_tx.fire_from(
                     s3,
@@ -469,13 +472,13 @@ impl WorldInner {
     /// unexpected eager message satisfies it on the spot, otherwise the
     /// pending completion (plus its id, for timeout cancellation).
     pub fn post_recv(
-        self: &Arc<Self>,
+        self: &Rc<Self>,
         s: &Sched,
         me: usize,
         sel_src: Option<usize>,
         sel_tag: Option<u64>,
     ) -> Posted {
-        let mut m = self.matchers[me].lock();
+        let mut m = self.matchers[me].borrow_mut();
         if let Some(pos) = m
             .unexpected
             .iter()
@@ -515,7 +518,8 @@ impl WorldInner {
                 }
             }
         } else {
-            let id = self.next_posted_id.fetch_add(1, Ordering::Relaxed);
+            let id = self.next_posted_id.get();
+            self.next_posted_id.set(id + 1);
             let (rtx, rrx) = completion();
             m.posted.push_back(PostedRecv {
                 id,
@@ -532,11 +536,10 @@ impl WorldInner {
 
     /// Abort posted receive `id` on rank `me` with a timeout error, if it
     /// is still pending. A receive that completed (and left the posted
-    /// queue) in the meantime makes this a no-op — there is no race with a
-    /// concurrent match because both paths remove the entry under the
-    /// matcher lock.
+    /// queue) in the meantime makes this a no-op: a match and a timeout
+    /// both remove the entry from the queue, so whichever runs first wins.
     pub fn cancel_posted(&self, s: &Sched, me: usize, id: u64, waited: SimDuration) {
-        let mut m = self.matchers[me].lock();
+        let mut m = self.matchers[me].borrow_mut();
         let Some(pos) = m.posted.iter().position(|p| p.id == id) else {
             return;
         };
@@ -548,7 +551,7 @@ impl WorldInner {
 
     /// True if `rank` is inside a failure window at `now`.
     pub fn rank_failed(&self, rank: usize, now: SimTime) -> bool {
-        self.failed[rank].lock().is_some_and(|until| now < until)
+        self.failed[rank].get().is_some_and(|until| now < until)
     }
 
     /// Kill `rank` at the current instant, optionally restarting it at
@@ -565,9 +568,9 @@ impl WorldInner {
     ///   abort their senders' blocking sends;
     /// * in-flight and future messages addressed to the window are dropped
     ///   on delivery ([`Self::deliver_eager`] / [`Self::deliver_rndv_req`]).
-    pub fn fail_rank(self: &Arc<Self>, s: &Sched, rank: usize, until: Option<SimTime>) {
+    pub fn fail_rank(self: &Rc<Self>, s: &Sched, rank: usize, until: Option<SimTime>) {
         let until = until.unwrap_or(SimTime::MAX);
-        *self.failed[rank].lock() = Some(until);
+        self.failed[rank].set(Some(until));
         self.emit_fault(
             s,
             "rank_fail",
@@ -580,7 +583,7 @@ impl WorldInner {
         );
         // Drain the dead rank's own matcher.
         let (own_posted, own_unexpected) = {
-            let mut m = self.matchers[rank].lock();
+            let mut m = self.matchers[rank].borrow_mut();
             let posted: Vec<PostedRecv> = m.posted.drain(..).collect();
             let unexpected: Vec<Unexpected> = m.unexpected.drain(..).collect();
             (posted, unexpected)
@@ -595,7 +598,7 @@ impl WorldInner {
         }
         self.abort_selected_on(s, rank);
         if until != SimTime::MAX {
-            let w = Arc::clone(self);
+            let w = Rc::clone(self);
             s.call_at(until, move |s2| {
                 w.emit_fault(s2, "rank_restart", rank as u64, 0.0);
             });
@@ -610,7 +613,7 @@ impl WorldInner {
                 continue;
             }
             let aborted: Vec<PostedRecv> = {
-                let mut m = matcher.lock();
+                let mut m = matcher.borrow_mut();
                 let mut out = Vec::new();
                 let mut keep = VecDeque::with_capacity(m.posted.len());
                 for pr in m.posted.drain(..) {
@@ -646,7 +649,7 @@ impl WorldInner {
     /// quiescence at the end of a run).
     pub fn quiescent(&self) -> bool {
         self.matchers.iter().all(|m| {
-            let g = m.lock();
+            let g = m.borrow();
             g.unexpected.is_empty() && g.posted.is_empty()
         })
     }

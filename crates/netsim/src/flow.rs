@@ -27,7 +27,9 @@
 //! the exact per-round model. Virtual timings are identical either way;
 //! only the host-side event count changes.
 
+use std::cell::RefCell;
 use std::collections::VecDeque;
+use std::rc::Rc;
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -35,7 +37,6 @@ use desim::fault::FaultPlan;
 use desim::obs::profile::{HostProfiler, ProfKey, ProfScope};
 use desim::obs::{Event as ObsEvent, Recorder};
 use desim::prop::Rng;
-use desim::sync::Mutex;
 use desim::{Sched, SimDuration, SimTime};
 
 use crate::tcp::{RoundOutcome, TcpState};
@@ -48,7 +49,7 @@ pub struct ChannelId(pub(crate) usize);
 
 /// Callback invoked (in `Sched` context) when the last byte of a transfer
 /// reaches the receiving host.
-pub(crate) type ArrivalFn = Box<dyn FnOnce(&Sched) + Send>;
+pub(crate) type ArrivalFn = Box<dyn FnOnce(&Sched)>;
 
 pub(crate) struct PendingTransfer {
     bytes: u64,
@@ -671,7 +672,7 @@ fn arm_channel_faults(plan: &FaultPlan, index: usize, c: &mut ChannelState) {
     };
 }
 
-pub(crate) type SharedNet = Arc<Mutex<NetState>>;
+pub(crate) type SharedNet = Rc<RefCell<NetState>>;
 
 /// Observability name of a round outcome.
 fn outcome_name(out: RoundOutcome) -> &'static str {
@@ -942,7 +943,7 @@ fn try_enter_fast(g: &mut NetState, net: &SharedNet, s: &Sched, now: SimTime) ->
         finish_at,
         gen,
     });
-    let net2 = Arc::clone(net);
+    let net2 = Rc::clone(net);
     s.call_at(finish_at, move |s2| fast_commit(&net2, s2, gen));
     true
 }
@@ -1013,10 +1014,10 @@ fn materialize(g: &mut NetState, net: &SharedNet, s: &Sched, now: SimTime) {
     let gen = g.channels[ch].round_gen;
     if let Some(until) = outcome.stalled_until {
         g.channels[ch].stalled_until = until;
-        let net2 = Arc::clone(net);
+        let net2 = Rc::clone(net);
         s.call_at(until, move |s2| stall_clear(&net2, s2, ch, gen));
     } else if let Some(at) = outcome.next_round {
-        let net2 = Arc::clone(net);
+        let net2 = Rc::clone(net);
         s.call_at(at, move |s2| round_event(&net2, s2, ch, gen));
     }
     // The pending finish event needs no re-arming: the interrupting event
@@ -1028,7 +1029,7 @@ fn materialize(g: &mut NetState, net: &SharedNet, s: &Sched, now: SimTime) {
 /// perform `finish_event`'s bookkeeping for the one finished flow.
 fn fast_commit(net: &SharedNet, s: &Sched, gen: u64) {
     let now = s.now();
-    let mut g = net.lock();
+    let mut g = net.borrow_mut();
     if g.fast.as_ref().is_none_or(|p| p.gen != gen) {
         return; // Superseded by a materialize.
     }
@@ -1055,7 +1056,7 @@ fn fast_commit(net: &SharedNet, s: &Sched, gen: u64) {
             let until = now + stall;
             g.channels[ch].stalled_until = until;
             g.channels[ch].round_gen += 1;
-            let net2 = Arc::clone(net);
+            let net2 = Rc::clone(net);
             s.call_at(until, move |s2| resume_channel(&net2, s2, ch));
         }
     }
@@ -1085,7 +1086,7 @@ pub(crate) fn start_transfer(
     done: ArrivalFn,
 ) {
     let now = s.now();
-    let mut g = net.lock();
+    let mut g = net.borrow_mut();
     // Duplicate traffic (fault injection): spurious retransmissions put
     // extra copies of some segments on the wire, so the flow carries more
     // bytes than the payload for the same goodput.
@@ -1196,13 +1197,13 @@ fn schedule_round(g: &mut NetState, net: &SharedNet, s: &Sched, ch: usize, now: 
     }
     let gen = c.round_gen;
     let at = now + c.tcp.params().rtt;
-    let net2 = Arc::clone(net);
+    let net2 = Rc::clone(net);
     s.call_at(at, move |s2| round_event(&net2, s2, ch, gen));
 }
 
 fn round_event(net: &SharedNet, s: &Sched, ch: usize, gen: u64) {
     let now = s.now();
-    let mut g = net.lock();
+    let mut g = net.borrow_mut();
     if g.channels[ch].round_gen != gen || g.channels[ch].active.is_none() {
         return;
     }
@@ -1274,7 +1275,7 @@ fn round_event(net: &SharedNet, s: &Sched, ch: usize, gen: u64) {
             let until = now + d;
             g.channels[ch].stalled_until = until;
             reallocate(&mut g, net, s, now);
-            let net2 = Arc::clone(net);
+            let net2 = Rc::clone(net);
             s.call_at(until, move |s2| stall_clear(&net2, s2, ch, gen));
         }
     }
@@ -1283,7 +1284,7 @@ fn round_event(net: &SharedNet, s: &Sched, ch: usize, gen: u64) {
 /// Wake a channel whose post-completion RTO stall has elapsed.
 fn resume_channel(net: &SharedNet, s: &Sched, ch: usize) {
     let now = s.now();
-    let mut g = net.lock();
+    let mut g = net.borrow_mut();
     if g.channels[ch].stalled_until > now || g.channels[ch].active.is_some() {
         return;
     }
@@ -1295,7 +1296,7 @@ fn resume_channel(net: &SharedNet, s: &Sched, ch: usize) {
 
 fn stall_clear(net: &SharedNet, s: &Sched, ch: usize, gen: u64) {
     let now = s.now();
-    let mut g = net.lock();
+    let mut g = net.borrow_mut();
     if g.channels[ch].round_gen != gen {
         return;
     }
@@ -1324,7 +1325,7 @@ pub(crate) fn fault_path_outage(
 ) {
     let now = s.now();
     let until = now + down;
-    let mut g = net.lock();
+    let mut g = net.borrow_mut();
     materialize(&mut g, net, s, now);
     g.settle(now);
     for ch in 0..g.channels.len() {
@@ -1335,7 +1336,7 @@ pub(crate) fn fault_path_outage(
         g.channels[ch].stalled_until = until;
         g.channels[ch].round_gen += 1;
         let gen = g.channels[ch].round_gen;
-        let net2 = Arc::clone(net);
+        let net2 = Rc::clone(net);
         s.call_at(until, move |s2| stall_clear(&net2, s2, ch, gen));
     }
     if let Some(rec) = &g.obs {
@@ -1349,9 +1350,9 @@ pub(crate) fn fault_path_outage(
             "link_down" => "link_up",
             _ => "nic_resume",
         };
-        let net2 = Arc::clone(net);
+        let net2 = Rc::clone(net);
         s.call_at(until, move |s2| {
-            let g2 = net2.lock();
+            let g2 = net2.borrow();
             if let Some(rec) = &g2.obs {
                 rec.record(&ObsEvent::Fault {
                     kind: up_kind,
@@ -1387,14 +1388,14 @@ fn reallocate(g: &mut NetState, net: &SharedNet, s: &Sched, now: SimTime) {
         }
     }
     if let Some(at) = earliest {
-        let net2 = Arc::clone(net);
+        let net2 = Rc::clone(net);
         s.call_at(at, move |s2| finish_event(&net2, s2, gen));
     }
 }
 
 fn finish_event(net: &SharedNet, s: &Sched, gen: u64) {
     let now = s.now();
-    let mut g = net.lock();
+    let mut g = net.borrow_mut();
     if g.finish_gen != gen {
         return; // Superseded by a later reallocation.
     }
@@ -1436,7 +1437,7 @@ fn finish_event(net: &SharedNet, s: &Sched, gen: u64) {
                 let until = now + stall;
                 g.channels[ch].stalled_until = until;
                 g.channels[ch].round_gen += 1;
-                let net2 = Arc::clone(net);
+                let net2 = Rc::clone(net);
                 s.call_at(until, move |s2| resume_channel(&net2, s2, ch));
             }
         }
@@ -1467,6 +1468,7 @@ mod tests {
     use crate::tcp::TcpParams;
     use crate::topology::{NodeId, NodeParams, SiteParams};
     use desim::prop::forall;
+    use std::cell::Cell;
     use std::collections::BTreeMap;
 
     fn mk_state() -> NetState {
@@ -1856,26 +1858,26 @@ mod tests {
         let x_bytes = 200_000u64;
         let y_bytes = (x_bytes as f64 - credit(1.0) + credit(2.0)).round() as u64;
         let z_bytes = 50_000u64;
-        let net: SharedNet = Arc::new(Mutex::new(NetState::new(t, SimDuration::ZERO)));
+        let net: SharedNet = Rc::new(RefCell::new(NetState::new(t, SimDuration::ZERO)));
         let (ch_x, ch_y) = {
-            let mut g = net.lock();
+            let mut g = net.borrow_mut();
             (
                 g.add_channel(ab, TcpState::new(flow_params(w))),
                 g.add_channel(ac, TcpState::new(flow_params(w))),
             )
         };
         // At X's arrival: how many flows are left, and Z's backlog.
-        let seen: Arc<Mutex<Option<(usize, f64)>>> = Arc::new(Mutex::new(None));
+        let seen: Rc<Cell<Option<(usize, f64)>>> = Rc::new(Cell::new(None));
         let sim = desim::Sim::new();
-        let (net2, seen2) = (Arc::clone(&net), Arc::clone(&seen));
+        let (net2, seen2) = (Rc::clone(&net), Rc::clone(&seen));
         sim.spawn_task("sender", move |cx| async move {
             let s = cx.sched();
-            let net3 = Arc::clone(&net2);
+            let net3 = Rc::clone(&net2);
             let on_x: ArrivalFn = Box::new(move |_: &Sched| {
-                let g = net3.lock();
+                let g = net3.borrow();
                 let z = g.channels[ch_x.0].active.expect("Z started");
                 let z_remaining = g.flows[z].as_ref().unwrap().remaining;
-                *seen2.lock() = Some((g.active.len(), z_remaining));
+                seen2.set(Some((g.active.len(), z_remaining)));
             });
             let noop = || -> ArrivalFn { Box::new(|_: &Sched| {}) };
             start_transfer(&net2, &s, ch_x, x_bytes, on_x);
@@ -1885,7 +1887,7 @@ mod tests {
             cx.advance(SimDuration::from_secs(1)).await;
         });
         sim.run().unwrap();
-        let (left, z_remaining) = seen.lock().expect("X finished");
+        let (left, z_remaining) = seen.get().expect("X finished");
         assert_eq!(left, 1, "X and Y must finish in the same event");
         let want = z_bytes as f64 - credit(2.0);
         assert!(

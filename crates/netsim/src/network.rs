@@ -1,8 +1,9 @@
 //! Public network facade: create channels, start transfers, inspect state.
 
+use std::cell::RefCell;
+use std::rc::Rc;
 use std::sync::Arc;
 
-use desim::sync::Mutex;
 use desim::{completion, Completion, Sched, SimDuration};
 
 use desim::fault::{FaultKind, FaultPlan};
@@ -27,6 +28,13 @@ pub const SMAX_UNPACED_SEGMENTS: f64 = 32.0;
 
 /// Shared handle to the simulated network. Clones are cheap and refer to
 /// the same network.
+///
+/// A network belongs to the one simulation (and thread) that drives it:
+///
+/// ```compile_fail
+/// fn assert_send<T: Send>() {}
+/// assert_send::<netsim::Network>();
+/// ```
 #[derive(Clone)]
 pub struct Network {
     state: SharedNet,
@@ -41,7 +49,7 @@ impl Network {
     /// Wrap a topology with an explicit per-message host overhead.
     pub fn with_stack_overhead(topo: Topology, stack_overhead: SimDuration) -> Network {
         Network {
-            state: Arc::new(Mutex::new(NetState::new(topo, stack_overhead))),
+            state: Rc::new(RefCell::new(NetState::new(topo, stack_overhead))),
         }
     }
 
@@ -50,7 +58,7 @@ impl Network {
     /// per-round model is kept selectable so the equivalence tests can
     /// prove exactly that. Call before starting transfers.
     pub fn set_bulk_fast_path(&self, enabled: bool) {
-        self.state.lock().fast_enabled = enabled;
+        self.state.borrow_mut().fast_enabled = enabled;
     }
 
     /// Attach observability per the given [`desim::obs::Obs`] config:
@@ -63,7 +71,7 @@ impl Network {
     /// `None` leave the corresponding attachment untouched.
     pub fn attach_obs(&self, obs: &desim::obs::Obs) {
         if let Some(rec) = &obs.recorder {
-            self.state.lock().obs = Some(Arc::clone(rec));
+            self.state.borrow_mut().obs = Some(Arc::clone(rec));
         }
         if let Some(prof) = &obs.profiler {
             self.install_host_profiler(Arc::clone(prof));
@@ -76,7 +84,7 @@ impl Network {
     /// finish / fast-path handlers. The profiler reads only the host
     /// clock, so virtual time is untouched.
     fn install_host_profiler(&self, prof: Arc<desim::obs::HostProfiler>) {
-        let mut g = self.state.lock();
+        let mut g = self.state.borrow_mut();
         let n_links = g.topo.link_count();
         let mut labels = vec![String::new(); n_links];
         for n in g.topo.nodes().collect::<Vec<_>>() {
@@ -144,7 +152,7 @@ impl Network {
         pacing: bool,
         window_cap: Option<u64>,
     ) -> ChannelId {
-        let mut g = self.state.lock();
+        let mut g = self.state.borrow_mut();
         let path = g.topo.route(src, dst);
         let snd_kernel = g.topo.node(src).kernel;
         let rcv_kernel = g.topo.node(dst).kernel;
@@ -177,7 +185,7 @@ impl Network {
     /// Fast-fabric channels have no TCP dynamics: the full path bandwidth
     /// is available immediately (OS-bypass communication).
     pub fn fast_channel(&self, src: NodeId, dst: NodeId) -> Option<ChannelId> {
-        let mut g = self.state.lock();
+        let mut g = self.state.borrow_mut();
         let path = g.topo.route_fast(src, dst)?;
         let rtt = path.rtt;
         let params = TcpParams {
@@ -225,14 +233,14 @@ impl Network {
         s: &Sched,
         ch: ChannelId,
         bytes: u64,
-        f: impl FnOnce(&Sched) + Send + 'static,
+        f: impl FnOnce(&Sched) + 'static,
     ) {
         start_transfer(&self.state, s, ch, bytes, Box::new(f));
     }
 
     /// Route properties between two nodes.
     pub fn route(&self, src: NodeId, dst: NodeId) -> Path {
-        self.state.lock().topo.route(src, dst)
+        self.state.borrow().topo.route(src, dst)
     }
 
     /// Round-trip time between two nodes.
@@ -242,49 +250,49 @@ impl Network {
 
     /// Site of a node.
     pub fn site_of(&self, n: NodeId) -> SiteId {
-        self.state.lock().topo.site_of(n)
+        self.state.borrow().topo.site_of(n)
     }
 
     /// Name of a site.
     pub fn site_name(&self, s: SiteId) -> String {
-        self.state.lock().topo.site_name(s).to_string()
+        self.state.borrow().topo.site_name(s).to_string()
     }
 
     /// Compute rate of a node in Gflop/s.
     pub fn cpu_gflops(&self, n: NodeId) -> f64 {
-        self.state.lock().topo.node(n).cpu_gflops
+        self.state.borrow().topo.node(n).cpu_gflops
     }
 
     /// Number of nodes in the topology.
     pub fn node_count(&self) -> usize {
-        self.state.lock().topo.node_count()
+        self.state.borrow().topo.node_count()
     }
 
     /// Read access to the topology.
     pub fn with_topology<R>(&self, f: impl FnOnce(&Topology) -> R) -> R {
-        f(&self.state.lock().topo)
+        f(&self.state.borrow().topo)
     }
 
     /// Loss episodes suffered so far by a channel's TCP state.
     pub fn channel_losses(&self, ch: ChannelId) -> u64 {
-        self.state.lock().channels[ch.0].tcp.losses()
+        self.state.borrow().channels[ch.0].tcp.losses()
     }
 
     /// Current congestion window of a channel, bytes.
     pub fn channel_cwnd(&self, ch: ChannelId) -> u64 {
-        self.state.lock().channels[ch.0].tcp.cwnd()
+        self.state.borrow().channels[ch.0].tcp.cwnd()
     }
 
     /// Completed transfer count and bytes on a channel.
     pub fn channel_stats(&self, ch: ChannelId) -> (u64, u64) {
-        let g = self.state.lock();
+        let g = self.state.borrow();
         let c = &g.channels[ch.0];
         (c.transfers, c.bytes_done)
     }
 
     /// Bytes delivered so far over a directed link (0 if nothing flowed).
     pub fn link_delivered(&self, l: crate::LinkId) -> f64 {
-        let g = self.state.lock();
+        let g = self.state.borrow();
         g.link_delivered.get(l.index()).copied().unwrap_or(0.0)
     }
 
@@ -300,7 +308,7 @@ impl Network {
         if plan.is_empty() {
             return;
         }
-        self.state.lock().install_faults(plan);
+        self.state.borrow_mut().install_faults(plan);
     }
 
     /// Schedule the plan's explicit timed *network* events (link flaps,
@@ -311,7 +319,7 @@ impl Network {
     /// trailing faults after workload completion are inert.
     pub fn schedule_fault_events(&self, s: &Sched, plan: &FaultPlan) {
         for ev in plan.sorted_events() {
-            let net = Arc::clone(&self.state);
+            let net = Rc::clone(&self.state);
             match ev.kind {
                 FaultKind::LinkDown { link, down } => {
                     s.call_at(ev.at, move |s2| {
@@ -327,7 +335,7 @@ impl Network {
                 }
                 FaultKind::NicStall { node, down } => {
                     s.call_at(ev.at, move |s2| {
-                        let links = net.lock().topo.node_links(NodeId(node));
+                        let links = net.borrow().topo.node_links(NodeId(node));
                         fault_path_outage(&net, s2, links, down, "nic_stall", node as u64)
                     });
                 }
@@ -355,7 +363,7 @@ impl Network {
     /// link-flap schedules.
     pub fn wan_link_indices(&self) -> Vec<u32> {
         self.state
-            .lock()
+            .borrow()
             .topo
             .wan_links()
             .iter()

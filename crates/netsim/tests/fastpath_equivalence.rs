@@ -9,10 +9,10 @@
 //! window, and demand *identical* nanosecond timestamps, not approximate
 //! ones.
 
-use std::sync::Arc;
+use std::cell::RefCell;
+use std::rc::Rc;
 
 use desim::prop::{forall, Rng};
-use desim::sync::Mutex;
 use desim::{Sim, SimDuration};
 use netsim::{
     CongestionControl, KernelConfig, Network, NodeId, NodeParams, SiteParams, SockBufRequest,
@@ -91,8 +91,8 @@ fn build_network(sc: &Scenario) -> (Network, NodeId, NodeId) {
 fn run_sequence(sc: &Scenario, fast: bool) -> Vec<u64> {
     let (net, na, nb) = build_network(sc);
     net.set_bulk_fast_path(fast);
-    let log = Arc::new(Mutex::new(Vec::new()));
-    let log2 = Arc::clone(&log);
+    let log = Rc::new(RefCell::new(Vec::new()));
+    let log2 = Rc::clone(&log);
     let transfers = sc.transfers.clone();
     let sim = Sim::new();
     sim.spawn_task("sender", move |cx| async move {
@@ -108,11 +108,11 @@ fn run_sequence(sc: &Scenario, fast: bool) -> Vec<u64> {
                 cx.advance(SimDuration::from_nanos(gap)).await;
             }
             cx.wait(net.transfer(&cx.sched(), ch, bytes)).await;
-            log2.lock().push(cx.now().as_nanos());
+            log2.borrow_mut().push(cx.now().as_nanos());
         }
     });
     sim.run().unwrap();
-    let v = log.lock().clone();
+    let v = log.borrow().clone();
     v
 }
 
@@ -145,14 +145,14 @@ fn interrupted_flows_are_bit_identical() {
         let run = |fast: bool| -> Vec<(usize, u64)> {
             let (net, na, nb) = build_network(&sc);
             net.set_bulk_fast_path(fast);
-            let log = Arc::new(Mutex::new(Vec::new()));
+            let log = Rc::new(RefCell::new(Vec::new()));
             let sim = Sim::new();
             for (i, (bytes, delay)) in [(bytes_a, 0u64), (bytes_b, stagger)]
                 .into_iter()
                 .enumerate()
             {
                 let net = net.clone();
-                let log = Arc::clone(&log);
+                let log = Rc::clone(&log);
                 sim.spawn_task(format!("f{i}"), move |cx| async move {
                     let ch = net.channel(
                         na,
@@ -165,11 +165,11 @@ fn interrupted_flows_are_bit_identical() {
                         cx.advance(SimDuration::from_nanos(delay)).await;
                     }
                     cx.wait(net.transfer(&cx.sched(), ch, bytes)).await;
-                    log.lock().push((i, cx.now().as_nanos()));
+                    log.borrow_mut().push((i, cx.now().as_nanos()));
                 });
             }
             sim.run().unwrap();
-            let v = log.lock().clone();
+            let v = log.borrow().clone();
             v
         };
         let slow = run(false);

@@ -15,11 +15,12 @@
 //!    transfer at the same nanosecond, with the fast path both on and
 //!    off.
 
+use std::cell::RefCell;
+use std::rc::Rc;
 use std::sync::Arc;
 
 use desim::obs::{Event, RingSink};
 use desim::prop::{forall, Rng};
-use desim::sync::Mutex;
 use desim::{Sim, SimDuration};
 use netsim::{
     CongestionControl, KernelConfig, Network, NodeId, NodeParams, SiteParams, SockBufRequest,
@@ -89,8 +90,8 @@ fn probed_transfer(
     net.set_bulk_fast_path(fast);
     let sink = Arc::new(RingSink::new(1 << 20));
     net.attach_obs(&desim::obs::Obs::none().recorder(sink.clone()));
-    let done = Arc::new(Mutex::new(0u64));
-    let done2 = Arc::clone(&done);
+    let done = Rc::new(RefCell::new(0u64));
+    let done2 = Rc::clone(&done);
     let sim = Sim::new();
     sim.spawn_task("sender", move |cx| async move {
         let ch = net.channel(
@@ -101,14 +102,14 @@ fn probed_transfer(
             pacing,
         );
         cx.wait(net.transfer(&cx.sched(), ch, bytes)).await;
-        *done2.lock() = cx.now().as_nanos();
+        *done2.borrow_mut() = cx.now().as_nanos();
     });
     sim.run().unwrap();
     let events = sink.events();
     assert_eq!(sink.dropped(), 0, "ring must be large enough for the test");
     let samples = events.iter().filter_map(sample_key).collect();
     let flows = events.iter().filter_map(flow_key).collect();
-    let end = *done.lock();
+    let end = *done.borrow();
     (samples, flows, end)
 }
 
@@ -191,8 +192,8 @@ fn probes_never_change_virtual_timestamps() {
             if probed {
                 net.attach_obs(&desim::obs::Obs::none().recorder(Arc::new(RingSink::new(1 << 16))));
             }
-            let log = Arc::new(Mutex::new(Vec::new()));
-            let log2 = Arc::clone(&log);
+            let log = Rc::new(RefCell::new(Vec::new()));
+            let log2 = Rc::clone(&log);
             let gaps = gaps.clone();
             let sim = Sim::new();
             sim.spawn_task("sender", move |cx| async move {
@@ -208,11 +209,11 @@ fn probes_never_change_virtual_timestamps() {
                         cx.advance(SimDuration::from_nanos(gap)).await;
                     }
                     cx.wait(net.transfer(&cx.sched(), ch, bytes)).await;
-                    log2.lock().push(cx.now().as_nanos());
+                    log2.borrow_mut().push(cx.now().as_nanos());
                 }
             });
             sim.run().unwrap();
-            let v = log.lock().clone();
+            let v = log.borrow().clone();
             v
         };
         for fast in [false, true] {

@@ -139,7 +139,7 @@ async fn run_adi(ctx: &mut RankCtx, prm: Params, full_iters: u32, warmup: u32, t
         }
         ctx.waitall(reqs).await;
     };
-    timed_loop!(ctx, warmup, timed, |_i| {
+    timed_loop(ctx, warmup, timed, async |ctx, _i| {
         // copy_faces + forward substitutions: big faces both ways on both
         // torus dimensions, interleaved with compute thirds.
         for r in 0..prm.big_rounds {
@@ -153,7 +153,8 @@ async fn run_adi(ctx: &mut RankCtx, prm: Params, full_iters: u32, warmup: u32, t
         for _ in 0..prm.med_rounds {
             exchange(ctx, &nbrs, prm.med_bytes, TAG + 1).await;
         }
-    });
+    })
+    .await;
 }
 
 pub(crate) async fn run_bt(ctx: &mut RankCtx, class: NasClass, warmup: u32, timed: u32) {

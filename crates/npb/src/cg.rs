@@ -68,7 +68,7 @@ pub(crate) async fn run(ctx: &mut RankCtx, class: NasClass, warmup: u32, timed: 
     let full_iters = crate::run::NasRun::new(crate::run::NasBenchmark::Cg, class).full_iterations();
     let gflop_per_inner = prm.total_gflop / (full_iters as f64 * prm.inner as f64 * p as f64);
 
-    timed_loop!(ctx, warmup, timed, |_i| {
+    timed_loop(ctx, warmup, timed, async |ctx, _i| {
         for _ in 0..prm.inner {
             ctx.compute_gflop(gflop_per_inner).await;
             // Mat-vec transpose exchange.
@@ -95,5 +95,6 @@ pub(crate) async fn run(ctx: &mut RankCtx, class: NasClass, warmup: u32, timed: 
         }
         // Residual norm at the end of the outer iteration.
         ctx.allreduce(8).await;
-    });
+    })
+    .await;
 }

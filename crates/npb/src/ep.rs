@@ -25,13 +25,14 @@ const TAG: u64 = 100;
 pub(crate) async fn run(ctx: &mut RankCtx, class: NasClass, warmup: u32, timed: u32) {
     let p = ctx.size() as f64;
     let work = total_gflop(class) / p;
-    timed_loop!(ctx, warmup, timed, |_i| {
+    timed_loop(ctx, warmup, timed, async |ctx, _i| {
         ctx.compute_gflop(work).await;
         // sx, sy sums and the 10-bin deviate counts (80 B).
         ctx.allreduce(8).await;
         ctx.allreduce(8).await;
         ctx.allreduce(80).await;
-    });
+    })
+    .await;
     // Verification gather of per-rank counts.
     if ctx.rank() == 0 {
         for src in 1..ctx.size() {

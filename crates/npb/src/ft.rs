@@ -59,7 +59,7 @@ pub(crate) async fn run(ctx: &mut RankCtx, class: NasClass, warmup: u32, timed: 
     ctx.bcast(0, prm.bcast_bytes).await;
     ctx.bcast(0, 64).await;
 
-    timed_loop!(ctx, warmup, timed, |_i| {
+    timed_loop(ctx, warmup, timed, async |ctx, _i| {
         // Evolve + local FFTs.
         ctx.compute_gflop(gflop_iter * 0.7).await;
         // Distributed transpose traffic (the paper's measured bcast
@@ -70,5 +70,6 @@ pub(crate) async fn run(ctx: &mut RankCtx, class: NasClass, warmup: u32, timed: 
         // Checksum reduction.
         ctx.compute_gflop(gflop_iter * 0.3).await;
         ctx.allreduce(16).await;
-    });
+    })
+    .await;
 }

@@ -48,7 +48,7 @@ pub(crate) async fn run(ctx: &mut RankCtx, class: NasClass, warmup: u32, timed: 
     let gflop_iter = prm.total_gflop / (full as f64 * p as f64);
     let per_pair = (prm.total_keys * 4 / (p * p)).max(1);
 
-    timed_loop!(ctx, warmup, timed, |_i| {
+    timed_loop(ctx, warmup, timed, async |ctx, _i| {
         // Local bucket count.
         ctx.compute_gflop(gflop_iter * 0.5).await;
         // Global histogram.
@@ -60,7 +60,8 @@ pub(crate) async fn run(ctx: &mut RankCtx, class: NasClass, warmup: u32, timed: 
         ctx.alltoallv(&sizes).await;
         // Local ranking of received keys.
         ctx.compute_gflop(gflop_iter * 0.5).await;
-    });
+    })
+    .await;
     // Full verification at the end.
     ctx.allreduce(8).await;
 }

@@ -60,7 +60,7 @@ pub(crate) async fn run(ctx: &mut RankCtx, class: NasClass, warmup: u32, timed: 
     let gflop_iter = prm.total_gflop / (full_iters as f64 * p as f64);
     let plane_gflop = gflop_iter * 0.8 / (2.0 * prm.n as f64);
 
-    timed_loop!(ctx, warmup, timed, |_i| {
+    timed_loop(ctx, warmup, timed, async |ctx, _i| {
         // RHS assembly (no communication).
         ctx.compute_gflop(gflop_iter * 0.2).await;
         // Lower-triangular sweep: wavefront from the north-west corner.
@@ -97,5 +97,6 @@ pub(crate) async fn run(ctx: &mut RankCtx, class: NasClass, warmup: u32, timed: 
         }
         // Residual norms (5 components).
         ctx.allreduce(40).await;
-    });
+    })
+    .await;
 }

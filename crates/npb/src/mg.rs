@@ -89,7 +89,7 @@ pub(crate) async fn run(ctx: &mut RankCtx, class: NasClass, warmup: u32, timed: 
         }
     };
 
-    timed_loop!(ctx, warmup, timed, |_i| {
+    timed_loop(ctx, warmup, timed, async |ctx, _i| {
         // Down sweep: restrict.
         for k in 0..levels {
             let vol = ((prm.n >> k) as f64).powi(3);
@@ -104,5 +104,6 @@ pub(crate) async fn run(ctx: &mut RankCtx, class: NasClass, warmup: u32, timed: 
         }
         // Residual norm.
         ctx.allreduce(8).await;
-    });
+    })
+    .await;
 }

@@ -197,32 +197,27 @@ impl NasRun {
 }
 
 /// Shared measurement scaffold: barrier; warmup; barrier; timed window;
-/// barrier; record `timed_secs`.
-///
-/// A macro rather than an async fn taking an `AsyncFnMut` body: the
-/// lending future of an `AsyncFnMut` is higher-ranked over the
-/// `&mut RankCtx` borrow and the trait solver cannot prove it `Send`
-/// ("implementation of `Send` is not general enough"), which the
-/// `MpiProgram` boxing requires. Inlining the body keeps every await on
-/// concrete types. `$i` is the global iteration index (warmup included).
-macro_rules! timed_loop {
-    ($ctx:ident, $warmup:expr, $timed:expr, |$i:ident| $body:block) => {{
-        $ctx.barrier().await;
-        $ctx.phase("warmup");
-        for $i in 0..$warmup {
-            $body
-        }
-        $ctx.barrier().await;
-        $ctx.phase("timed");
-        let t0 = $ctx.now();
-        for $i in 0..$timed {
-            let $i = $warmup + $i;
-            $body
-        }
-        $ctx.barrier().await;
-        $ctx.phase("end");
-        let timed_secs = $ctx.now().since(t0).as_secs_f64();
-        $ctx.record("timed_secs", timed_secs);
-    }};
+/// barrier; record `timed_secs`. `body` runs once per iteration and gets
+/// the global iteration index (warmup included).
+pub(crate) async fn timed_loop(
+    ctx: &mut RankCtx,
+    warmup: u32,
+    timed: u32,
+    mut body: impl AsyncFnMut(&mut RankCtx, usize),
+) {
+    ctx.barrier().await;
+    ctx.phase("warmup");
+    for i in 0..warmup {
+        body(ctx, i as usize).await;
+    }
+    ctx.barrier().await;
+    ctx.phase("timed");
+    let t0 = ctx.now();
+    for i in 0..timed {
+        body(ctx, (warmup + i) as usize).await;
+    }
+    ctx.barrier().await;
+    ctx.phase("end");
+    let timed_secs = ctx.now().since(t0).as_secs_f64();
+    ctx.record("timed_secs", timed_secs);
 }
-pub(crate) use timed_loop;

@@ -2,7 +2,7 @@
 //!
 //! Expands a declarative spec (workload × implementation × tuning ×
 //! network × loss × collective pin) into scenario runs,
-//! executes them through [`crate::par::par_map_with`], and appends one
+//! executes them through [`crate::par::par_map`], and appends one
 //! structured JSONL row per run to a ledger file
 //! (`results/ledger/<label>.jsonl`) — config fingerprint, event digest,
 //! virtual elapsed, blame decomposition from [`desim::obs::analysis`],
@@ -41,7 +41,7 @@ use mpisim::{
 use netsim::{grid5000_four_sites, grid5000_pair, Network, NodeId};
 
 use crate::cache::{self, fnv1a64};
-use crate::par::par_map_with;
+use crate::par::par_map;
 use crate::scenario::{pingpong_program, Scenario};
 use crate::util::{Scope, TuningLevel};
 
@@ -669,37 +669,33 @@ pub fn run(cfg: &CampaignConfig) -> Result<CampaignReport, String> {
             })
         });
         let indexed: Vec<usize> = (0..cells.len()).collect();
-        let rows = par_map_with(
-            &indexed,
-            |&i| {
-                let cell = &cells[i];
-                let fp = &fingerprints[i];
-                let t0 = Instant::now();
-                let (out, hit) = match cache.get(fp).and_then(entry_to_sim) {
-                    Some(cached) => (cached, true),
-                    None => (simulate(cell, cfg.perturb_loss), false),
-                };
-                let host_ns = t0.elapsed().as_nanos() as u64;
-                pulse.complete(host_ns, hit);
-                let row = RunRow {
-                    campaign: cfg.label.clone(),
-                    seq: i as u64,
-                    scenario: cell.scenario_key(),
-                    fingerprint: fp.clone(),
-                    axes: cell.axes(cfg.perturb_loss),
-                    digest: out.digest.clone(),
-                    events: out.events,
-                    elapsed_ns: out.elapsed_ns,
-                    clean: out.clean,
-                    blame: out.blame.clone(),
-                    metrics: out.metrics.clone(),
-                    cached: hit,
-                    host_ns,
-                };
-                (i, row, hit)
-            },
-            |_| {},
-        );
+        let rows = par_map(&indexed, |&i| {
+            let cell = &cells[i];
+            let fp = &fingerprints[i];
+            let t0 = Instant::now();
+            let (out, hit) = match cache.get(fp).and_then(entry_to_sim) {
+                Some(cached) => (cached, true),
+                None => (simulate(cell, cfg.perturb_loss), false),
+            };
+            let host_ns = t0.elapsed().as_nanos() as u64;
+            pulse.complete(host_ns, hit);
+            let row = RunRow {
+                campaign: cfg.label.clone(),
+                seq: i as u64,
+                scenario: cell.scenario_key(),
+                fingerprint: fp.clone(),
+                axes: cell.axes(cfg.perturb_loss),
+                digest: out.digest.clone(),
+                events: out.events,
+                elapsed_ns: out.elapsed_ns,
+                clean: out.clean,
+                blame: out.blame.clone(),
+                metrics: out.metrics.clone(),
+                cached: hit,
+                host_ns,
+            };
+            (i, row, hit)
+        });
         stop.store(true, Ordering::Relaxed);
         if let Some(t) = ticker {
             let _ = t.join();

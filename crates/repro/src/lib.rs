@@ -2,8 +2,7 @@
 //! that other crates (the `bench` harness, integration tests) drive
 //! programmatically rather than through the CLI.
 //!
-//! - [`par`] — the std-only parallel map every sweep fans out through,
-//!   with its completion-hook/progress surface.
+//! - [`par`] — the std-only parallel map every sweep fans out through.
 //! - [`util`] — tuning levels, topology builders, formatting shared by
 //!   every experiment.
 //! - [`scenario`] — the one builder that assembles topology → tuning →

@@ -4,42 +4,16 @@
 //! work-stealing index over [`std::thread::scope`] replaces the previous
 //! rayon dependency: workers claim the next unclaimed item until the list
 //! is drained, and results land in order-preserving slots.
-//!
-//! [`par_map_with`] adds a completion hook — called exactly once per
-//! item, after its result is stored — which the campaign engine uses for
-//! its live heartbeat and [`Progress`] wraps into a rate-limited
-//! completed/total + ETA line on stderr (off unless you attach it).
 
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
-use std::time::Instant;
 
 /// Apply `f` to every item, fanning out across the machine's cores, and
 /// return the results in input order. A panic in any worker propagates.
 pub fn par_map<T: Sync, R: Send>(items: &[T], f: impl Fn(&T) -> R + Sync) -> Vec<R> {
-    par_map_with(items, f, |_| {})
-}
-
-/// [`par_map`], plus `on_complete(i)` invoked exactly once per item —
-/// after item `i`'s result is in its slot, from the worker that ran it.
-/// Completion order is whatever the workers produce, not input order; the
-/// returned results are still input-ordered.
-pub fn par_map_with<T: Sync, R: Send>(
-    items: &[T],
-    f: impl Fn(&T) -> R + Sync,
-    on_complete: impl Fn(usize) + Sync,
-) -> Vec<R> {
     let n = items.len();
     if n <= 1 {
-        return items
-            .iter()
-            .enumerate()
-            .map(|(i, item)| {
-                let r = f(item);
-                on_complete(i);
-                r
-            })
-            .collect();
+        return items.iter().map(f).collect();
     }
     let workers = std::thread::available_parallelism()
         .map_or(1, |p| p.get())
@@ -54,7 +28,6 @@ pub fn par_map_with<T: Sync, R: Send>(
                     break;
                 }
                 *slots[i].lock().unwrap() = Some(f(&items[i]));
-                on_complete(i);
             });
         }
     });
@@ -68,73 +41,9 @@ pub fn par_map_with<T: Sync, R: Send>(
         .collect()
 }
 
-/// A ready-made completion hook: counts finished items and prints a
-/// `done/total (pct) eta` line to stderr at most once per
-/// `min_interval_secs`. Pass `progress.hook()` as `on_complete`.
-pub struct Progress {
-    total: usize,
-    done: AtomicUsize,
-    started: Instant,
-    /// Minimum milliseconds between printed lines.
-    every_ms: u64,
-    /// Milliseconds since `started` of the last printed line.
-    last_ms: AtomicU64,
-}
-
-impl Progress {
-    /// Track `total` items, printing at most every `min_interval_secs`.
-    pub fn new(total: usize, min_interval_secs: f64) -> Progress {
-        Progress {
-            total,
-            done: AtomicUsize::new(0),
-            started: Instant::now(),
-            every_ms: (min_interval_secs * 1e3) as u64,
-            last_ms: AtomicU64::new(0),
-        }
-    }
-
-    /// Items completed so far.
-    pub fn done(&self) -> usize {
-        self.done.load(Ordering::Relaxed)
-    }
-
-    /// Record one completion; maybe print. This is the completion hook.
-    pub fn tick(&self) {
-        let done = self.done.fetch_add(1, Ordering::Relaxed) + 1;
-        let now_ms = self.started.elapsed().as_millis() as u64;
-        let last = self.last_ms.load(Ordering::Relaxed);
-        let due = now_ms.saturating_sub(last) >= self.every_ms || done == self.total;
-        if !due
-            || self
-                .last_ms
-                .compare_exchange(last, now_ms, Ordering::Relaxed, Ordering::Relaxed)
-                .is_err()
-        {
-            return; // not due yet, or another worker just printed
-        }
-        let secs = now_ms as f64 / 1e3;
-        let eta = if done > 0 {
-            secs / done as f64 * (self.total - done) as f64
-        } else {
-            f64::NAN
-        };
-        eprintln!(
-            "  {done}/{} ({:.0}%) in {secs:.1}s, eta {eta:.1}s",
-            self.total,
-            100.0 * done as f64 / self.total.max(1) as f64
-        );
-    }
-
-    /// The hook closure to hand to [`par_map_with`].
-    pub fn hook(&self) -> impl Fn(usize) + Sync + '_ {
-        move |_| self.tick()
-    }
-}
-
 #[cfg(test)]
 mod tests {
-    use super::{par_map, par_map_with, Progress};
-    use std::sync::atomic::{AtomicUsize, Ordering};
+    use super::par_map;
 
     #[test]
     fn preserves_input_order() {
@@ -147,61 +56,5 @@ mod tests {
     fn empty_and_singleton() {
         assert_eq!(par_map(&[] as &[u32], |&x| x), Vec::<u32>::new());
         assert_eq!(par_map(&[7u32], |&x| x + 1), vec![8]);
-    }
-
-    #[test]
-    fn hook_observes_every_completion_exactly_once() {
-        // Sizes straddling the sequential (n <= 1) and parallel paths.
-        for n in [0usize, 1, 2, 63, 256] {
-            let items: Vec<usize> = (0..n).collect();
-            let seen: Vec<AtomicUsize> = (0..n).map(|_| AtomicUsize::new(0)).collect();
-            let out = par_map_with(
-                &items,
-                |&x| x + 1,
-                |i| {
-                    seen[i].fetch_add(1, Ordering::Relaxed);
-                },
-            );
-            assert_eq!(out, items.iter().map(|x| x + 1).collect::<Vec<_>>());
-            for (i, count) in seen.iter().enumerate() {
-                assert_eq!(
-                    count.load(Ordering::Relaxed),
-                    1,
-                    "item {i} of {n} completed {} times",
-                    count.load(Ordering::Relaxed)
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn hook_runs_after_result_is_stored() {
-        // The hook must be able to see its own item's completion: a
-        // shared counter bumped in f() must already cover item i when the
-        // hook for i fires.
-        let items: Vec<usize> = (0..64).collect();
-        let produced = AtomicUsize::new(0);
-        let violations = AtomicUsize::new(0);
-        par_map_with(
-            &items,
-            |_| {
-                produced.fetch_add(1, Ordering::SeqCst);
-            },
-            |_| {
-                // At least this item's own production happened.
-                if produced.load(Ordering::SeqCst) == 0 {
-                    violations.fetch_add(1, Ordering::SeqCst);
-                }
-            },
-        );
-        assert_eq!(violations.load(Ordering::SeqCst), 0);
-    }
-
-    #[test]
-    fn progress_counts_without_printing_early() {
-        let p = Progress::new(3, 3600.0); // interval long enough to stay silent
-        let items = [1u32, 2, 3];
-        par_map_with(&items, |&x| x, p.hook());
-        assert_eq!(p.done(), 3);
     }
 }

@@ -1,7 +1,7 @@
 #!/bin/sh
 # Staged offline CI for the whole simulator.
 #
-#     scripts/ci.sh [fmt|clippy|build|test|smoke|golden|repro|simbench|blame|profile|ranks|collectives|campaign|all]
+#     scripts/ci.sh [fmt|clippy|build|test|smoke|golden|repro|simbench|kernel|blame|profile|ranks|collectives|campaign|all]
 #
 # Each stage is independently runnable and timed; `all` (the default)
 # runs them in order. The workspace has zero external dependencies, so
@@ -25,6 +25,10 @@
 #           the end-to-end benchmark's own tests pass, and one short
 #           untraced run of each workload reproduces every job's
 #           recorded virtual outputs (`"correct": true`)
+#   kernel  the timings `bench` keeps: the kernel dispatch jobs and the
+#           host profiler's overhead (which `bench` itself gates at
+#           <=5%), compared with the baseline's `kernel/` and `profile/`
+#           rows: events exact, wall clock within 50%
 #   blame   the wait-state/critical-path analyzer emits valid JSON and
 #           dat output, replays its own trace losslessly, and the two
 #           blame guidelines hold
@@ -149,6 +153,16 @@ stage_simbench() {
             exit 1
         fi
     done
+}
+
+stage_kernel() {
+    release_bins
+    ./target/release/bench kernel profile --json target/bench_kernel.json
+    # Compare against the baseline's kernel and profile rows only, so the
+    # campaign rows are not reported as dropped.
+    grep -E '"name": "(kernel|profile)/' BENCH_baseline.json >target/bench_kernel_baseline.json
+    ./target/release/bench compare target/bench_kernel_baseline.json \
+        target/bench_kernel.json --threshold 50
 }
 
 stage_blame() {
@@ -317,17 +331,17 @@ run_stage() {
 }
 
 case "${1:-all}" in
-fmt | clippy | build | test | smoke | golden | repro | simbench | blame | profile | ranks | collectives | campaign)
+fmt | clippy | build | test | smoke | golden | repro | simbench | kernel | blame | profile | ranks | collectives | campaign)
     run_stage "$1"
     ;;
 all)
-    for _s in fmt clippy build test smoke golden repro simbench blame profile ranks collectives campaign; do
+    for _s in fmt clippy build test smoke golden repro simbench kernel blame profile ranks collectives campaign; do
         run_stage "${_s}"
     done
     echo "==> ci: all stages passed"
     ;;
 *)
-    echo "usage: scripts/ci.sh [fmt|clippy|build|test|smoke|golden|repro|simbench|blame|profile|ranks|collectives|campaign|all]" >&2
+    echo "usage: scripts/ci.sh [fmt|clippy|build|test|smoke|golden|repro|simbench|kernel|blame|profile|ranks|collectives|campaign|all]" >&2
     exit 2
     ;;
 esac
