@@ -139,11 +139,18 @@ pub fn compare(
     }
     for (group, mut pcts) in group_pcts {
         pcts.sort_by(|a, b| a.total_cmp(b));
-        let (Some(&worst), Some(&median)) = (pcts.last(), pcts.get(pcts.len() / 2)) else {
+        let Some(&worst) = pcts.last() else {
             cmp.warnings.push(format!(
                 "group {group}: no comparable wall-clock pairs (timing on one side only)"
             ));
             continue;
+        };
+        // An even count has two middle values; the median is their mean.
+        let mid = pcts.len() / 2;
+        let median = if pcts.len() % 2 == 0 {
+            (pcts[mid - 1] + pcts[mid]) / 2.0
+        } else {
+            pcts[mid]
         };
         cmp.group_summaries.push(format!(
             "group {group}: {} compared, median {median:+.1}%, worst {worst:+.1}%",
@@ -217,6 +224,23 @@ mod tests {
         assert!(cmp.group_summaries[0].contains("worst +10.0%"));
         assert!(cmp.group_summaries[1].contains("group b: 1 compared"));
         assert!(cmp.group_summaries[1].contains("worst +100.0%"));
+    }
+
+    #[test]
+    fn even_group_median_lies_between_its_middle_deltas() {
+        // Deltas of +8.9% and +29.0%: the median is their mean, not the
+        // worse of the two.
+        let pair = |x, y| parse_lines(&format!("{}\n{}", line("p/x", x, 1), line("p/y", y, 1)));
+        let (old, new) = (pair(1.0e-3, 1.0e-3), pair(1.089e-3, 1.29e-3));
+        let cmp = compare(&old.unwrap(), &new.unwrap(), 1000.0).unwrap();
+        let summary = &cmp.group_summaries[0];
+        let median = summary
+            .split("median ")
+            .nth(1)
+            .and_then(|r| r.split('%').next());
+        let median: f64 = median.and_then(|m| m.parse().ok()).expect(summary);
+        assert!(8.9 < median && median < 29.0, "{summary}");
+        assert!(summary.contains("worst +29.0%"), "{summary}");
     }
 
     #[test]

@@ -11,14 +11,14 @@
 use std::sync::Arc;
 
 use bench::{grid_job, profile_pingpong, tuned_pair, KERNEL_JOBS};
-use desim::{Analysis, Collector, HostProfiler, Obs, Recorder, RingSink, Sim, SimTime};
+use desim::{Analysis, Collector, HostProfiler, Obs, Recorder, RingSink, Sim};
 use gridapps::Ray2MeshConfig;
-use mpisim::{
-    CollAlgo, CollConfig, CollOp, CollSel, ExecConfig, FaultPlan, FaultPolicy, MpiImpl, MpiJob,
-    RankCtx, HEADER_BYTES,
-};
-use netsim::{grid5000_four_sites, KernelConfig, Network, NodeId, SockBufRequest};
+use mpisim::{CollConfig, CollOp, ExecConfig, FaultPlan, MpiImpl, MpiJob, RankCtx, HEADER_BYTES};
+use netsim::{Grid5000Site, NodeId, SockBufRequest};
 use npb::{NasBenchmark, NasClass, NasRun};
+use repro::catalogue;
+use repro::scenario::{coll_program, coll_sel, ring_program, Scenario};
+use repro::util::TuningLevel;
 
 struct Row {
     /// Every benchmark name that ran this job.
@@ -156,7 +156,11 @@ fn table() -> Vec<Row> {
         row(&["faults/wan_16M_clean"], 1, || send_16m(None)),
         row(&["faults/wan_16M_loss_1e-3"], 1, || send_16m(Some(1e-3))),
         row(&["faults/wan_16M_loss_1e-2"], 1, || send_16m(Some(1e-2))),
-        row(&["faults/ray2mesh_ft_2kills"], 62, ray2mesh_ft),
+        row(&["faults/ray2mesh_ft_2kills"], 62, || {
+            // Fault-tolerant ray2mesh surviving two mid-trace rank kills.
+            let report = catalogue::run("ft_ray2mesh").execute(Obs::none());
+            report.stats.wire_messages
+        }),
         row(&["ranks/ping_ring_64"], 512, || ping_ring(64, 8)),
         row(&["ranks/ping_ring_512_pooled"], 4096, || ping_ring(512, 8)),
         row(&["ranks/npb_ep_1024"], 62463, npb_ep_1024),
@@ -348,17 +352,13 @@ fn coll(name: &'static str, count: u64) -> Row {
     } else {
         CollOp::Allreduce
     };
-    let sel = match algo {
-        "binomial" => CollSel::flat(CollAlgo::Binomial),
-        "pipeline" => CollSel::flat(CollAlgo::Pipeline),
-        "scatter_allgather" => CollSel::flat(CollAlgo::ScatterAllgather),
-        "binomial_2lvl" => CollSel::two_level(CollAlgo::Binomial),
-        "ring" => CollSel::flat(CollAlgo::Ring),
-        "rd" => CollSel::flat(CollAlgo::RecursiveDoubling),
-        "rabenseifner" => CollSel::flat(CollAlgo::Rabenseifner),
-        "ring_2lvl" => CollSel::two_level(CollAlgo::Ring),
-        other => panic!("{name}: unknown algorithm {other}"),
+    // Row names spell recursive doubling `rd` and two-level `_2lvl`.
+    let algo = if algo == "rd" {
+        "recursive_doubling"
+    } else {
+        algo
     };
+    let sel = coll_sel(&algo.replace("_2lvl", "+2lvl"));
     let bytes: u64 = match size {
         "1k" => 1 << 10,
         "64k" => 64 << 10,
@@ -367,23 +367,16 @@ fn coll(name: &'static str, count: u64) -> Row {
     };
     let wan = topo == "wan4";
     row(&[name], count, move || {
-        let (net, placement) = if wan {
-            let (mut topo, _sites, nodes) = grid5000_four_sites(4);
-            topo.set_kernel_all(KernelConfig::tuned(4 << 20));
-            (Network::new(topo), nodes.concat())
+        // TCP-tuned kernels, MPICH2's own thresholds.
+        let level = TuningLevel::TcpTuned;
+        let testbed = if wan {
+            Scenario::four_sites_flat(4, level, MpiImpl::Mpich2)
         } else {
-            let (net, rn, _nn) = tuned_pair(16);
-            (net, rn)
+            Scenario::npb(16, 16, 0, level, MpiImpl::Mpich2)
         };
-        let exec = ExecConfig::new().coll(CollConfig::new().pin_all(op, sel));
-        MpiJob::new(net, placement, MpiImpl::Mpich2)
-            .with_exec(exec)
-            .run(move |mut ctx: RankCtx| async move {
-                match op {
-                    CollOp::Bcast => ctx.bcast(0, bytes).await,
-                    _ => ctx.allreduce(bytes).await,
-                }
-            })
+        testbed
+            .exec(ExecConfig::new().coll(CollConfig::new().pin_all(op, sel)))
+            .run(coll_program(op, bytes, 1))
             .expect("collective completes")
             .stats
             .wire_messages
@@ -399,40 +392,11 @@ fn npb_8_8(bench: NasBenchmark) -> u64 {
         .wire_messages
 }
 
-/// The four-site ray2mesh placement: the master on the first site's
-/// first node, then every site's `per_site` nodes.
-fn four_sites(per_site: usize) -> (Network, Vec<NodeId>) {
-    let (mut topo, _sites, nodes) = grid5000_four_sites(per_site);
-    topo.set_kernel_all(KernelConfig::tuned(4 << 20));
-    let placement = std::iter::once(nodes[0][0]).chain(nodes.concat()).collect();
-    (Network::new(topo), placement)
-}
-
 /// The ray2mesh application model (Tables 6/7), 8 slaves per site.
 fn ray2mesh_small() -> u64 {
-    let (net, placement) = four_sites(8);
-    MpiJob::new(net, placement, MpiImpl::GridMpi)
+    Scenario::four_sites(8, Grid5000Site::ALL[0], MpiImpl::GridMpi)
         .run(Ray2MeshConfig::small().program())
         .expect("ray2mesh completes")
-        .stats
-        .wire_messages
-}
-
-/// Fault-tolerant ray2mesh surviving two mid-trace rank kills.
-fn ray2mesh_ft() -> u64 {
-    let cfg = Ray2MeshConfig {
-        total_rays: 20_000,
-        ..Ray2MeshConfig::small()
-    };
-    let plan = FaultPlan::new()
-        .with_seed(7)
-        .kill_rank(3, SimTime::from_nanos(1_000_000_000))
-        .kill_rank(6, SimTime::from_nanos(2_000_000_000));
-    let (net, placement) = four_sites(2);
-    MpiJob::new(net, placement, MpiImpl::GridMpi)
-        .with_faults(plan)
-        .run(cfg.program_ft(FaultPolicy::grid_default()))
-        .expect("FT ray2mesh completes")
         .stats
         .wire_messages
 }
@@ -440,24 +404,8 @@ fn ray2mesh_ft() -> u64 {
 /// `ranks` ranks in contiguous blocks over the tuned 8+8 testbed, each
 /// exchanging `rounds` 1 kB messages with its ring neighbours.
 fn ping_ring(ranks: usize, rounds: u32) -> u64 {
-    let (net, rn, nn) = tuned_pair(8);
-    let nodes: Vec<NodeId> = rn.into_iter().chain(nn).collect();
-    let placement = (0..ranks)
-        .map(|r| nodes[r * nodes.len() / ranks.max(nodes.len())])
-        .collect();
-    MpiJob::new(net, placement, MpiImpl::Mpich2)
-        .with_tuning(mpisim::Tuning::paper_tuned(MpiImpl::Mpich2))
-        .run(move |mut ctx: RankCtx| async move {
-            const TAG: u64 = 7;
-            let right = (ctx.rank() + 1) % ctx.size();
-            let left = (ctx.rank() + ctx.size() - 1) % ctx.size();
-            for _ in 0..rounds {
-                ctx.sendrecv(right, 1024, left, TAG).await;
-            }
-        })
-        .expect("ring completes")
-        .stats
-        .wire_messages
+    let report = Scenario::ring(ranks).run(ring_program(rounds));
+    report.expect("ring completes").stats.wire_messages
 }
 
 /// NPB EP class S on 1024 ranks dealt round robin over the 8+8 testbed.

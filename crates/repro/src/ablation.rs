@@ -13,12 +13,12 @@
 //! * **BTL window cap** — OpenMPI with the pipeline cap removed matches
 //!   the other implementations at 64 MB.
 
-use mpisim::{BcastAlgo, ImplProfile, MpiImpl, MpiJob, RankCtx, Tuning};
+use mpisim::{BcastAlgo, CollOp, ImplProfile, MpiImpl, Tuning};
 use netsim::{grid5000_pair_with_queue, CongestionControl, KernelConfig, Network};
 
-use crate::scenario::{min_one_way, pingpong_program};
+use crate::scenario::{coll_program, min_one_way, pingpong_program, Scenario};
 use crate::slowstart::{series_points, time_to};
-use crate::util::{mbps, npb_placement};
+use crate::util::{mbps, TuningLevel};
 
 /// Seconds until a train of 1 MB messages first reaches 500 Mbps
 /// one-way (slow-start ramp probe).
@@ -35,8 +35,8 @@ fn ramp_time_to_500(
     kernel.congestion_control = cc;
     topo.set_kernel_all(kernel);
     let bytes = 1u64 << 20;
-    let report = MpiJob::new(Network::new(topo), vec![rn[0], nn[0]], profile.impl_id)
-        .with_profile(profile)
+    let report = Scenario::custom(Network::new(topo), vec![rn[0], nn[0]], profile.impl_id)
+        .profile(profile)
         .run(pingpong_program(bytes, 200))
         .expect("ramp probe completes");
     time_to(&series_points(bytes, &report), 500.0)
@@ -90,19 +90,17 @@ pub fn cmd_ablation() {
         for split in [false, true] {
             let mut profile = ImplProfile::gridmpi();
             profile.collectives.bcast = algo;
-            let kernel = KernelConfig::tuned_with_default(4 << 20, 4 << 20);
-            let (net, placement) = if split {
-                npb_placement(8, 8, 8, kernel)
+            // TCP-tuned kernels and no MPI tuning: the profile's own
+            // thresholds hold.
+            let level = TuningLevel::TcpTuned;
+            let scenario = if split {
+                Scenario::npb(8, 8, 8, level, MpiImpl::GridMpi)
             } else {
-                npb_placement(16, 16, 0, kernel)
+                Scenario::npb(16, 16, 0, level, MpiImpl::GridMpi)
             };
-            let report = MpiJob::new(net, placement, MpiImpl::GridMpi)
-                .with_profile(profile)
-                .run(|mut ctx: RankCtx| async move {
-                    for _ in 0..10 {
-                        ctx.bcast(0, 128 << 10).await;
-                    }
-                })
+            let report = scenario
+                .profile(profile)
+                .run(coll_program(CollOp::Bcast, 128 << 10, 10))
                 .expect("bcast ablation completes");
             t_by_layout.push(report.elapsed.as_secs_f64() / 10.0 * 1e3);
         }
@@ -122,9 +120,9 @@ pub fn cmd_ablation() {
         let (mut topo, rn, nn) = grid5000_pair_with_queue(1, 512 << 10);
         topo.set_kernel_all(KernelConfig::tuned(4 << 20));
         let bytes = 64u64 << 20;
-        let report = MpiJob::new(Network::new(topo), vec![rn[0], nn[0]], MpiImpl::OpenMpi)
-            .with_profile(profile)
-            .with_tuning(Tuning::paper_tuned(MpiImpl::OpenMpi))
+        let report = Scenario::custom(Network::new(topo), vec![rn[0], nn[0]], MpiImpl::OpenMpi)
+            .profile(profile)
+            .tuning(Tuning::paper_tuned(MpiImpl::OpenMpi))
             .run(pingpong_program(bytes, 8))
             .expect("cap ablation completes");
         println!(

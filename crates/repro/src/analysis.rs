@@ -4,14 +4,15 @@
 use std::sync::Arc;
 
 use desim::obs::analysis::ascii_timeline;
-use desim::{Analysis, Collector, Event, Obs, Recorder, Tee};
+use desim::{Analysis, Collector, Event, Recorder, Tee};
 use gridapps::Ray2MeshConfig;
-use mpisim::{MpiImpl, MpiJob};
-use netsim::{grid5000_four_sites, KernelConfig, Network};
+use mpisim::MpiImpl;
+use netsim::{Grid5000Site, Network};
 use npb::{NasBenchmark, NasClass, NasRun};
 use placer::{optimize_master, CommProfile};
 
-use crate::util::{npb_placement, TuningLevel};
+use crate::scenario::Scenario;
+use crate::util::TuningLevel;
 
 /// `repro trace <BENCH>`: run one kernel on the 8+8 grid with a
 /// [`Collector`] on the MPI span stream and print the per-rank activity
@@ -21,9 +22,8 @@ pub fn cmd_trace(bench: NasBenchmark) {
         "Trace: {} class A, 8+8 grid, GridMPI — per-rank activity",
         bench.name()
     ));
-    let level = TuningLevel::FullyTuned;
-    let (net, placement) = npb_placement(8, 8, 8, level.kernel(Some(MpiImpl::GridMpi)));
-    let ranks = placement.len();
+    let scenario = Scenario::npb(8, 8, 8, TuningLevel::FullyTuned, MpiImpl::GridMpi);
+    let ranks = scenario.placement().len();
     let run = NasRun::quick(bench, NasClass::A);
     let obs = crate::obs_sink();
     let collector = Arc::new(Collector::new());
@@ -31,9 +31,8 @@ pub fn cmd_trace(bench: NasBenchmark) {
         Some((sink, _)) => Arc::new(Tee::new(vec![collector.clone(), sink.clone()])),
         None => collector.clone(),
     };
-    let report = MpiJob::new(net, placement, MpiImpl::GridMpi)
-        .with_tuning(level.tuning(MpiImpl::GridMpi))
-        .with_obs(Obs::none().recorder(recorder))
+    let report = scenario
+        .recorder(recorder)
         .run(run.program())
         .expect("traced run completes");
     if let Some((sink, metrics)) = &obs {
@@ -87,18 +86,15 @@ pub fn cmd_utilization() {
     for bench in [NasBenchmark::Ft, NasBenchmark::Is, NasBenchmark::Cg] {
         print!("{:<6}", bench.name());
         for id in [MpiImpl::Mpich2, MpiImpl::GridMpi, MpiImpl::MpichMadeleine] {
-            let level = TuningLevel::FullyTuned;
-            let (net, placement) = npb_placement(8, 8, 8, level.kernel(Some(id)));
-            let run = NasRun::quick(bench, NasClass::A);
-            let net2 = net.clone();
-            MpiJob::new(net, placement, id)
-                .with_tuning(level.tuning(id))
-                .run(run.program())
+            let scenario = Scenario::npb(8, 8, 8, TuningLevel::FullyTuned, id);
+            let net = scenario.network();
+            scenario
+                .run(NasRun::quick(bench, NasClass::A).program())
                 .expect("utilization run completes");
-            let wan_bytes: f64 = net2
+            let wan_bytes: f64 = net
                 .with_topology(|t| t.wan_links()) // (from, to, link)
                 .iter()
-                .map(|&(_, _, l)| net2.link_delivered(l))
+                .map(|&(_, _, l)| net.link_delivered(l))
                 .sum();
             print!("{:>14.1}", wan_bytes / 1e6);
         }
@@ -116,11 +112,8 @@ pub fn cmd_placement() {
     let level = TuningLevel::FullyTuned;
     for bench in [NasBenchmark::Cg, NasBenchmark::Mg] {
         // 1. Profile on a single cluster (placement-neutral).
-        let (net, cluster_placement) =
-            npb_placement(16, 16, 0, level.kernel(Some(MpiImpl::GridMpi)));
         let run = NasRun::quick(bench, NasClass::A);
-        let report = MpiJob::new(net, cluster_placement, MpiImpl::GridMpi)
-            .with_tuning(level.tuning(MpiImpl::GridMpi))
+        let report = Scenario::npb(16, 16, 0, level, MpiImpl::GridMpi)
             .run(run.program())
             .expect("profiling run completes");
         let profile = CommProfile::from_stats(16, &report.stats);
@@ -128,23 +121,19 @@ pub fn cmd_placement() {
         // 2. Start from the *worst reasonable* assignment — ranks
         // alternating between sites, the layout a site-oblivious scheduler
         // could produce — and let the optimizer repair it.
-        let (topo, rn, nn) = netsim::grid5000_pair(8);
-        let mut topo = topo;
-        topo.set_kernel_all(level.kernel(Some(MpiImpl::GridMpi)));
-        let mut block = rn.clone();
-        block.extend(nn.clone());
-        let interleaved: Vec<netsim::NodeId> = rn
-            .iter()
-            .zip(nn.iter())
-            .flat_map(|(&a, &b)| [a, b])
-            .collect();
+        let testbed = Scenario::npb(8, 8, 8, level, MpiImpl::GridMpi);
+        let topo = testbed.network().with_topology(|t| t.clone());
+        let block = testbed.placement().to_vec();
+        let (rn, nn) = block.split_at(8);
+        let interleaved: Vec<netsim::NodeId> =
+            rn.iter().zip(nn).flat_map(|(&a, &b)| [a, b]).collect();
         let result = placer::optimize_detailed(&topo, &interleaved, &profile);
 
         // 3. Verify by simulation.
         let simulate = |placement: Vec<netsim::NodeId>| -> f64 {
             let run = NasRun::new(bench, NasClass::A);
-            let report = MpiJob::new(Network::new(topo.clone()), placement, MpiImpl::GridMpi)
-                .with_tuning(level.tuning(MpiImpl::GridMpi))
+            let report = Scenario::custom(Network::new(topo.clone()), placement, MpiImpl::GridMpi)
+                .tuning(level.tuning(MpiImpl::GridMpi))
                 .run(run.program())
                 .expect("verification run completes");
             run.estimate(&report).as_secs_f64()
@@ -171,18 +160,14 @@ pub fn cmd_placement() {
         total_rays: 50_000,
         ..Ray2MeshConfig::small()
     };
-    let (mut topo, _sites, nodes) = grid5000_four_sites(8);
-    topo.set_kernel_all(KernelConfig::tuned(4 << 20));
-    let mut placement = vec![nodes[0][0]];
-    for site_nodes in &nodes {
-        placement.extend(site_nodes.iter().copied());
-    }
-    let workers: Vec<netsim::NodeId> = placement[1..].to_vec();
-    let report = MpiJob::new(Network::new(topo.clone()), placement, MpiImpl::GridMpi)
+    let scenario = Scenario::four_sites(8, Grid5000Site::ALL[0], MpiImpl::GridMpi);
+    let topo = scenario.network().with_topology(|t| t.clone());
+    let workers: Vec<netsim::NodeId> = scenario.placement()[1..].to_vec();
+    let report = scenario
         .run(cfg.program())
         .expect("ray2mesh profile run completes");
     let profile = CommProfile::from_stats(33, &report.stats);
-    let masters: Vec<netsim::NodeId> = nodes.iter().map(|n| n[0]).collect();
+    let masters: Vec<netsim::NodeId> = workers.chunks(8).map(|site| site[0]).collect();
     for (node, cost) in optimize_master(&topo, &masters, &workers, &profile) {
         let site = topo.site_name(topo.site_of(node)).to_string();
         println!("  master at {site:<10} predicted cost {cost:10.2}");
@@ -210,13 +195,7 @@ pub fn cmd_scaling() {
             merge_gflop: 32.0,
             ..Ray2MeshConfig::small()
         };
-        let (mut topo, _sites, nodes) = grid5000_four_sites(per_site);
-        topo.set_kernel_all(KernelConfig::tuned(4 << 20));
-        let mut placement = vec![nodes[0][0]];
-        for site_nodes in &nodes {
-            placement.extend(site_nodes.iter().copied());
-        }
-        let report = MpiJob::new(Network::new(topo), placement, MpiImpl::GridMpi)
+        let report = Scenario::four_sites(per_site, Grid5000Site::ALL[0], MpiImpl::GridMpi)
             .run(cfg.program())
             .expect("scaling run completes");
         let compute = report.values("compute_secs")[0].1;

@@ -20,13 +20,12 @@ use std::path::PathBuf;
 
 use desim::obs::json::Value;
 use desim::SimTime;
-use mpisim::{CollAlgo, CollConfig, CollOp, CollSel, ExecConfig, MpiImpl, RankCtx};
-use netsim::{grid5000_four_sites, grid5000_pair, Network, NodeId};
+use mpisim::{CollAlgo, CollConfig, CollOp, CollSel, ExecConfig, MpiImpl};
 use repro::cache::{self, fnv1a64};
 
 use crate::cli::Args;
 use crate::par::par_map;
-use crate::scenario::Scenario;
+use crate::scenario::{coll_program, Scenario};
 use crate::util::{size_label, TuningLevel};
 
 /// Rank count for every sweep cell (the paper's 16-node testbeds).
@@ -56,29 +55,23 @@ impl Topo {
         }
     }
 
-    fn build(self, level: TuningLevel) -> (Network, Vec<NodeId>) {
-        let kernel = level.kernel(Some(MpiImpl::Mpich2));
+    /// The MPICH2 testbed with `level`'s kernel and MPI tuning, every
+    /// run bounded by a generous virtual deadline.
+    fn scenario(self, level: TuningLevel) -> Scenario {
+        let id = MpiImpl::Mpich2;
         match self {
-            Topo::Lan => {
-                let (mut topo, rn, _nn) = grid5000_pair(RANKS);
-                topo.set_kernel_all(kernel);
-                (Network::new(topo), rn)
-            }
-            Topo::Wan4 => {
-                let (mut topo, _sites, nodes) = grid5000_four_sites(RANKS / 4);
-                topo.set_kernel_all(kernel);
-                let placement: Vec<NodeId> = nodes.into_iter().flatten().collect();
-                (Network::new(topo), placement)
-            }
+            Topo::Lan => Scenario::npb(RANKS, RANKS, 0, level, id),
+            Topo::Wan4 => Scenario::four_sites_flat(RANKS / 4, level, id),
         }
+        .deadline(SimTime::from_nanos(600_000_000_000))
     }
 }
 
 /// The tuned 16-rank testbeds, shared with the collective guideline
 /// checks: one Rennes cluster, or 4 ranks on each of the four sites.
-pub(crate) fn testbed(wan: bool) -> (Network, Vec<NodeId>) {
+pub(crate) fn testbed(wan: bool) -> Scenario {
     let topo = if wan { Topo::Wan4 } else { Topo::Lan };
-    topo.build(TuningLevel::FullyTuned)
+    topo.scenario(TuningLevel::FullyTuned)
 }
 
 /// An MPI software profile to tune for.
@@ -170,22 +163,12 @@ impl Cell {
 
     /// Virtual seconds for `ROUNDS` back-to-back collectives.
     fn measure(&self) -> f64 {
-        let level = PROFILES[self.profile].level;
-        let (net, placement) = self.topo.build(level);
         let coll = CollConfig::new().pin_all(self.op, self.sel);
-        let (op, bytes) = (self.op, self.bytes);
-        let report = Scenario::custom(net, placement, MpiImpl::Mpich2)
-            .tuning(level.tuning(MpiImpl::Mpich2))
+        let report = self
+            .topo
+            .scenario(PROFILES[self.profile].level)
             .exec(ExecConfig::new().coll(coll))
-            .deadline(SimTime::from_nanos(600_000_000_000))
-            .run(move |mut ctx: RankCtx| async move {
-                for _ in 0..ROUNDS {
-                    match op {
-                        CollOp::Bcast => ctx.bcast(0, bytes).await,
-                        _ => ctx.allreduce(bytes).await,
-                    }
-                }
-            })
+            .run(coll_program(self.op, self.bytes, ROUNDS))
             .unwrap_or_else(|e| panic!("autotune cell {} did not complete: {e:?}", self.desc()));
         assert!(report.clean, "autotune cell {} left messages", self.desc());
         report.elapsed.as_secs_f64()

@@ -34,15 +34,11 @@ use desim::obs::json::{self, Value};
 use desim::obs::ledger::{RunRow, SCHEMA};
 use desim::obs::{CountingSink, DigestSink, Recorder, Tee};
 use desim::{Metrics, SimTime, StreamHist, Windowed};
-use mpisim::{
-    CollAlgo, CollConfig, CollOp, CollSel, ExecConfig, FaultPlan, MpiImpl, MpiProgram, RankCtx,
-    HEADER_BYTES,
-};
-use netsim::{grid5000_four_sites, grid5000_pair, Network, NodeId};
+use mpisim::{CollConfig, CollOp, ExecConfig, FaultPlan, MpiImpl, MpiProgram, HEADER_BYTES};
 
 use crate::cache::{self, fnv1a64};
 use crate::par::par_map;
-use crate::scenario::{pingpong_program, Scenario};
+use crate::scenario::{coll_program, coll_sel, pingpong_program, ring_program, Scenario};
 use crate::util::{Scope, TuningLevel};
 
 /// Bump to invalidate every cached campaign result.
@@ -347,54 +343,21 @@ fn simulate(cell: &Cell, perturb_loss: f64) -> SimOut {
     let scenario = scenario_for(cell, loss);
     match cell.kind {
         Workload::PingPong { bytes, iters } => run_with(scenario, pingpong_program(bytes, iters)),
-        Workload::Coll { op, bytes, rounds } => {
-            run_with(scenario, move |mut ctx: RankCtx| async move {
-                for _ in 0..rounds {
-                    match op {
-                        CollOp::Bcast => ctx.bcast(0, bytes).await,
-                        _ => ctx.allreduce(bytes).await,
-                    }
-                }
-            })
-        }
-        Workload::Ring { rounds } => run_with(scenario, move |mut ctx: RankCtx| async move {
-            const TAG: u64 = 7;
-            let right = (ctx.rank() + 1) % ctx.size();
-            let left = (ctx.rank() + ctx.size() - 1) % ctx.size();
-            for _ in 0..rounds {
-                ctx.sendrecv(right, 1024, left, TAG).await;
-            }
-        }),
+        Workload::Coll { op, bytes, rounds } => run_with(scenario, coll_program(op, bytes, rounds)),
+        Workload::Ring { rounds } => run_with(scenario, ring_program(rounds)),
     }
 }
 
 /// Topology + tuning + exec + faults for one cell. `loss` is the
 /// effective rate (spec axis + perturbation).
 fn scenario_for(cell: &Cell, loss: f64) -> Scenario {
-    let kernel = cell.level.kernel(Some(cell.impl_id));
+    let (level, id) = (cell.level, cell.impl_id);
     let base = match cell.net {
-        Net::Cluster => Scenario::pair(Scope::Cluster, cell.level, cell.impl_id),
-        Net::Grid => Scenario::pair(Scope::Grid, cell.level, cell.impl_id),
-        Net::Lan8 => {
-            let (mut topo, rn, _nn) = grid5000_pair(8);
-            topo.set_kernel_all(kernel);
-            Scenario::custom(Network::new(topo), rn, cell.impl_id)
-                .tuning(cell.level.tuning(cell.impl_id))
-        }
-        Net::Wan4 => {
-            let (mut topo, _sites, nodes) = grid5000_four_sites(2);
-            topo.set_kernel_all(kernel);
-            let placement: Vec<NodeId> = nodes.into_iter().flatten().collect();
-            Scenario::custom(Network::new(topo), placement, cell.impl_id)
-                .tuning(cell.level.tuning(cell.impl_id))
-        }
-        Net::Pair16 => {
-            let (mut topo, rn, nn) = grid5000_pair(8);
-            topo.set_kernel_all(kernel);
-            let placement: Vec<NodeId> = rn.into_iter().chain(nn).collect();
-            Scenario::custom(Network::new(topo), placement, cell.impl_id)
-                .tuning(cell.level.tuning(cell.impl_id))
-        }
+        Net::Cluster => Scenario::pair(Scope::Cluster, level, id),
+        Net::Grid => Scenario::pair(Scope::Grid, level, id),
+        Net::Lan8 => Scenario::npb(8, 8, 0, level, id),
+        Net::Wan4 => Scenario::four_sites_flat(2, level, id),
+        Net::Pair16 => Scenario::npb(8, 8, 8, level, id),
     };
     let mut exec = ExecConfig::new();
     if cell.coll != "default" {
@@ -402,20 +365,7 @@ fn scenario_for(cell: &Cell, loss: f64) -> Scenario {
             Workload::Coll { op, .. } => op,
             _ => unreachable!("coll pin on a non-collective workload"),
         };
-        let (algo_name, two_level) = match cell.coll.strip_suffix("+2lvl") {
-            Some(flat) => (flat, true),
-            None => (cell.coll, false),
-        };
-        let algo = match algo_name {
-            "binomial" => CollAlgo::Binomial,
-            "ring" => CollAlgo::Ring,
-            other => panic!("unknown collective pin {other:?}"),
-        };
-        let sel = if two_level {
-            CollSel::two_level(algo)
-        } else {
-            CollSel::flat(algo)
-        };
+        let sel = coll_sel(cell.coll);
         exec = exec.coll(CollConfig::new().pin_all(op, sel));
     }
     let mut scenario = base.exec(exec).deadline(SimTime::from_nanos(DEADLINE_NS));

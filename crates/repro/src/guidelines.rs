@@ -8,17 +8,12 @@
 //! that re-records goldens but breaks a guideline is changing the
 //! physics, not the bookkeeping — this gate names which claim died.
 
-use desim::SimTime;
-use gridapps::Ray2MeshConfig;
-use mpisim::{
-    CollAlgo, CollConfig, CollOp, CollSel, ExecConfig, FaultPlan, FaultPolicy, MpiImpl, MpiProgram,
-    RankCtx,
-};
-use netsim::Grid5000Site;
+use desim::obs::Obs;
+use mpisim::{CollAlgo, CollConfig, CollOp, CollSel, ExecConfig, MpiImpl, MpiProgram, RankCtx};
 
 use crate::cli::Args;
 use crate::pingpong::{pingpong, Stack};
-use crate::scenario::Scenario;
+use crate::scenario::{coll_program, Scenario};
 use crate::util::{size_label, Scope, TuningLevel};
 
 /// One verified guideline: a stable name, the paper claim it encodes, and
@@ -137,17 +132,8 @@ fn tuning_beats_untuned() -> Result<String, String> {
 /// workers mid-trace loses zero work sets: the master reclaims and
 /// reissues every set owned by a dead worker, and the run completes.
 fn ft_loses_no_work() -> Result<String, String> {
-    let cfg = Ray2MeshConfig {
-        total_rays: 20_000,
-        ..Ray2MeshConfig::small()
-    };
-    let plan = FaultPlan::new()
-        .with_seed(7)
-        .kill_rank(3, SimTime::from_nanos(1_000_000_000))
-        .kill_rank(6, SimTime::from_nanos(2_000_000_000));
-    let report = Scenario::four_sites(2, Grid5000Site::ALL[0], MpiImpl::GridMpi)
-        .faults(plan)
-        .run(cfg.program_ft(FaultPolicy::grid_default()))
+    let report = crate::catalogue::run("ft_ray2mesh")
+        .try_execute(Obs::none())
         .map_err(|e| format!("FT ray2mesh did not complete: {e}"))?;
     let value = |key: &str| report.values(key).first().map_or(f64::NAN, |&(_, v)| v);
     let (lost, reissued, survivors) = (
@@ -201,8 +187,8 @@ fn blame_slow_start_share() -> Result<String, String> {
 /// rendezvous blames at least one extra WAN RTT of handshake over forced
 /// eager.
 fn blame_rndv_handshake() -> Result<String, String> {
-    let (topo, rn, nn) = netsim::grid5000_pair(8);
-    let rtt = topo.route(rn[0], nn[0]).rtt.as_secs_f64();
+    let wan = Scenario::pair(Scope::Grid, TuningLevel::Default, MpiImpl::Mpich2);
+    let rtt = wan.route(0, 1).rtt.as_secs_f64();
     let (eager, rndv) = crate::blame::handshake_split();
     let extra = rndv - eager;
     if extra < rtt {
@@ -227,11 +213,8 @@ fn blame_rndv_handshake() -> Result<String, String> {
 /// Virtual elapsed seconds for `program` on the tuned 16-rank testbed
 /// (LAN cluster or four-site WAN), with `coll` pinning algorithms.
 fn coll_elapsed(wan: bool, coll: CollConfig, program: impl MpiProgram) -> f64 {
-    let (net, placement) = crate::autotune::testbed(wan);
-    Scenario::custom(net, placement, MpiImpl::Mpich2)
-        .tuning(TuningLevel::FullyTuned.tuning(MpiImpl::Mpich2))
+    crate::autotune::testbed(wan)
         .exec(ExecConfig::new().coll(coll))
-        .deadline(SimTime::from_nanos(600_000_000_000))
         .run(program)
         .expect("collective guideline run completes")
         .elapsed
@@ -259,11 +242,7 @@ fn coll_bcast_le_scatter_allgather() -> Result<String, String> {
         coll_elapsed(
             false,
             CollConfig::new().pin_all(CollOp::Bcast, CollSel::flat(algo)),
-            move |mut ctx: RankCtx| async move {
-                for _ in 0..4 {
-                    ctx.bcast(0, bytes).await;
-                }
-            },
+            coll_program(CollOp::Bcast, bytes, 4),
         )
     })
     .fold(f64::INFINITY, f64::min);
@@ -298,11 +277,7 @@ fn coll_allreduce_le_reduce_bcast() -> Result<String, String> {
     let fused = coll_elapsed(
         false,
         CollConfig::new(),
-        move |mut ctx: RankCtx| async move {
-            for _ in 0..4 {
-                ctx.allreduce(bytes).await;
-            }
-        },
+        coll_program(CollOp::Allreduce, bytes, 4),
     );
     let split = coll_elapsed(
         false,
@@ -353,11 +328,7 @@ fn coll_monotone_in_size() -> Result<String, String> {
             coll_elapsed(
                 false,
                 CollConfig::new().pin_all(CollOp::Bcast, CollSel::flat(CollAlgo::Binomial)),
-                move |mut ctx: RankCtx| async move {
-                    for _ in 0..2 {
-                        ctx.bcast(0, bytes).await;
-                    }
-                },
+                coll_program(CollOp::Bcast, bytes, 2),
             )
         })
         .collect();
@@ -368,11 +339,7 @@ fn coll_monotone_in_size() -> Result<String, String> {
             coll_elapsed(
                 false,
                 CollConfig::new().pin_all(CollOp::Allreduce, CollSel::flat(CollAlgo::Ring)),
-                move |mut ctx: RankCtx| async move {
-                    for _ in 0..2 {
-                        ctx.allreduce(bytes).await;
-                    }
-                },
+                coll_program(CollOp::Allreduce, bytes, 2),
             )
         })
         .collect();
@@ -390,11 +357,7 @@ fn coll_two_level_le_flat_wan() -> Result<String, String> {
         coll_elapsed(
             true,
             CollConfig::new().pin_all(CollOp::Bcast, sel),
-            move |mut ctx: RankCtx| async move {
-                for _ in 0..4 {
-                    ctx.bcast(0, bytes).await;
-                }
-            },
+            coll_program(CollOp::Bcast, bytes, 4),
         )
     };
     let mut parts = Vec::new();

@@ -9,11 +9,11 @@
 //! per-message management overhead to find the break-even point.
 
 use desim::SimDuration;
-use mpisim::{ImplProfile, MpiImpl, MpiJob, Tuning};
+use mpisim::{ImplProfile, MpiImpl, Tuning};
 use netsim::{FastLanParams, KernelConfig, Network, NodeId, Topology};
 use npb::{NasBenchmark, NasClass, NasRun};
 
-use crate::scenario::{min_one_way, pingpong_program};
+use crate::scenario::{min_one_way, pingpong_program, Scenario};
 use crate::util::mbps;
 
 /// The Fig. 2 testbed with Myrinet alongside Ethernet in both sites.
@@ -58,9 +58,9 @@ fn madeleine_with_fabric(gateway_overhead: Option<SimDuration>) -> ImplProfile {
 
 fn lan_pingpong_us(profile: ImplProfile, bytes: u64) -> f64 {
     let (topo, rn, _) = myrinet_pair(2);
-    let report = MpiJob::new(Network::new(topo), vec![rn[0], rn[1]], profile.impl_id)
-        .with_profile(profile)
-        .with_tuning(Tuning::paper_tuned(MpiImpl::MpichMadeleine))
+    let report = Scenario::custom(Network::new(topo), vec![rn[0], rn[1]], profile.impl_id)
+        .profile(profile)
+        .tuning(Tuning::paper_tuned(MpiImpl::MpichMadeleine))
         .run(pingpong_program(bytes, 10))
         .expect("fabric pingpong completes");
     min_one_way(&report) * 1e6
@@ -71,9 +71,9 @@ fn nas_secs(bench: NasBenchmark, profile: ImplProfile) -> f64 {
     let mut placement = rn;
     placement.extend(nn);
     let run = NasRun::new(bench, NasClass::B);
-    let report = MpiJob::new(Network::new(topo), placement, profile.impl_id)
-        .with_profile(profile)
-        .with_tuning(Tuning::paper_tuned(MpiImpl::MpichMadeleine))
+    let report = Scenario::custom(Network::new(topo), placement, profile.impl_id)
+        .profile(profile)
+        .tuning(Tuning::paper_tuned(MpiImpl::MpichMadeleine))
         .run(run.program())
         .expect("fabric NAS run completes");
     run.estimate(&report).as_secs_f64()

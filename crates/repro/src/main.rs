@@ -6,7 +6,6 @@ mod ablation;
 mod analysis;
 mod autotune;
 mod blame;
-mod catalogue;
 mod cli;
 mod faults;
 mod g2;
@@ -15,7 +14,6 @@ mod guidelines;
 mod heterogeneity;
 mod ledgercli;
 mod methodology;
-mod nas;
 mod pingpong;
 mod profile;
 mod rays;
@@ -24,7 +22,7 @@ mod slowstart;
 // The sweep/scenario layer lives in the `repro` library (shared with
 // `bench` and the integration tests); re-export it so the binary's
 // modules keep their `crate::par::...` paths.
-pub(crate) use repro::{par, scenario, util};
+pub(crate) use repro::{catalogue, nas, par, scenario, util};
 
 use gridapps::Ray2MeshConfig;
 use mpisim::MpiImpl;
@@ -204,23 +202,10 @@ fn main() {
 fn cmd_ring(args: &cli::Args) {
     let ranks = args.num("--ranks").map_or(4096, |n| n as usize);
     let rounds = args.num("--rounds").map_or(4, |n| n as u32);
-    let (mut topo, rn, nn) = netsim::grid5000_pair(8);
-    topo.set_kernel_all(netsim::KernelConfig::tuned(4 << 20));
-    let nodes: Vec<netsim::NodeId> = rn.into_iter().chain(nn).collect();
-    let placement: Vec<netsim::NodeId> = (0..ranks)
-        .map(|r| nodes[r * nodes.len() / ranks.max(nodes.len())])
-        .collect();
+    let ring = scenario::Scenario::ring(ranks);
     let wall = std::time::Instant::now();
-    let report = mpisim::MpiJob::new(netsim::Network::new(topo), placement, MpiImpl::Mpich2)
-        .with_tuning(mpisim::Tuning::paper_tuned(MpiImpl::Mpich2))
-        .run(move |mut ctx: mpisim::RankCtx| async move {
-            const TAG: u64 = 7;
-            let right = (ctx.rank() + 1) % ctx.size();
-            let left = (ctx.rank() + ctx.size() - 1) % ctx.size();
-            for _ in 0..rounds {
-                ctx.sendrecv(right, 1024, left, TAG).await;
-            }
-        })
+    let report = ring
+        .run(scenario::ring_program(rounds))
         .expect("ring completes");
     let wall = wall.elapsed().as_secs_f64();
     println!("# Rank-scale ring ({ranks} ranks x {rounds} rounds)");
@@ -474,8 +459,8 @@ pub(crate) fn header(title: &str) {
 
 fn cmd_testbed() {
     header("Testbed (Figures 1, 2 and 8): Grid'5000 model");
-    let (topo, rn, nn) = netsim::grid5000_pair(8);
-    let p = topo.route(rn[0], nn[0]);
+    let p =
+        scenario::Scenario::pair(Scope::Grid, TuningLevel::Default, MpiImpl::Mpich2).route(0, 1);
     println!(
         "Rennes <-> Nancy: RTT {:.1} ms, per-flow bottleneck {:.0} Mbps (1 GbE NIC), WAN 10 GbE",
         p.rtt.as_secs_f64() * 1e3,

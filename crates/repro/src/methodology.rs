@@ -9,8 +9,10 @@
 
 use desim::SimDuration;
 use gridapps::SimriConfig;
-use mpisim::{MpiImpl, MpiJob, RankCtx};
-use netsim::{grid5000_pair, KernelConfig, Network};
+use mpisim::{MpiImpl, RankCtx};
+
+use crate::scenario::Scenario;
+use crate::util::{Scope, TuningLevel};
 
 pub fn cmd_perturbation() {
     crate::header("Methodology: min/max filtering under background traffic (§4.1)");
@@ -18,14 +20,13 @@ pub fn cmd_perturbation() {
     println!("1 MB pingpong Rennes->Nancy, 60 round trips, MPICH2 tuned;");
     println!("background: 8 MB cross-flows on the same WAN path every 120 ms\n");
     for (label, with_bg) in [("quiet network", false), ("with cross-traffic", true)] {
-        let (mut topo, rn, nn) = grid5000_pair(2);
-        topo.set_kernel_all(KernelConfig::tuned(4 << 20));
-        let net = Network::new(topo);
-        let job = MpiJob::new(net.clone(), vec![rn[0], nn[0]], MpiImpl::Mpich2)
-            .with_tuning(mpisim::Tuning::paper_tuned(MpiImpl::Mpich2));
-        // The background generator rides the second node pair so only the
+        let scenario = Scenario::pair(Scope::Grid, TuningLevel::FullyTuned, MpiImpl::Mpich2);
+        let net = scenario.network();
+        let (rennes, nancy) = (scenario.placement()[0], scenario.placement()[1]);
+        // The background generator rides Rennes' second node so only the
         // shared WAN link contends.
-        let report = job
+        let spare = net.with_topology(|t| t.nodes_of(t.site_of(rennes))[1]);
+        let report = scenario
             .run_with_setup(
                 move |sim| {
                     if with_bg {
@@ -34,8 +35,8 @@ pub fn cmd_perturbation() {
                         // real shared testbed.
                         net.spawn_background_traffic(
                             sim,
-                            rn[1],
-                            nn[0],
+                            spare,
+                            nancy,
                             8 << 20,
                             SimDuration::from_millis(120),
                             60,
@@ -85,9 +86,7 @@ pub fn cmd_simri() {
             ..SimriConfig::default()
         };
         let secs = |slaves: usize| -> f64 {
-            let (topo, rn, _) = grid5000_pair(9);
-            let placement = rn.into_iter().take(slaves + 1).collect();
-            let report = MpiJob::new(Network::new(topo), placement, MpiImpl::Mpich2)
+            let report = Scenario::npb(9, slaves + 1, 0, TuningLevel::Default, MpiImpl::Mpich2)
                 .run(cfg.program())
                 .expect("simri completes");
             report.values("total_secs")[0].1

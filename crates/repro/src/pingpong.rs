@@ -11,7 +11,7 @@ use netsim::SockBufRequest;
 
 use crate::par::par_map;
 use crate::scenario::{min_one_way, pingpong_program, Scenario};
-use crate::util::{mbps, pair_endpoints, Scope, TuningLevel};
+use crate::util::{mbps, Scope, TuningLevel};
 
 /// Stacks compared in Figs. 3/5/6/7 and Table 4.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -68,8 +68,9 @@ pub fn pingpong(
 ) -> PingpongPoint {
     let best = match stack {
         Stack::RawTcp => {
-            let (net, a, b) = pair_endpoints(scope, level.kernel(None));
-            raw_tcp_pingpong(net, a, b, bytes, iters)
+            let pair = Scenario::raw_pair(scope, level);
+            let (a, b) = (pair.placement()[0], pair.placement()[1]);
+            raw_tcp_pingpong(pair.network(), a, b, bytes, iters)
                 .into_iter()
                 .fold(f64::INFINITY, f64::min)
         }

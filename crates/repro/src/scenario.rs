@@ -1,20 +1,28 @@
-//! `Scenario` — one builder for every experiment's wiring.
+//! `Scenario` — one builder for every experiment's wiring, and the
+//! registry of the testbeds and MPI programs the experiments share.
 //!
-//! Every subcommand used to assemble the same pipeline by hand: build a
-//! topology, apply the tuning level's kernel + MPI knobs, construct an
-//! [`MpiJob`], attach recorder/deadline, run. `Scenario` owns
-//! that chain (topology → tuning → workload → faults → recorder → run)
-//! so experiments only state what is *different* about them.
+//! `Scenario` owns the chain topology → tuning → workload → faults →
+//! recorder → run, and is the only place that builds an [`MpiJob`].
+//! Each testbed of the paper's §4 is one constructor here (the Fig. 2
+//! pair, the NPB two-site grid, the four-site ray2mesh grid and its flat
+//! variant, the block-placed ring), and each program more than one run
+//! drives is one function (ping-pong, one-way send, ring, collective
+//! loop), so experiments only state what is *different* about them.
 
 use std::sync::Arc;
 
 use desim::fault::FaultPlan;
 use desim::obs::Obs;
-use desim::{SimError, SimTime};
-use mpisim::{ExecConfig, ImplProfile, MpiImpl, MpiJob, MpiProgram, RankCtx, RunReport, Tuning};
-use netsim::{grid5000_four_sites, Grid5000Site, KernelConfig, Network, NodeId};
+use desim::{Sim, SimError, SimTime};
+use mpisim::{
+    CollAlgo, CollOp, CollSel, ExecConfig, ImplProfile, MpiImpl, MpiJob, MpiProgram, RankCtx,
+    RunReport, Tuning,
+};
+use netsim::{
+    grid5000_four_sites, grid5000_pair, Grid5000Site, KernelConfig, Network, NodeId, Path,
+};
 
-use crate::util::{npb_placement, pair_endpoints, Scope, TuningLevel};
+use crate::util::{Scope, TuningLevel};
 
 /// A fully described experiment, ready to [`Scenario::run`].
 pub struct Scenario {
@@ -34,20 +42,20 @@ impl Scenario {
     /// `level`'s kernel and MPI tuning applied for `id`. Rank 0 is the
     /// first endpoint, rank 1 the second.
     pub fn pair(scope: Scope, level: TuningLevel, id: MpiImpl) -> Scenario {
-        let (net, a, b) = pair_endpoints(scope, level.kernel(Some(id)));
-        Scenario::custom(net, vec![a, b], id).tuning(level.tuning(id))
+        let (net, placement) = pair_nodes(scope, level.kernel(Some(id)));
+        Scenario::custom(net, placement, id).tuning(level.tuning(id))
     }
 
     /// A grid pair driven as raw TCP: the MPI machinery with a
     /// zero-overhead, all-eager, unpaced profile (what the paper's
     /// socket-level pingpong measures).
     pub fn raw_pair(scope: Scope, level: TuningLevel) -> Scenario {
-        let (net, a, b) = pair_endpoints(scope, level.kernel(None));
+        let (net, placement) = pair_nodes(scope, level.kernel(None));
         let mut profile = ImplProfile::mpich2();
         profile.overhead_lan = desim::SimDuration::ZERO;
         profile.overhead_wan = desim::SimDuration::ZERO;
         profile.eager_threshold = u64::MAX;
-        Scenario::custom(net, vec![a, b], MpiImpl::Mpich2).profile(profile)
+        Scenario::custom(net, placement, MpiImpl::Mpich2).profile(profile)
     }
 
     /// The NPB testbed: `ranks_rennes` + `ranks_nancy` ranks over two
@@ -59,12 +67,10 @@ impl Scenario {
         level: TuningLevel,
         id: MpiImpl,
     ) -> Scenario {
-        let (net, placement) = npb_placement(
-            nodes_per_site,
-            ranks_rennes,
-            ranks_nancy,
-            level.kernel(Some(id)),
-        );
+        let per_site = nodes_per_site.max(ranks_rennes).max(ranks_nancy);
+        let (net, rn, nn) = two_sites(per_site, level.kernel(Some(id)));
+        let mut placement: Vec<NodeId> = rn.into_iter().take(ranks_rennes).collect();
+        placement.extend(nn.into_iter().take(ranks_nancy));
         Scenario::custom(net, placement, id).tuning(level.tuning(id))
     }
 
@@ -72,13 +78,30 @@ impl Scenario {
     /// nodes, the master (rank 0) co-located on the first node of
     /// `master`'s site, slaves laid out site by site.
     pub fn four_sites(slaves_per_site: usize, master: Grid5000Site, id: MpiImpl) -> Scenario {
-        let (mut topo, _sites, nodes) = grid5000_four_sites(slaves_per_site);
-        topo.set_kernel_all(KernelConfig::tuned(4 << 20));
+        let (net, nodes) = four_site_nodes(slaves_per_site, KernelConfig::tuned(4 << 20));
         let mut placement = vec![nodes[master.index()][0]];
-        for site_nodes in &nodes {
-            placement.extend(site_nodes.iter().copied());
-        }
-        Scenario::custom(Network::new(topo), placement, id)
+        placement.extend(nodes.concat());
+        Scenario::custom(net, placement, id)
+    }
+
+    /// The four Fig. 8 sites without a master: `ranks_per_site` ranks on
+    /// each site, laid out site by site, with `level`'s kernel and MPI
+    /// tuning applied for `id` (the collective sweeps' WAN testbed).
+    pub fn four_sites_flat(ranks_per_site: usize, level: TuningLevel, id: MpiImpl) -> Scenario {
+        let (net, nodes) = four_site_nodes(ranks_per_site, level.kernel(Some(id)));
+        Scenario::custom(net, nodes.concat(), id).tuning(level.tuning(id))
+    }
+
+    /// The rank-scale ring testbed: `ranks` MPICH2 ranks in contiguous
+    /// blocks over the fully tuned 8+8 grid, so ring edges are mostly
+    /// node-local.
+    pub fn ring(ranks: usize) -> Scenario {
+        let mut scenario = Scenario::npb(8, 8, 8, TuningLevel::FullyTuned, MpiImpl::Mpich2);
+        let nodes = std::mem::take(&mut scenario.placement);
+        scenario.placement = (0..ranks)
+            .map(|r| nodes[r * nodes.len() / ranks.max(nodes.len())])
+            .collect();
+        scenario
     }
 
     /// An arbitrary network + placement (escape hatch for custom
@@ -95,6 +118,23 @@ impl Scenario {
             exec: ExecConfig::new(),
             deadline: None,
         }
+    }
+
+    /// A handle on the scenario's network (to read link counters after
+    /// the run, or to drive background traffic from a setup hook).
+    pub fn network(&self) -> Network {
+        self.net.clone()
+    }
+
+    /// The node each rank runs on.
+    pub fn placement(&self) -> &[NodeId] {
+        &self.placement
+    }
+
+    /// The network path from rank `from`'s node to rank `to`'s.
+    pub fn route(&self, from: usize, to: usize) -> Path {
+        let (a, b) = (self.placement[from], self.placement[to]);
+        self.net.with_topology(|t| t.route(a, b))
     }
 
     /// Replace the MPI tuning overrides.
@@ -138,13 +178,6 @@ impl Scenario {
         self.observe(Obs::none().recorder(rec))
     }
 
-    /// Attach a host-time self-profiler: wall-clock attribution across
-    /// the kernel dispatch loop, netsim settle/allocate, and the mpisim
-    /// job phases (`repro profile --domain host`).
-    pub fn host_profiler(self, prof: Arc<desim::HostProfiler>) -> Scenario {
-        self.observe(Obs::none().profiler(prof))
-    }
-
     /// Attach the `--trace-out` / `--metrics` sink, if the user asked for
     /// one on the command line.
     pub fn obs(self, sink: &Option<(Arc<desim::RingSink>, Arc<desim::Metrics>)>) -> Scenario {
@@ -162,6 +195,16 @@ impl Scenario {
 
     /// Assemble the [`MpiJob`] and run `program` on every rank.
     pub fn run(self, program: impl MpiProgram) -> Result<RunReport, SimError> {
+        self.run_with_setup(|_| {}, program)
+    }
+
+    /// Like [`Scenario::run`], with a hook that can spawn auxiliary
+    /// simulation tasks (e.g. background traffic) before the ranks start.
+    pub fn run_with_setup(
+        self,
+        setup: impl FnOnce(&Sim),
+        program: impl MpiProgram,
+    ) -> Result<RunReport, SimError> {
         let mut job = MpiJob::new(self.net, self.placement, self.impl_id)
             .with_tuning(self.tuning)
             .with_obs(self.observe)
@@ -175,8 +218,34 @@ impl Scenario {
         if let Some(plan) = self.faults {
             job = job.with_faults(plan);
         }
-        job.run(program)
+        job.run_with_setup(setup, program)
     }
+}
+
+/// The Fig. 2 testbed: `per_site` nodes in Rennes and in Nancy, `kernel`
+/// applied everywhere.
+fn two_sites(per_site: usize, kernel: KernelConfig) -> (Network, Vec<NodeId>, Vec<NodeId>) {
+    let (mut topo, rn, nn) = grid5000_pair(per_site);
+    topo.set_kernel_all(kernel);
+    (Network::new(topo), rn, nn)
+}
+
+/// The two endpoints of a Fig. 2 pair experiment in `scope`.
+fn pair_nodes(scope: Scope, kernel: KernelConfig) -> (Network, Vec<NodeId>) {
+    let (net, rn, nn) = two_sites(2, kernel);
+    let second = match scope {
+        Scope::Cluster => rn[1],
+        Scope::Grid => nn[0],
+    };
+    (net, vec![rn[0], second])
+}
+
+/// `per_site` nodes on each of the four Fig. 8 sites, `kernel`
+/// applied everywhere, grouped by site.
+fn four_site_nodes(per_site: usize, kernel: KernelConfig) -> (Network, Vec<Vec<NodeId>>) {
+    let (mut topo, _sites, nodes) = grid5000_four_sites(per_site);
+    topo.set_kernel_all(kernel);
+    (Network::new(topo), nodes)
 }
 
 /// The ping-pong every two-rank experiment drives: `iters` round trips
@@ -212,6 +281,57 @@ pub fn send_program(bytes: u64, tag: u64) -> impl MpiProgram {
             ctx.recv(0, tag).await;
         }
     }
+}
+
+/// The rank-scale ring: every rank exchanges `rounds` 1 kB messages
+/// with its ring neighbours through `sendrecv`.
+pub fn ring_program(rounds: u32) -> impl MpiProgram {
+    move |mut ctx: RankCtx| async move {
+        const TAG: u64 = 7;
+        let right = (ctx.rank() + 1) % ctx.size();
+        let left = (ctx.rank() + ctx.size() - 1) % ctx.size();
+        for _ in 0..rounds {
+            ctx.sendrecv(right, 1024, left, TAG).await;
+        }
+    }
+}
+
+/// `rounds` back-to-back collectives of `bytes`: a bcast from rank 0
+/// when `op` is [`CollOp::Bcast`], an allreduce otherwise.
+pub fn coll_program(op: CollOp, bytes: u64, rounds: u32) -> impl MpiProgram {
+    move |mut ctx: RankCtx| async move {
+        for _ in 0..rounds {
+            match op {
+                CollOp::Bcast => ctx.bcast(0, bytes).await,
+                _ => ctx.allreduce(bytes).await,
+            }
+        }
+    }
+}
+
+/// The collective selection named `name`: an algorithm's
+/// [`CollAlgo::name`], with `+2lvl` for its two-level grid variant.
+pub fn coll_sel(name: &str) -> CollSel {
+    use CollAlgo::*;
+    let (algo, two_level) = match name.strip_suffix("+2lvl") {
+        Some(flat) => (flat, true),
+        None => (name, false),
+    };
+    let algo = [Linear, Chain, Pipeline, Binary, InOrderBinary, Binomial]
+        .into_iter()
+        .chain([ScatterAllgather, Ring, RecursiveDoubling, Rabenseifner])
+        .find(|a| a.name() == algo)
+        .unwrap_or_else(|| panic!("unknown collective algorithm {name:?}"));
+    CollSel { algo, two_level }
+}
+
+/// The fault-tolerant ray2mesh run's fault plan: ranks 3 and 6 are
+/// killed at 1 s and 2 s of virtual time (seed 7).
+pub(crate) fn two_kills() -> FaultPlan {
+    FaultPlan::new()
+        .with_seed(7)
+        .kill_rank(3, SimTime::from_nanos(1_000_000_000))
+        .kill_rank(6, SimTime::from_nanos(2_000_000_000))
 }
 
 /// The fastest one-way time (seconds) of a [`pingpong_program`] run.

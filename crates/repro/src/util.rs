@@ -1,8 +1,8 @@
-//! Shared experiment plumbing: tuning levels, topology builders,
+//! Shared experiment plumbing: tuning levels, experiment scopes,
 //! formatting.
 
 use mpisim::{MpiImpl, Tuning};
-use netsim::{grid5000_pair, KernelConfig, Network, NodeId};
+use netsim::KernelConfig;
 
 /// The three configurations the paper walks through in §4.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -67,32 +67,6 @@ pub enum Scope {
     Cluster,
     /// One node in Rennes, one in Nancy (PR1, PN1).
     Grid,
-}
-
-/// Build the Fig. 2 testbed with `kernel` applied everywhere and return
-/// the two endpoints for `scope`.
-pub fn pair_endpoints(scope: Scope, kernel: KernelConfig) -> (Network, NodeId, NodeId) {
-    let (mut topo, rn, nn) = grid5000_pair(2);
-    topo.set_kernel_all(kernel);
-    let net = Network::new(topo);
-    match scope {
-        Scope::Cluster => (net, rn[0], rn[1]),
-        Scope::Grid => (net, rn[0], nn[0]),
-    }
-}
-
-/// NPB placements on the Fig. 2 testbed.
-pub fn npb_placement(
-    nodes_per_site: usize,
-    ranks_rennes: usize,
-    ranks_nancy: usize,
-    kernel: KernelConfig,
-) -> (Network, Vec<NodeId>) {
-    let (mut topo, rn, nn) = grid5000_pair(nodes_per_site.max(ranks_rennes).max(ranks_nancy));
-    topo.set_kernel_all(kernel);
-    let mut placement: Vec<NodeId> = rn.into_iter().take(ranks_rennes).collect();
-    placement.extend(nn.into_iter().take(ranks_nancy));
-    (Network::new(topo), placement)
 }
 
 /// The pingpong message sizes of Fig. 3/5/6/7 (1 kB … 64 MB).

@@ -85,6 +85,12 @@ stage_test() {
         echo "library crates must not read environment variables" >&2
         exit 1
     fi
+    # Every run in `repro` is wired through the scenario registry: only
+    # `scenario.rs` builds an `MpiJob`.
+    if grep -rn 'MpiJob::new' crates/repro/src | grep -v '^crates/repro/src/scenario.rs:'; then
+        echo "only crates/repro/src/scenario.rs may build an MpiJob" >&2
+        exit 1
+    fi
 }
 
 stage_smoke() {
