@@ -58,7 +58,7 @@ fn table() -> Vec<Row> {
             || wan_transfer(64 << 10),
         ),
         row(&["tcp/wan_transfer_16M"], 5, || wan_transfer(16 << 20)),
-        row(&["tcp/32_concurrent_wan_flows"], 549, concurrent_wan_flows),
+        row(&["tcp/32_concurrent_wan_flows"], 498, concurrent_wan_flows),
         row(&["pingpong_grid_1M/MPICH2"], 40, || pingpong(Mpich2, 20)),
         row(&["pingpong_grid_1M/GridMPI"], 40, || pingpong(GridMpi, 20)),
         row(&["pingpong_grid_1M/MPICH-Madeleine"], 40, || {

@@ -116,13 +116,6 @@ impl FaultPlan {
         self
     }
 
-    /// Set the LAN per-segment loss probability.
-    pub fn with_lan_loss(mut self, p: f64) -> FaultPlan {
-        assert!((0.0..1.0).contains(&p), "loss probability {p} not in [0,1)");
-        self.lan_loss = p;
-        self
-    }
-
     /// Set the duplicate-traffic fraction.
     pub fn with_duplicate(mut self, frac: f64) -> FaultPlan {
         assert!(frac >= 0.0, "duplicate fraction must be non-negative");

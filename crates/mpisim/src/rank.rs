@@ -272,11 +272,6 @@ impl RankCtx {
         self.policy = policy;
     }
 
-    /// The active retry/timeout policy.
-    pub fn fault_policy(&self) -> FaultPolicy {
-        self.policy
-    }
-
     /// True if `rank` is currently inside a failure window (perfect
     /// failure detector).
     pub fn peer_failed(&self, rank: usize) -> bool {

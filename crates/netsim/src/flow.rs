@@ -117,6 +117,17 @@ pub(crate) struct NetState {
     /// Reused buffers of [`NetState::allocate`].
     fill: WaterFill,
     finish_gen: u64,
+    /// The instant of the last reallocation [`request_realloc`] ran at
+    /// once: later requests at that instant share one queued reallocation.
+    realloc_at: Option<SimTime>,
+    /// True while that queued reallocation has not run yet.
+    realloc_queued: bool,
+    /// The instant every active flow is settled to, if any: a second
+    /// [`NetState::settle`] at that instant has nothing to integrate.
+    settled_at: Option<SimTime>,
+    /// Water-fills run so far: the unit tests pin what a burst costs.
+    #[cfg(test)]
+    fills: u64,
     /// Bytes delivered over each directed link (utilization accounting).
     pub(crate) link_delivered: Vec<f64>,
     /// Closed-form bulk-transfer fast path (on by default; the equivalence
@@ -196,6 +207,11 @@ impl NetState {
             first_link_active: Vec::new(),
             fill: WaterFill::default(),
             finish_gen: 0,
+            realloc_at: None,
+            realloc_queued: false,
+            settled_at: None,
+            #[cfg(test)]
+            fills: 0,
             link_delivered: Vec::new(),
             fast_enabled: true,
             fast: None,
@@ -311,6 +327,9 @@ impl NetState {
     /// Integrate progress of all active flows up to `now`, crediting the
     /// moved bytes to every link each flow crosses.
     fn settle(&mut self, now: SimTime) {
+        if self.settled_at == Some(now) {
+            return;
+        }
         // When profiling (1-in-NET_PROF_SAMPLE sampled), snapshot the
         // per-link byte counters so the elapsed wall clock can be
         // attributed to the links that actually moved bytes — the
@@ -374,6 +393,7 @@ impl NetState {
                 hp.prof.add_ns_sampled(hp.settle, ns, NET_PROF_SAMPLE);
             }
         }
+        self.settled_at = Some(now);
     }
 
     /// Max-min fair allocation over the directed links, honouring per-flow
@@ -392,6 +412,10 @@ impl NetState {
             return;
         }
         let _prof = self.prof_scope(|p| p.allocate);
+        #[cfg(test)]
+        {
+            self.fills += 1;
+        }
         let w = &mut self.fill;
         if w.slot.len() < self.topo.link_count() {
             w.slot.resize(self.topo.link_count(), NO_SLOT);
@@ -772,6 +796,9 @@ fn replay_flow(
         seq += 1;
     }
     let mut finished_at = None;
+    // The instant of the last reallocation: a second request at that
+    // instant runs as `request_realloc`'s queued reallocation.
+    let mut realloc_at = t0;
     // `settle(t)` for this flow alone.
     macro_rules! settle {
         ($t:expr) => {{
@@ -787,6 +814,7 @@ fn replay_flow(
     // `reallocate` minus the finish-event scheduling the caller does.
     macro_rules! reallocate {
         ($t:expr) => {{
+            realloc_at = $t;
             rate = single_flow_rate(&tcp, bottleneck, min_link);
             finish = if rate > 0.0 {
                 let f = Some((finish_time($t, remaining, rate), seq));
@@ -825,29 +853,33 @@ fn replay_flow(
             // Not done yet (float slack): finish_event reallocates.
             reallocate!(t);
         } else {
-            // Window round: settle, grow/collapse the window, reallocate
-            // only if the window cap was binding.
+            // Window round: grow/collapse the window; settle and
+            // reallocate only if the window cap was binding or the
+            // window collapsed.
             round = None;
-            settle!(t);
             let cap = tcp.window_rate().min(bottleneck);
             let was_binding = rate >= cap * 0.999;
             let out = tcp.on_round();
             on_round(t, &tcp, out);
+            let realloc = was_binding || out != RoundOutcome::Progress;
+            if realloc {
+                settle!(t);
+            }
             match out {
-                RoundOutcome::Progress => {
-                    if was_binding {
+                RoundOutcome::Progress | RoundOutcome::FastRecovery => {
+                    // After a finish event at `t` reallocated, the
+                    // request is queued and its finish event is pushed
+                    // behind the next round.
+                    let queued = realloc && realloc_at == t;
+                    if realloc && !queued {
                         reallocate!(t);
                     }
                     if !tcp.saturated() {
                         round = Some((t + rtt, seq));
                         seq += 1;
                     }
-                }
-                RoundOutcome::FastRecovery => {
-                    reallocate!(t);
-                    if !tcp.saturated() {
-                        round = Some((t + rtt, seq));
-                        seq += 1;
+                    if queued {
+                        reallocate!(t);
                     }
                 }
                 RoundOutcome::RtoStall(d) => {
@@ -1009,6 +1041,7 @@ fn materialize(g: &mut NetState, net: &SharedNet, s: &Sched, now: SimTime) {
     f.remaining = outcome.remaining;
     f.rate = outcome.rate;
     f.last_settle = outcome.last_settle;
+    g.settled_at = None; // The planned flow is settled only to its replay.
     g.channels[plan.ch].tcp = outcome.tcp;
     let ch = plan.ch;
     let gen = g.channels[ch].round_gen;
@@ -1069,7 +1102,7 @@ fn fast_commit(net: &SharedNet, s: &Sched, gen: u64) {
     if g.channels[ch].stalled_until <= now {
         activate_next(&mut g, net, s, ch, now);
     }
-    reallocate(&mut g, net, s, now);
+    request_realloc(&mut g, net, s, now);
     drop(g);
     if let Some(done) = done {
         s.call_at(arrival, done);
@@ -1104,7 +1137,7 @@ pub(crate) fn start_transfer(
         materialize(&mut g, net, s, now);
         g.settle(now);
         activate_next(&mut g, net, s, ch.0, now);
-        reallocate(&mut g, net, s, now);
+        request_realloc(&mut g, net, s, now);
     }
 }
 
@@ -1211,7 +1244,6 @@ fn round_event(net: &SharedNet, s: &Sched, ch: usize, gen: u64) {
         return; // The stall-clear event resumes rounds.
     }
     let _prof = g.round_scope(ch);
-    g.settle(now);
     let was_binding = g.channels[ch]
         .active
         .map(|fid| g.cap_is_binding(fid, now))
@@ -1258,23 +1290,24 @@ fn round_event(net: &SharedNet, s: &Sched, ch: usize, gen: u64) {
     if let Some(rec) = &g.obs {
         rec.record(&tcp_sample(ch, now, &g.channels[ch].tcp, outcome_name(out)));
     }
+    // Window growth only changes the allocation if the window cap was
+    // actually the binding constraint. Between rate changes the fluid
+    // integration is exact, so only a round that reallocates settles.
+    let realloc = was_binding || out != RoundOutcome::Progress;
+    if realloc {
+        g.settle(now);
+    }
     match out {
-        RoundOutcome::Progress => {
-            // Window growth only changes the allocation if the window cap
-            // was actually the binding constraint.
-            if was_binding {
-                reallocate(&mut g, net, s, now);
+        RoundOutcome::Progress | RoundOutcome::FastRecovery => {
+            if realloc {
+                request_realloc(&mut g, net, s, now);
             }
-            schedule_round(&mut g, net, s, ch, now);
-        }
-        RoundOutcome::FastRecovery => {
-            reallocate(&mut g, net, s, now);
             schedule_round(&mut g, net, s, ch, now);
         }
         RoundOutcome::RtoStall(d) => {
             let until = now + d;
             g.channels[ch].stalled_until = until;
-            reallocate(&mut g, net, s, now);
+            request_realloc(&mut g, net, s, now);
             let net2 = Rc::clone(net);
             s.call_at(until, move |s2| stall_clear(&net2, s2, ch, gen));
         }
@@ -1291,7 +1324,7 @@ fn resume_channel(net: &SharedNet, s: &Sched, ch: usize) {
     materialize(&mut g, net, s, now);
     g.settle(now);
     activate_next(&mut g, net, s, ch, now);
-    reallocate(&mut g, net, s, now);
+    request_realloc(&mut g, net, s, now);
 }
 
 fn stall_clear(net: &SharedNet, s: &Sched, ch: usize, gen: u64) {
@@ -1302,11 +1335,11 @@ fn stall_clear(net: &SharedNet, s: &Sched, ch: usize, gen: u64) {
     }
     g.settle(now);
     if g.channels[ch].active.is_some() {
-        reallocate(&mut g, net, s, now);
+        request_realloc(&mut g, net, s, now);
         schedule_round(&mut g, net, s, ch, now);
     } else if g.channels[ch].queue.front().is_some() {
         activate_next(&mut g, net, s, ch, now);
-        reallocate(&mut g, net, s, now);
+        request_realloc(&mut g, net, s, now);
     }
 }
 
@@ -1363,7 +1396,31 @@ pub(crate) fn fault_path_outage(
             }
         });
     }
-    reallocate(&mut g, net, s, now);
+    request_realloc(&mut g, net, s, now);
+}
+
+/// Ask for the rates to be recomputed at `now`. The first request at an
+/// instant reallocates at once, so a lone transfer is handled in its own
+/// event. Each later request at that instant cancels the pending finish
+/// event and leaves the work to one reallocation queued behind the events
+/// already due at `now`: a burst of starts and finishes at one instant
+/// pays for one water-fill, not one per flow.
+fn request_realloc(g: &mut NetState, net: &SharedNet, s: &Sched, now: SimTime) {
+    if g.realloc_at != Some(now) {
+        g.realloc_at = Some(now);
+        reallocate(g, net, s, now);
+        return;
+    }
+    g.finish_gen += 1;
+    if !g.realloc_queued {
+        g.realloc_queued = true;
+        let net2 = Rc::clone(net);
+        s.call_at(now, move |s2| {
+            let mut g = net2.borrow_mut();
+            g.realloc_queued = false;
+            reallocate(&mut g, &net2, s2, s2.now());
+        });
+    }
 }
 
 /// Recompute rates and (re)schedule the earliest-finish event — or, when
@@ -1454,7 +1511,7 @@ fn finish_event(net: &SharedNet, s: &Sched, gen: u64) {
         }
         // A stalled channel resumes from stall_clear.
     }
-    reallocate(&mut g, net, s, now);
+    request_realloc(&mut g, net, s, now);
     drop(g);
     for (done, at) in fires {
         s.call_at(at, done);
@@ -1895,5 +1952,105 @@ mod tests {
             "Z backlog {z_remaining}, want {want} (sharing 1 would give {})",
             z_bytes as f64 - credit(1.0)
         );
+    }
+
+    /// Arrival times of the burst's transfers, virtual ns, as the
+    /// reallocation per request (one water-fill per start) computed them.
+    #[rustfmt::skip]
+    const BURST_ARRIVALS_NS: [u64; 256] = [
+        9037678, 32145089, 66750523, 323133617, 16355282, 478807738, 10452915, 33341272,
+        6315724, 323805547, 390998095, 478962799, 2132575, 34419313, 68495572, 324359336,
+        14682022, 478637910, 9517628, 32556123, 6315724, 323369900, 390734738, 478871732,
+        2132575, 33712925, 67939322, 324002450, 14682022, 478987412, 12237344, 34751586,
+        6315724, 322882567, 390444307, 478728977, 2132575, 32954851, 67358460, 323593877,
+        13008763, 478923419, 11358666, 34072272, 6315724, 324187046, 391229456, 479000504,
+        2132575, 32145089, 66750523, 323133617, 16355282, 478807738, 10452915, 33341272,
+        6315724, 323805547, 390998095, 478962799, 2132575, 34419313, 68495572, 324359336,
+        14682022, 478637910, 9517628, 32556123, 67055722, 323369900, 390734738, 478871732,
+        2132575, 33712925, 67939322, 324002450, 14682022, 478987412, 12237344, 34751586,
+        6315724, 322882567, 390444307, 478728977, 2132575, 32954851, 67358460, 323593877,
+        13008763, 478923419, 11358666, 34072272, 6315724, 324187046, 391229456, 479000504,
+        2132575, 32145089, 66750523, 323133617, 16355282, 478807738, 10452915, 33341272,
+        6315724, 323805547, 390998095, 478962799, 2132575, 34419313, 68495572, 324359336,
+        14682022, 478637910, 9517628, 32556123, 6315724, 323369900, 390734738, 478871732,
+        2132575, 33712925, 67939322, 324002450, 14682022, 478987412, 12237344, 34751586,
+        6315724, 322882567, 390444307, 478728977, 2132575, 32954851, 67358460, 323593877,
+        390867647, 478923419, 11358666, 34072272, 6315724, 324187046, 391229456, 479000504,
+        2132575, 32145089, 66750523, 323133617, 16355282, 478807738, 10452915, 33341272,
+        6315724, 323805547, 390998095, 478962799, 2132575, 34419313, 68495572, 324359336,
+        14682022, 478637910, 9517628, 32556123, 6315724, 323369900, 390734738, 478871732,
+        2132575, 33712925, 67939322, 324002450, 14682022, 478987412, 12237344, 34751586,
+        6315724, 322882567, 390444307, 478728977, 2132575, 32954851, 67358460, 323593877,
+        13008763, 478923419, 11358666, 34072272, 6315724, 324187046, 391229456, 479000504,
+        2132575, 32145089, 66750523, 323133617, 16355282, 478807738, 10452915, 33341272,
+        6315724, 323805547, 390998095, 478962799, 11799236, 34419313, 68495572, 324359336,
+        14682022, 478637910, 9517628, 32556123, 6315724, 323369900, 390734738, 478871732,
+        2132575, 33712925, 67939322, 324002450, 14682022, 478987412, 12237344, 34751586,
+        6315724, 322882567, 390444307, 478728977, 2132575, 32954851, 67358460, 323593877,
+        13008763, 478923419, 11358666, 34072272, 6315724, 324187046, 391229456, 479000504,
+        2132575, 32145089, 66750523, 323133617, 16355282, 478807738, 10452915, 33341272,
+        6315724, 323805547, 390998095, 478962799, 2132575, 34419313, 68495572, 324359336,
+    ];
+
+    /// 256 transfers started in one task poll, at one instant, over a
+    /// 16+16 grid: LAN and WAN paths, six sizes, TCP windows that grow,
+    /// and flows sharing every uplink and the WAN trunk. The burst costs
+    /// at most two water-fills, and every transfer arrives when it did
+    /// with one water-fill per start.
+    #[test]
+    fn a_burst_at_one_instant_costs_at_most_two_water_fills() {
+        let mut t = Topology::new();
+        let a = t.add_site("a", SiteParams::default());
+        let b = t.add_site("b", SiteParams::default());
+        t.connect_sites(a, b, SimDuration::from_micros(11_600), 1.25e8, 512 * 1024);
+        let sites = [a, b].map(|s| [0; 16].map(|_| t.add_node(s, NodeParams::default())));
+        let net: SharedNet = Rc::new(RefCell::new(NetState::new(t, SimDuration::from_micros(11))));
+        let arrivals = Rc::new(RefCell::new(vec![0u64; 256]));
+        let fills_at_burst = Rc::new(Cell::new(0));
+        let (net2, arrivals2, fills2) = (
+            Rc::clone(&net),
+            Rc::clone(&arrivals),
+            Rc::clone(&fills_at_burst),
+        );
+        let sim = desim::Sim::new();
+        sim.spawn_task("burst", move |cx| async move {
+            let s = cx.sched();
+            for k in 0..256 {
+                let (i, j) = (k / 16, k % 16);
+                let dst = if j % 4 == 0 && i != j {
+                    sites[0][j]
+                } else {
+                    sites[1][j]
+                };
+                let path = net2.borrow().topo.route(sites[0][i], dst);
+                let params = TcpParams {
+                    init_cwnd: 10 * 1448,
+                    max_window: 4 << 20,
+                    rtt: path.rtt,
+                    bdp: path.bdp_bytes(),
+                    queue_bytes: path.queue_bytes,
+                    wan: path.wan,
+                    ..flow_params(0)
+                };
+                let ch = net2.borrow_mut().add_channel(path, TcpState::new(params));
+                let arrivals3 = Rc::clone(&arrivals2);
+                let done: ArrivalFn = Box::new(move |s2: &Sched| {
+                    arrivals3.borrow_mut()[k] = s2.now().as_nanos();
+                });
+                start_transfer(&net2, &s, ch, 16_384 << (k % 6), done);
+            }
+            // Just after the burst's instant: no transfer has finished.
+            cx.advance(SimDuration::from_nanos(1)).await;
+            fills2.set(net2.borrow().fills);
+            // Keep the run alive while the transfers drain.
+            cx.advance(SimDuration::from_secs(60)).await;
+        });
+        sim.run().unwrap();
+        assert!(
+            fills_at_burst.get() <= 2,
+            "{} water-fills at one instant",
+            fills_at_burst.get()
+        );
+        assert_eq!(*arrivals.borrow(), BURST_ARRIVALS_NS);
     }
 }

@@ -273,23 +273,6 @@ impl Network {
         f(&self.state.borrow().topo)
     }
 
-    /// Loss episodes suffered so far by a channel's TCP state.
-    pub fn channel_losses(&self, ch: ChannelId) -> u64 {
-        self.state.borrow().channels[ch.0].tcp.losses()
-    }
-
-    /// Current congestion window of a channel, bytes.
-    pub fn channel_cwnd(&self, ch: ChannelId) -> u64 {
-        self.state.borrow().channels[ch.0].tcp.cwnd()
-    }
-
-    /// Completed transfer count and bytes on a channel.
-    pub fn channel_stats(&self, ch: ChannelId) -> (u64, u64) {
-        let g = self.state.borrow();
-        let c = &g.channels[ch.0];
-        (c.transfers, c.bytes_done)
-    }
-
     /// Bytes delivered so far over a directed link (0 if nothing flowed).
     pub fn link_delivered(&self, l: crate::LinkId) -> f64 {
         let g = self.state.borrow();
@@ -343,32 +326,6 @@ impl Network {
                 FaultKind::RankFail { .. } => {}
             }
         }
-    }
-
-    /// Convenience: install `plan` and spawn a short-lived bootstrap task
-    /// that schedules its timed network events at t = 0.
-    pub fn spawn_faultd(&self, sim: &desim::Sim, plan: &FaultPlan) {
-        if plan.is_empty() {
-            return;
-        }
-        self.install_faults(plan);
-        let net = self.clone();
-        let plan = plan.clone();
-        sim.spawn_task("faultd", move |cx| async move {
-            net.schedule_fault_events(&cx.sched(), &plan);
-        });
-    }
-
-    /// Dense indices of the topology's WAN links, for building random
-    /// link-flap schedules.
-    pub fn wan_link_indices(&self) -> Vec<u32> {
-        self.state
-            .borrow()
-            .topo
-            .wan_links()
-            .iter()
-            .map(|&(_, _, l)| l.index() as u32)
-            .collect()
     }
 
     /// Spawn a deterministic background-traffic generator: `count` flows of

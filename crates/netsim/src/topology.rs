@@ -289,11 +289,6 @@ impl Topology {
         &self.nodes[n.index()].params
     }
 
-    /// Mutable node parameters (used to retune kernels between experiments).
-    pub fn node_mut(&mut self, n: NodeId) -> &mut NodeParams {
-        &mut self.nodes[n.index()].params
-    }
-
     /// Apply one kernel configuration to every node (the paper tunes all
     /// hosts identically).
     pub fn set_kernel_all(&mut self, cfg: KernelConfig) {

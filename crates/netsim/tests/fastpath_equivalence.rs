@@ -87,16 +87,18 @@ fn build_network(sc: &Scenario) -> (Network, NodeId, NodeId) {
 }
 
 /// Run the scenario's transfer sequence, returning the completion
-/// timestamp of every transfer in integer nanoseconds.
-fn run_sequence(sc: &Scenario, fast: bool) -> Vec<u64> {
+/// timestamp of every transfer in integer nanoseconds and the bytes
+/// credited to each link of the path, as f64 bits.
+fn run_sequence(sc: &Scenario, fast: bool) -> (Vec<u64>, Vec<u64>) {
     let (net, na, nb) = build_network(sc);
     net.set_bulk_fast_path(fast);
     let log = Rc::new(RefCell::new(Vec::new()));
     let log2 = Rc::clone(&log);
     let transfers = sc.transfers.clone();
     let sim = Sim::new();
+    let net2 = net.clone();
     sim.spawn_task("sender", move |cx| async move {
-        let ch = net.channel(
+        let ch = net2.channel(
             na,
             nb,
             SockBufRequest::OsDefault,
@@ -107,17 +109,24 @@ fn run_sequence(sc: &Scenario, fast: bool) -> Vec<u64> {
             if gap > 0 {
                 cx.advance(SimDuration::from_nanos(gap)).await;
             }
-            cx.wait(net.transfer(&cx.sched(), ch, bytes)).await;
+            cx.wait(net2.transfer(&cx.sched(), ch, bytes)).await;
             log2.borrow_mut().push(cx.now().as_nanos());
         }
     });
     sim.run().unwrap();
+    let credited = net
+        .route(na, nb)
+        .links
+        .iter()
+        .map(|&l| net.link_delivered(l).to_bits())
+        .collect();
     let v = log.borrow().clone();
-    v
+    (v, credited)
 }
 
-/// Single-flow sequences: every completion timestamp must match the
-/// per-round model exactly, across the full parameter sweep.
+/// Single-flow sequences: every completion timestamp and every link's
+/// credited bytes must match the per-round model exactly, across the full
+/// parameter sweep.
 #[test]
 fn single_flow_durations_are_bit_identical() {
     forall(40, 0x5EED_2001, |rng| {
@@ -179,6 +188,41 @@ fn interrupted_flows_are_bit_identical() {
             "fast path diverged under contention: rtt={}us cap={} buf={} mss={} icw={} cc={:?} \
              a={bytes_a} b={bytes_b} stagger={stagger}",
             sc.rtt_us, sc.capacity, sc.buf, sc.mss, sc.init_cwnd_segments, sc.cc
+        );
+    });
+}
+
+/// A lone flow that is not window-bound: its window outgrows a
+/// deep-queued thin WAN link, which then bounds its rate for the rest of
+/// a multi-second transfer. The replay must settle exactly where the
+/// per-round model settles.
+#[test]
+fn link_bound_flow_is_bit_identical() {
+    forall(12, 0x5EED_2003, |rng| {
+        let sc = Scenario {
+            rtt_us: rng.range_u64(5_000, 30_000),
+            capacity: rng.range_f64(10e6, 40e6),
+            queue_bytes: 64 << 20,
+            buf: 8 << 20,
+            mss: 1448,
+            init_cwnd_segments: 10,
+            cc: if rng.chance(0.5) {
+                CongestionControl::Bic
+            } else {
+                CongestionControl::Reno
+            },
+            transfers: vec![(rng.range_u64(16 << 20, 48 << 20), 0)],
+        };
+        let slow = run_sequence(&sc, false);
+        let fast = run_sequence(&sc, true);
+        // Link-bound: the transfer takes at least its bytes over the
+        // bottleneck.
+        let (bytes, _) = sc.transfers[0];
+        assert!(slow.0[0] as f64 * 1e-9 >= bytes as f64 / sc.capacity);
+        assert_eq!(
+            slow, fast,
+            "fast path diverged on a link-bound flow: rtt={}us cap={} cc={:?} transfers={:?}",
+            sc.rtt_us, sc.capacity, sc.cc, sc.transfers
         );
     });
 }

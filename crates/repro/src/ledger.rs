@@ -6,7 +6,8 @@
 //!
 //! - [`diff`] flags **config changes** (the fingerprint moved — someone
 //!   changed an input), **digest changes** (same fingerprint, different
-//!   event stream — determinism is broken, always fatal), and **elapsed
+//!   event stream: either determinism is broken or the model changed on
+//!   purpose, always fatal), and **elapsed
 //!   regressions** beyond a threshold. Digest and event-count comparison
 //!   is exact: these fields are pure functions of the config.
 //! - [`top`] ranks the matched rows by how much their blame
@@ -40,8 +41,8 @@ pub struct Matched {
     pub scenario: String,
     /// True when the fingerprint moved (an input changed).
     pub config_changed: bool,
-    /// True when the fingerprint is identical but the digest is not —
-    /// the simulator itself went non-deterministic.
+    /// True when the fingerprint is identical but the digest is not:
+    /// the simulator went non-deterministic, or its model changed.
     pub digest_changed: bool,
     /// Old → new virtual elapsed, nanoseconds.
     pub elapsed: (u64, u64),
@@ -62,7 +63,7 @@ pub struct DiffReport {
 
 impl DiffReport {
     /// Matched scenarios whose event digest changed under an unchanged
-    /// fingerprint — always a bug.
+    /// fingerprint: a bug unless the model was changed on purpose.
     pub fn digest_changes(&self) -> Vec<&Matched> {
         self.matched.iter().filter(|m| m.digest_changed).collect()
     }

@@ -128,10 +128,12 @@ pub(crate) fn cmd_ledger(args: &Args) {
             let digests = d.digest_changes();
             println!("{} digest changes", digests.len());
             for m in &digests {
-                println!(
-                    "  DIGEST CHANGED under identical config: {} — determinism broken",
-                    m.scenario
-                );
+                let (a, b) = m.elapsed;
+                if a == b {
+                    println!("  digest moved, elapsed equal: {}", m.scenario);
+                } else {
+                    println!("  elapsed moved ({a} -> {b} ns): {}", m.scenario);
+                }
             }
             let regressions = d.regressions(threshold);
             println!(

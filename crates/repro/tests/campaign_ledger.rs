@@ -129,6 +129,29 @@ fn diff_same_spec_reports_zero_digest_changes() {
     );
     assert!(stdout.contains("0 digest changes"), "unexpected: {stdout}");
     assert!(stdout.contains("0 config changes"), "unexpected: {stdout}");
+
+    // A moved digest is told apart from a moved elapsed time, and either
+    // still fails the diff.
+    let mut rows = read_runs(&std::fs::read_to_string(&b).unwrap()).expect("run rows parse");
+    rows[0].digest = "0".repeat(32);
+    rows[1].digest = "0".repeat(32);
+    let elapsed = rows[1].elapsed_ns;
+    rows[1].elapsed_ns += 1;
+    let c = dir.join("ledger/c.jsonl");
+    let lines: Vec<String> = rows.iter().map(|r| r.to_line()).collect();
+    std::fs::write(&c, lines.join("\n")).unwrap();
+    let out = repro(&["ledger", "diff", a.to_str().unwrap(), c.to_str().unwrap()]);
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert_eq!(out.status.code(), Some(1), "unexpected: {stdout}");
+    assert!(stdout.contains("2 digest changes"), "unexpected: {stdout}");
+    let equal = format!("digest moved, elapsed equal: {}", rows[0].scenario);
+    let moved = format!(
+        "elapsed moved ({elapsed} -> {} ns): {}",
+        elapsed + 1,
+        rows[1].scenario
+    );
+    assert!(stdout.contains(&equal), "unexpected: {stdout}");
+    assert!(stdout.contains(&moved), "unexpected: {stdout}");
 }
 
 #[test]

@@ -204,7 +204,7 @@ fn engines_agree_on_collectives() {
         "collectives",
         got,
         (
-            "cca534c9f6308d2b9737e775ea584571",
+            "de1d6e8e68c635a60b5e342f873861ed",
             2891,
             107267158,
             16,
@@ -248,7 +248,7 @@ fn engines_agree_on_ray2mesh() {
         "ray2mesh",
         got,
         (
-            "2ad5d9dfd854499dbffe6124170777ed",
+            "2f62fc16fdff702527c40f0114597d25",
             15319,
             45147740628,
             33,
