@@ -75,6 +75,19 @@ pub(crate) struct ChannelState {
     loss_rng: Option<Rng>,
 }
 
+impl ChannelState {
+    /// The rate cap the water-fill gives this channel's flow at `now`: 0
+    /// while the channel is stalled, else its window rate clipped to the
+    /// path bottleneck.
+    fn cap(&self, now: SimTime) -> f64 {
+        if self.stalled_until > now {
+            0.0
+        } else {
+            self.tcp.window_rate().min(self.path.bottleneck)
+        }
+    }
+}
+
 struct FlowState {
     chan: usize,
     total: u64,
@@ -125,6 +138,17 @@ pub(crate) struct NetState {
     /// The instant every active flow is settled to, if any: a second
     /// [`NetState::settle`] at that instant has nothing to integrate.
     settled_at: Option<SimTime>,
+    /// True once an input of the water-fill may have changed since the
+    /// last fill (see [`NetState::allocate`]).
+    fill_dirty: bool,
+    /// The earliest stall end among the flows the last fill gave cap 0
+    /// ([`SimTime::MAX`] if none): from that instant their caps differ
+    /// although nothing was written.
+    fill_stall_end: SimTime,
+    /// The last fill's inputs, one `(channel, cap bits)` per position in
+    /// `active`: debug builds check every skipped fill against them.
+    #[cfg(debug_assertions)]
+    fill_inputs: Vec<(usize, u64)>,
     /// Water-fills run so far: the unit tests pin what a burst costs.
     #[cfg(test)]
     fills: u64,
@@ -210,6 +234,10 @@ impl NetState {
             realloc_at: None,
             realloc_queued: false,
             settled_at: None,
+            fill_dirty: true,
+            fill_stall_end: SimTime::MAX,
+            #[cfg(debug_assertions)]
+            fill_inputs: Vec::new(),
             #[cfg(test)]
             fills: 0,
             link_delivered: Vec::new(),
@@ -407,8 +435,29 @@ impl NetState {
     /// once the reused buffers have grown. Cost: O(flows + links) to
     /// gather, then O(links + flows frozen) per round, plus a rescan of
     /// the unfrozen flows each time the tightest cap moves.
+    ///
+    /// A call whose inputs are those of the last fill skips the fill and
+    /// leaves every rate as that fill set it; only the fill is skipped.
+    /// Link capacities and channel paths never change, so `fill_dirty`
+    /// is set wherever another input may move:
+    /// - `active` gains a flow ([`activate_next`]) or loses one
+    ///   ([`finish_event`], [`fast_commit`]);
+    /// - `stalled_until` is written ([`NetState::stall`]: RTO and
+    ///   short-ack stalls, outages, [`materialize`]);
+    /// - the top of [`stall_clear`] and [`resume_channel`], stale or not;
+    /// - [`materialize`] replaces a flow's TCP state and rate;
+    /// - a window round moves its flow's cap bits ([`round_event`]).
+    ///
+    /// A stalled flow's cap also moves, unwritten, when its stall ends, so
+    /// no fill is skipped from `fill_stall_end` on. Debug builds check
+    /// every skipped fill against the last fill's inputs.
     fn allocate(&mut self, now: SimTime) {
         if self.active.is_empty() {
+            return;
+        }
+        if !self.fill_dirty && now < self.fill_stall_end {
+            #[cfg(debug_assertions)]
+            self.check_skipped_fill(now);
             return;
         }
         let _prof = self.prof_scope(|p| p.allocate);
@@ -416,6 +465,10 @@ impl NetState {
         {
             self.fills += 1;
         }
+        self.fill_dirty = false;
+        let mut stall_end = SimTime::MAX;
+        #[cfg(debug_assertions)]
+        self.fill_inputs.clear();
         let w = &mut self.fill;
         if w.slot.len() < self.topo.link_count() {
             w.slot.resize(self.topo.link_count(), NO_SLOT);
@@ -426,11 +479,12 @@ impl NetState {
         for &fid in &self.active {
             let f = self.flows[fid].as_ref().expect("active flow exists");
             let ch = &self.channels[f.chan];
-            let cap = if ch.stalled_until > now {
-                0.0
-            } else {
-                ch.tcp.window_rate().min(ch.path.bottleneck)
-            };
+            let cap = ch.cap(now);
+            if ch.stalled_until > now {
+                stall_end = stall_end.min(ch.stalled_until);
+            }
+            #[cfg(debug_assertions)]
+            self.fill_inputs.push((f.chan, cap.to_bits()));
             w.caps.push(cap);
             // Each path crosses at most 3 links (uplink, WAN, downlink).
             let mut idxs = [NO_SLOT; 3];
@@ -448,6 +502,7 @@ impl NetState {
             w.flow_links.push(idxs);
             w.flow_nlinks.push(ch.path.links.len() as u8);
         }
+        self.fill_stall_end = stall_end;
         w.fill();
         for (&fid, &r) in self.active.iter().zip(&w.rate) {
             self.flows[fid].as_mut().expect("active flow exists").rate = r;
@@ -472,16 +527,25 @@ impl NetState {
         }
     }
 
-    /// True if `flow`'s allocation could change when its window cap moves:
-    /// i.e. the cap is currently (nearly) binding.
-    fn cap_is_binding(&self, fid: usize, now: SimTime) -> bool {
-        let f = self.flows[fid].as_ref().unwrap();
-        let ch = &self.channels[f.chan];
-        if ch.stalled_until > now {
-            return true;
-        }
-        let cap = ch.tcp.window_rate().min(ch.path.bottleneck);
-        f.rate >= cap * 0.999
+    /// Panic unless the active flows' channels and cap bits are those the
+    /// last fill saw: a skipped fill must be one that would change nothing.
+    /// Channels, not flow ids, are compared: flow slots are reused.
+    #[cfg(debug_assertions)]
+    fn check_skipped_fill(&self, now: SimTime) {
+        let inputs = self.active.iter().map(|&fid| {
+            let ch = self.flows[fid].as_ref().expect("active flow exists").chan;
+            (ch, self.channels[ch].cap(now).to_bits())
+        });
+        assert!(
+            inputs.eq(self.fill_inputs.iter().copied()),
+            "water-fill skipped at {now:?} although its inputs changed"
+        );
+    }
+
+    /// Stall channel `ch` until `until`: its flow's cap is 0 before then.
+    fn stall(&mut self, ch: usize, until: SimTime) {
+        self.channels[ch].stalled_until = until;
+        self.fill_dirty = true;
     }
 }
 
@@ -1043,10 +1107,11 @@ fn materialize(g: &mut NetState, net: &SharedNet, s: &Sched, now: SimTime) {
     f.last_settle = outcome.last_settle;
     g.settled_at = None; // The planned flow is settled only to its replay.
     g.channels[plan.ch].tcp = outcome.tcp;
+    g.fill_dirty = true;
     let ch = plan.ch;
     let gen = g.channels[ch].round_gen;
     if let Some(until) = outcome.stalled_until {
-        g.channels[ch].stalled_until = until;
+        g.stall(ch, until);
         let net2 = Rc::clone(net);
         s.call_at(until, move |s2| stall_clear(&net2, s2, ch, gen));
     } else if let Some(at) = outcome.next_round {
@@ -1075,6 +1140,7 @@ fn fast_commit(net: &SharedNet, s: &Sched, gen: u64) {
     let fid = plan.fid;
     g.channels[ch].tcp = outcome.tcp;
     g.active.retain(|&x| x != fid);
+    g.fill_dirty = true;
     g.leave_first_link(ch);
     let mut f = g.flows[fid].take().expect("finished flow exists");
     g.free.push(fid);
@@ -1087,7 +1153,7 @@ fn fast_commit(net: &SharedNet, s: &Sched, gen: u64) {
         }
         if let Some(stall) = stall {
             let until = now + stall;
-            g.channels[ch].stalled_until = until;
+            g.stall(ch, until);
             g.channels[ch].round_gen += 1;
             let net2 = Rc::clone(net);
             s.call_at(until, move |s2| resume_channel(&net2, s2, ch));
@@ -1189,6 +1255,7 @@ fn activate_next(g: &mut NetState, net: &SharedNet, s: &Sched, ch: usize, now: S
         done: Some(pt.done),
     });
     g.active.push(fid);
+    g.fill_dirty = true;
     g.enter_first_link(ch);
     g.channels[ch].active = Some(fid);
     g.channels[ch].transfers += 1;
@@ -1244,10 +1311,11 @@ fn round_event(net: &SharedNet, s: &Sched, ch: usize, gen: u64) {
         return; // The stall-clear event resumes rounds.
     }
     let _prof = g.round_scope(ch);
-    let was_binding = g.channels[ch]
-        .active
-        .map(|fid| g.cap_is_binding(fid, now))
-        .unwrap_or(false);
+    // The flow's allocation can change with its cap only if the cap is
+    // (nearly) binding. A flow running at its path bottleneck counts too.
+    let fid = g.channels[ch].active.expect("checked above");
+    let cap = g.channels[ch].cap(now);
+    let was_binding = g.flows[fid].as_ref().expect("active flow exists").rate >= cap * 0.999;
     // Injected segment loss (fault plans only): one Bernoulli draw per
     // window round, with the per-window loss probability derived from the
     // per-segment rate and the number of segments in flight. Channels
@@ -1290,6 +1358,9 @@ fn round_event(net: &SharedNet, s: &Sched, ch: usize, gen: u64) {
     if let Some(rec) = &g.obs {
         rec.record(&tcp_sample(ch, now, &g.channels[ch].tcp, outcome_name(out)));
     }
+    if g.channels[ch].cap(now).to_bits() != cap.to_bits() {
+        g.fill_dirty = true;
+    }
     // Window growth only changes the allocation if the window cap was
     // actually the binding constraint. Between rate changes the fluid
     // integration is exact, so only a round that reallocates settles.
@@ -1306,7 +1377,7 @@ fn round_event(net: &SharedNet, s: &Sched, ch: usize, gen: u64) {
         }
         RoundOutcome::RtoStall(d) => {
             let until = now + d;
-            g.channels[ch].stalled_until = until;
+            g.stall(ch, until);
             request_realloc(&mut g, net, s, now);
             let net2 = Rc::clone(net);
             s.call_at(until, move |s2| stall_clear(&net2, s2, ch, gen));
@@ -1318,6 +1389,7 @@ fn round_event(net: &SharedNet, s: &Sched, ch: usize, gen: u64) {
 fn resume_channel(net: &SharedNet, s: &Sched, ch: usize) {
     let now = s.now();
     let mut g = net.borrow_mut();
+    g.fill_dirty = true;
     if g.channels[ch].stalled_until > now || g.channels[ch].active.is_some() {
         return;
     }
@@ -1330,6 +1402,7 @@ fn resume_channel(net: &SharedNet, s: &Sched, ch: usize) {
 fn stall_clear(net: &SharedNet, s: &Sched, ch: usize, gen: u64) {
     let now = s.now();
     let mut g = net.borrow_mut();
+    g.fill_dirty = true;
     if g.channels[ch].round_gen != gen {
         return;
     }
@@ -1366,7 +1439,7 @@ pub(crate) fn fault_path_outage(
         if !hit || g.channels[ch].stalled_until >= until {
             continue;
         }
-        g.channels[ch].stalled_until = until;
+        g.stall(ch, until);
         g.channels[ch].round_gen += 1;
         let gen = g.channels[ch].round_gen;
         let net2 = Rc::clone(net);
@@ -1471,6 +1544,9 @@ fn finish_event(net: &SharedNet, s: &Sched, gen: u64) {
         }
         !done
     });
+    if !finished.is_empty() {
+        g.fill_dirty = true;
+    }
     let mut fires: Vec<(ArrivalFn, SimTime)> = Vec::new();
     for fid in finished {
         let mut f = g.flows[fid].take().expect("finished flow exists");
@@ -1492,7 +1568,7 @@ fn finish_event(net: &SharedNet, s: &Sched, gen: u64) {
             }
             if let Some(stall) = stall {
                 let until = now + stall;
-                g.channels[ch].stalled_until = until;
+                g.stall(ch, until);
                 g.channels[ch].round_gen += 1;
                 let net2 = Rc::clone(net);
                 s.call_at(until, move |s2| resume_channel(&net2, s2, ch));
@@ -1580,6 +1656,7 @@ mod tests {
             });
             g.active.push(fid);
         }
+        g.fill_dirty = true;
         g.allocate(SimTime::ZERO);
         let r0 = g.flows[0].as_ref().unwrap().rate;
         let r1 = g.flows[1].as_ref().unwrap().rate;
@@ -1618,6 +1695,7 @@ mod tests {
             });
             g.active.push(fid);
         }
+        g.fill_dirty = true;
         g.allocate(SimTime::ZERO);
         let r0 = g.flows[0].as_ref().unwrap().rate;
         let r1 = g.flows[1].as_ref().unwrap().rate;
@@ -1734,6 +1812,7 @@ mod tests {
             done: None,
         });
         g.active.push(fid);
+        g.fill_dirty = true;
         fid
     }
 
@@ -1828,6 +1907,8 @@ mod tests {
             // then gains a flow), so stale scratch state would show.
             while !g.active.is_empty() {
                 let want = oracle_rates(&g, now);
+                // The loop rewrites `active` and `stalled_until` directly.
+                g.fill_dirty = true;
                 g.allocate(now);
                 let got = rates(&g);
                 for (i, (r, w)) in got.iter().zip(&want).enumerate() {
@@ -1896,6 +1977,29 @@ mod tests {
             bits(build(&[3, 4, 0, 1, 2])),
             bits(vec![third, rest, rest, third, third])
         );
+    }
+
+    #[test]
+    fn a_stall_that_ends_unwritten_still_refills() {
+        // Two flows share a's uplink; the first is stalled until `end`.
+        // The fill before `end` gives it nothing. At `end` its cap is
+        // back although no input was written, so the fill runs again.
+        let mut g = mk_state();
+        let mut t = Topology::new();
+        let site = t.add_site("x", SiteParams::default());
+        let [a, b, c] = [0; 3].map(|_| t.add_node(site, NodeParams::default()));
+        let paths = [t.route(a, b), t.route(a, c)];
+        g.topo = t;
+        let fids = paths.map(|p| push_flow(&mut g, p, 1 << 40));
+        let end = SimTime::from_nanos(1_000);
+        let ch = g.flows[fids[0]].as_ref().unwrap().chan;
+        g.channels[ch].stalled_until = end;
+        let nic = NodeParams::default().nic_bytes_per_sec;
+        g.allocate(SimTime::from_nanos(999));
+        assert_eq!(rates(&g), [0.0, nic]);
+        g.allocate(end);
+        assert_eq!(g.fills, 2);
+        assert_eq!(rates(&g), [nic / 2.0, nic / 2.0]);
     }
 
     #[test]
@@ -2052,5 +2156,64 @@ mod tests {
             fills_at_burst.get()
         );
         assert_eq!(*arrivals.borrow(), BURST_ARRIVALS_NS);
+    }
+
+    /// Arrival times of the four transfers, virtual ns, as a water-fill
+    /// per reallocation request computed them.
+    const LOSS_ROUND_ARRIVALS_NS: [u64; 4] = [89281512, 81394460, 64583358, 38848205];
+
+    /// Four LAN flows out of one sender share its uplink, each started at
+    /// its own instant. Their windows stay far above their share of the
+    /// uplink, so every flow's cap is its path bottleneck while the
+    /// window cycles through loss rounds (`FastRecovery`) and the rounds
+    /// in between. No round moves a cap, so the only water-fills are at
+    /// the instants where a flow starts or finishes; and every transfer
+    /// arrives when it did with a water-fill per request.
+    #[test]
+    fn a_round_that_moves_no_cap_costs_no_water_fill() {
+        let mut t = Topology::new();
+        let site = t.add_site("x", SiteParams::default());
+        let [a, b, c, d, e] = [0; 5].map(|_| t.add_node(site, NodeParams::default()));
+        let paths = [b, c, d, e].map(|dst| t.route(a, dst));
+        let net: SharedNet = Rc::new(RefCell::new(NetState::new(t, SimDuration::from_micros(11))));
+        let params = TcpParams {
+            init_cwnd: 10 * 1448,
+            max_window: 1 << 30,
+            bdp: 64 << 10,
+            queue_bytes: 64 << 10,
+            ..flow_params(0)
+        };
+        let channels = paths.map(|p| {
+            net.borrow_mut()
+                .add_channel(p, TcpState::new(params.clone()))
+        });
+        let arrivals = Rc::new(RefCell::new(vec![0u64; 4]));
+        let (net2, arrivals2) = (Rc::clone(&net), Rc::clone(&arrivals));
+        let sim = desim::Sim::new();
+        sim.spawn_task("sender", move |cx| async move {
+            let s = cx.sched();
+            for (k, &ch) in channels.iter().enumerate() {
+                // Start offsets that are no multiple of the 100 µs RTT:
+                // no start shares an instant with another flow's round.
+                if k > 0 {
+                    cx.advance(SimDuration::from_micros(1_037)).await;
+                }
+                let arrivals3 = Rc::clone(&arrivals2);
+                let done: ArrivalFn = Box::new(move |s2: &Sched| {
+                    arrivals3.borrow_mut()[k] = s2.now().as_nanos();
+                });
+                start_transfer(&net2, &s, ch, (4 - k as u64) << 20, done);
+            }
+            // Keep the run alive while the transfers drain.
+            cx.advance(SimDuration::from_secs(1)).await;
+        });
+        sim.run().unwrap();
+        let g = net.borrow();
+        let losses: u64 = g.channels.iter().map(|c| c.tcp.losses()).sum();
+        assert!(losses >= 100, "only {losses} loss rounds");
+        // Four starts and four finishes; the last finish leaves nothing
+        // to fill.
+        assert_eq!(g.fills, 7, "water-fills over {losses} loss rounds");
+        assert_eq!(*arrivals.borrow(), LOSS_ROUND_ARRIVALS_NS);
     }
 }

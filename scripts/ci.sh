@@ -77,6 +77,10 @@ stage_test() {
     # called out so a failure names the contract.)
     cargo test -q --offline --test fault_determinism
     cargo test -q --offline -p mpisim --test fault_semantics
+    # Water-fill contract: the fill matches its oracle bit for bit, a
+    # burst at one instant costs at most two fills, and a round or a
+    # finish that moves no input costs none.
+    cargo test -q --offline -p netsim --lib flow::tests
     # Library crates take configuration only through their APIs: no
     # environment-variable reads anywhere in their sources.
     if grep -rnE 'env::var' \
