@@ -20,12 +20,14 @@
 //! *replays* the would-be event sequence in a tight arithmetic loop
 //! ([`replay_flow`]) — performing bit-for-bit the same `settle`/`allocate`
 //! floating-point operations the event loop would — and schedules one
-//! commit event at the computed finish time. If anything else touches the
-//! network first (a second transfer starting, a stalled channel resuming),
-//! [`materialize`] replays only the elapsed prefix, re-arms the pending
-//! round/stall events at their original absolute times, and drops back to
-//! the exact per-round model. Virtual timings are identical either way;
-//! only the host-side event count changes.
+//! commit event at the computed finish time. That one replay logs what
+//! the commit credits to the links and emits as samples. If anything else
+//! touches the network first (a second transfer starting, a stalled
+//! channel resuming), [`materialize`] drops the log, replays only the
+//! elapsed prefix, re-arms the pending round/stall events at their
+//! original absolute times, and drops back to the exact per-round model.
+//! Virtual timings are identical either way; only the host-side event
+//! count changes.
 
 use std::cell::RefCell;
 use std::collections::VecDeque;
@@ -100,6 +102,8 @@ struct FlowState {
 
 /// A committed plan for an uncontended bulk transfer: the flow's whole
 /// future, computed by [`replay_flow`] from the snapshot taken at `t0`.
+/// Its settle steps and TCP samples are in `NetState::replay_steps` and
+/// `NetState::replay_samples` until it commits or is materialised.
 struct FastPlan {
     ch: usize,
     fid: usize,
@@ -114,6 +118,9 @@ struct FastPlan {
     rate0: f64,
     finish_at: SimTime,
     gen: u64,
+    /// The TCP state the feasibility run ended in (set at install): the
+    /// commit installs it.
+    tcp_end: Option<TcpState>,
 }
 
 pub(crate) struct NetState {
@@ -152,6 +159,9 @@ pub(crate) struct NetState {
     /// Water-fills run so far: the unit tests pin what a burst costs.
     #[cfg(test)]
     fills: u64,
+    /// Runs of [`replay_flow`] so far: the unit tests pin what a plan costs.
+    #[cfg(test)]
+    replays: u64,
     /// Bytes delivered over each directed link (utilization accounting).
     pub(crate) link_delivered: Vec<f64>,
     /// Closed-form bulk-transfer fast path (on by default; the equivalence
@@ -159,6 +169,12 @@ pub(crate) struct NetState {
     pub(crate) fast_enabled: bool,
     fast: Option<FastPlan>,
     fast_gen: u64,
+    /// The bytes moved by each settle step of the last replay, in order,
+    /// and (only with a recorder attached) the TCP sample of each of its
+    /// window rounds: while a plan is installed, what its commit credits
+    /// and emits. Reused from plan to plan.
+    replay_steps: Vec<f64>,
+    replay_samples: Vec<ObsEvent>,
     /// Observability sink. Probes only *read* model state and append to
     /// this host-side recorder — they never schedule events or touch the
     /// f64 arithmetic, so attaching one cannot change virtual timestamps.
@@ -192,7 +208,8 @@ pub(crate) struct NetProf {
     pub(crate) finish: ProfKey,
     /// Closed-form fast-path commit handler.
     pub(crate) commit: ProfKey,
-    /// Closed-form replay (`apply_replay`) on interrupt/materialize.
+    /// Closed-form replay: a plan's feasibility run, and the prefix
+    /// replay of a materialised plan.
     pub(crate) replay: ProfKey,
     /// Per-directed-link settle keys (`netsim;settle;<label>`).
     pub(crate) link_keys: Vec<ProfKey>,
@@ -240,10 +257,14 @@ impl NetState {
             fill_inputs: Vec::new(),
             #[cfg(test)]
             fills: 0,
+            #[cfg(test)]
+            replays: 0,
             link_delivered: Vec::new(),
             fast_enabled: true,
             fast: None,
             fast_gen: 0,
+            replay_steps: Vec::new(),
+            replay_samples: Vec::new(),
             obs: None,
             faults: None,
             host_prof: None,
@@ -814,10 +835,10 @@ struct ReplayOutcome {
 /// Replay the per-round event sequence of an uncontended flow, applying
 /// events with time strictly before `upto` (pass [`SimTime::MAX`] to run
 /// to completion). `on_settle` receives the bytes moved by each settle
-/// step, in order — the caller credits them to the path links exactly as
-/// `NetState::settle` would. `on_round` observes the TCP state right
-/// after each window round is applied (the cwnd probe stream); it is a
-/// read-only tap and takes no part in the arithmetic.
+/// step, in order, for [`credit_replay`] to credit to the path links
+/// exactly as `NetState::settle` would. `on_round` observes the TCP state
+/// right after each window round is applied (the cwnd probe stream); it
+/// is a read-only tap and takes no part in the arithmetic.
 ///
 /// This mirrors `round_event`/`stall_clear`/`finish_event`/`reallocate`
 /// for the single-flow case *operation for operation*, including the
@@ -968,27 +989,12 @@ fn replay_flow(
     }
 }
 
-/// Path constants the replay needs, extracted so the borrow of `g` can be
-/// released before mutating link counters.
-fn replay_inputs(g: &NetState, ch: usize) -> (f64, Option<f64>, Vec<LinkId>) {
-    let path = &g.channels[ch].path;
-    let min_link =
-        path.links
-            .iter()
-            .map(|&l| g.topo.link(l).capacity)
-            .fold(None, |acc: Option<f64>, c| {
-                Some(match acc {
-                    Some(a) if a < c => a,
-                    _ => c,
-                })
-            });
-    (path.bottleneck, min_link, path.links.clone())
-}
-
 /// If the network has exactly one active flow with nothing that can
 /// preempt it, absorb its whole future into a [`FastPlan`] and schedule a
 /// single commit event at the finish time. Returns true if the plan was
-/// installed (the caller then skips normal finish scheduling).
+/// installed (the caller then skips normal finish scheduling). The
+/// feasibility run that finds the finish time is the plan's only replay
+/// unless it is materialised: it logs what the commit credits and emits.
 fn try_enter_fast(g: &mut NetState, net: &SharedNet, s: &Sched, now: SimTime) -> bool {
     if !g.fast_enabled || g.fast.is_some() || g.active.len() != 1 {
         return false;
@@ -1006,21 +1012,19 @@ fn try_enter_fast(g: &mut NetState, net: &SharedNet, s: &Sched, now: SimTime) ->
     if !fresh && !c.tcp.saturated() {
         return false;
     }
-    let (bottleneck, min_link, _) = replay_inputs(g, ch);
-    // Speculative probe run: no link crediting, no observability samples —
-    // apply_replay performs both when the plan actually lands.
-    let outcome = replay_flow(
-        &c.tcp,
-        f.remaining,
-        f.rate,
-        now,
+    let mut plan = FastPlan {
+        ch,
+        fid,
+        t0: now,
         fresh,
-        bottleneck,
-        min_link,
-        SimTime::MAX,
-        |_| {},
-        |_, _, _| {},
-    );
+        tcp0: c.tcp.clone(),
+        remaining0: f.remaining,
+        rate0: f.rate,
+        finish_at: SimTime::MAX,
+        gen: 0,
+        tcp_end: None,
+    };
+    let outcome = replay_logged(g, &plan, SimTime::MAX);
     let Some(finish_at) = outcome.finished_at else {
         return false;
     };
@@ -1028,35 +1032,45 @@ fn try_enter_fast(g: &mut NetState, net: &SharedNet, s: &Sched, now: SimTime) ->
     g.channels[ch].round_gen += 1;
     g.fast_gen += 1;
     let gen = g.fast_gen;
-    g.fast = Some(FastPlan {
-        ch,
-        fid,
-        t0: now,
-        fresh,
-        tcp0: g.channels[ch].tcp.clone(),
-        remaining0: g.flows[fid].as_ref().unwrap().remaining,
-        rate0: g.flows[fid].as_ref().unwrap().rate,
-        finish_at,
-        gen,
-    });
+    plan.finish_at = finish_at;
+    plan.gen = gen;
+    plan.tcp_end = Some(outcome.tcp);
+    g.fast = Some(plan);
     let net2 = Rc::clone(net);
     s.call_at(finish_at, move |s2| fast_commit(&net2, s2, gen));
     true
 }
 
-/// Re-run a plan's replay up to `upto`, crediting the moved bytes to the
-/// plan's path links in settle order and materializing the per-round TCP
-/// samples the event loop would have emitted (same channel, same virtual
-/// timestamps, same post-round state — the probe stream is identical to
-/// the per-round model's).
-fn apply_replay(g: &mut NetState, plan: &FastPlan, upto: SimTime) -> ReplayOutcome {
+/// Run a plan's replay up to `upto`, in the `netsim;replay` scope,
+/// logging into `g.replay_steps` the bytes moved by each settle step and,
+/// when a recorder is attached, into `g.replay_samples` the per-round TCP
+/// samples the event loop would emit (same channel, same virtual
+/// timestamps, same post-round state). Nothing is credited or emitted:
+/// [`credit_replay`] does that at commit or materialise.
+fn replay_logged(g: &mut NetState, plan: &FastPlan, upto: SimTime) -> ReplayOutcome {
     let _prof = g.prof_scope(|p| p.replay);
-    let (bottleneck, min_link, links) = replay_inputs(g, plan.ch);
-    let mut steps: Vec<f64> = Vec::new();
-    let mut samples: Vec<ObsEvent> = Vec::new();
+    #[cfg(test)]
+    {
+        g.replays += 1;
+    }
+    let path = &g.channels[plan.ch].path;
+    let bottleneck = path.bottleneck;
+    let min_link =
+        path.links
+            .iter()
+            .map(|&l| g.topo.link(l).capacity)
+            .fold(None, |acc: Option<f64>, c| {
+                Some(match acc {
+                    Some(a) if a < c => a,
+                    _ => c,
+                })
+            });
     let want_samples = g.obs.is_some();
     let ch = plan.ch;
-    let outcome = replay_flow(
+    let (steps, samples) = (&mut g.replay_steps, &mut g.replay_samples);
+    steps.clear();
+    samples.clear();
+    replay_flow(
         &plan.tcp0,
         plan.remaining0,
         plan.rate0,
@@ -1071,36 +1085,43 @@ fn apply_replay(g: &mut NetState, plan: &FastPlan, upto: SimTime) -> ReplayOutco
                 samples.push(tcp_sample(ch, t, tcp, outcome_name(out)));
             }
         },
-    );
+    )
+}
+
+/// Credit the last replay's settle steps, in order, to every link of
+/// `ch`'s path exactly as `NetState::settle` would, then emit its TCP
+/// samples.
+fn credit_replay(g: &mut NetState, ch: usize) {
     if g.link_delivered.len() < g.topo.link_count() {
         g.link_delivered.resize(g.topo.link_count(), 0.0);
     }
-    for moved in steps {
-        for &l in &links {
-            g.link_delivered[l.0 as usize] += moved;
+    for &moved in &g.replay_steps {
+        for &l in &g.channels[ch].path.links {
+            g.link_delivered[l.index()] += moved;
         }
     }
     if let Some(rec) = &g.obs {
-        for s in &samples {
+        for s in &g.replay_samples {
             rec.record(s);
         }
     }
-    outcome
 }
 
 /// Abandon the active plan because another flow is about to start (or a
-/// stalled channel to resume): replay the elapsed prefix onto the real
-/// state and re-arm the pending per-round events at their original
-/// absolute times. The caller settles and reallocates afterwards, exactly
-/// as the per-round model would have at this interrupt.
+/// stalled channel to resume): drop the feasibility run's log, replay the
+/// elapsed prefix onto the real state and re-arm the pending per-round
+/// events at their original absolute times. The caller settles and
+/// reallocates afterwards, exactly as the per-round model would have at
+/// this interrupt.
 fn materialize(g: &mut NetState, net: &SharedNet, s: &Sched, now: SimTime) {
     let Some(plan) = g.fast.take() else { return };
     g.fast_gen += 1; // Cancel the pending commit event.
-    let outcome = apply_replay(g, &plan, now);
+    let outcome = replay_logged(g, &plan, now);
     debug_assert!(
         outcome.finished_at.is_none(),
         "a finished plan must commit, not materialize"
     );
+    credit_replay(g, plan.ch);
     let f = g.flows[plan.fid].as_mut().expect("planned flow exists");
     f.remaining = outcome.remaining;
     f.rate = outcome.rate;
@@ -1123,8 +1144,9 @@ fn materialize(g: &mut NetState, net: &SharedNet, s: &Sched, now: SimTime) {
     // per-round model too.
 }
 
-/// The plan's single completion event: replay the transfer in full, then
-/// perform `finish_event`'s bookkeeping for the one finished flow.
+/// The plan's single completion event: credit and emit what the
+/// feasibility run logged, install its final TCP state, then perform
+/// `finish_event`'s bookkeeping for the one finished flow.
 fn fast_commit(net: &SharedNet, s: &Sched, gen: u64) {
     let now = s.now();
     let mut g = net.borrow_mut();
@@ -1134,11 +1156,10 @@ fn fast_commit(net: &SharedNet, s: &Sched, gen: u64) {
     let _prof = g.prof_scope(|p| p.commit);
     let plan = g.fast.take().expect("plan checked above");
     debug_assert_eq!(plan.finish_at, now, "commit must fire at the finish time");
-    let outcome = apply_replay(&mut g, &plan, SimTime::MAX);
-    debug_assert!(outcome.finished_at == Some(now));
     let ch = plan.ch;
     let fid = plan.fid;
-    g.channels[ch].tcp = outcome.tcp;
+    credit_replay(&mut g, ch);
+    g.channels[ch].tcp = plan.tcp_end.expect("installed plans have a final state");
     g.active.retain(|&x| x != fid);
     g.fill_dirty = true;
     g.leave_first_link(ch);
@@ -1597,7 +1618,7 @@ fn finish_event(net: &SharedNet, s: &Sched, gen: u64) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::KernelConfig;
+    use crate::config::{KernelConfig, SockBufRequest};
     use crate::tcp::TcpParams;
     use crate::topology::{NodeId, NodeParams, SiteParams};
     use desim::prop::forall;
@@ -2215,5 +2236,48 @@ mod tests {
         // to fill.
         assert_eq!(g.fills, 7, "water-fills over {losses} loss rounds");
         assert_eq!(*arrivals.borrow(), LOSS_ROUND_ARRIVALS_NS);
+    }
+
+    /// Arrival of the lone 64 MB WAN transfer, virtual ns, and the bytes
+    /// credited to each link of its path (uplink, WAN, downlink) as f64
+    /// bits, as the per-round model gives them.
+    const LONE_WAN_ARRIVAL_NS: u64 = 1_091_253_637;
+    const LONE_WAN_LINK_BITS: [u64; 3] = [4724276009111650304; 3];
+
+    /// A lone 64 MB transfer across the WAN, unpaced with tuned buffers so
+    /// that slow start, an RTO stall and recovery all run, commits after
+    /// exactly one replay: the commit credits and installs what the
+    /// feasibility run logged. It arrives, and credits each link, to the
+    /// bit as the per-round model does.
+    #[test]
+    fn a_committed_plan_replays_once() {
+        let mut t = Topology::new();
+        let a = t.add_site("a", SiteParams::default());
+        let b = t.add_site("b", SiteParams::default());
+        let na = t.add_node(a, NodeParams::default());
+        let nb = t.add_node(b, NodeParams::default());
+        t.connect_sites(a, b, SimDuration::from_micros(11_600), 125e6, 512 * 1024);
+        t.set_kernel_all(KernelConfig::tuned(4 << 20));
+        let net = crate::Network::new(t);
+        let links = net.route(na, nb).links;
+        let arrival = Rc::new(Cell::new(0));
+        let (net2, arrival2) = (net.clone(), Rc::clone(&arrival));
+        let sim = desim::Sim::new();
+        sim.spawn_task("sender", move |cx| async move {
+            let os = SockBufRequest::OsDefault;
+            let ch = net2.channel(na, nb, os, os, false);
+            cx.wait(net2.transfer(&cx.sched(), ch, 64 << 20)).await;
+            arrival2.set(cx.now().as_nanos());
+        });
+        sim.run().unwrap();
+        let g = net.state.borrow();
+        assert!(g.channels[0].tcp.losses() > 0, "expected a loss episode");
+        let bits: Vec<u64> = links
+            .iter()
+            .map(|l| g.link_delivered[l.index()].to_bits())
+            .collect();
+        assert_eq!(g.replays, 1, "replays of one committed plan");
+        assert_eq!(arrival.get(), LONE_WAN_ARRIVAL_NS);
+        assert_eq!(bits, LONE_WAN_LINK_BITS);
     }
 }

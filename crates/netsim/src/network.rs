@@ -37,7 +37,7 @@ pub const SMAX_UNPACED_SEGMENTS: f64 = 32.0;
 /// ```
 #[derive(Clone)]
 pub struct Network {
-    state: SharedNet,
+    pub(crate) state: SharedNet,
 }
 
 impl Network {

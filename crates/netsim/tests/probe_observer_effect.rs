@@ -10,6 +10,10 @@
 //!    timestamps, cwnd values, raw ssthresh bits, phases, and outcomes
 //!    must all match. `Network::set_bulk_fast_path` selects the mode.
 //!
+//!    A plan interrupted by a second transfer drops the samples its
+//!    feasibility run gathered and emits only those of the prefix it
+//!    replays, so the traced streams match there too.
+//!
 //! 2. **Observer invariance** — attaching a recorder never changes a
 //!    run's virtual timestamps: probed and unprobed runs finish every
 //!    transfer at the same nanosecond, with the fast path both on and
@@ -149,6 +153,92 @@ fn cwnd_probe_64mb_wan_identical_with_and_without_fast_path() {
             );
         }
     }
+}
+
+/// One recorded event of the streams the flow engine emits: a TCP
+/// sample, a flow start/finish edge or a link delivery total (by bits).
+#[derive(Debug, PartialEq)]
+enum Traced {
+    Tcp(Sample),
+    Flow(FlowEdge),
+    Link(u64, u64, u64),
+}
+
+fn traced_key(ev: &Event) -> Option<Traced> {
+    match ev {
+        Event::LinkSample {
+            link,
+            t_ns,
+            delivered_bytes,
+        } => Some(Traced::Link(*link, *t_ns, delivered_bytes.to_bits())),
+        _ => sample_key(ev)
+            .map(Traced::Tcp)
+            .or_else(|| flow_key(ev).map(Traced::Flow)),
+    }
+}
+
+/// A 32 MB WAN transfer whose fast-path plan a second transfer on its
+/// own channel, over the same links, interrupts `gap` ns in: the plan
+/// is materialised. Returns every traced event, in order, and the two
+/// completion times.
+fn interrupted_transfer(
+    gap: u64,
+    second: u64,
+    pacing: bool,
+    fast: bool,
+) -> (Vec<Traced>, [u64; 2]) {
+    let (net, na, nb) = wan_pair(4 << 20);
+    net.set_bulk_fast_path(fast);
+    let sink = Arc::new(RingSink::new(1 << 20));
+    net.attach_obs(&desim::obs::Obs::none().recorder(sink.clone()));
+    let done = Rc::new(RefCell::new([0u64; 2]));
+    let sim = Sim::new();
+    for (k, (delay, bytes)) in [(0, 32 << 20), (gap, second)].into_iter().enumerate() {
+        let (net, done) = (net.clone(), Rc::clone(&done));
+        sim.spawn_task("sender", move |cx| async move {
+            let os = SockBufRequest::OsDefault;
+            let ch = net.channel(na, nb, os, os, pacing);
+            if delay > 0 {
+                cx.advance(SimDuration::from_nanos(delay)).await;
+            }
+            cx.wait(net.transfer(&cx.sched(), ch, bytes)).await;
+            done.borrow_mut()[k] = cx.now().as_nanos();
+        });
+    }
+    sim.run().unwrap();
+    assert_eq!(sink.dropped(), 0, "ring must be large enough for the test");
+    let events = sink.events().iter().filter_map(traced_key).collect();
+    let end = *done.borrow();
+    (events, end)
+}
+
+/// A second transfer starting mid-plan materialises the lone flow's
+/// plan. With a recorder attached, the TCP sample, flow start/finish and
+/// link sample streams and both completion times are identical with the
+/// fast path on and off: no sample of the dropped plan's feasibility
+/// run leaks out, and none of its prefix is lost.
+#[test]
+fn interrupted_plan_traces_identically_with_and_without_fast_path() {
+    forall(6, 0x0B5E_7002, |rng: &mut Rng| {
+        let gap = rng.range_u64(1, 250_000_000);
+        let second = rng.range_u64(1, 8 << 20);
+        let pacing = rng.chance(0.5);
+        let (slow, end_slow) = interrupted_transfer(gap, second, pacing, false);
+        let (fast, end_fast) = interrupted_transfer(gap, second, pacing, true);
+        let case = format!("gap={gap} second={second} pacing={pacing}");
+        // The second transfer starts before the first one finishes.
+        let first_finish = slow
+            .iter()
+            .find_map(|e| match e {
+                Traced::Flow(("finish", _, t, _)) => Some(*t),
+                _ => None,
+            })
+            .expect("a flow finishes");
+        assert!(gap < first_finish, "no interrupt: {case}");
+        assert!(slow.iter().any(|e| matches!(e, Traced::Tcp(_))), "{case}");
+        assert_eq!(slow, fast, "traced streams diverged: {case}");
+        assert_eq!(end_slow, end_fast, "completion times diverged: {case}");
+    });
 }
 
 /// Attaching every probe must not move a single virtual timestamp:

@@ -81,6 +81,9 @@ stage_test() {
     # burst at one instant costs at most two fills, and a round or a
     # finish that moves no input costs none.
     cargo test -q --offline -p netsim --lib flow::tests
+    # Fast-path contract: the fast path is bit-identical to the per-round
+    # model, samples included (lone, interrupted and traced plans).
+    cargo test -q --offline -p netsim --test fastpath_equivalence --test probe_observer_effect
     # Library crates take configuration only through their APIs: no
     # environment-variable reads anywhere in their sources.
     if grep -rnE 'env::var' \
