@@ -52,13 +52,16 @@ fn table() -> Vec<Row> {
         row(&["profile/pingpong_64M_attached"], 16, || {
             profile_pingpong(Some(Arc::new(HostProfiler::new())))
         }),
+        // Kernel events count only live timers: the round a fast plan
+        // cancels and the finishes a reallocation supersedes are dropped
+        // from netsim's timers without being dispatched.
         row(
             &["tcp/wan_transfer_64k", "smoke/wan_transfer_64k"],
-            5,
+            4,
             || wan_transfer(64 << 10),
         ),
-        row(&["tcp/wan_transfer_16M"], 5, || wan_transfer(16 << 20)),
-        row(&["tcp/32_concurrent_wan_flows"], 498, concurrent_wan_flows),
+        row(&["tcp/wan_transfer_16M"], 4, || wan_transfer(16 << 20)),
+        row(&["tcp/32_concurrent_wan_flows"], 462, concurrent_wan_flows),
         row(&["pingpong_grid_1M/MPICH2"], 40, || pingpong(Mpich2, 20)),
         row(&["pingpong_grid_1M/GridMPI"], 40, || pingpong(GridMpi, 20)),
         row(&["pingpong_grid_1M/MPICH-Madeleine"], 40, || {
@@ -134,10 +137,10 @@ fn table() -> Vec<Row> {
         row(&["npb_classS_8+8/IS"], 1344, || npb_8_8(NasBenchmark::Is)),
         row(&["npb_classS_8+8/FT"], 470, || npb_8_8(NasBenchmark::Ft)),
         row(&["ray2mesh/small_4_sites"], 1884, ray2mesh_small),
-        row(&["fastpath/pingpong_64M_per_round"], 13648, || {
+        row(&["fastpath/pingpong_64M_per_round"], 6963, || {
             transfers_64m(false)
         }),
-        row(&["fastpath/pingpong_64M_fast_path"], 513, || {
+        row(&["fastpath/pingpong_64M_fast_path"], 385, || {
             transfers_64m(true)
         }),
         row(&["obs/pingpong_64M_untraced"], 4, || pingpong_64m(None)),

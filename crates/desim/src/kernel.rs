@@ -10,6 +10,15 @@
 //! are ordered by `(virtual time, insertion sequence)` so the execution
 //! order is a pure function of the simulated program.
 //!
+//! Besides its heap the kernel dispatches from attached [`Timeline`]s:
+//! event queues that a layer keeps itself (netsim's per-flow timers) and
+//! that share the heap's key space. An entry takes its key from
+//! [`Sched::stamp`], which hands out the `(time, seq)` that
+//! [`Sched::call_at`] would have used, and each timeline publishes its
+//! earliest key; the loop runs whichever of the heap top and the
+//! published keys is smallest, so the dispatch order is the one a single
+//! heap holding every entry would give.
+//!
 //! The kernel state has one owner thread: `Sim`, `Sched` and `Cx` share
 //! it through an `Rc<RefCell<_>>`, so dispatching an event takes no lock
 //! and bumps no atomic count.
@@ -21,6 +30,7 @@ use std::future::Future;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::pin::Pin;
 use std::rc::Rc;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::task::{Context, Poll, Waker};
 use std::time::Instant;
@@ -96,12 +106,101 @@ impl Sched {
         g.push(at, EventKind::Call(Box::new(f)));
     }
 
+    /// The key [`Sched::call_at`]`(at, ..)` would give its event now:
+    /// `at` clamped to now, and the next insertion sequence number, which
+    /// this call consumes. An entry of an attached [`Timeline`] keyed by
+    /// it runs exactly where that heap event would have run.
+    pub fn stamp(&self, at: SimTime) -> EventKey {
+        let mut g = self.inner.borrow_mut();
+        let time = at.max(g.now);
+        let seq = g.seq;
+        g.seq += 1;
+        EventKey { time, seq }
+    }
+
+    /// Attach `tl` to this kernel, with nothing published yet. The
+    /// kernel holds it until the [`Sim`] is dropped.
+    pub fn attach_timeline(&self, tl: Rc<dyn Timeline>) -> TimelineId {
+        let mut g = self.inner.borrow_mut();
+        g.timelines.push(Attached { key: None, tl });
+        TimelineId {
+            kernel: g.kernel,
+            index: g.timelines.len() - 1,
+        }
+    }
+
+    /// True if `tl` is attached to this kernel. Kernels are told apart by
+    /// an id issued at [`Sim::new`], never reused, so a timeline of a
+    /// dropped simulation is not mistaken for one of a new simulation at
+    /// the same address.
+    pub fn owns(&self, tl: TimelineId) -> bool {
+        self.inner.borrow().kernel == tl.kernel
+    }
+
+    /// Publish `key` as the earliest entry of timeline `tl` (`None`: it
+    /// has none). Whenever control returns to the dispatch loop, the
+    /// published key must be no later than the timeline's earliest entry,
+    /// so a timeline publishes at least whenever it adds an entry ahead
+    /// of the published one; a published key whose entry has gone is
+    /// handled by [`Timeline::dispatch`].
+    pub fn publish(&self, tl: TimelineId, key: Option<EventKey>) {
+        let mut g = self.inner.borrow_mut();
+        assert_eq!(g.kernel, tl.kernel, "timeline of another kernel");
+        g.timelines[tl.index].key = key;
+        g.timeline_next = g
+            .timelines
+            .iter()
+            .enumerate()
+            .filter_map(|(i, t)| t.key.map(|k| (k, i)))
+            .min();
+    }
+
     pub(crate) fn wake_task_at(&self, at: SimTime, tid: TaskId) {
         let mut g = self.inner.borrow_mut();
         let at = at.max(g.now);
         g.push(at, EventKind::TaskWake(tid));
     }
 }
+
+/// The `(virtual time, insertion sequence)` key the kernel orders every
+/// dispatch by. Sequence numbers are unique within a kernel, so no two
+/// keys of one kernel are equal.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
+pub struct EventKey {
+    /// When the entry is due.
+    pub time: SimTime,
+    /// Its insertion sequence number, from [`Sched::stamp`].
+    pub seq: u64,
+}
+
+/// An event queue kept outside the kernel heap and dispatched by the
+/// kernel in key order among the heap's events (see [`Sched::stamp`] and
+/// [`Sched::publish`]).
+pub trait Timeline {
+    /// Run the entry keyed `key`, the key this timeline last published,
+    /// at virtual time `key.time`, publish the new earliest key and
+    /// return true. If that entry is gone, publish the current earliest
+    /// key, run nothing and return false; a dispatch that runs nothing is
+    /// not counted as an event.
+    fn dispatch(&self, s: &Sched, key: EventKey) -> bool;
+}
+
+/// Names one timeline attached to one kernel (see
+/// [`Sched::attach_timeline`]).
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct TimelineId {
+    kernel: u64,
+    index: usize,
+}
+
+/// An attached timeline and the earliest key it published.
+struct Attached {
+    key: Option<EventKey>,
+    tl: Rc<dyn Timeline>,
+}
+
+/// Source of kernel ids: each [`Sim`] takes the next one.
+static NEXT_KERNEL: AtomicU64 = AtomicU64::new(0);
 
 pub(crate) enum EventKind {
     TaskWake(TaskId),
@@ -141,6 +240,12 @@ pub(crate) struct TaskSlot {
 
 pub(crate) struct Shared {
     heap: BinaryHeap<Reverse<Event>>,
+    /// This kernel's id (see [`Sched::owns`]).
+    kernel: u64,
+    /// Attached timelines, indexed by [`TimelineId::index`].
+    timelines: Vec<Attached>,
+    /// The smallest published key and its timeline's index.
+    timeline_next: Option<(EventKey, usize)>,
     pub(crate) now: SimTime,
     seq: u64,
     pub(crate) tasks: Vec<TaskSlot>,
@@ -182,6 +287,8 @@ pub(crate) struct KernelProf {
     pub(crate) task_poll: crate::obs::ProfKey,
     /// A kernel callback (timer/flow events scheduled via `call_at`).
     pub(crate) call: crate::obs::ProfKey,
+    /// An entry of an attached [`Timeline`].
+    pub(crate) timeline: crate::obs::ProfKey,
 }
 
 impl Shared {
@@ -223,6 +330,9 @@ impl Sim {
         Sim {
             inner: Rc::new(RefCell::new(Shared {
                 heap: BinaryHeap::new(),
+                kernel: NEXT_KERNEL.fetch_add(1, Ordering::Relaxed),
+                timelines: Vec::new(),
+                timeline_next: None,
                 now: SimTime::ZERO,
                 seq: 0,
                 tasks: Vec::new(),
@@ -273,7 +383,7 @@ impl Sim {
     /// dispatch count; recording happens host-side after the run ends, so
     /// it cannot perturb the event order or virtual timestamps) and the
     /// host-time self-profiler (the dispatch loop attributes its
-    /// wall-clock time to `desim;dispatch;{task_poll,call}` stacks,
+    /// wall-clock time to `desim;dispatch;{task_poll,call,timeline}` stacks,
     /// sampling one event in `PROF_SAMPLE` (31) and extrapolating so the
     /// clock reads stay far below the loop's own per-event cost). Fields
     /// left `None` leave the corresponding attachment untouched.
@@ -285,6 +395,7 @@ impl Sim {
             let keys = KernelProf {
                 task_poll: prof.intern("desim;dispatch;task_poll"),
                 call: prof.intern("desim;dispatch;call"),
+                timeline: prof.intern("desim;dispatch;timeline"),
                 prof: Arc::clone(prof),
             };
             self.inner.borrow_mut().profiler = Some(keys);
@@ -320,14 +431,20 @@ impl Sim {
 
 impl Drop for Sim {
     /// Release what a finished or abandoned run left behind: suspended
-    /// tasks hold a [`crate::Cx`] and trailing callbacks may hold a
-    /// [`Sched`], and either keeps this kernel alive through a reference
-    /// cycle. They are dropped after the borrow is released, because their
+    /// tasks hold a [`crate::Cx`], trailing callbacks may hold a
+    /// [`Sched`] and attached timelines may own state that does, and any
+    /// of them keeps this kernel alive through a reference cycle. They
+    /// are dropped after the borrow is released, because their
     /// destructors may touch the kernel.
     fn drop(&mut self) {
         let leftovers = {
             let mut g = self.inner.borrow_mut();
-            (std::mem::take(&mut g.heap), std::mem::take(&mut g.tasks))
+            g.timeline_next = None;
+            (
+                std::mem::take(&mut g.heap),
+                std::mem::take(&mut g.tasks),
+                std::mem::take(&mut g.timelines),
+            )
         };
         drop(leftovers);
     }
@@ -404,17 +521,16 @@ fn dispatch(inner: &Rc<Inner>) {
             // (e.g. pending TCP window rounds) and end the simulation.
             return;
         }
-        if guard
-            .heap
-            .peek()
-            .is_some_and(|Reverse(ev)| ev.time > guard.limit)
-        {
-            if guard.failure.is_none() {
-                guard.failure = Some(SimError::TimeLimitExceeded(guard.limit));
-            }
-            return;
-        }
-        let Some(Reverse(ev)) = guard.heap.pop() else {
+        // The next entry is the heap top or the smallest published
+        // timeline key, whichever key is smaller.
+        let heap_key = guard.heap.peek().map(|Reverse(ev)| EventKey {
+            time: ev.time,
+            seq: ev.seq,
+        });
+        let timeline = guard
+            .timeline_next
+            .filter(|&(k, _)| heap_key.is_none_or(|h| k < h));
+        let Some(next) = timeline.map(|(k, _)| k).or(heap_key) else {
             if guard.failure.is_none() {
                 // Every live task is suspended at a blocking point whose
                 // wake-up never arrived.
@@ -422,6 +538,38 @@ fn dispatch(inner: &Rc<Inner>) {
             }
             return;
         };
+        if next.time > guard.limit {
+            if guard.failure.is_none() {
+                guard.failure = Some(SimError::TimeLimitExceeded(guard.limit));
+            }
+            return;
+        }
+        if let Some((key, i)) = timeline {
+            debug_assert!(key.time >= guard.now, "timeline went backwards");
+            guard.now = guard.now.max(key.time);
+            let tl = Rc::clone(&guard.timelines[i].tl);
+            let sample = prof
+                .as_ref()
+                .filter(|_| (guard.events + 1).is_multiple_of(PROF_SAMPLE));
+            drop(guard);
+            let t0 = sample.map(|_| Instant::now());
+            let ran = tl.dispatch(
+                &Sched {
+                    inner: Rc::clone(inner),
+                },
+                key,
+            );
+            guard = inner.borrow_mut();
+            if ran {
+                guard.events += 1;
+                if let (Some(p), Some(t0)) = (sample, t0) {
+                    p.prof
+                        .add_ns_sampled(p.timeline, t0.elapsed().as_nanos() as u64, PROF_SAMPLE);
+                }
+            }
+            continue;
+        }
+        let Reverse(ev) = guard.heap.pop().expect("the heap top was peeked above");
         debug_assert!(ev.time >= guard.now, "event queue went backwards");
         guard.now = guard.now.max(ev.time);
         guard.events += 1;
@@ -466,6 +614,10 @@ fn dispatch(inner: &Rc<Inner>) {
                         }
                         // Fail fast: drop all pending work so the run ends.
                         guard.heap.clear();
+                        guard.timeline_next = None;
+                        for t in &mut guard.timelines {
+                            t.key = None;
+                        }
                     }
                 }
             }
@@ -488,6 +640,7 @@ fn dispatch(inner: &Rc<Inner>) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::cell::Cell;
 
     #[test]
     fn empty_sim_finishes_at_zero() {
@@ -628,5 +781,172 @@ mod tests {
         });
         sim.run().unwrap();
         assert_eq!(Rc::strong_count(&probe), 1, "trailing callback leaked");
+
+        // A timeline with an entry still pending when the run ends, which
+        // owns a handle on the kernel it is attached to.
+        let sim = Sim::new();
+        let p = Rc::clone(&probe);
+        sim.spawn_task("attach", move |cx| async move {
+            let s = cx.sched();
+            let tl = Labels::attach(&s, Rc::default());
+            tl.add(&s, SimTime::from_nanos(1_000_000_000), "late");
+            *tl.keep.borrow_mut() = Some(Box::new((p, s)));
+        });
+        sim.run().unwrap();
+        assert_eq!(Rc::strong_count(&probe), 1, "attached timeline leaked");
+    }
+
+    /// A timeline of labelled entries for the tests: it logs
+    /// `label@ns` for each entry it runs.
+    struct Labels {
+        id: Cell<Option<TimelineId>>,
+        entries: RefCell<Vec<(EventKey, &'static str)>>,
+        log: Rc<RefCell<Vec<String>>>,
+        /// Whatever the test wants the timeline to own.
+        keep: RefCell<Option<Box<dyn std::any::Any>>>,
+    }
+
+    impl Labels {
+        fn attach(s: &Sched, log: Rc<RefCell<Vec<String>>>) -> Rc<Labels> {
+            let tl = Rc::new(Labels {
+                id: Cell::new(None),
+                entries: RefCell::default(),
+                log,
+                keep: RefCell::default(),
+            });
+            tl.id
+                .set(Some(s.attach_timeline(Rc::clone(&tl) as Rc<dyn Timeline>)));
+            tl
+        }
+
+        fn add(&self, s: &Sched, at: SimTime, label: &'static str) {
+            self.entries.borrow_mut().push((s.stamp(at), label));
+            self.entries.borrow_mut().sort();
+            self.publish(s);
+        }
+
+        /// Drop the earliest entry without publishing again.
+        fn cancel_first(&self) {
+            self.entries.borrow_mut().remove(0);
+        }
+
+        fn publish(&self, s: &Sched) {
+            let first = self.entries.borrow().first().map(|e| e.0);
+            s.publish(self.id.get().unwrap(), first);
+        }
+    }
+
+    impl Timeline for Labels {
+        fn dispatch(&self, s: &Sched, key: EventKey) -> bool {
+            let first = self.entries.borrow().first().copied();
+            let ran = match first {
+                Some((k, label)) if k == key => {
+                    self.entries.borrow_mut().remove(0);
+                    let line = format!("{label}@{}", s.now().as_nanos());
+                    self.log.borrow_mut().push(line);
+                    true
+                }
+                _ => false,
+            };
+            self.publish(s);
+            ran
+        }
+    }
+
+    fn logger(log: &Rc<RefCell<Vec<String>>>, label: &'static str) -> impl FnOnce(&Sched) {
+        let log = Rc::clone(log);
+        move |s: &Sched| {
+            log.borrow_mut()
+                .push(format!("{label}@{}", s.now().as_nanos()))
+        }
+    }
+
+    #[test]
+    fn timeline_entries_and_heap_events_run_in_stamp_order() {
+        let log = Rc::new(RefCell::new(Vec::new()));
+        let sim = Sim::new();
+        let log2 = Rc::clone(&log);
+        sim.spawn_task("arm", move |cx| async move {
+            let s = cx.sched();
+            let tl = Labels::attach(&s, Rc::clone(&log2));
+            let t = SimTime::from_nanos(10);
+            s.call_at(t, logger(&log2, "h0"));
+            tl.add(&s, t, "t1");
+            s.call_at(t, logger(&log2, "h2"));
+            tl.add(&s, t, "t3");
+            tl.add(&s, SimTime::from_nanos(5), "t4");
+            // Due now, and tied with the next one; both keys are earlier
+            // than every other.
+            tl.add(&s, SimTime::ZERO, "gone");
+            tl.add(&s, SimTime::ZERO, "t5");
+            // The published entry goes away unannounced: the kernel's
+            // dispatch of its key runs nothing and is not counted.
+            tl.cancel_first();
+            cx.advance(SimDuration::from_nanos(20)).await;
+        });
+        let stats = sim.run_counted().unwrap();
+        assert_eq!(
+            *log.borrow(),
+            ["t5@0", "t4@5", "h0@10", "t1@10", "h2@10", "t3@10"]
+        );
+        // Two task polls and the six entries that ran.
+        assert_eq!(stats.events, 8);
+    }
+
+    #[test]
+    fn run_until_stops_at_a_timeline_key_past_its_limit() {
+        let log = Rc::new(RefCell::new(Vec::new()));
+        let sim = Sim::new();
+        let log2 = Rc::clone(&log);
+        let (_tx, rx) = crate::completion::<()>();
+        sim.spawn_task("wait", move |cx| async move {
+            let tl = Labels::attach(&cx.sched(), log2);
+            tl.add(&cx.sched(), SimTime::from_nanos(2_000), "late");
+            // The wait never ends: only the timeline keeps the run going.
+            cx.wait(rx).await;
+        });
+        match sim.run_until(SimTime::from_nanos(1_000)) {
+            Err(SimError::TimeLimitExceeded(t)) => assert_eq!(t.as_nanos(), 1_000),
+            other => panic!("expected time limit, got {other:?}"),
+        }
+        assert!(log.borrow().is_empty(), "ran past the limit: {log:?}");
+    }
+
+    #[test]
+    fn two_timelines_on_one_kernel_interleave_by_key() {
+        let log = Rc::new(RefCell::new(Vec::new()));
+        let sim = Sim::new();
+        let log2 = Rc::clone(&log);
+        let ids = Rc::new(RefCell::new(Vec::new()));
+        let ids2 = Rc::clone(&ids);
+        sim.spawn_task("arm", move |cx| async move {
+            let s = cx.sched();
+            let a = Labels::attach(&s, Rc::clone(&log2));
+            let b = Labels::attach(&s, Rc::clone(&log2));
+            let at = SimTime::from_nanos;
+            b.add(&s, at(7), "b7");
+            a.add(&s, at(7), "a7");
+            a.add(&s, at(3), "a3");
+            s.call_at(at(3), logger(&log2, "h3"));
+            b.add(&s, at(3), "b3");
+            a.add(&s, at(9), "a9");
+            b.add(&s, at(1), "b1");
+            ids2.borrow_mut()
+                .extend([a.id.get().unwrap(), b.id.get().unwrap()]);
+            assert!(s.owns(a.id.get().unwrap()) && s.owns(b.id.get().unwrap()));
+            cx.advance(SimDuration::from_nanos(10)).await;
+        });
+        sim.run().unwrap();
+        assert_eq!(
+            *log.borrow(),
+            ["b1@1", "a3@3", "h3@3", "b3@3", "b7@7", "a7@7", "a9@9"]
+        );
+        // Kernel ids are never reused: a new kernel owns neither.
+        let sim = Sim::new();
+        let ids3 = Rc::clone(&ids);
+        sim.spawn_task("check", move |cx| async move {
+            assert!(ids3.borrow().iter().all(|&id| !cx.sched().owns(id)));
+        });
+        sim.run().unwrap();
     }
 }

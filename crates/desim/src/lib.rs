@@ -46,7 +46,7 @@ mod time;
 pub use completion::{completion, Completion, Trigger};
 pub use exec::{Cx, TaskId};
 pub use fault::{FaultEvent, FaultKind, FaultPlan};
-pub use kernel::{RunStats, Sched, Sim, SimError};
+pub use kernel::{EventKey, RunStats, Sched, Sim, SimError, Timeline, TimelineId};
 pub use obs::analysis::{Analysis, Collector, CriticalPath, FlowBlame, MessageBlame, RankProfile};
 pub use obs::{DigestSink, DigestValue, Event, Metrics, Obs, Recorder, RingSink, Tee};
 pub use obs::{HostProfiler, ProfKey, StreamHist, TimeSeries, TimeSeriesSink, Windowed};

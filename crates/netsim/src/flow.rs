@@ -28,8 +28,16 @@
 //! original absolute times, and drops back to the exact per-round model.
 //! Virtual timings are identical either way; only the host-side event
 //! count changes.
+//!
+//! ## Timers
+//!
+//! Window rounds and the finish event are not kernel heap events: each
+//! network keeps them in its [`Timers`], a [`Timeline`] attached to the
+//! kernel that drives it. Every entry is keyed by [`Sched::stamp`], so the
+//! kernel runs it exactly where the `call_at` event it replaces would
+//! have run.
 
-use std::cell::RefCell;
+use std::cell::{Cell, RefCell};
 use std::collections::VecDeque;
 use std::rc::Rc;
 use std::sync::Arc;
@@ -39,7 +47,7 @@ use desim::fault::FaultPlan;
 use desim::obs::profile::{HostProfiler, ProfKey, ProfScope};
 use desim::obs::{Event as ObsEvent, Recorder};
 use desim::prop::Rng;
-use desim::{Sched, SimDuration, SimTime};
+use desim::{EventKey, Sched, SimDuration, SimTime, Timeline, TimelineId};
 
 use crate::tcp::{RoundOutcome, TcpState};
 use crate::topology::{LinkId, Path, Topology};
@@ -64,7 +72,11 @@ pub(crate) struct ChannelState {
     active: Option<usize>,
     queue: VecDeque<PendingTransfer>,
     stalled_until: SimTime,
+    /// Bumped whenever the channel's pending round is cancelled: a round
+    /// queued under an older value is stale.
     round_gen: u64,
+    /// Index of the channel's round lane in [`Timers::lanes`].
+    lane: usize,
     pub(crate) bytes_done: u64,
     pub(crate) transfers: u64,
     /// Injected per-segment loss probability (0 when no fault plan).
@@ -136,7 +148,12 @@ pub(crate) struct NetState {
     first_link_active: Vec<u32>,
     /// Reused buffers of [`NetState::allocate`].
     fill: WaterFill,
-    finish_gen: u64,
+    /// Pending window rounds and the finish event.
+    timers: Timers,
+    /// Reused buffers of [`finish_event`]: the flows finishing at this
+    /// instant, and their arrival callbacks.
+    finished: Vec<usize>,
+    fires: Vec<(ArrivalFn, SimTime)>,
     /// The instant of the last reallocation [`request_realloc`] ran at
     /// once: later requests at that instant share one queued reallocation.
     realloc_at: Option<SimTime>,
@@ -247,7 +264,9 @@ impl NetState {
             active: Vec::new(),
             first_link_active: Vec::new(),
             fill: WaterFill::default(),
-            finish_gen: 0,
+            timers: Timers::default(),
+            finished: Vec::new(),
+            fires: Vec::new(),
             realloc_at: None,
             realloc_queued: false,
             settled_at: None,
@@ -327,6 +346,7 @@ impl NetState {
 
     pub(crate) fn add_channel(&mut self, path: Path, tcp: TcpState) -> ChannelId {
         let index = self.channels.len();
+        let lane = self.timers.lane_for(tcp.params().rtt);
         let mut c = ChannelState {
             path,
             tcp,
@@ -334,6 +354,7 @@ impl NetState {
             queue: VecDeque::new(),
             stalled_until: SimTime::ZERO,
             round_gen: 0,
+            lane,
             bytes_done: 0,
             transfers: 0,
             loss_rate: 0.0,
@@ -783,6 +804,164 @@ fn arm_channel_faults(plan: &FaultPlan, index: usize, c: &mut ChannelState) {
 
 pub(crate) type SharedNet = Rc<RefCell<NetState>>;
 
+/// A network's pending window rounds and finish event, dispatched by the
+/// kernel as a [`Timeline`] in the kernel's `(time, seq)` order.
+///
+/// A round is due one RTT after it is queued, and a channel's RTT never
+/// changes, so a FIFO lane per distinct RTT stays sorted by key; only
+/// [`materialize`]'s re-arm, at an earlier time with a later sequence
+/// number, needs a sorted insert. A network has at most one live finish
+/// event, so it is one slot that each [`reallocate`] overwrites. Stale
+/// rounds (their channel's `round_gen` moved on) are dropped at the lane
+/// heads and never dispatched.
+#[derive(Default)]
+struct Timers {
+    /// The timeline this network is attached as, on the kernel that
+    /// drives it.
+    id: Option<TimelineId>,
+    lanes: Vec<Lane>,
+    finish: Option<EventKey>,
+    /// The key last published to the kernel.
+    published: Option<EventKey>,
+}
+
+/// The rounds due one `rtt` after they were queued, in key order.
+struct Lane {
+    rtt: SimDuration,
+    rounds: VecDeque<Round>,
+}
+
+/// A pending window round of channel `ch`, queued under `round_gen` `gen`.
+#[derive(Clone, Copy)]
+struct Round {
+    key: EventKey,
+    ch: usize,
+    gen: u64,
+}
+
+impl Timers {
+    /// The lane of channels whose RTT is `rtt`, added if new.
+    fn lane_for(&mut self, rtt: SimDuration) -> usize {
+        if let Some(i) = self.lanes.iter().position(|l| l.rtt == rtt) {
+            return i;
+        }
+        self.lanes.push(Lane {
+            rtt,
+            rounds: VecDeque::new(),
+        });
+        self.lanes.len() - 1
+    }
+
+    /// Queue a round keyed `key`. Keys of one lane arrive in order, bar
+    /// [`materialize`]'s re-arm, which lands behind every round due no
+    /// later than it.
+    fn push_round(&mut self, lane: usize, round: Round) {
+        let rounds = &mut self.lanes[lane].rounds;
+        if rounds.back().is_none_or(|r| r.key < round.key) {
+            rounds.push_back(round);
+        } else {
+            let at = rounds.partition_point(|r| r.key < round.key);
+            rounds.insert(at, round);
+        }
+    }
+}
+
+/// The kernel's handle on a network's [`Timers`]. `id` is the timeline id
+/// it was attached under; once the network has moved to another kernel,
+/// the old kernel's dispatches find the ids differ and run nothing.
+struct NetTimeline {
+    net: SharedNet,
+    id: Cell<Option<TimelineId>>,
+}
+
+impl Timeline for NetTimeline {
+    fn dispatch(&self, s: &Sched, key: EventKey) -> bool {
+        let net = &self.net;
+        let mut g = net.borrow_mut();
+        let id = self.id.get().expect("set at attach");
+        if g.timers.id != Some(id) {
+            s.publish(id, None);
+            return false;
+        }
+        let lane = g
+            .timers
+            .lanes
+            .iter()
+            .position(|l| l.rounds.front().is_some_and(|r| r.key == key));
+        // Published keys are kept exact (every handler ends in `sync`),
+        // so the key names the finish or a lane head.
+        let ran = if g.timers.finish == Some(key) {
+            g.timers.finish = None;
+            finish_event(&mut g, net, s);
+            true
+        } else if let Some(lane) = lane {
+            let r = g.timers.lanes[lane].rounds.pop_front().expect("found");
+            round_event(&mut g, net, s, r.ch, r.gen);
+            true
+        } else {
+            false
+        };
+        g.sync(s);
+        ran
+    }
+}
+
+impl NetState {
+    /// Attach the timers to `s`'s kernel unless they already are. The
+    /// entries pending on a previous kernel are dropped, as that kernel's
+    /// heap events would be.
+    fn bind(&mut self, net: &SharedNet, s: &Sched) {
+        if self.timers.id.is_some_and(|id| s.owns(id)) {
+            return;
+        }
+        for lane in &mut self.timers.lanes {
+            lane.rounds.clear();
+        }
+        self.timers.finish = None;
+        self.timers.published = None;
+        let tl = Rc::new(NetTimeline {
+            net: Rc::clone(net),
+            id: Cell::new(None),
+        });
+        let id = s.attach_timeline(Rc::clone(&tl) as Rc<dyn Timeline>);
+        tl.id.set(Some(id));
+        self.timers.id = Some(id);
+    }
+
+    /// Drop the stale rounds at the lane heads and publish the earliest
+    /// pending key if it moved. Every handler ends with this, so the
+    /// published key is always a live entry when the kernel looks.
+    fn sync(&mut self, s: &Sched) {
+        let NetState {
+            timers, channels, ..
+        } = self;
+        let mut next = timers.finish;
+        for lane in &mut timers.lanes {
+            while let Some(r) = lane.rounds.front() {
+                let c = &channels[r.ch];
+                if c.round_gen == r.gen && c.active.is_some() {
+                    next = Some(next.map_or(r.key, |n| n.min(r.key)));
+                    break;
+                }
+                lane.rounds.pop_front();
+            }
+        }
+        if next != timers.published {
+            timers.published = next;
+            s.publish(timers.id.expect("bound by the handler"), next);
+        }
+    }
+}
+
+/// Run one handler on the network for kernel `s`: bind the timers to it,
+/// run `f`, then publish the timers' earliest key.
+fn handle(net: &SharedNet, s: &Sched, f: impl FnOnce(&mut NetState)) {
+    let mut g = net.borrow_mut();
+    g.bind(net, s);
+    f(&mut g);
+    g.sync(s);
+}
+
 /// Observability name of a round outcome.
 fn outcome_name(out: RoundOutcome) -> &'static str {
     match out {
@@ -1136,8 +1315,9 @@ fn materialize(g: &mut NetState, net: &SharedNet, s: &Sched, now: SimTime) {
         let net2 = Rc::clone(net);
         s.call_at(until, move |s2| stall_clear(&net2, s2, ch, gen));
     } else if let Some(at) = outcome.next_round {
-        let net2 = Rc::clone(net);
-        s.call_at(at, move |s2| round_event(&net2, s2, ch, gen));
+        let key = s.stamp(at);
+        g.timers
+            .push_round(g.channels[ch].lane, Round { key, ch, gen });
     }
     // The pending finish event needs no re-arming: the interrupting event
     // reallocates, which cancels and reschedules finishes in the
@@ -1148,8 +1328,11 @@ fn materialize(g: &mut NetState, net: &SharedNet, s: &Sched, now: SimTime) {
 /// feasibility run logged, install its final TCP state, then perform
 /// `finish_event`'s bookkeeping for the one finished flow.
 fn fast_commit(net: &SharedNet, s: &Sched, gen: u64) {
+    handle(net, s, |g| commit_plan(g, net, s, gen));
+}
+
+fn commit_plan(g: &mut NetState, net: &SharedNet, s: &Sched, gen: u64) {
     let now = s.now();
-    let mut g = net.borrow_mut();
     if g.fast.as_ref().is_none_or(|p| p.gen != gen) {
         return; // Superseded by a materialize.
     }
@@ -1158,7 +1341,7 @@ fn fast_commit(net: &SharedNet, s: &Sched, gen: u64) {
     debug_assert_eq!(plan.finish_at, now, "commit must fire at the finish time");
     let ch = plan.ch;
     let fid = plan.fid;
-    credit_replay(&mut g, ch);
+    credit_replay(g, ch);
     g.channels[ch].tcp = plan.tcp_end.expect("installed plans have a final state");
     g.active.retain(|&x| x != fid);
     g.fill_dirty = true;
@@ -1166,7 +1349,7 @@ fn fast_commit(net: &SharedNet, s: &Sched, gen: u64) {
     let mut f = g.flows[fid].take().expect("finished flow exists");
     g.free.push(fid);
     g.channels[ch].bytes_done += f.total;
-    emit_flow_finish(&g, ch, now, f.total);
+    emit_flow_finish(g, ch, now, f.total);
     if now.since(f.started) < g.channels[ch].tcp.params().rtt {
         let stall = g.channels[ch].tcp.on_short_ack(f.total);
         if let Some(rec) = &g.obs {
@@ -1187,10 +1370,9 @@ fn fast_commit(net: &SharedNet, s: &Sched, gen: u64) {
     g.channels[ch].active = None;
     g.channels[ch].round_gen += 1;
     if g.channels[ch].stalled_until <= now {
-        activate_next(&mut g, net, s, ch, now);
+        activate_next(g, s, ch, now);
     }
-    request_realloc(&mut g, net, s, now);
-    drop(g);
+    request_realloc(g, net, s, now);
     if let Some(done) = done {
         s.call_at(arrival, done);
     }
@@ -1205,8 +1387,18 @@ pub(crate) fn start_transfer(
     bytes: u64,
     done: ArrivalFn,
 ) {
+    handle(net, s, |g| enqueue_transfer(g, net, s, ch, bytes, done));
+}
+
+fn enqueue_transfer(
+    g: &mut NetState,
+    net: &SharedNet,
+    s: &Sched,
+    ch: ChannelId,
+    bytes: u64,
+    done: ArrivalFn,
+) {
     let now = s.now();
-    let mut g = net.borrow_mut();
     // Duplicate traffic (fault injection): spurious retransmissions put
     // extra copies of some segments on the wire, so the flow carries more
     // bytes than the payload for the same goodput.
@@ -1221,16 +1413,16 @@ pub(crate) fn start_transfer(
     });
     if g.channels[ch.0].active.is_none() && g.channels[ch.0].stalled_until <= now {
         // A new flow is joining: any single-flow plan is no longer alone.
-        materialize(&mut g, net, s, now);
+        materialize(g, net, s, now);
         g.settle(now);
-        activate_next(&mut g, net, s, ch.0, now);
-        request_realloc(&mut g, net, s, now);
+        activate_next(g, s, ch.0, now);
+        request_realloc(g, net, s, now);
     }
 }
 
 /// Start the next queued transfer on an idle channel. Caller must settle
 /// first and reallocate afterwards.
-fn activate_next(g: &mut NetState, net: &SharedNet, s: &Sched, ch: usize, now: SimTime) {
+fn activate_next(g: &mut NetState, s: &Sched, ch: usize, now: SimTime) {
     let Some(pt) = g.channels[ch].queue.pop_front() else {
         return;
     };
@@ -1260,9 +1452,13 @@ fn activate_next(g: &mut NetState, net: &SharedNet, s: &Sched, ch: usize, now: S
         if g.link_delivered.len() < g.topo.link_count() {
             g.link_delivered.resize(g.topo.link_count(), 0.0);
         }
-        let links = g.channels[ch].path.links.clone();
-        for l in links {
-            g.link_delivered[l.index()] += credit;
+        let NetState {
+            channels,
+            link_delivered,
+            ..
+        } = &mut *g;
+        for &l in &channels[ch].path.links {
+            link_delivered[l.index()] += credit;
         }
         (pt.bytes as f64 - credit).max(1e-3)
     };
@@ -1289,7 +1485,7 @@ fn activate_next(g: &mut NetState, net: &SharedNet, s: &Sched, ch: usize, now: S
             queued: g.channels[ch].queue.len() as u64,
         });
     }
-    schedule_round(g, net, s, ch, now);
+    schedule_round(g, s, ch, now);
 }
 
 /// Record a flow completion and the cumulative delivery of every link on
@@ -1311,23 +1507,27 @@ fn emit_flow_finish(g: &NetState, ch: usize, now: SimTime, bytes: u64) {
     }
 }
 
-fn schedule_round(g: &mut NetState, net: &SharedNet, s: &Sched, ch: usize, now: SimTime) {
+/// Queue `ch`'s next window round, one RTT from `now`.
+fn schedule_round(g: &mut NetState, s: &Sched, ch: usize, now: SimTime) {
     let c = &g.channels[ch];
     if c.tcp.saturated() {
         return; // Flow-control-bound: the window will never move again.
     }
-    let gen = c.round_gen;
-    let at = now + c.tcp.params().rtt;
-    let net2 = Rc::clone(net);
-    s.call_at(at, move |s2| round_event(&net2, s2, ch, gen));
+    let key = s.stamp(now + c.tcp.params().rtt);
+    let round = Round {
+        key,
+        ch,
+        gen: c.round_gen,
+    };
+    g.timers.push_round(c.lane, round);
 }
 
-fn round_event(net: &SharedNet, s: &Sched, ch: usize, gen: u64) {
+fn round_event(g: &mut NetState, net: &SharedNet, s: &Sched, ch: usize, gen: u64) {
     let now = s.now();
-    let mut g = net.borrow_mut();
-    if g.channels[ch].round_gen != gen || g.channels[ch].active.is_none() {
-        return;
-    }
+    debug_assert!(
+        g.channels[ch].round_gen == gen && g.channels[ch].active.is_some(),
+        "stale rounds are dropped before dispatch"
+    );
     if g.channels[ch].stalled_until > now {
         return; // The stall-clear event resumes rounds.
     }
@@ -1392,14 +1592,14 @@ fn round_event(net: &SharedNet, s: &Sched, ch: usize, gen: u64) {
     match out {
         RoundOutcome::Progress | RoundOutcome::FastRecovery => {
             if realloc {
-                request_realloc(&mut g, net, s, now);
+                request_realloc(g, net, s, now);
             }
-            schedule_round(&mut g, net, s, ch, now);
+            schedule_round(g, s, ch, now);
         }
         RoundOutcome::RtoStall(d) => {
             let until = now + d;
             g.stall(ch, until);
-            request_realloc(&mut g, net, s, now);
+            request_realloc(g, net, s, now);
             let net2 = Rc::clone(net);
             s.call_at(until, move |s2| stall_clear(&net2, s2, ch, gen));
         }
@@ -1408,33 +1608,35 @@ fn round_event(net: &SharedNet, s: &Sched, ch: usize, gen: u64) {
 
 /// Wake a channel whose post-completion RTO stall has elapsed.
 fn resume_channel(net: &SharedNet, s: &Sched, ch: usize) {
-    let now = s.now();
-    let mut g = net.borrow_mut();
-    g.fill_dirty = true;
-    if g.channels[ch].stalled_until > now || g.channels[ch].active.is_some() {
-        return;
-    }
-    materialize(&mut g, net, s, now);
-    g.settle(now);
-    activate_next(&mut g, net, s, ch, now);
-    request_realloc(&mut g, net, s, now);
+    handle(net, s, |g| {
+        let now = s.now();
+        g.fill_dirty = true;
+        if g.channels[ch].stalled_until > now || g.channels[ch].active.is_some() {
+            return;
+        }
+        materialize(g, net, s, now);
+        g.settle(now);
+        activate_next(g, s, ch, now);
+        request_realloc(g, net, s, now);
+    });
 }
 
 fn stall_clear(net: &SharedNet, s: &Sched, ch: usize, gen: u64) {
-    let now = s.now();
-    let mut g = net.borrow_mut();
-    g.fill_dirty = true;
-    if g.channels[ch].round_gen != gen {
-        return;
-    }
-    g.settle(now);
-    if g.channels[ch].active.is_some() {
-        request_realloc(&mut g, net, s, now);
-        schedule_round(&mut g, net, s, ch, now);
-    } else if g.channels[ch].queue.front().is_some() {
-        activate_next(&mut g, net, s, ch, now);
-        request_realloc(&mut g, net, s, now);
-    }
+    handle(net, s, |g| {
+        let now = s.now();
+        g.fill_dirty = true;
+        if g.channels[ch].round_gen != gen {
+            return;
+        }
+        g.settle(now);
+        if g.channels[ch].active.is_some() {
+            request_realloc(g, net, s, now);
+            schedule_round(g, s, ch, now);
+        } else if g.channels[ch].queue.front().is_some() {
+            activate_next(g, s, ch, now);
+            request_realloc(g, net, s, now);
+        }
+    });
 }
 
 /// Take every channel whose path crosses one of `links` down for `down`,
@@ -1450,10 +1652,23 @@ pub(crate) fn fault_path_outage(
     kind: &'static str,
     subject: u64,
 ) {
+    handle(net, s, |g| {
+        outage(g, net, s, &links, down, kind, subject);
+    });
+}
+
+fn outage(
+    g: &mut NetState,
+    net: &SharedNet,
+    s: &Sched,
+    links: &[LinkId],
+    down: SimDuration,
+    kind: &'static str,
+    subject: u64,
+) {
     let now = s.now();
     let until = now + down;
-    let mut g = net.borrow_mut();
-    materialize(&mut g, net, s, now);
+    materialize(g, net, s, now);
     g.settle(now);
     for ch in 0..g.channels.len() {
         let hit = g.channels[ch].path.links.iter().any(|l| links.contains(l));
@@ -1490,7 +1705,7 @@ pub(crate) fn fault_path_outage(
             }
         });
     }
-    request_realloc(&mut g, net, s, now);
+    request_realloc(g, net, s, now);
 }
 
 /// Ask for the rates to be recomputed at `now`. The first request at an
@@ -1505,59 +1720,61 @@ fn request_realloc(g: &mut NetState, net: &SharedNet, s: &Sched, now: SimTime) {
         reallocate(g, net, s, now);
         return;
     }
-    g.finish_gen += 1;
+    g.timers.finish = None;
     if !g.realloc_queued {
         g.realloc_queued = true;
         let net2 = Rc::clone(net);
         s.call_at(now, move |s2| {
-            let mut g = net2.borrow_mut();
-            g.realloc_queued = false;
-            reallocate(&mut g, &net2, s2, s2.now());
+            handle(&net2, s2, |g| {
+                g.realloc_queued = false;
+                reallocate(g, &net2, s2, s2.now());
+            });
         });
     }
 }
 
-/// Recompute rates and (re)schedule the earliest-finish event — or, when
-/// a lone flow qualifies, absorb its future into a fast plan instead.
+/// Recompute rates and put the earliest finish in the finish slot — or,
+/// when a lone flow qualifies, absorb its future into a fast plan instead.
 fn reallocate(g: &mut NetState, net: &SharedNet, s: &Sched, now: SimTime) {
     g.allocate(now);
-    g.finish_gen += 1;
+    g.timers.finish = None;
     if try_enter_fast(g, net, s, now) {
         return;
     }
-    let gen = g.finish_gen;
-    let mut earliest: Option<SimTime> = None;
-    for &fid in &g.active {
-        let f = g.flows[fid].as_ref().unwrap();
-        if f.rate > 0.0 {
-            let t =
-                now + SimDuration::from_secs_f64(f.remaining / f.rate) + SimDuration::from_nanos(1);
-            earliest = Some(match earliest {
-                Some(e) => e.min(t),
-                None => t,
-            });
-        }
-    }
-    if let Some(at) = earliest {
-        let net2 = Rc::clone(net);
-        s.call_at(at, move |s2| finish_event(&net2, s2, gen));
+    if let Some(q) = earliest_finish_secs(g) {
+        let at = now + SimDuration::from_secs_f64(q) + SimDuration::from_nanos(1);
+        g.timers.finish = Some(s.stamp(at));
     }
 }
 
-fn finish_event(net: &SharedNet, s: &Sched, gen: u64) {
-    let now = s.now();
-    let mut g = net.borrow_mut();
-    if g.finish_gen != gen {
-        return; // Superseded by a later reallocation.
+/// The smallest `remaining / rate` over the active flows that move. A
+/// flow finishes at `now + from_secs_f64(remaining / rate) + 1 ns`; the
+/// conversion is monotone, so the earliest of those instants is this
+/// minimum converted once.
+fn earliest_finish_secs(g: &NetState) -> Option<f64> {
+    let mut earliest: Option<f64> = None;
+    for &fid in &g.active {
+        let f = g.flows[fid].as_ref().expect("active flow exists");
+        if f.rate > 0.0 {
+            let q = f.remaining / f.rate;
+            if earliest.is_none_or(|e| q < e) {
+                earliest = Some(q);
+            }
+        }
     }
+    earliest
+}
+
+fn finish_event(g: &mut NetState, net: &SharedNet, s: &Sched) {
+    let now = s.now();
     let _prof = g.prof_scope(|p| p.finish);
     g.settle(now);
     // Drop finished flows from `active` in one order-preserving pass.
     // Flows the loop below activates are appended after the survivors,
     // in the order their predecessors finished — as if each finished
     // flow had been removed just before its successor started.
-    let mut finished: Vec<usize> = Vec::new();
-    let NetState { active, flows, .. } = &mut *g;
+    let mut finished = std::mem::take(&mut g.finished);
+    let NetState { active, flows, .. } = g;
     active.retain(|&fid| {
         let done = flows[fid].as_ref().expect("active flow exists").remaining < 0.5;
         if done {
@@ -1568,8 +1785,8 @@ fn finish_event(net: &SharedNet, s: &Sched, gen: u64) {
     if !finished.is_empty() {
         g.fill_dirty = true;
     }
-    let mut fires: Vec<(ArrivalFn, SimTime)> = Vec::new();
-    for fid in finished {
+    let mut fires = std::mem::take(&mut g.fires);
+    for &fid in &finished {
         let mut f = g.flows[fid].take().expect("finished flow exists");
         g.free.push(fid);
         let ch = f.chan;
@@ -1578,7 +1795,7 @@ fn finish_event(net: &SharedNet, s: &Sched, gen: u64) {
         // the uplink (pinned by a unit test).
         g.leave_first_link(ch);
         g.channels[ch].bytes_done += f.total;
-        emit_flow_finish(&g, ch, now, f.total);
+        emit_flow_finish(g, ch, now, f.total);
         if now.since(f.started) < g.channels[ch].tcp.params().rtt {
             // The flow never lived through a window round: apply the
             // ack-clocked growth it earned. A first-burst overshoot on an
@@ -1604,15 +1821,17 @@ fn finish_event(net: &SharedNet, s: &Sched, gen: u64) {
         g.channels[ch].active = None;
         g.channels[ch].round_gen += 1;
         if g.channels[ch].stalled_until <= now {
-            activate_next(&mut g, net, s, ch, now);
+            activate_next(g, s, ch, now);
         }
         // A stalled channel resumes from stall_clear.
     }
-    request_realloc(&mut g, net, s, now);
-    drop(g);
-    for (done, at) in fires {
+    finished.clear();
+    g.finished = finished;
+    request_realloc(g, net, s, now);
+    for (done, at) in fires.drain(..) {
         s.call_at(at, done);
     }
+    g.fires = fires;
 }
 
 #[cfg(test)]
@@ -2279,5 +2498,75 @@ mod tests {
         assert_eq!(g.replays, 1, "replays of one committed plan");
         assert_eq!(arrival.get(), LONE_WAN_ARRIVAL_NS);
         assert_eq!(bits, LONE_WAN_LINK_BITS);
+    }
+
+    /// The finish slot's instant, one conversion of the smallest
+    /// `remaining / rate`, is the earliest of the per-flow instants
+    /// `now + from_secs_f64(remaining / rate) + 1 ns`, on random flows
+    /// (some stalled at rate 0, some tied).
+    #[test]
+    fn earliest_finish_converts_once_as_the_per_flow_minimum() {
+        forall(2000, 0x0f17_1540_0000_0001, |rng| {
+            let mut g = mk_state();
+            let path = g.topo.route(NodeId(0), NodeId(0));
+            let now = SimTime::from_nanos(rng.range_u64(0, 1 << 50));
+            let mut want: Option<SimTime> = None;
+            for _ in 0..rng.range_usize(0, 40) {
+                let fid = push_flow(&mut g, path.clone(), 1 << 20);
+                let f = g.flows[fid].as_mut().unwrap();
+                f.remaining =
+                    *rng.pick(&[1e-3, 0.4, 1.0, 1448.0, 65536.0]) * rng.range_f64(1.0, 1e4);
+                f.rate = match rng.range_u64(0, 6) {
+                    0 => 0.0,
+                    1 => 1.25e8,
+                    _ => rng.range_f64(1e3, 1.25e9),
+                };
+                if f.rate > 0.0 {
+                    let t = now
+                        + SimDuration::from_secs_f64(f.remaining / f.rate)
+                        + SimDuration::from_nanos(1);
+                    want = Some(want.map_or(t, |w| w.min(t)));
+                }
+            }
+            let got = earliest_finish_secs(&g)
+                .map(|q| now + SimDuration::from_secs_f64(q) + SimDuration::from_nanos(1));
+            assert_eq!(got, want);
+        });
+    }
+
+    /// One network driven by two simulations in turn: each run binds the
+    /// network's timers to its own kernel, so the second run's rounds and
+    /// finishes are dispatched (not left on the first, dropped kernel)
+    /// and a fresh channel's transfer takes exactly as long as the first.
+    #[test]
+    fn a_network_driven_by_two_sims_rebinds_to_each() {
+        let mut t = Topology::new();
+        let a = t.add_site("a", SiteParams::default());
+        let b = t.add_site("b", SiteParams::default());
+        let na = t.add_node(a, NodeParams::default());
+        let nb = t.add_node(b, NodeParams::default());
+        t.connect_sites(a, b, SimDuration::from_micros(11_600), 125e6, 512 * 1024);
+        t.set_kernel_all(KernelConfig::tuned(4 << 20));
+        let net = crate::Network::new(t);
+        // Per-round model: the transfer lives on window rounds and
+        // finish events.
+        net.set_bulk_fast_path(false);
+        let mut runs = Vec::new();
+        for _ in 0..2 {
+            let net2 = net.clone();
+            let sim = desim::Sim::new();
+            sim.spawn_task("sender", move |cx| async move {
+                let os = SockBufRequest::OsDefault;
+                let ch = net2.channel(na, nb, os, os, false);
+                cx.wait(net2.transfer(&cx.sched(), ch, 4 << 20)).await;
+            });
+            let stats = sim.run_counted().expect("the transfer completes");
+            let id = net.state.borrow().timers.id.expect("bound");
+            runs.push((stats, id));
+        }
+        assert_ne!(runs[0].1, runs[1].1, "the second run rebinds");
+        assert_eq!(runs[0].0, runs[1].0, "the same transfer, the same run");
+        // Two task polls, a finish and an arrival, and window rounds.
+        assert!(runs[1].0.events > 10, "rounds dispatched: {:?}", runs[1].0);
     }
 }

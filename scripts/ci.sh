@@ -84,6 +84,12 @@ stage_test() {
     # Fast-path contract: the fast path is bit-identical to the per-round
     # model, samples included (lone, interrupted and traced plans).
     cargo test -q --offline -p netsim --test fastpath_equivalence --test probe_observer_effect
+    # Timer ordering contract: timeline entries run among heap events in
+    # the kernel's exact (time, seq) order, are checked against the time
+    # limit and released with the kernel, and a network rebinds its
+    # timers to whichever kernel drives it.
+    cargo test -q --offline -p desim --lib kernel::tests
+    cargo test -q --offline -p netsim --lib flow::tests::a_network_driven_by_two_sims_rebinds_to_each
     # Library crates take configuration only through their APIs: no
     # environment-variable reads anywhere in their sources.
     if grep -rnE 'env::var' \
