@@ -176,9 +176,12 @@ pub(crate) struct NetState {
     /// Water-fills run so far: the unit tests pin what a burst costs.
     #[cfg(test)]
     fills: u64,
-    /// Runs of [`replay_flow`] so far: the unit tests pin what a plan costs.
+    /// Runs of [`replay_flow`] so far, and the finish instants they
+    /// converted: the unit tests pin what a plan costs.
     #[cfg(test)]
     replays: u64,
+    #[cfg(test)]
+    finish_conversions: u64,
     /// Bytes delivered over each directed link (utilization accounting).
     pub(crate) link_delivered: Vec<f64>,
     /// Closed-form bulk-transfer fast path (on by default; the equivalence
@@ -207,9 +210,10 @@ pub(crate) struct NetState {
 
 /// The flow engine's handle on an attached
 /// [`HostProfiler`]: event-handler keys are
-/// interned at attach time, per-link settle keys carry link labels
-/// (`site:<name>` for LAN access links, `wan:<a>-><b>` for WAN trunks),
-/// and per-channel round keys are interned lazily on first round.
+/// interned at attach time; per-link settle keys carry link labels
+/// (`site:<name>` for LAN access links, `wan:<a>-><b>` for WAN trunks)
+/// and, like the per-channel round keys, are interned lazily on first
+/// use.
 ///
 /// Attribution is *layer-local*: `netsim;settle;<link>` rows re-slice
 /// time that the enclosing `netsim;round_event;<label>` row also counts
@@ -228,10 +232,9 @@ pub(crate) struct NetProf {
     /// Closed-form replay: a plan's feasibility run, and the prefix
     /// replay of a materialised plan.
     pub(crate) replay: ProfKey,
-    /// Per-directed-link settle keys (`netsim;settle;<label>`).
-    pub(crate) link_keys: Vec<ProfKey>,
-    /// Label of each directed link.
-    pub(crate) link_labels: Vec<String>,
+    /// Lazily interned per-directed-link settle keys
+    /// (`netsim;settle;<label>`).
+    pub(crate) link_keys: Vec<Option<ProfKey>>,
     /// Lazily interned per-channel round keys
     /// (`netsim;round_event;<label>`).
     pub(crate) chan_keys: Vec<Option<ProfKey>>,
@@ -252,6 +255,25 @@ pub(crate) struct NetProf {
 /// patterns (round → settle → allocate …), and a stride sharing a factor
 /// with the pattern length would sample the same site forever.
 pub(crate) const NET_PROF_SAMPLE: u64 = 13;
+
+impl NetProf {
+    /// The settle key of link `l`, interned on first use. Out of line:
+    /// only a sampled settle calls it.
+    #[cold]
+    fn link_key(&mut self, topo: &Topology, l: LinkId) -> ProfKey {
+        if let Some(Some(k)) = self.link_keys.get(l.index()) {
+            return *k;
+        }
+        let k = self
+            .prof
+            .intern(&format!("netsim;settle;{}", topo.link_label(l)));
+        if self.link_keys.len() <= l.index() {
+            self.link_keys.resize(l.index() + 1, None);
+        }
+        self.link_keys[l.index()] = Some(k);
+        k
+    }
+}
 
 impl NetState {
     pub(crate) fn new(topo: Topology, stack_overhead: SimDuration) -> NetState {
@@ -278,6 +300,8 @@ impl NetState {
             fills: 0,
             #[cfg(test)]
             replays: 0,
+            #[cfg(test)]
+            finish_conversions: 0,
             link_delivered: Vec::new(),
             fast_enabled: true,
             fast: None,
@@ -319,19 +343,15 @@ impl NetState {
         let key = match cached {
             Some(k) => k,
             None => {
-                let links: Vec<LinkId> = self
-                    .channels
-                    .get(ch)
-                    .map(|c| c.path.links.clone())
-                    .unwrap_or_default();
-                let hp = self.host_prof.as_mut().expect("checked above");
+                // The channel's WAN trunk if it crosses one, else its
+                // first link.
+                let links = &self.channels[ch].path.links;
                 let label = links
                     .iter()
-                    .filter_map(|l| hp.link_labels.get(l.index()))
-                    .find(|lab| lab.starts_with("wan:"))
-                    .or_else(|| links.first().and_then(|l| hp.link_labels.get(l.index())))
-                    .cloned()
-                    .unwrap_or_else(|| "local".to_string());
+                    .find(|&&l| self.topo.is_wan_link(l))
+                    .or(links.first())
+                    .map_or_else(|| "local".to_string(), |&l| self.topo.link_label(l));
+                let hp = self.host_prof.as_mut().expect("checked above");
                 let k = hp.prof.intern(&format!("netsim;round_event;{label}"));
                 if hp.chan_keys.len() <= ch {
                     hp.chan_keys.resize(ch + 1, None);
@@ -436,27 +456,27 @@ impl NetState {
                 f.last_settle = now;
             }
         }
-        if let (Some(t0), Some(hp)) = (t0, self.host_prof.as_ref()) {
+        if let (Some(t0), Some(hp)) = (t0, self.host_prof.as_mut()) {
             let ns = t0.elapsed().as_nanos() as u64;
-            let before = &hp.settle_scratch;
-            let delta = |i: usize, d: f64| -> f64 { d - before.get(i).copied().unwrap_or(0.0) };
+            let delta = |before: &[f64], i: usize, d: f64| -> f64 {
+                d - before.get(i).copied().unwrap_or(0.0)
+            };
             let total: f64 = self
                 .link_delivered
                 .iter()
                 .enumerate()
-                .map(|(i, &d)| delta(i, d).max(0.0))
+                .map(|(i, &d)| delta(&hp.settle_scratch, i, d).max(0.0))
                 .sum();
             if total > 0.0 {
                 for (i, &d) in self.link_delivered.iter().enumerate() {
-                    let d = delta(i, d);
+                    let d = delta(&hp.settle_scratch, i, d);
                     if d > 0.0 {
-                        if let Some(&key) = hp.link_keys.get(i) {
-                            hp.prof.add_ns_sampled(
-                                key,
-                                (ns as f64 * d / total) as u64,
-                                NET_PROF_SAMPLE,
-                            );
-                        }
+                        let key = hp.link_key(&self.topo, LinkId(i as u32));
+                        hp.prof.add_ns_sampled(
+                            key,
+                            (ns as f64 * d / total) as u64,
+                            NET_PROF_SAMPLE,
+                        );
                     }
                 }
             } else {
@@ -1009,6 +1029,10 @@ struct ReplayOutcome {
     stalled_until: Option<SimTime>,
     /// Absolute time of the pending window-round event, if any.
     next_round: Option<SimTime>,
+    /// Finish instants the replay converted: the unit tests pin that a
+    /// pinned segment converts none per round.
+    #[cfg(test)]
+    finish_conversions: u64,
 }
 
 /// Replay the per-round event sequence of an uncontended flow, applying
@@ -1023,6 +1047,14 @@ struct ReplayOutcome {
 /// for the single-flow case *operation for operation*, including the
 /// two-event priority queue semantics (time, then insertion order), so
 /// the resulting f64 state is bit-identical to the event loop's.
+///
+/// A flow whose rate is pinned at its path bottleneck runs its rounds in
+/// a *pinned segment*: while the window rate stays at or above the
+/// bottleneck, every round settles one RTT at the one rate, reallocates
+/// to the same rate and pushes a finish that the next round precedes, so
+/// the segment steps the window and subtracts one precomputed step per
+/// round, and converts the finish instant only when it leaves (DESIGN
+/// §2.2).
 #[allow(clippy::too_many_arguments)]
 fn replay_flow(
     tcp0: &TcpState,
@@ -1048,7 +1080,11 @@ fn replay_flow(
     let mut round: Option<(SimTime, u64)> = None;
     let mut finish: Option<(SimTime, u64)> = None;
     let mut stall: Option<(SimTime, u64)> = None;
+    #[cfg(test)]
+    let conversions = Cell::new(0u64);
     let finish_time = |at: SimTime, remaining: f64, rate: f64| {
+        #[cfg(test)]
+        conversions.set(conversions.get() + 1);
         at + SimDuration::from_secs_f64(remaining / rate) + SimDuration::from_nanos(1)
     };
     if fresh && !tcp.saturated() {
@@ -1121,6 +1157,49 @@ fn replay_flow(
             // reallocate only if the window cap was binding or the
             // window collapsed.
             round = None;
+            // Pinned segment. The rate is the bottleneck-bound rate the
+            // reallocation of every round would give again, so each round
+            // counts as binding, settles exactly one RTT (`step`, the bits
+            // of `settle!`'s `rate * dt`) and pushes a finish behind the
+            // next round while more than two steps remain. No stall is
+            // pending and none can start, and no queued reallocation is
+            // due at `t`. The segment leaves by rebuilding the finish and
+            // round keys as the last round's reallocation would have.
+            if rtt > SimDuration::ZERO
+                && last + rtt == t
+                && realloc_at != t
+                && stall.is_none()
+                && rate >= bottleneck * 0.999
+                && tcp.window_rate() >= bottleneck
+                && rate.to_bits() == single_flow_rate(&tcp, bottleneck, min_link).to_bits()
+                && tcp.rounds_cannot_stall()
+            {
+                let step = rate * rtt.as_secs_f64();
+                let mut t = t;
+                loop {
+                    let out = tcp.on_round();
+                    debug_assert!(!matches!(out, RoundOutcome::RtoStall(_)));
+                    on_round(t, &tcp, out);
+                    let moved = step.min(remaining);
+                    remaining -= moved;
+                    on_settle(moved);
+                    last = t;
+                    if remaining <= 2.0 * step + 1.0
+                        || tcp.window_rate() < bottleneck
+                        || tcp.saturated()
+                        || t + rtt >= upto
+                    {
+                        break;
+                    }
+                    t += rtt;
+                }
+                reallocate!(t);
+                if !tcp.saturated() {
+                    round = Some((t + rtt, seq));
+                    seq += 1;
+                }
+                continue;
+            }
             let cap = tcp.window_rate().min(bottleneck);
             let was_binding = rate >= cap * 0.999;
             let out = tcp.on_round();
@@ -1165,6 +1244,8 @@ fn replay_flow(
         finished_at,
         stalled_until: stall.map(|(t, _)| t),
         next_round: round.map(|(t, _)| t),
+        #[cfg(test)]
+        finish_conversions: conversions.get(),
     }
 }
 
@@ -1249,7 +1330,7 @@ fn replay_logged(g: &mut NetState, plan: &FastPlan, upto: SimTime) -> ReplayOutc
     let (steps, samples) = (&mut g.replay_steps, &mut g.replay_samples);
     steps.clear();
     samples.clear();
-    replay_flow(
+    let outcome = replay_flow(
         &plan.tcp0,
         plan.remaining0,
         plan.rate0,
@@ -1264,7 +1345,12 @@ fn replay_logged(g: &mut NetState, plan: &FastPlan, upto: SimTime) -> ReplayOutc
                 samples.push(tcp_sample(ch, t, tcp, outcome_name(out)));
             }
         },
-    )
+    );
+    #[cfg(test)]
+    {
+        g.finish_conversions += outcome.finish_conversions;
+    }
+    outcome
 }
 
 /// Credit the last replay's settle steps, in order, to every link of
@@ -2498,6 +2584,197 @@ mod tests {
         assert_eq!(g.replays, 1, "replays of one committed plan");
         assert_eq!(arrival.get(), LONE_WAN_ARRIVAL_NS);
         assert_eq!(bits, LONE_WAN_LINK_BITS);
+    }
+
+    /// What one run leaves for the fast path on and off to agree on: each
+    /// transfer's arrival (ns), the bytes credited to every link (f64
+    /// bits) and every recorded event, TCP samples included.
+    #[derive(Debug, PartialEq)]
+    struct Trace {
+        arrivals: Vec<u64>,
+        links: Vec<u64>,
+        events: Vec<ObsEvent>,
+    }
+
+    /// What a run cost the replay: runs of [`replay_flow`], the finish
+    /// instants they converted, and the window rounds recorded.
+    #[derive(Debug)]
+    struct ReplayCost {
+        replays: u64,
+        conversions: u64,
+        rounds: usize,
+    }
+
+    /// Run `transfers` — `(src, dst, start ns, bytes)`, each on a channel
+    /// of its own — over `topo` with the fast path on or off.
+    fn traced_run(
+        topo: &Topology,
+        pacing: bool,
+        transfers: &[(NodeId, NodeId, u64, u64)],
+        fast: bool,
+    ) -> (Trace, ReplayCost) {
+        let net = crate::Network::new(topo.clone());
+        net.set_bulk_fast_path(fast);
+        let sink = Arc::new(desim::obs::RingSink::new(1 << 20));
+        net.attach_obs(&desim::obs::Obs::none().recorder(sink.clone()));
+        let arrivals = Rc::new(RefCell::new(vec![0u64; transfers.len()]));
+        let sim = desim::Sim::new();
+        for (k, &(src, dst, start, bytes)) in transfers.iter().enumerate() {
+            let (net, arrivals) = (net.clone(), Rc::clone(&arrivals));
+            sim.spawn_task("sender", move |cx| async move {
+                let os = SockBufRequest::OsDefault;
+                let ch = net.channel(src, dst, os, os, pacing);
+                cx.advance(SimDuration::from_nanos(start)).await;
+                cx.wait(net.transfer(&cx.sched(), ch, bytes)).await;
+                arrivals.borrow_mut()[k] = cx.now().as_nanos();
+            });
+        }
+        sim.run().unwrap();
+        assert_eq!(sink.dropped(), 0);
+        let events = sink.events();
+        let rounds = events
+            .iter()
+            .filter(|e| matches!(e, ObsEvent::TcpSample { outcome, .. } if *outcome != "short_ack"))
+            .count();
+        let g = net.state.borrow();
+        let trace = Trace {
+            arrivals: arrivals.borrow().clone(),
+            links: g.link_delivered.iter().map(|d| d.to_bits()).collect(),
+            events,
+        };
+        let cost = ReplayCost {
+            replays: g.replays,
+            conversions: g.finish_conversions,
+            rounds,
+        };
+        (trace, cost)
+    }
+
+    /// Run `transfers` with the fast path off and on: the traces must
+    /// agree to the bit. Returns the fast path's replay cost.
+    fn pinned_equivalence(
+        topo: &Topology,
+        pacing: bool,
+        transfers: &[(NodeId, NodeId, u64, u64)],
+    ) -> ReplayCost {
+        let (slow, slow_cost) = traced_run(topo, pacing, transfers, false);
+        let (fast, cost) = traced_run(topo, pacing, transfers, true);
+        assert_eq!(slow_cost.replays, 0);
+        assert_eq!(slow_cost.rounds, cost.rounds);
+        assert!(
+            slow == fast,
+            "the fast path diverged from the per-round model"
+        );
+        cost
+    }
+
+    /// One site of two nodes under `kernel`, or two such sites over an
+    /// 11.6 ms WAN link with a `queue`-byte drop-tail buffer.
+    fn pinned_topo(kernel: KernelConfig, wan_queue: Option<u64>) -> (Topology, NodeId, NodeId) {
+        let mut t = Topology::new();
+        let a = t.add_site("a", SiteParams::default());
+        let na = t.add_node(a, NodeParams::default());
+        let nb = match wan_queue {
+            None => t.add_node(a, NodeParams::default()),
+            Some(queue) => {
+                let b = t.add_site("b", SiteParams::default());
+                t.connect_sites(a, b, SimDuration::from_micros(11_600), 125e6, queue);
+                t.add_node(b, NodeParams::default())
+            }
+        };
+        t.set_kernel_all(kernel);
+        (t, na, nb)
+    }
+
+    /// A lone 64 MB LAN transfer with tuned buffers: after two slow-start
+    /// rounds its window stays far above the 1 Gb/s NIC's 7 kB BDP through
+    /// every loss, so ~9,500 rounds run in one pinned segment. Its one
+    /// replay converts a handful of finish instants, not one per round,
+    /// and leaves when fewer than two steps remain.
+    #[test]
+    fn a_pinned_lan_plan_converts_a_few_finishes_not_one_per_round() {
+        let (t, a, b) = pinned_topo(KernelConfig::tuned(4 << 20), None);
+        let cost = pinned_equivalence(&t, false, &[(a, b, 0, 64 << 20)]);
+        assert_eq!(cost.replays, 1, "{cost:?}");
+        assert!(cost.rounds > 9_000, "{cost:?}");
+        assert!(cost.conversions <= 8, "{cost:?}");
+    }
+
+    /// A shallow WAN queue (under a quarter of the BDP): each loss cuts
+    /// the window below the bottleneck, the segment leaves and the rounds
+    /// below the bottleneck convert their finishes, then the window climbs
+    /// back and a new segment starts. Paced, so no round can stall.
+    #[test]
+    fn a_pinned_segment_leaves_when_the_window_drops_below_the_bottleneck() {
+        let (t, a, b) = pinned_topo(KernelConfig::tuned(8 << 20), Some(128 << 10));
+        let cost = pinned_equivalence(&t, true, &[(a, b, 0, 512 << 20)]);
+        assert_eq!(cost.replays, 1, "{cost:?}");
+        assert!(cost.rounds > 300, "{cost:?}");
+        // Slow start, then some rounds below the bottleneck per loss.
+        assert!(cost.conversions > 20, "{cost:?}");
+        assert!(cost.conversions < cost.rounds as u64 / 2, "{cost:?}");
+    }
+
+    /// Untuned buffers on a LAN: the 128 kB window bound sits below the
+    /// loss limit and far above the BDP, so the window saturates inside a
+    /// pinned segment; the segment leaves, and no round follows.
+    #[test]
+    fn a_pinned_segment_leaves_when_the_window_saturates() {
+        let (t, a, b) = pinned_topo(KernelConfig::untuned_2007(), None);
+        let cost = pinned_equivalence(&t, false, &[(a, b, 0, 64 << 20)]);
+        assert_eq!(cost.replays, 1, "{cost:?}");
+        // The window doubles from 3 segments to the bound in five rounds;
+        // from the second on it is above the BDP.
+        assert_eq!(cost.rounds, 5, "rounds stop at saturation: {cost:?}");
+        // The activation's, the first round's and the segment's exit.
+        assert_eq!(cost.conversions, 3, "{cost:?}");
+    }
+
+    /// An unpaced WAN sender whose queue is deeper than the BDP: its rate
+    /// is pinned at the bottleneck before its first slow-start overshoot,
+    /// which stalls it one RTO. Until that first loss no segment starts;
+    /// the generic loop runs the stall, and segments follow it.
+    #[test]
+    fn no_pinned_segment_starts_while_a_round_can_stall() {
+        let (t, a, b) = pinned_topo(KernelConfig::tuned(16 << 20), Some(4 << 20));
+        let (slow, _) = traced_run(&t, false, &[(a, b, 0, 256 << 20)], false);
+        let stalls = slow
+            .events
+            .iter()
+            .filter(|e| {
+                matches!(
+                    e,
+                    ObsEvent::TcpSample {
+                        outcome: "rto_stall",
+                        ..
+                    }
+                )
+            })
+            .count();
+        assert_eq!(stalls, 1, "one first-burst RTO");
+        let cost = pinned_equivalence(&t, false, &[(a, b, 0, 256 << 20)]);
+        assert!(cost.conversions < cost.rounds as u64 / 2, "{cost:?}");
+    }
+
+    /// A second LAN transfer from another sender starts 100 ms into a
+    /// 64 MB plan, in the middle of its pinned segment: the prefix replay
+    /// stops there (`upto`), the plan is materialised and both transfers
+    /// run on the per-round model, bit for bit as with the fast path off.
+    #[test]
+    fn a_pinned_segment_stops_at_the_interrupt() {
+        let (mut t, a, b) = pinned_topo(KernelConfig::tuned(4 << 20), None);
+        let site = t.site_of(a);
+        let c = t.add_node(site, NodeParams::default());
+        t.set_kernel_all(KernelConfig::tuned(4 << 20));
+        let interrupt = 100_000_037;
+        let cost = pinned_equivalence(
+            &t,
+            false,
+            &[(a, b, 0, 64 << 20), (c, b, interrupt, 8 << 20)],
+        );
+        // The probe, the materialise and the survivor's plans.
+        assert!(cost.replays >= 2, "{cost:?}");
+        assert!(cost.conversions < 64, "{cost:?}");
     }
 
     /// The finish slot's instant, one conversion of the smallest

@@ -78,43 +78,22 @@ impl Network {
         }
     }
 
-    /// The profiler attachment body: interns per-link settle keys — settle
-    /// time per directed link (labelled `site:<name>` for LAN access links
-    /// and `wan:<a>-><b>` for WAN trunks), the max-min allocator, and the per-channel round /
-    /// finish / fast-path handlers. The profiler reads only the host
-    /// clock, so virtual time is untouched.
+    /// The profiler attachment body: interns the flow engine's handler
+    /// keys — the max-min allocator, the finish / fast-path handlers and
+    /// the link-less settle. Per-link settle keys (`netsim;settle;<label>`,
+    /// labelled `site:<name>` for LAN access links and `wan:<a>-><b>` for
+    /// WAN trunks) and per-channel round keys are interned on first use,
+    /// so attaching costs the same whatever the topology's size. The
+    /// profiler reads only the host clock, so virtual time is untouched.
     fn install_host_profiler(&self, prof: Arc<desim::obs::HostProfiler>) {
         let mut g = self.state.borrow_mut();
-        let n_links = g.topo.link_count();
-        let mut labels = vec![String::new(); n_links];
-        for n in g.topo.nodes().collect::<Vec<_>>() {
-            let site = g.topo.site_name(g.topo.site_of(n)).to_string();
-            for l in g.topo.node_links(n) {
-                if labels[l.index()].is_empty() {
-                    labels[l.index()] = format!("site:{site}");
-                }
-            }
-        }
-        for (a, b, l) in g.topo.wan_links() {
-            labels[l.index()] = format!("wan:{}->{}", g.topo.site_name(a), g.topo.site_name(b));
-        }
-        for (i, lab) in labels.iter_mut().enumerate() {
-            if lab.is_empty() {
-                *lab = format!("link{i}");
-            }
-        }
-        let link_keys = labels
-            .iter()
-            .map(|lab| prof.intern(&format!("netsim;settle;{lab}")))
-            .collect();
         g.host_prof = Some(crate::flow::NetProf {
             settle: prof.intern("netsim;settle"),
             allocate: prof.intern("netsim;allocate"),
             finish: prof.intern("netsim;finish_event"),
             commit: prof.intern("netsim;fast_commit"),
             replay: prof.intern("netsim;replay"),
-            link_keys,
-            link_labels: labels,
+            link_keys: Vec::new(),
             chan_keys: Vec::new(),
             settle_scratch: Vec::new(),
             tick: 0,

@@ -387,6 +387,13 @@ impl TcpState {
         None
     }
 
+    /// True if no later [`TcpState::on_round`] can return
+    /// [`RoundOutcome::RtoStall`]: only the first slow-start overshoot of
+    /// an unpaced WAN sender stalls.
+    pub(crate) fn rounds_cannot_stall(&self) -> bool {
+        self.seen_loss || self.params.pacing || !self.params.wan
+    }
+
     /// True once the window can grow no further (saturated by flow control).
     pub fn saturated(&self) -> bool {
         let limit = self.params.loss_limit();

@@ -319,9 +319,16 @@ impl Topology {
     /// Resolve the route from `src` to `dst`.
     ///
     /// # Panics
-    /// Panics if the two sites are not connected.
+    /// Panics if the two sites are not connected, or if the route's
+    /// round-trip time is zero (a site's `lan_one_way`, a WAN link's RTT
+    /// or `loopback_one_way`): TCP window rounds one RTT apart would
+    /// never advance virtual time.
     pub fn route(&self, src: NodeId, dst: NodeId) -> Path {
         if src == dst {
+            assert!(
+                self.loopback_one_way > SimDuration::ZERO,
+                "zero loopback round-trip time (loopback_one_way is 0)"
+            );
             // Node-local: shared-memory speed, no shared links.
             return Path {
                 links: Vec::new(),
@@ -334,6 +341,11 @@ impl Topology {
         let (si, di) = (&self.nodes[src.index()], &self.nodes[dst.index()]);
         if si.site == di.site {
             let lan = &self.sites[si.site.index()];
+            assert!(
+                lan.lan_one_way > SimDuration::ZERO,
+                "site {}: zero LAN round-trip time (lan_one_way is 0)",
+                lan.name
+            );
             let cap = si.params.nic_bytes_per_sec.min(di.params.nic_bytes_per_sec);
             return Path {
                 links: vec![si.uplink, di.downlink],
@@ -353,6 +365,12 @@ impl Topology {
                 )
             })
             .clone();
+        assert!(
+            wan.rtt > SimDuration::ZERO,
+            "WAN link {}->{}: zero round-trip time",
+            self.site_name(wan.from),
+            self.site_name(wan.to)
+        );
         let wl = self.link(wan.link);
         let bottleneck = si
             .params
@@ -371,6 +389,10 @@ impl Topology {
     /// The high-speed route between two nodes of the same site, if the
     /// site has a fast fabric. `None` across sites or on Ethernet-only
     /// sites.
+    ///
+    /// # Panics
+    /// Panics if the fabric's one-way latency is zero, as [`Self::route`]
+    /// does for a zero round-trip time.
     pub fn route_fast(&self, src: NodeId, dst: NodeId) -> Option<Path> {
         if src == dst {
             return Some(self.route(src, dst));
@@ -379,7 +401,14 @@ impl Topology {
         if si.site != di.site {
             return None;
         }
-        let fast = self.sites[si.site.index()].fast_lan.as_ref()?;
+        let site = &self.sites[si.site.index()];
+        let fast = site.fast_lan.as_ref()?;
+        assert!(
+            fast.one_way > SimDuration::ZERO,
+            "site {}: zero {} round-trip time (one_way is 0)",
+            site.name,
+            fast.name
+        );
         Some(Path {
             links: vec![si.fast_uplink?, di.fast_downlink?],
             rtt: fast.one_way * 2,
@@ -387,6 +416,28 @@ impl Topology {
             queue_bytes: u64::MAX,
             wan: false,
         })
+    }
+
+    /// True if `l` is a WAN trunk (one direction of a site pair).
+    pub(crate) fn is_wan_link(&self, l: LinkId) -> bool {
+        self.wan.iter().any(|w| w.link == l)
+    }
+
+    /// Profiler label of a directed link: `wan:<a>-><b>` for a WAN trunk,
+    /// `site:<name>` for a node's access or fast-fabric link.
+    pub(crate) fn link_label(&self, l: LinkId) -> String {
+        if let Some(w) = self.wan.iter().find(|w| w.link == l) {
+            return format!("wan:{}->{}", self.site_name(w.from), self.site_name(w.to));
+        }
+        let owns = |n: &NodeInfo| {
+            [n.uplink, n.downlink].contains(&l)
+                || n.fast_uplink == Some(l)
+                || n.fast_downlink == Some(l)
+        };
+        match self.nodes.iter().find(|n| owns(n)) {
+            Some(n) => format!("site:{}", self.site_name(n.site)),
+            None => format!("link{}", l.index()),
+        }
     }
 
     /// The directed WAN links as `(from_site, to_site, link)`.
@@ -470,6 +521,63 @@ mod tests {
         let a = t.add_node(s1, NodeParams::default());
         let b = t.add_node(s2, NodeParams::default());
         t.route(a, b);
+    }
+
+    /// The message of the panic `f` raises.
+    fn panic_message(f: impl FnOnce() + std::panic::UnwindSafe) -> String {
+        let err = std::panic::catch_unwind(f).expect_err("must panic");
+        match err.downcast::<String>() {
+            Ok(s) => *s,
+            Err(err) => err.downcast::<&str>().expect("a message").to_string(),
+        }
+    }
+
+    /// Each zero round-trip time is rejected when its route is built,
+    /// naming the site or WAN link; no transfer needs to run.
+    #[test]
+    fn a_zero_round_trip_time_is_rejected_where_routes_are_built() {
+        let (mut t, a, b, c) = two_site_topo();
+        t.sites[0].lan_one_way = SimDuration::ZERO;
+        assert_eq!(
+            panic_message(|| drop(t.route(a, b))),
+            "site rennes: zero LAN round-trip time (lan_one_way is 0)"
+        );
+        let (mut t, a, b, c2) = two_site_topo();
+        t.wan[0].rtt = SimDuration::ZERO;
+        assert_eq!(
+            panic_message(|| drop(t.route(a, c2))),
+            "WAN link rennes->nancy: zero round-trip time"
+        );
+        // Only the rennes -> nancy direction is zero.
+        assert!(t.route(c2, a).rtt > SimDuration::ZERO);
+        let (mut t, ..) = two_site_topo();
+        t.loopback_one_way = SimDuration::ZERO;
+        assert_eq!(
+            panic_message(|| drop(t.route(b, b))),
+            "zero loopback round-trip time (loopback_one_way is 0)"
+        );
+        let mut t = Topology::new();
+        let fabric = FastLanParams {
+            one_way: SimDuration::ZERO,
+            ..FastLanParams::myrinet()
+        };
+        let lyon = t.add_site(
+            "lyon",
+            SiteParams {
+                fast_lan: Some(fabric),
+                ..SiteParams::default()
+            },
+        );
+        let [x, y] = [0; 2].map(|_| t.add_node(lyon, NodeParams::default()));
+        assert_eq!(
+            panic_message(|| drop(t.route_fast(x, y))),
+            "site lyon: zero myrinet round-trip time (one_way is 0)"
+        );
+        // The default latencies are all non-zero.
+        let (t, ..) = two_site_topo();
+        for (p, q) in [(a, b), (a, c), (a, a)] {
+            assert!(t.route(p, q).rtt > SimDuration::ZERO);
+        }
     }
 
     #[test]

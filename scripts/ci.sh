@@ -84,6 +84,14 @@ stage_test() {
     # Fast-path contract: the fast path is bit-identical to the per-round
     # model, samples included (lone, interrupted and traced plans).
     cargo test -q --offline -p netsim --test fastpath_equivalence --test probe_observer_effect
+    # Pinned replay segments: LAN flows pinned at the bottleneck, lone
+    # and interrupted mid-segment, match the per-round model with their
+    # sample streams; a plan converts O(1) finish instants, and each way
+    # out of a segment is covered.
+    cargo test -q --offline -p netsim --test fastpath_equivalence lan_
+    cargo test -q --offline -p netsim --lib -- flow::tests::a_pinned flow::tests::no_pinned_segment
+    # A zero round-trip time is rejected where routes are built.
+    cargo test -q --offline -p netsim --lib topology::tests::a_zero_round_trip_time
     # Timer ordering contract: timeline entries run among heap events in
     # the kernel's exact (time, seq) order, are checked against the time
     # limit and released with the kernel, and a network rebinds its
