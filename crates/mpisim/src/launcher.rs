@@ -27,10 +27,15 @@ use crate::world::WorldInner;
 /// An MPI program: SPMD body run by every rank. Implemented automatically
 /// for async closures taking the rank's [`RankCtx`] by value:
 ///
-/// ```ignore
+/// ```no_run
+/// # use mpisim::{MpiImpl, MpiJob, RankCtx};
+/// # use netsim::{grid5000_pair, Network};
+/// # let (topo, rennes, _nancy) = grid5000_pair(2);
+/// # let job = MpiJob::new(Network::new(topo), rennes, MpiImpl::Mpich2);
 /// job.run(|mut ctx: RankCtx| async move {
 ///     ctx.barrier().await;
 /// })
+/// # .unwrap();
 /// ```
 pub trait MpiProgram: 'static {
     /// The per-rank body, as a boxed future (the kernel polls it as a

@@ -156,6 +156,34 @@ pub fn run(label: &'static str) -> Run {
             Scenario::four_sites(2, Grid5000Site::ALL[0], MpiImpl::GridMpi),
             Box::new(Ray2MeshConfig::small().program()),
         ),
+        "engine_pingpong" => (
+            "1 MB WAN ping-pong, 3 round trips, MPICH2 fully tuned",
+            wan(TuningLevel::FullyTuned),
+            Box::new(pingpong_program(1 << 20, 3)),
+        ),
+        "engine_faults" => (
+            "4 MB WAN ping-pong, 2 round trips, seeded 1e-3 segment loss",
+            wan(TuningLevel::FullyTuned).faults(FaultPlan::new().with_seed(42).with_wan_loss(1e-3)),
+            Box::new(pingpong_program(4 << 20, 2)),
+        ),
+        "engine_collectives" => (
+            "bcast, allreduce, alltoall and barrier, 16 GridMPI ranks on the ring testbed",
+            Scenario::ring(16)
+                .profile(MpiImpl::GridMpi.profile())
+                .tuning(TuningLevel::FullyTuned.tuning(MpiImpl::GridMpi)),
+            Box::new(|mut ctx: RankCtx| async move {
+                ctx.bcast(0, 128 << 10).await;
+                ctx.allreduce(128 << 10).await;
+                ctx.alltoall(16 << 10).await;
+                ctx.barrier().await;
+            }),
+        ),
+        "engine_ray2mesh" => (
+            "ray2mesh small, four sites of 8 slaves, master on the first site, fast path off",
+            Scenario::four_sites(8, Grid5000Site::ALL[0], MpiImpl::GridMpi)
+                .exec(ExecConfig::new().fast_path(false)),
+            Box::new(Ray2MeshConfig::small().program()),
+        ),
         "lossy_wan" => (
             "16 MB WAN transfer with seeded 1e-3 segment loss",
             wan(TuningLevel::TcpTuned).faults(FaultPlan::new().with_seed(42).with_wan_loss(1e-3)),

@@ -1,17 +1,17 @@
 //! `repro golden` — golden-run digests: the mechanical guard on the
 //! simulator's bit-reproducibility claim.
 //!
-//! Each of the seven scenarios in [`SCENARIOS`] is a list of runs from
+//! Each of the eight scenarios in [`SCENARIOS`] is a list of runs from
 //! the [`catalogue`] registry. It runs them with a [`DigestSink`]
 //! attached, folds the full structured event stream plus each run's
 //! closing scalars (elapsed time, per-rank times, every
 //! `RankCtx::record` measurement, the quiescence flag) into one 128-bit
 //! digest, and compares it against the committed corpus under
-//! `results/golden/`. A golden run is exactly the registry's run, so the
-//! digest guards the wiring every other command reads. Any change to a
-//! tuning constant, a protocol decision, or an event emission — however
-//! small — moves the digest and fails `repro golden check` with the
-//! offending scenario named.
+//! `results/golden/`, the one place a run digest is pinned. A golden run
+//! is exactly the registry's run, so the digest guards the wiring every
+//! other command reads. Any change to a tuning constant, a protocol
+//! decision, or an event emission — however small — moves the digest
+//! and fails `repro golden check` with the offending scenario named.
 //!
 //! `repro golden record` re-records the corpus after an *intentional*
 //! behaviour change; the diff of `results/golden/*.json` then documents
@@ -21,7 +21,9 @@
 //! the closed-form bulk fast path pinned off on each run's network
 //! ([`netsim::Network::set_bulk_fast_path`], the switch
 //! `ExecConfig::fast_path` sets). Both passes must match the corpus,
-//! because digests are defined to be identical in either mode.
+//! because digests are defined to be identical in either mode. A corpus
+//! file that records no scenario (a renamed or dropped one's leftover)
+//! fails the check too.
 
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
@@ -73,12 +75,15 @@ type SubRuns = &'static [(&'static str, &'static str)];
 /// rendezvous and bulk sizes, the Fig. 9 slow start per kernel
 /// configuration, Table 4's 1-byte latencies, NPB CG and FT with their
 /// full-run extrapolations, ray2mesh, both fault paths (seeded loss and
-/// FT rank kills) and every selectable collective algorithm. The `coll`
-/// runs pin the bulk fast path off: collective phases routinely leave
-/// one flow active while other ranks keep emitting events, and the fast
-/// path materializes that flow's round samples at commit time, which
-/// reorders the recorded stream (same events, same times) that the
-/// digest folds in order.
+/// FT rank kills), every selectable collective algorithm, and the rank
+/// engine's own checks (`engine`: a WAN ping-pong with and without
+/// seeded loss, GridMPI collectives on 16 ranks, ray2mesh on 33). The
+/// `coll` runs and `engine`'s ray2mesh pin the bulk fast path off:
+/// collective and master/worker phases leave one flow active while
+/// other ranks keep emitting events, and the fast path materializes
+/// that flow's round samples at commit time, which reorders the
+/// recorded stream (same events, same times) that the digest folds in
+/// order.
 pub const SCENARIOS: &[(&str, SubRuns)] = &[
     ("pingpong", &[("pingpong", "pingpong_sizes")]),
     (
@@ -128,6 +133,15 @@ pub const SCENARIOS: &[(&str, SubRuns)] = &[
             ("allreduce_2lvl_ring", "allreduce/ring+2lvl"),
         ],
     ),
+    (
+        "engine",
+        &[
+            ("pingpong", "engine_pingpong"),
+            ("faults", "engine_faults"),
+            ("collectives", "engine_collectives"),
+            ("ray2mesh", "engine_ray2mesh"),
+        ],
+    ),
 ];
 
 /// Recompute one scenario's digest: run its sub-runs in order with the
@@ -159,6 +173,25 @@ pub fn run_scenario(name: &'static str, runs: SubRuns, fast_path: bool) -> Golde
 
 fn corpus_path(dir: &Path, scenario: &str) -> PathBuf {
     dir.join(format!("{scenario}.json"))
+}
+
+/// The `*.json` files in `dir` that no scenario in [`SCENARIOS`]
+/// records, such as a renamed or dropped scenario's leftover.
+fn stray_files(dir: &Path) -> Vec<PathBuf> {
+    let Ok(entries) = std::fs::read_dir(dir) else {
+        return Vec::new(); // each scenario reports the unreadable directory
+    };
+    let mut stray: Vec<PathBuf> = entries
+        .filter_map(|e| Some(e.ok()?.path()))
+        .filter(|p| p.extension().is_some_and(|x| x == "json"))
+        .filter(|p| {
+            SCENARIOS
+                .iter()
+                .all(|&(name, _)| corpus_path(dir, name) != *p)
+        })
+        .collect();
+    stray.sort();
+    stray
 }
 
 fn write_record(dir: &Path, rec: &GoldenRecord) -> std::io::Result<()> {
@@ -276,11 +309,20 @@ pub fn cmd_golden(args: &Args) {
                     }
                 }
             }
+            for path in stray_files(&dir) {
+                println!(
+                    "{:<10} FAIL  {} records no scenario",
+                    "corpus",
+                    path.display()
+                );
+                failures.push(path.display().to_string());
+            }
             if !failures.is_empty() {
                 eprintln!(
                     "\ngolden check FAILED for: {}\n\
                      If the behaviour change is intentional, re-record with \
-                     `repro golden record` and commit the corpus diff.",
+                     `repro golden record` and commit the corpus diff; \
+                     delete any corpus file that records no scenario.",
                     failures.join(", ")
                 );
                 std::process::exit(1);

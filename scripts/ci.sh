@@ -14,13 +14,17 @@
 #   build   release build of every crate
 #   test    the tier-1 gate: full workspace test suite (it pins every
 #           bench work count, `crates/bench/tests/counts.rs`) + named contracts,
-#           and no environment-variable reads in the library crates
+#           no environment-variable reads in the library crates, no
+#           `MpiJob::new` outside the scenario registry (root tests
+#           included) and no 32-hex-digit digest literal in any test
 #   smoke   end-to-end demos produce valid traces with required events
-#   golden  digests match the recorded corpus (fast path on AND off),
+#   golden  digests match the one pinned corpus, results/golden/ (fast
+#           path on AND off; a corpus file no scenario records fails),
 #           and the paper's performance guidelines hold
 #   repro   the committed artifacts are current: `repro all --dat`
 #           prints results/repro_all.txt byte for byte and writes every
-#           dat file as committed under results/dat/
+#           dat file as committed under results/dat/; `repro all
+#           --class-a` runs to a zero exit
 #   simbench
 #           the end-to-end benchmark's own tests pass, and one short
 #           untraced run of each workload reproduces every job's
@@ -34,8 +38,9 @@
 #           blame guidelines hold
 #   profile both profiling domains emit parseable folded stacks and
 #           valid speedscope/timeline JSON on two scenarios
-#   ranks   a 1024-rank ring job completes in one process (the golden
-#           corpus under the one rank engine is the `golden` stage)
+#   ranks   a 1024-rank ring job completes in one process (the engine's
+#           determinism is the golden corpus's `engine` scenario, checked
+#           in the `golden` stage)
 #   collectives
 #           the selectable collective-algorithm suite: every algorithm
 #           is semantically equivalent to the baseline (property test),
@@ -106,10 +111,16 @@ stage_test() {
         echo "library crates must not read environment variables" >&2
         exit 1
     fi
-    # Every run in `repro` is wired through the scenario registry: only
-    # `scenario.rs` builds an `MpiJob`.
-    if grep -rn 'MpiJob::new' crates/repro/src | grep -v '^crates/repro/src/scenario.rs:'; then
+    # Every run in `repro` and in the root package's tests is wired
+    # through the scenario registry: only `scenario.rs` builds an `MpiJob`.
+    if grep -rn 'MpiJob::new' crates/repro/src tests | grep -v '^crates/repro/src/scenario.rs:'; then
         echo "only crates/repro/src/scenario.rs may build an MpiJob" >&2
+        exit 1
+    fi
+    # One pinned corpus: run digests live in results/golden/ (re-recorded
+    # by `repro golden record`), never as 32-hex-digit literals in tests.
+    if grep -rnE '"[0-9a-fA-F]{32}"' tests crates/*/tests; then
+        echo "pin run digests in results/golden/, not in test sources" >&2
         exit 1
     fi
 }
@@ -142,7 +153,8 @@ stage_golden() {
     # Every scenario's digest must match results/golden/ bit for bit —
     # `golden check` runs each one with the closed-form bulk fast path
     # as recorded and again pinned off, since digests are defined to be
-    # identical either way.
+    # identical either way — and every corpus file must record a
+    # scenario. The corpus is the only place a run digest is pinned.
     ./target/release/repro golden check
     # And the paper's qualitative shapes must still hold.
     ./target/release/repro guidelines
@@ -163,6 +175,8 @@ stage_repro() {
             exit 1
         fi
     done
+    # The NPB exhibits at class A run end to end (no committed output).
+    ./target/release/repro all --class-a >target/repro_all_class_a.txt
 }
 
 stage_simbench() {
@@ -249,7 +263,8 @@ stage_ranks() {
     release_bins
     # Rank-scale smoke: a 1024-rank ring in one process, clean exit.
     # Every rank is a pooled continuation task, so this needs no OS
-    # thread per rank.
+    # thread per rank. (The 4096-rank ring is a tier-1 test; the
+    # engine's determinism is the `golden` stage.)
     ./target/release/repro ring --ranks 1024 --rounds 2 >/dev/null
 }
 

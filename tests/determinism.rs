@@ -3,18 +3,15 @@
 //! and regardless of host scheduling.
 
 use grid_mpi_lab::gridapps::Ray2MeshConfig;
-use grid_mpi_lab::mpisim::{MpiImpl, MpiJob, Tuning};
-use grid_mpi_lab::netsim::{grid5000_four_sites, grid5000_pair, KernelConfig, Network};
+use grid_mpi_lab::mpisim::MpiImpl;
+use grid_mpi_lab::netsim::Grid5000Site;
 use grid_mpi_lab::npb::{NasBenchmark, NasClass, NasRun};
+use repro::scenario::Scenario;
+use repro::util::TuningLevel;
 
 fn nas_elapsed(bench: NasBenchmark) -> u64 {
-    let (mut topo, rennes, nancy) = grid5000_pair(8);
-    topo.set_kernel_all(KernelConfig::tuned(4 << 20));
-    let mut placement = rennes;
-    placement.extend(nancy);
     let run = NasRun::quick(bench, NasClass::S);
-    let report = MpiJob::new(Network::new(topo), placement, MpiImpl::Mpich2)
-        .with_tuning(Tuning::paper_tuned(MpiImpl::Mpich2))
+    let report = Scenario::npb(8, 8, 8, TuningLevel::FullyTuned, MpiImpl::Mpich2)
         .run(run.program())
         .unwrap();
     report.elapsed.as_nanos()
@@ -38,13 +35,7 @@ fn ray2mesh_is_reproducible() {
             total_rays: 50_000,
             ..Ray2MeshConfig::small()
         };
-        let (mut topo, _sites, nodes) = grid5000_four_sites(8);
-        topo.set_kernel_all(KernelConfig::tuned(4 << 20));
-        let mut placement = vec![nodes[0][0]];
-        for site_nodes in &nodes {
-            placement.extend(site_nodes.iter().copied());
-        }
-        let report = MpiJob::new(Network::new(topo), placement, MpiImpl::GridMpi)
+        let report = Scenario::four_sites(8, Grid5000Site::ALL[0], MpiImpl::GridMpi)
             .run(cfg.program())
             .unwrap();
         let rays0 = report.values("rays")[0].1;

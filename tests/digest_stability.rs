@@ -4,55 +4,40 @@
 //! The digest is the foundation of `repro golden check`: it must be a
 //! pure function of the simulated behaviour. These tests pin the three
 //! invariances that make that true — rerunning in the same process,
-//! toggling the TCP bulk fast path (`Network::set_bulk_fast_path`), and
+//! toggling the TCP bulk fast path (`ExecConfig::fast_path`), and
 //! attaching additional observers via [`Tee`] — and one
 //! sensitivity: actually changing the workload must change the digest.
 
 use std::sync::Arc;
 
-use grid_mpi_lab::desim::obs::{Obs, Recorder};
+use grid_mpi_lab::desim::obs::Recorder;
 use grid_mpi_lab::desim::{DigestSink, DigestValue, RingSink, Tee};
-use grid_mpi_lab::mpisim::{FaultPlan, MpiImpl, MpiJob, RankCtx, Tuning};
-use grid_mpi_lab::netsim::{grid5000_pair, KernelConfig, Network};
+use grid_mpi_lab::mpisim::{ExecConfig, FaultPlan, MpiImpl};
+use repro::scenario::{pingpong_program, Scenario};
+use repro::util::{Scope, TuningLevel};
 
-/// One WAN ping-pong driven through the full recorder pipeline; returns
-/// the digest and the number of events it folded in.
+/// Three WAN round trips of `bytes` driven through the full recorder
+/// pipeline; returns the digest and the number of events it folded in.
 fn pingpong_digest(
     bytes: u64,
     fast: bool,
     seed: Option<u64>,
     extra: Option<Arc<dyn Recorder>>,
 ) -> (DigestValue, u64) {
-    let (mut topo, rennes, sophia) = grid5000_pair(1);
-    topo.set_kernel_all(KernelConfig::tuned(4 << 20));
-    let mut placement = rennes;
-    placement.extend(sophia);
-    let net = Network::new(topo);
-    net.set_bulk_fast_path(fast);
     let sink = Arc::new(DigestSink::new());
     let rec: Arc<dyn Recorder> = match extra {
         Some(extra) => Arc::new(Tee::new(vec![sink.clone(), extra])),
         None => sink.clone(),
     };
-    let mut job = MpiJob::new(net, placement, MpiImpl::Mpich2)
-        .with_tuning(Tuning::paper_tuned(MpiImpl::Mpich2))
-        .with_obs(Obs::none().recorder(rec));
-    if let Some(seed) = seed {
-        job = job.with_faults(FaultPlan::new().with_seed(seed).with_wan_loss(1e-3));
-    }
-    let report = job
-        .run(move |mut ctx: RankCtx| async move {
-            let peer = 1 - ctx.rank();
-            for _ in 0..3 {
-                if ctx.rank() == 0 {
-                    ctx.send(peer, bytes, 7).await;
-                    ctx.recv(peer, 7).await;
-                } else {
-                    ctx.recv(peer, 7).await;
-                    ctx.send(peer, bytes, 7).await;
-                }
-            }
-        })
+    let plan = match seed {
+        Some(seed) => FaultPlan::new().with_seed(seed).with_wan_loss(1e-3),
+        None => FaultPlan::new(),
+    };
+    let report = Scenario::pair(Scope::Grid, TuningLevel::FullyTuned, MpiImpl::Mpich2)
+        .exec(ExecConfig::new().fast_path(fast))
+        .faults(plan)
+        .recorder(rec)
+        .run(pingpong_program(bytes, 3))
         .expect("pingpong completes");
     // Fold the final times in too, exactly like the golden corpus does.
     sink.absorb_u64(report.elapsed.as_nanos());

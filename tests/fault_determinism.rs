@@ -7,41 +7,31 @@
 //!   identical observability event streams (fault events included).
 //! * **Empty plan ⇒ the fault-free run.** Installing an empty
 //!   [`FaultPlan`] must be indistinguishable — bit-identical elapsed and
-//!   per-rank times — from never calling `with_faults` at all, with the
+//!   per-rank times — from never calling `Scenario::faults` at all, with the
 //!   TCP bulk fast path both enabled and disabled (faulty channels bail
 //!   out of the fast path, so this guards the "no faults, no cost"
 //!   boundary).
 
 use std::sync::Arc;
 
-use grid_mpi_lab::desim::obs::{Event, Obs, RingSink};
+use grid_mpi_lab::desim::obs::{Event, RingSink};
 use grid_mpi_lab::desim::{SimDuration, SimTime};
 use grid_mpi_lab::gridapps::Ray2MeshConfig;
-use grid_mpi_lab::mpisim::{FaultPlan, FaultPolicy, MpiImpl, MpiJob, RankCtx, Tuning};
-use grid_mpi_lab::netsim::{grid5000_four_sites, grid5000_pair, KernelConfig, Network};
+use grid_mpi_lab::mpisim::{ExecConfig, FaultPlan, FaultPolicy, MpiImpl};
+use grid_mpi_lab::netsim::Grid5000Site;
+use repro::scenario::{pingpong_program, Scenario};
+use repro::util::{Scope, TuningLevel};
 
-/// Cross-site bulk pingpong job on the Fig. 2 pair.
-fn pingpong_job(fast: bool) -> MpiJob {
-    let (mut topo, rennes, nancy) = grid5000_pair(1);
-    topo.set_kernel_all(KernelConfig::tuned(4 << 20));
-    let mut placement = rennes;
-    placement.extend(nancy);
-    let net = Network::new(topo);
-    net.set_bulk_fast_path(fast);
-    MpiJob::new(net, placement, MpiImpl::Mpich2).with_tuning(Tuning::paper_tuned(MpiImpl::Mpich2))
+/// The tuned MPICH2 pair across the WAN (Fig. 2), bulk fast path `fast`;
+/// each test drives five 4 MB round trips on it.
+fn pingpong(fast: bool) -> Scenario {
+    Scenario::pair(Scope::Grid, TuningLevel::FullyTuned, MpiImpl::Mpich2)
+        .exec(ExecConfig::new().fast_path(fast))
 }
 
-async fn pingpong(mut ctx: RankCtx) {
-    let peer = 1 - ctx.rank();
-    for _ in 0..5 {
-        if ctx.rank() == 0 {
-            ctx.send(peer, 4 << 20, 7).await;
-            ctx.recv(peer, 7).await;
-        } else {
-            ctx.recv(peer, 7).await;
-            ctx.send(peer, 4 << 20, 7).await;
-        }
-    }
+/// The ray2mesh testbed with two slaves per site.
+fn ray2mesh() -> Scenario {
+    Scenario::four_sites(2, Grid5000Site::ALL[0], MpiImpl::GridMpi)
 }
 
 /// A plan exercising every fault class: segment loss, duplication, a link
@@ -62,10 +52,10 @@ fn stochastic_plan(seed: u64) -> FaultPlan {
 fn same_seed_is_bit_identical_including_event_stream() {
     let one = || {
         let sink = Arc::new(RingSink::new(1 << 18));
-        let report = pingpong_job(true)
-            .with_faults(stochastic_plan(0xBADC_0FFE))
-            .with_obs(Obs::none().recorder(sink.clone()))
-            .run(pingpong)
+        let report = pingpong(true)
+            .faults(stochastic_plan(0xBADC_0FFE))
+            .recorder(sink.clone())
+            .run(pingpong_program(4 << 20, 5))
             .unwrap();
         (report.elapsed.as_nanos(), sink.events())
     };
@@ -82,9 +72,9 @@ fn same_seed_is_bit_identical_including_event_stream() {
 #[test]
 fn different_seeds_actually_differ() {
     let one = |seed| {
-        pingpong_job(true)
-            .with_faults(stochastic_plan(seed))
-            .run(pingpong)
+        pingpong(true)
+            .faults(stochastic_plan(seed))
+            .run(pingpong_program(4 << 20, 5))
             .unwrap()
             .elapsed
             .as_nanos()
@@ -99,11 +89,11 @@ fn different_seeds_actually_differ() {
 fn empty_plan_is_the_fault_free_run() {
     for fast in [false, true] {
         let run = |plan: Option<FaultPlan>| {
-            let mut job = pingpong_job(fast);
+            let mut scenario = pingpong(fast);
             if let Some(plan) = plan {
-                job = job.with_faults(plan);
+                scenario = scenario.faults(plan);
             }
-            let report = job.run(pingpong).unwrap();
+            let report = scenario.run(pingpong_program(4 << 20, 5)).unwrap();
             (
                 report.elapsed.as_nanos(),
                 report
@@ -129,17 +119,11 @@ fn empty_plan_ray2mesh_is_bit_identical() {
             total_rays: 20_000,
             ..Ray2MeshConfig::small()
         };
-        let (mut topo, _sites, nodes) = grid5000_four_sites(2);
-        topo.set_kernel_all(KernelConfig::tuned(4 << 20));
-        let mut placement = vec![nodes[0][0]];
-        for site_nodes in &nodes {
-            placement.extend(site_nodes.iter().copied());
-        }
-        let mut job = MpiJob::new(Network::new(topo), placement, MpiImpl::GridMpi);
+        let mut scenario = ray2mesh();
         if let Some(plan) = plan {
-            job = job.with_faults(plan);
+            scenario = scenario.faults(plan);
         }
-        let report = job.run(cfg.program()).unwrap();
+        let report = scenario.run(cfg.program()).unwrap();
         (report.elapsed.as_nanos(), report.values("rays"))
     };
     assert_eq!(one(None), one(Some(FaultPlan::new())));
@@ -152,17 +136,11 @@ fn ft_degradation_is_reproducible() {
             total_rays: 20_000,
             ..Ray2MeshConfig::small()
         };
-        let (mut topo, _sites, nodes) = grid5000_four_sites(2);
-        topo.set_kernel_all(KernelConfig::tuned(4 << 20));
-        let mut placement = vec![nodes[0][0]];
-        for site_nodes in &nodes {
-            placement.extend(site_nodes.iter().copied());
-        }
         let plan = FaultPlan::new()
             .with_seed(11)
             .kill_rank(2, SimTime::from_nanos(2_000_000_000));
-        let report = MpiJob::new(Network::new(topo), placement, MpiImpl::GridMpi)
-            .with_faults(plan)
+        let report = ray2mesh()
+            .faults(plan)
             .run(cfg.program_ft(FaultPolicy::grid_default()))
             .unwrap();
         (

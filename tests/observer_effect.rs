@@ -4,16 +4,18 @@
 //! TCP, link), MPI spans, app-phase markers, kernel run stats, and the
 //! metrics registry — must not move a single virtual timestamp. Each
 //! scenario here runs once bare and once fully probed, with the TCP bulk
-//! fast path both enabled and disabled (`Network::set_bulk_fast_path`),
+//! fast path both enabled and disabled (`ExecConfig::fast_path`),
 //! and demands byte-identical elapsed and per-rank nanosecond times.
 
 use std::sync::Arc;
 
-use grid_mpi_lab::desim::obs::{Event, Metrics, Obs, RingSink};
+use grid_mpi_lab::desim::obs::{Event, Metrics, RingSink};
 use grid_mpi_lab::gridapps::Ray2MeshConfig;
-use grid_mpi_lab::mpisim::{MpiImpl, MpiJob, MpiProgram, RankCtx, Tuning};
-use grid_mpi_lab::netsim::{grid5000_four_sites, grid5000_pair, KernelConfig, Network};
+use grid_mpi_lab::mpisim::{ExecConfig, MpiImpl, MpiProgram};
+use grid_mpi_lab::netsim::Grid5000Site;
 use grid_mpi_lab::npb::{NasBenchmark, NasClass, NasRun};
+use repro::scenario::{pingpong_program, Scenario};
+use repro::util::{Scope, TuningLevel};
 
 /// Elapsed + per-rank times in integer nanoseconds, and the probe's
 /// event stream (empty when unprobed).
@@ -23,19 +25,25 @@ struct Timing {
     events: Vec<Event>,
 }
 
-fn run_job(job: MpiJob, probed: bool, program: impl MpiProgram) -> Timing {
+/// Run `program` on `scenario` with the bulk fast path `fast`, fully
+/// probed when `probed`.
+fn run_job(scenario: Scenario, fast: bool, probed: bool, program: impl MpiProgram) -> Timing {
     let sink = Arc::new(RingSink::with_metrics(1 << 18, Arc::new(Metrics::new())));
-    let job = if probed {
-        job.with_obs(Obs::none().recorder(sink.clone()))
-    } else {
-        job
-    };
-    let report = job.run(program).unwrap();
+    let mut scenario = scenario.exec(ExecConfig::new().fast_path(fast));
+    if probed {
+        scenario = scenario.recorder(sink.clone());
+    }
+    let report = scenario.run(program).unwrap();
     Timing {
         elapsed_ns: report.elapsed.as_nanos(),
         per_rank_ns: report.per_rank.iter().map(|d| d.as_nanos()).collect(),
         events: sink.events(),
     }
+}
+
+/// The tuned MPICH2 pair across the WAN.
+fn wan_pair() -> Scenario {
+    Scenario::pair(Scope::Grid, TuningLevel::FullyTuned, MpiImpl::Mpich2)
 }
 
 fn check(label: &str, run_once: impl Fn(bool, bool) -> Timing, want_phases: &[&str]) {
@@ -86,28 +94,8 @@ fn check(label: &str, run_once: impl Fn(bool, bool) -> Timing, want_phases: &[&s
 /// path actually engages and the cwnd probe stream is dense.
 #[test]
 fn pingpong_has_no_observer_effect() {
-    let run_once = |fast: bool, probed: bool| {
-        let (mut topo, rennes, sophia) = grid5000_pair(1);
-        topo.set_kernel_all(KernelConfig::tuned(4 << 20));
-        let mut placement = rennes;
-        placement.extend(sophia);
-        let net = Network::new(topo);
-        net.set_bulk_fast_path(fast);
-        let job = MpiJob::new(net, placement, MpiImpl::Mpich2)
-            .with_tuning(Tuning::paper_tuned(MpiImpl::Mpich2));
-        run_job(job, probed, |mut ctx: RankCtx| async move {
-            let peer = 1 - ctx.rank();
-            for _ in 0..5 {
-                if ctx.rank() == 0 {
-                    ctx.send(peer, 4 << 20, 7).await;
-                    ctx.recv(peer, 7).await;
-                } else {
-                    ctx.recv(peer, 7).await;
-                    ctx.send(peer, 4 << 20, 7).await;
-                }
-            }
-        })
-    };
+    let run_once =
+        |fast: bool, probed: bool| run_job(wan_pair(), fast, probed, pingpong_program(4 << 20, 5));
     check("pingpong", run_once, &[]);
 }
 
@@ -116,16 +104,9 @@ fn pingpong_has_no_observer_effect() {
 #[test]
 fn nas_cg_has_no_observer_effect() {
     let run_once = |fast: bool, probed: bool| {
-        let (mut topo, rennes, nancy) = grid5000_pair(8);
-        topo.set_kernel_all(KernelConfig::tuned(4 << 20));
-        let mut placement = rennes;
-        placement.extend(nancy);
-        let net = Network::new(topo);
-        net.set_bulk_fast_path(fast);
-        let job = MpiJob::new(net, placement, MpiImpl::Mpich2)
-            .with_tuning(Tuning::paper_tuned(MpiImpl::Mpich2));
+        let scenario = Scenario::npb(8, 8, 8, TuningLevel::FullyTuned, MpiImpl::Mpich2);
         let run = NasRun::quick(NasBenchmark::Cg, NasClass::S);
-        run_job(job, probed, run.program())
+        run_job(scenario, fast, probed, run.program())
     };
     check("nas-cg", run_once, &["warmup", "timed", "end"]);
 }
@@ -143,12 +124,6 @@ fn live_analyzer_has_no_observer_effect() {
     use grid_mpi_lab::mpisim::HEADER_BYTES;
 
     let run_once = |fast: bool, with_analyzer: bool| {
-        let (mut topo, rennes, nancy) = grid5000_pair(1);
-        topo.set_kernel_all(KernelConfig::tuned(4 << 20));
-        let mut placement = rennes;
-        placement.extend(nancy);
-        let net = Network::new(topo);
-        net.set_bulk_fast_path(fast);
         let digest = Arc::new(DigestSink::new());
         let collector = Arc::new(Collector::new());
         let recorder: Arc<dyn Recorder> = if with_analyzer {
@@ -159,21 +134,10 @@ fn live_analyzer_has_no_observer_effect() {
         } else {
             digest.clone()
         };
-        let report = MpiJob::new(net, placement, MpiImpl::Mpich2)
-            .with_tuning(Tuning::paper_tuned(MpiImpl::Mpich2))
-            .with_obs(Obs::none().recorder(recorder))
-            .run(|mut ctx: RankCtx| async move {
-                let peer = 1 - ctx.rank();
-                for _ in 0..3 {
-                    if ctx.rank() == 0 {
-                        ctx.send(peer, 4 << 20, 7).await;
-                        ctx.recv(peer, 7).await;
-                    } else {
-                        ctx.recv(peer, 7).await;
-                        ctx.send(peer, 4 << 20, 7).await;
-                    }
-                }
-            })
+        let report = wan_pair()
+            .exec(ExecConfig::new().fast_path(fast))
+            .recorder(recorder)
+            .run(pingpong_program(4 << 20, 3))
             .unwrap();
         (
             report.elapsed.as_nanos(),
@@ -217,20 +181,12 @@ fn live_analyzer_has_no_observer_effect() {
 #[test]
 fn ray2mesh_has_no_observer_effect() {
     let run_once = |fast: bool, probed: bool| {
-        let (mut topo, _sites, nodes) = grid5000_four_sites(4);
-        topo.set_kernel_all(KernelConfig::tuned(4 << 20));
-        let mut placement = vec![nodes[0][0]];
-        for site_nodes in &nodes {
-            placement.extend(site_nodes.iter().copied());
-        }
-        let net = Network::new(topo);
-        net.set_bulk_fast_path(fast);
-        let job = MpiJob::new(net, placement, MpiImpl::GridMpi);
+        let scenario = Scenario::four_sites(4, Grid5000Site::ALL[0], MpiImpl::GridMpi);
         let cfg = Ray2MeshConfig {
             total_rays: 20_000,
             ..Ray2MeshConfig::small()
         };
-        run_job(job, probed, cfg.program())
+        run_job(scenario, fast, probed, cfg.program())
     };
     check("ray2mesh", run_once, &["trace", "merge", "write"]);
 }

@@ -2,37 +2,20 @@
 //! crate: these are the statements RR-6200's abstract and conclusion make,
 //! checked against the simulator.
 
-use grid_mpi_lab::mpisim::{MpiImpl, MpiJob, RankCtx, Tuning};
-use grid_mpi_lab::netsim::{grid5000_pair, KernelConfig, Network, NodeId};
+use grid_mpi_lab::mpisim::MpiImpl;
 use grid_mpi_lab::npb::{NasBenchmark, NasClass, NasRun};
+use repro::scenario::{min_one_way, pingpong_program, Scenario};
+use repro::util::{mbps, Scope, TuningLevel};
 
-const TAG: u64 = 1;
+/// The best one-way bandwidth of 12 round trips of 8 MB on `pair`.
+fn pingpong_mbps(pair: Scenario) -> f64 {
+    let bytes = 8 << 20;
+    let report = pair.run(pingpong_program(bytes, 12)).unwrap();
+    mbps(bytes, min_one_way(&report))
+}
 
-fn pingpong_mbps(id: MpiImpl, kernel: KernelConfig, tuning: Tuning, bytes: u64) -> f64 {
-    let (mut topo, rennes, nancy) = grid5000_pair(1);
-    topo.set_kernel_all(kernel);
-    let report = MpiJob::new(Network::new(topo), vec![rennes[0], nancy[0]], id)
-        .with_tuning(tuning)
-        .run(move |mut ctx: RankCtx| async move {
-            for _ in 0..12 {
-                if ctx.rank() == 0 {
-                    let t0 = ctx.now();
-                    ctx.send(1, bytes, TAG).await;
-                    ctx.recv(1, TAG).await;
-                    ctx.record("ow", ctx.now().since(t0).as_secs_f64() / 2.0);
-                } else {
-                    ctx.recv(0, TAG).await;
-                    ctx.send(0, bytes, TAG).await;
-                }
-            }
-        })
-        .unwrap();
-    let best = report
-        .values("ow")
-        .into_iter()
-        .map(|(_, v)| v)
-        .fold(f64::INFINITY, f64::min);
-    bytes as f64 * 8.0 / best / 1e6
+fn grid_mbps(level: TuningLevel, id: MpiImpl) -> f64 {
+    pingpong_mbps(Scenario::pair(Scope::Grid, level, id))
 }
 
 #[test]
@@ -40,7 +23,7 @@ fn untuned_grid_is_bad_for_everyone() {
     // "Results are very bad. None of the implementations ... reached a
     // higher bandwidth than 120 Mbps" (Fig. 3).
     for id in MpiImpl::ALL {
-        let mbps = pingpong_mbps(id, KernelConfig::untuned_2007(), Tuning::none(), 8 << 20);
+        let mbps = grid_mbps(TuningLevel::Default, id);
         assert!(mbps < 120.0, "{:?} untuned reached {mbps} Mbps", id);
     }
 }
@@ -50,12 +33,7 @@ fn tuned_grid_recovers_most_of_the_gigabit() {
     // "After tuning, each MPI implementation can reach as good performance
     // as TCP" — around 900 Mbps against 940 on the cluster (Figs. 6/7).
     for id in MpiImpl::ALL {
-        let kernel = if id == MpiImpl::GridMpi {
-            KernelConfig::tuned_with_default(4 << 20, 4 << 20)
-        } else {
-            KernelConfig::tuned(4 << 20)
-        };
-        let mbps = pingpong_mbps(id, kernel, Tuning::paper_tuned(id), 8 << 20);
+        let mbps = grid_mbps(TuningLevel::FullyTuned, id);
         let floor = if id == MpiImpl::OpenMpi { 600.0 } else { 800.0 };
         assert!(mbps > floor, "{:?} tuned only reached {mbps} Mbps", id);
     }
@@ -66,31 +44,36 @@ fn tuning_the_kernel_alone_is_not_enough_for_gridmpi_and_openmpi() {
     // §4.2.1: raising rmem_max/wmem_max + triples fixes MPICH2 and
     // Madeleine, but GridMPI needs the middle value and OpenMPI its mca
     // buffer arguments.
-    let kernel = KernelConfig::tuned(4 << 20);
-    let gridmpi = pingpong_mbps(MpiImpl::GridMpi, kernel, Tuning::none(), 8 << 20);
+    // MPICH2's TCP tuning is the kernel's alone: 4 MB maxima, default
+    // middle values, no MPI-level overrides.
+    let kernel_only = || Scenario::pair(Scope::Grid, TuningLevel::TcpTuned, MpiImpl::Mpich2);
+    let gridmpi = pingpong_mbps(kernel_only().profile(MpiImpl::GridMpi.profile()));
     assert!(
         gridmpi < 120.0,
         "GridMPI should stay slow without the middle value, got {gridmpi}"
     );
-    let mpich2 = pingpong_mbps(MpiImpl::Mpich2, kernel, Tuning::none(), 8 << 20);
+    let mpich2 = pingpong_mbps(kernel_only());
     assert!(mpich2 > 600.0, "MPICH2 should recover, got {mpich2}");
 }
 
-fn nas_grid_secs(bench: NasBenchmark, id: MpiImpl) -> f64 {
-    let (mut topo, rennes, nancy) = grid5000_pair(8);
-    topo.set_kernel_all(if id == MpiImpl::GridMpi {
-        KernelConfig::tuned_with_default(4 << 20, 4 << 20)
-    } else {
-        KernelConfig::tuned(4 << 20)
-    });
-    let mut placement: Vec<NodeId> = rennes;
-    placement.extend(nancy);
+/// The class A full-run estimate of `bench` on 16 ranks laid out as
+/// `ranks_rennes` + `ranks_nancy`.
+fn nas_secs(
+    bench: NasBenchmark,
+    ranks_rennes: usize,
+    ranks_nancy: usize,
+    level: TuningLevel,
+    id: MpiImpl,
+) -> f64 {
     let run = NasRun::new(bench, NasClass::A);
-    let report = MpiJob::new(Network::new(topo), placement, id)
-        .with_tuning(Tuning::paper_tuned(id))
+    let report = Scenario::npb(8, ranks_rennes, ranks_nancy, level, id)
         .run(run.program())
         .unwrap();
     run.estimate(&report).as_secs_f64()
+}
+
+fn nas_grid_secs(bench: NasBenchmark, id: MpiImpl) -> f64 {
+    nas_secs(bench, 8, 8, TuningLevel::FullyTuned, id)
 }
 
 #[test]
@@ -110,12 +93,13 @@ fn gridmpi_wins_the_collective_benchmarks_on_the_grid() {
 fn ep_is_insensitive_to_the_wan() {
     // Fig. 12: EP's relative performance is close to 1.
     let grid = nas_grid_secs(NasBenchmark::Ep, MpiImpl::GridMpi);
-    let (topo, rennes, _) = grid5000_pair(16);
-    let run = NasRun::new(NasBenchmark::Ep, NasClass::A);
-    let report = MpiJob::new(Network::new(topo), rennes, MpiImpl::GridMpi)
-        .run(run.program())
-        .unwrap();
-    let cluster = run.estimate(&report).as_secs_f64();
+    let cluster = nas_secs(
+        NasBenchmark::Ep,
+        16,
+        0,
+        TuningLevel::Default,
+        MpiImpl::GridMpi,
+    );
     let relative = cluster / grid;
     assert!(
         relative > 0.85,
@@ -138,14 +122,7 @@ fn small_messages_suffer_most_from_the_grid() {
     // performances due to high latency" — CG degrades far more than BT.
     fn relative(bench: NasBenchmark) -> f64 {
         let grid = nas_grid_secs(bench, MpiImpl::GridMpi);
-        let (mut topo, rennes, _) = grid5000_pair(16);
-        topo.set_kernel_all(KernelConfig::tuned_with_default(4 << 20, 4 << 20));
-        let run = NasRun::new(bench, NasClass::A);
-        let report = MpiJob::new(Network::new(topo), rennes, MpiImpl::GridMpi)
-            .with_tuning(Tuning::paper_tuned(MpiImpl::GridMpi))
-            .run(run.program())
-            .unwrap();
-        run.estimate(&report).as_secs_f64() / grid
+        nas_secs(bench, 16, 0, TuningLevel::FullyTuned, MpiImpl::GridMpi) / grid
     }
     let cg = relative(NasBenchmark::Cg);
     let bt = relative(NasBenchmark::Bt);

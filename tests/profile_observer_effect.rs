@@ -14,36 +14,25 @@ use grid_mpi_lab::desim::obs::digest::DigestSink;
 use grid_mpi_lab::desim::obs::profile::parse_folded_line;
 use grid_mpi_lab::desim::obs::{Obs, Tee};
 use grid_mpi_lab::desim::{HostProfiler, Recorder, TimeSeriesSink};
-use grid_mpi_lab::mpisim::{MpiImpl, MpiJob, MpiProgram, RankCtx, Tuning};
-use grid_mpi_lab::netsim::{grid5000_pair, KernelConfig, Network};
+use grid_mpi_lab::mpisim::{ExecConfig, MpiImpl, MpiProgram};
+use repro::scenario::{pingpong_program, Scenario};
+use repro::util::{Scope, TuningLevel};
 
 fn pingpong() -> impl MpiProgram {
-    |mut ctx: RankCtx| async move {
-        let peer = 1 - ctx.rank();
-        for _ in 0..3 {
-            if ctx.rank() == 0 {
-                ctx.send(peer, 4 << 20, 7).await;
-                ctx.recv(peer, 7).await;
-            } else {
-                ctx.recv(peer, 7).await;
-                ctx.send(peer, 4 << 20, 7).await;
-            }
-        }
-    }
+    pingpong_program(4 << 20, 3)
 }
 
-fn base_job(fast: bool) -> (MpiJob, Arc<DigestSink>) {
-    let (mut topo, rennes, nancy) = grid5000_pair(1);
-    topo.set_kernel_all(KernelConfig::tuned(4 << 20));
-    let mut placement = rennes;
-    placement.extend(nancy);
-    let net = Network::new(topo);
-    net.set_bulk_fast_path(fast);
+/// The tuned MPICH2 WAN pair with the bulk fast path `fast` and `rec`
+/// attached.
+fn wan_pair(fast: bool, rec: Arc<dyn Recorder>) -> Scenario {
+    Scenario::pair(Scope::Grid, TuningLevel::FullyTuned, MpiImpl::Mpich2)
+        .exec(ExecConfig::new().fast_path(fast))
+        .recorder(rec)
+}
+
+fn base_job(fast: bool) -> (Scenario, Arc<DigestSink>) {
     let digest = Arc::new(DigestSink::new());
-    let job = MpiJob::new(net, placement, MpiImpl::Mpich2)
-        .with_tuning(Tuning::paper_tuned(MpiImpl::Mpich2))
-        .with_obs(Obs::none().recorder(digest.clone() as Arc<dyn Recorder>));
-    (job, digest)
+    (wan_pair(fast, digest.clone()), digest)
 }
 
 /// Attaching the host profiler (kernel dispatch + netsim + mpisim scopes)
@@ -59,7 +48,7 @@ fn host_profiler_has_no_observer_effect() {
         let prof = Arc::new(HostProfiler::new());
         let (job, digest) = base_job(fast);
         let attached = job
-            .with_obs(Obs::none().profiler(prof.clone()))
+            .observe(Obs::none().profiler(prof.clone()))
             .run(pingpong())
             .unwrap();
         let attached_digest = digest.value().to_string();
@@ -102,21 +91,12 @@ fn time_series_sink_has_no_observer_effect() {
         let bare_digest = digest.value().to_string();
 
         let sink = Arc::new(TimeSeriesSink::new(10_000_000));
-        let (mut topo, rennes, nancy) = grid5000_pair(1);
-        topo.set_kernel_all(KernelConfig::tuned(4 << 20));
-        let mut placement = rennes;
-        placement.extend(nancy);
-        let net = Network::new(topo);
-        net.set_bulk_fast_path(fast);
         let digest = Arc::new(DigestSink::new());
-        let teed = MpiJob::new(net, placement, MpiImpl::Mpich2)
-            .with_tuning(Tuning::paper_tuned(MpiImpl::Mpich2))
-            .with_obs(Obs::none().recorder(Arc::new(Tee::new(vec![
-                digest.clone() as Arc<dyn Recorder>,
-                sink.clone() as Arc<dyn Recorder>,
-            ]))))
-            .run(pingpong())
-            .unwrap();
+        let tee = Tee::new(vec![
+            digest.clone() as Arc<dyn Recorder>,
+            sink.clone() as Arc<dyn Recorder>,
+        ]);
+        let teed = wan_pair(fast, Arc::new(tee)).run(pingpong()).unwrap();
 
         assert_eq!(
             bare.elapsed.as_nanos(),

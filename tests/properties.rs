@@ -4,10 +4,11 @@
 
 use grid_mpi_lab::desim::prop::forall;
 use grid_mpi_lab::desim::{Sim, SimDuration};
-use grid_mpi_lab::mpisim::{MpiImpl, MpiJob, RankCtx};
+use grid_mpi_lab::mpisim::{MpiImpl, RankCtx};
 use grid_mpi_lab::netsim::{
     KernelConfig, Network, NodeParams, SiteParams, SockBufRequest, Topology,
 };
+use repro::scenario::Scenario;
 
 /// Build a two-site topology with arbitrary RTT/queue parameters.
 fn two_sites(rtt_us: u64, queue_kb: u64, buf: u64) -> (Network, Vec<grid_mpi_lab::netsim::NodeId>) {
@@ -142,7 +143,7 @@ fn collectives_always_drain() {
         let (net, nodes) = two_sites(11_600, 512, 4 << 20);
         let placement: Vec<_> = (0..ranks).map(|i| nodes[i % 4]).collect();
         let id = MpiImpl::ALL[impl_idx];
-        let report = MpiJob::new(net, placement, id)
+        let report = Scenario::custom(net, placement, id)
             .run(move |mut ctx: RankCtx| async move {
                 match which {
                     0 => ctx.bcast(0, bytes).await,
@@ -166,7 +167,7 @@ fn p2p_fifo_for_random_batches() {
         let (net, nodes) = two_sites(11_600, 512, 4 << 20);
         let placement = vec![nodes[0], nodes[2]];
         let sizes2 = sizes.clone();
-        let report = MpiJob::new(net, placement, MpiImpl::Mpich2)
+        let report = Scenario::custom(net, placement, MpiImpl::Mpich2)
             .run(move |mut ctx: RankCtx| {
                 let sizes2 = sizes2.clone();
                 async move {
