@@ -52,16 +52,22 @@ fn table() -> Vec<Row> {
         row(&["profile/pingpong_64M_attached"], 16, || {
             profile_pingpong(Some(Arc::new(HostProfiler::new())))
         }),
-        // Kernel events count only live timers: the round a fast plan
-        // cancels and the finishes a reallocation supersedes are dropped
-        // from netsim's timers without being dispatched.
+        // Kernel events count only live timers: the finishes a
+        // reallocation supersedes are dropped from netsim's timers without
+        // being dispatched, and a pinned segment is one dispatch however
+        // many rounds it runs. An unpaced WAN sender's rounds may stall
+        // until its first loss and BIC then regrows its window below the
+        // bottleneck, so neither lone WAN transfer below runs a segment:
+        // each window round is a dispatch (3 for 64 kB, 39 for 16 MB).
         row(
             &["tcp/wan_transfer_64k", "smoke/wan_transfer_64k"],
-            4,
+            7,
             || wan_transfer(64 << 10),
         ),
-        row(&["tcp/wan_transfer_16M"], 4, || wan_transfer(16 << 20)),
-        row(&["tcp/32_concurrent_wan_flows"], 462, concurrent_wan_flows),
+        row(&["tcp/wan_transfer_16M"], 43, || wan_transfer(16 << 20)),
+        // Contended rounds are dispatched one by one; the last flow left
+        // finishes on its finish event.
+        row(&["tcp/32_concurrent_wan_flows"], 461, concurrent_wan_flows),
         row(&["pingpong_grid_1M/MPICH2"], 40, || pingpong(Mpich2, 20)),
         row(&["pingpong_grid_1M/GridMPI"], 40, || pingpong(GridMpi, 20)),
         row(&["pingpong_grid_1M/MPICH-Madeleine"], 40, || {
@@ -137,12 +143,13 @@ fn table() -> Vec<Row> {
         row(&["npb_classS_8+8/IS"], 1344, || npb_8_8(NasBenchmark::Is)),
         row(&["npb_classS_8+8/FT"], 470, || npb_8_8(NasBenchmark::Ft)),
         row(&["ray2mesh/small_4_sites"], 1884, ray2mesh_small),
-        row(&["fastpath/pingpong_64M_per_round"], 6963, || {
-            transfers_64m(false)
-        }),
-        row(&["fastpath/pingpong_64M_fast_path"], 385, || {
-            transfers_64m(true)
-        }),
+        // Rounds below the bottleneck are dispatched one by one: on each
+        // channel the first transfer's slow start, RTO and BIC regrowth
+        // (46 rounds), and each later transfer's restart in slow start
+        // (3–5). Then two pinned segments per transfer (the second runs
+        // the round after the one that left the first) and the finish.
+        // With a dispatch per round this job took 6963 events.
+        row(&["tcp/pingpong_64M_pinned_segments"], 1115, transfers_64m),
         row(&["obs/pingpong_64M_untraced"], 4, || pingpong_64m(None)),
         row(&["obs/pingpong_64M_traced"], 4, || {
             pingpong_64m(Some(Arc::new(RingSink::new(1 << 18))))
@@ -237,11 +244,9 @@ fn concurrent_wan_flows() -> u64 {
     sim.run_counted().unwrap().events
 }
 
-/// 64 round trips of 64 MB on raw channels, with the closed-form bulk
-/// fast path on or off; kernel events.
-fn transfers_64m(fast: bool) -> u64 {
+/// 64 round trips of 64 MB on raw channels; kernel events.
+fn transfers_64m() -> u64 {
     let (net, rn, nn) = tuned_pair(1);
-    net.set_bulk_fast_path(fast);
     let sim = Sim::new();
     sim.spawn_task("pingpong", move |cx| async move {
         let fwd = net.channel(rn[0], nn[0], OS, OS, false);

@@ -155,6 +155,42 @@ impl Sched {
             .min();
     }
 
+    /// The key timeline `tl`'s entries must stay below to run before
+    /// anything else this kernel holds: the smallest of the heap top,
+    /// every other timeline's published key and the run's time limit (as
+    /// the key just past it). A [`Sched::stamp`] taken now is newer than
+    /// every pending key, so an entry stamped now at time `t` runs first
+    /// iff `t < bound.time`: a tie in time goes to the foreign entry.
+    pub fn bound(&self, tl: TimelineId) -> EventKey {
+        let g = self.inner.borrow();
+        assert_eq!(g.kernel, tl.kernel, "timeline of another kernel");
+        let past_limit = EventKey {
+            time: g.limit + SimDuration::from_nanos(1),
+            seq: 0,
+        };
+        let heap = g.heap.peek().map(|Reverse(ev)| EventKey {
+            time: ev.time,
+            seq: ev.seq,
+        });
+        g.timelines
+            .iter()
+            .enumerate()
+            .filter(|&(i, _)| i != tl.index)
+            .filter_map(|(_, t)| t.key)
+            .chain(heap)
+            .fold(past_limit, EventKey::min)
+    }
+
+    /// `Some(weight)` if the dispatch in progress is one the attached
+    /// [`crate::obs::HostProfiler`] samples (one in `weight`), else
+    /// `None`. Host-time scopes nested in a dispatch
+    /// follow this one decision: a sampled dispatch times every scope
+    /// inside it with its weight, an unsampled one times none, so their
+    /// rows nest inside the dispatch's row and share its weight.
+    pub fn host_sample(&self) -> Option<u64> {
+        Some(self.inner.borrow().host_sample).filter(|&w| w != 0)
+    }
+
     pub(crate) fn wake_task_at(&self, at: SimTime, tid: TaskId) {
         let mut g = self.inner.borrow_mut();
         let at = at.max(g.now);
@@ -260,25 +296,34 @@ pub(crate) struct Shared {
     pub(crate) recorder: Option<Arc<dyn crate::obs::Recorder>>,
     /// Host-time self-profiler with its pre-interned dispatch-loop keys.
     pub(crate) profiler: Option<KernelProf>,
+    /// The weight of the dispatch in progress if the profiler samples
+    /// it, else 0: what [`Sched::host_sample`] reads.
+    pub(crate) host_sample: u64,
 }
 
 /// The dispatch loop samples one event in this many for host-time
 /// profiling and extrapolates (weight-scaled) instead of timing every
-/// event: two clock reads per event would cost a double-digit share of
+/// event: clock reads on every event would cost a double-digit share of
 /// the ~100ns fast-path dispatch cycle, busting the profiler's own ≤5%
-/// overhead gate. The selector is the deterministic dispatch counter,
-/// so sampling cannot perturb the simulation.
+/// overhead gate. The selector is a deterministic dispatch counter, so
+/// sampling cannot perturb the simulation. It counts the profiler's
+/// dispatches across runs ([`crate::obs::HostProfiler::dispatched`]):
+/// each run continues the count where the last one left it, so runs
+/// shorter than the stride are sampled in turn rather than never.
 ///
-/// Sized for hosts where a clock read costs ~40 ns (paravirtual
-/// clocksources): two reads per sampled event amortize to ~3 ns per
-/// dispatched event, a single-digit share of the ~100 ns cycle. Prime
-/// so a repeating event-kind pattern (ping/pong alternation has period
-/// 2, TCP rounds often 4) can never alias with the stride and starve a
-/// kind of samples.
-pub(crate) const PROF_SAMPLE: u64 = 31;
+/// Scopes nested in a dispatch take the same decision and weight
+/// ([`Sched::host_sample`]), so a sampled window round reads the clock
+/// up to eight times (the dispatch, and netsim's round, settle and
+/// allocate scopes). Sized for hosts where a clock read costs ~40–50 ns
+/// (paravirtual clocksources): eight reads per sampled event amortize
+/// to ~3 ns per dispatched event, a single-digit share of the ~100 ns
+/// cycle. Prime so a repeating event-kind pattern (ping/pong alternation
+/// has period 2, TCP rounds often 4) can never alias with the stride
+/// and starve a kind of samples.
+pub(crate) const PROF_SAMPLE: u64 = 127;
 
 /// The kernel's handle on an attached [`crate::obs::HostProfiler`]: keys
-/// are interned once at attach time so the dispatch loop pays one
+/// are interned once per profiler, looked up at attach, so the dispatch loop pays one
 /// `Instant` pair and one indexed add per *sampled* event, nothing more.
 #[derive(Clone)]
 pub(crate) struct KernelProf {
@@ -342,6 +387,7 @@ impl Sim {
                 events: 0,
                 recorder: None,
                 profiler: None,
+                host_sample: 0,
             })),
         }
     }
@@ -384,7 +430,7 @@ impl Sim {
     /// it cannot perturb the event order or virtual timestamps) and the
     /// host-time self-profiler (the dispatch loop attributes its
     /// wall-clock time to `desim;dispatch;{task_poll,call,timeline}` stacks,
-    /// sampling one event in `PROF_SAMPLE` (31) and extrapolating so the
+    /// sampling one event in `PROF_SAMPLE` (127) and extrapolating so the
     /// clock reads stay far below the loop's own per-event cost). Fields
     /// left `None` leave the corresponding attachment untouched.
     pub fn attach_obs(&self, obs: &crate::obs::Obs) {
@@ -392,10 +438,15 @@ impl Sim {
             self.inner.borrow_mut().recorder = Some(Arc::clone(rec));
         }
         if let Some(prof) = &obs.profiler {
+            let k = prof.intern_set("desim;dispatch", || {
+                ["task_poll", "call", "timeline"]
+                    .map(|s| format!("desim;dispatch;{s}"))
+                    .into()
+            });
             let keys = KernelProf {
-                task_poll: prof.intern("desim;dispatch;task_poll"),
-                call: prof.intern("desim;dispatch;call"),
-                timeline: prof.intern("desim;dispatch;timeline"),
+                task_poll: k[0],
+                call: k[1],
+                timeline: k[2],
                 prof: Arc::clone(prof),
             };
             self.inner.borrow_mut().profiler = Some(keys);
@@ -510,11 +561,27 @@ fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
 /// Run the dispatch loop until the run ends or the queue drains. The outcome (failure, clock, event count) is left in
 /// `Shared` for the caller to read.
 fn dispatch(inner: &Rc<Inner>) {
-    let mut guard = inner.borrow_mut();
     // Snapshot the profiler handle once per dispatch entry: it is
     // immutable for the whole run, and re-cloning the Arc per event
     // while holding the kernel borrow was measurable on the hot path.
-    let prof = guard.profiler.clone();
+    let prof = inner.borrow().profiler.clone();
+    let first = inner.borrow().events;
+    // Event `n` of this kernel is event `stream + n - first` of the
+    // profiler's count; `offset` is that shift modulo the stride.
+    let stream = prof.as_ref().map_or(0, |p| p.prof.dispatched());
+    let offset = (stream % PROF_SAMPLE + PROF_SAMPLE - first % PROF_SAMPLE) % PROF_SAMPLE;
+    dispatch_loop(inner, prof.as_ref(), |events| {
+        (events % PROF_SAMPLE + offset).is_multiple_of(PROF_SAMPLE)
+    });
+    if let Some(p) = &prof {
+        p.prof.add_dispatched(inner.borrow().events - first);
+    }
+}
+
+/// The dispatch loop of [`dispatch`]; `sampled(n)` says whether the
+/// run's `n`th event is one the profiler samples.
+fn dispatch_loop(inner: &Rc<Inner>, prof: Option<&KernelProf>, sampled: impl Fn(u64) -> bool) {
+    let mut guard = inner.borrow_mut();
     loop {
         if guard.task_live == 0 {
             // All tasks done: ignore any trailing timer/callback events
@@ -548,9 +615,10 @@ fn dispatch(inner: &Rc<Inner>) {
             debug_assert!(key.time >= guard.now, "timeline went backwards");
             guard.now = guard.now.max(key.time);
             let tl = Rc::clone(&guard.timelines[i].tl);
-            let sample = prof
-                .as_ref()
-                .filter(|_| (guard.events + 1).is_multiple_of(PROF_SAMPLE));
+            let sample = prof.filter(|_| sampled(guard.events + 1));
+            if sample.is_some() {
+                guard.host_sample = PROF_SAMPLE;
+            }
             drop(guard);
             let t0 = sample.map(|_| Instant::now());
             let ran = tl.dispatch(
@@ -560,6 +628,9 @@ fn dispatch(inner: &Rc<Inner>) {
                 key,
             );
             guard = inner.borrow_mut();
+            if sample.is_some() {
+                guard.host_sample = 0;
+            }
             if ran {
                 guard.events += 1;
                 if let (Some(p), Some(t0)) = (sample, t0) {
@@ -573,9 +644,7 @@ fn dispatch(inner: &Rc<Inner>) {
         debug_assert!(ev.time >= guard.now, "event queue went backwards");
         guard.now = guard.now.max(ev.time);
         guard.events += 1;
-        let sample = prof
-            .as_ref()
-            .filter(|_| guard.events.is_multiple_of(PROF_SAMPLE));
+        let sample = prof.filter(|_| sampled(guard.events));
         match ev.kind {
             EventKind::TaskWake(tid) => {
                 // Poll the task inline: no park/unpark, no context switch.
@@ -586,6 +655,9 @@ fn dispatch(inner: &Rc<Inner>) {
                     .fut
                     .take()
                     .expect("task woken while running or after completion (double wake)");
+                if sample.is_some() {
+                    guard.host_sample = PROF_SAMPLE;
+                }
                 drop(guard);
                 let t0 = sample.map(|_| Instant::now());
                 let poll = catch_unwind(AssertUnwindSafe(|| {
@@ -596,6 +668,9 @@ fn dispatch(inner: &Rc<Inner>) {
                         .add_ns_sampled(p.task_poll, t0.elapsed().as_nanos() as u64, PROF_SAMPLE);
                 }
                 guard = inner.borrow_mut();
+                if sample.is_some() {
+                    guard.host_sample = 0;
+                }
                 match poll {
                     Ok(Poll::Pending) => {
                         // Suspended at a blocking point; its wake-up (timer
@@ -622,6 +697,9 @@ fn dispatch(inner: &Rc<Inner>) {
                 }
             }
             EventKind::Call(f) => {
+                if sample.is_some() {
+                    guard.host_sample = PROF_SAMPLE;
+                }
                 drop(guard);
                 let t0 = sample.map(|_| Instant::now());
                 f(&Sched {
@@ -632,6 +710,9 @@ fn dispatch(inner: &Rc<Inner>) {
                         .add_ns_sampled(p.call, t0.elapsed().as_nanos() as u64, PROF_SAMPLE);
                 }
                 guard = inner.borrow_mut();
+                if sample.is_some() {
+                    guard.host_sample = 0;
+                }
             }
         }
     }
@@ -910,6 +991,36 @@ mod tests {
             other => panic!("expected time limit, got {other:?}"),
         }
         assert!(log.borrow().is_empty(), "ran past the limit: {log:?}");
+    }
+
+    /// A timeline's bound is the smallest foreign key: the heap top, the
+    /// other timelines' published keys, or the instant past the run's
+    /// limit; its own published key never bounds it.
+    #[test]
+    fn a_timelines_bound_is_the_smallest_foreign_key() {
+        let bounds = Rc::new(RefCell::new(Vec::new()));
+        let sim = Sim::new();
+        let bounds2 = Rc::clone(&bounds);
+        sim.spawn_task("probe", move |cx| async move {
+            let s = cx.sched();
+            let log = Rc::default();
+            let (a, b) = (Labels::attach(&s, Rc::clone(&log)), Labels::attach(&s, log));
+            let (a_id, b_id) = (a.id.get().unwrap(), b.id.get().unwrap());
+            let at = SimTime::from_nanos;
+            let key = |k: EventKey| (k.time.as_nanos(), k.seq);
+            let mut seen = bounds2.borrow_mut();
+            // Nothing pending: the instant past the limit.
+            seen.push(key(s.bound(a_id)));
+            a.add(&s, at(5), "a5");
+            seen.push(key(s.bound(a_id)));
+            s.call_at(at(9), |_| {});
+            b.add(&s, at(7), "b7");
+            seen.push(key(s.bound(a_id)));
+            seen.push(key(s.bound(b_id)));
+        });
+        sim.run_until(SimTime::from_nanos(1_000)).unwrap();
+        // The task's wake took seq 0, a5 1, the call at 9 2 and b7 3.
+        assert_eq!(*bounds.borrow(), [(1_001, 0), (1_001, 0), (7, 3), (5, 1)]);
     }
 
     #[test]

@@ -16,8 +16,8 @@
 //!   stagnation (cwnd pinned at the socket-buffer bound, still below
 //!   ssthresh), congestion-avoidance steady state, RTO stalls, fault
 //!   outages, and the sub-round-trip wire remainder — derived from the
-//!   `TcpSample` stream the flow engine already emits (bit-identically
-//!   with the closed-form fast path on or off).
+//!   `TcpSample` stream the flow engine already emits, one per window
+//!   round at the round's virtual time.
 //! * **Critical path** ([`CriticalPath`]): a backward walk over the
 //!   rank/message dependency graph from the last span to time zero,
 //!   hopping rank at matched message edges, with per-activity blame

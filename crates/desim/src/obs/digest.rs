@@ -21,9 +21,9 @@
 //!
 //! One deliberate exception: [`Event::KernelRun`] is absorbed *without*
 //! its `events` count. The kernel dispatch count is an engine detail —
-//! the closed-form TCP bulk fast path replaces many per-round events with
-//! a single commit, so the count differs with the fast path on and off
-//! while every virtual timestamp stays bit-identical. A digest
+//! netsim runs a lone flow's pinned TCP rounds back to back in one
+//! dispatch, so how many rounds a dispatch runs moves the count while
+//! every virtual timestamp stays bit-identical. A digest
 //! must pin simulation *semantics*, not the engine's step count, so it
 //! keeps `end_ns` and drops `events`.
 

@@ -31,6 +31,7 @@
 //! ([`speedscope_json`]).
 
 use std::collections::{BTreeMap, HashMap};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -57,6 +58,24 @@ struct ProfSlot {
 struct ProfSlots {
     index: HashMap<String, usize>,
     slots: Vec<ProfSlot>,
+    /// [`HostProfiler::intern_set`]'s sets, by tag.
+    sets: HashMap<String, Arc<[ProfKey]>>,
+}
+
+impl ProfSlots {
+    fn intern(&mut self, stack: &str) -> ProfKey {
+        if let Some(&i) = self.index.get(stack) {
+            return ProfKey(i);
+        }
+        let i = self.slots.len();
+        self.slots.push(ProfSlot {
+            stack: stack.to_string(),
+            ns: 0,
+            count: 0,
+        });
+        self.index.insert(stack.to_string(), i);
+        ProfKey(i)
+    }
 }
 
 /// A host-time self-profiler: wall-clock nanoseconds attributed to
@@ -70,6 +89,7 @@ struct ProfSlots {
 #[derive(Default)]
 pub struct HostProfiler {
     slots: Mutex<ProfSlots>,
+    dispatched: AtomicU64,
 }
 
 impl HostProfiler {
@@ -81,18 +101,36 @@ impl HostProfiler {
     /// Intern `stack` (frames separated by `;`) and return its key.
     /// Interning the same stack twice returns the same key.
     pub fn intern(&self, stack: &str) -> ProfKey {
-        let mut g = self.slots.lock();
-        if let Some(&i) = g.index.get(stack) {
-            return ProfKey(i);
+        self.slots.lock().intern(stack)
+    }
+
+    /// The keys of the stacks `stacks` lists, interned on the first call
+    /// with `tag` and remembered under it: a producer that attaches once
+    /// per job (a kernel, a network) pays one lookup per attach, not one
+    /// intern per key. `tag` must name the list, since a later call with
+    /// the same tag returns the first call's keys without running
+    /// `stacks`.
+    pub fn intern_set(&self, tag: &str, stacks: impl FnOnce() -> Vec<String>) -> Arc<[ProfKey]> {
+        if let Some(keys) = self.slots.lock().sets.get(tag) {
+            return Arc::clone(keys);
         }
-        let i = g.slots.len();
-        g.slots.push(ProfSlot {
-            stack: stack.to_string(),
-            ns: 0,
-            count: 0,
-        });
-        g.index.insert(stack.to_string(), i);
-        ProfKey(i)
+        let stacks = stacks();
+        let mut g = self.slots.lock();
+        let keys: Arc<[ProfKey]> = stacks.iter().map(|s| g.intern(s)).collect();
+        g.sets.insert(tag.to_string(), Arc::clone(&keys));
+        keys
+    }
+
+    /// Events dispatched so far by the kernels attached to this profiler.
+    /// A kernel picks its sampled events by their position in this one
+    /// count, continuing where the previous run left it.
+    pub fn dispatched(&self) -> u64 {
+        self.dispatched.load(Ordering::Relaxed)
+    }
+
+    /// Count `n` more dispatched events (a kernel's, at the end of a run).
+    pub fn add_dispatched(&self, n: u64) {
+        self.dispatched.fetch_add(n, Ordering::Relaxed);
     }
 
     /// Attribute `ns` wall-clock nanoseconds (one occurrence) to `key`.
@@ -614,6 +652,10 @@ mod tests {
         let k1 = prof.intern("desim;dispatch;call");
         let k2 = prof.intern("netsim;settle");
         assert_eq!(k1, prof.intern("desim;dispatch;call"));
+        let set = prof.intern_set("t", || vec!["netsim;settle".into(), "x".into()]);
+        assert_eq!(set[0], k2);
+        let again = prof.intern_set("t", || unreachable!("a tag's stacks are listed once"));
+        assert_eq!(&*again, &*set);
         prof.add_ns(k1, 100);
         prof.add_ns(k1, 50);
         prof.add_ns(k2, 7);

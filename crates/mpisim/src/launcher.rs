@@ -75,7 +75,7 @@ pub struct MpiJob {
     /// timed link flaps, NIC stalls, and rank kills. `None` (and the empty
     /// plan) leave every run bit-identical to a fault-free one.
     pub faults: Option<FaultPlan>,
-    /// Execution configuration: fast path, collectives.
+    /// Execution configuration: collectives.
     pub exec: ExecConfig,
 }
 
@@ -94,8 +94,7 @@ impl MpiJob {
         }
     }
 
-    /// Replace the whole execution configuration (fast path, collective
-    /// selection).
+    /// Replace the whole execution configuration (collective selection).
     pub fn with_exec(mut self, exec: ExecConfig) -> MpiJob {
         self.exec = exec;
         self
@@ -139,7 +138,8 @@ impl MpiJob {
     /// installed on the network, and a bootstrap task schedules the
     /// plan's timed events (link flaps and NIC stalls on the network, rank
     /// kills/restarts on the MPI world). An empty plan is ignored
-    /// entirely, keeping the run on the fault-free fast path.
+    /// entirely: the job installs no fault state, so it runs as if this
+    /// were never called. This is the one place that rule is kept.
     pub fn with_faults(mut self, plan: FaultPlan) -> MpiJob {
         self.faults = (!plan.is_empty()).then_some(plan);
         self
@@ -162,9 +162,6 @@ impl MpiJob {
         assert!(n > 0, "MPI job needs at least one rank");
         let prof = self.prof_keys();
         let t_setup = prof.as_ref().map(|_| std::time::Instant::now());
-        if let Some(on) = self.exec.fast_path {
-            self.net.set_bulk_fast_path(on);
-        }
         if let Some(plan) = &self.faults {
             self.net.install_faults(plan);
         }
@@ -245,7 +242,7 @@ impl MpiJob {
         Ok(report)
     }
 
-    /// Pre-interned job-phase keys: setup (world/rank construction),
+    /// Job-phase keys, interned once per profiler: setup (world/rank construction),
     /// run (the whole kernel drive), collect (report assembly).
     #[allow(clippy::type_complexity)]
     fn prof_keys(
@@ -257,10 +254,12 @@ impl MpiJob {
         desim::obs::ProfKey,
     )> {
         self.obs.profiler.clone().map(|p| {
-            let setup = p.intern("mpisim;job;setup");
-            let run = p.intern("mpisim;job;run");
-            let collect = p.intern("mpisim;job;collect");
-            (p, setup, run, collect)
+            let k = p.intern_set("mpisim;job", || {
+                ["setup", "run", "collect"]
+                    .map(|s| format!("mpisim;job;{s}"))
+                    .into()
+            });
+            (p, k[0], k[1], k[2])
         })
     }
 

@@ -140,8 +140,7 @@ pub(crate) struct WorldInner {
     /// Per-directed-pair message sequence counters, keyed `(src, dst)` and
     /// created on first use — dense `n × n` storage would cost O(n²) memory
     /// at rank scale while real traffic touches only O(active pairs).
-    /// Ids are assigned at the MPI layer, before any network timing, so
-    /// they are identical with the TCP fast path on or off.
+    /// Ids are assigned at the MPI layer, before any network timing.
     msg_seq: RefCell<HashMap<(usize, usize), u64>>,
     channels: RefCell<HashMap<(usize, usize, u32), ChannelId>>,
     pub stats: RefCell<CommStats>,

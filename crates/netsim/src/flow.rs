@@ -11,23 +11,19 @@
 //! new message starts draining when the previous one has left the sender,
 //! which is how a byte-stream socket actually behaves under MPI.
 //!
-//! ## Bulk-transfer fast path
+//! ## Pinned segments
 //!
-//! When exactly one flow is active in the whole network, the per-round
-//! event cadence is pure bookkeeping: nothing can preempt the flow, so its
-//! entire future (window growth, loss episodes, RTO stalls, completion
-//! time) is determined at activation. [`try_enter_fast`] detects this,
-//! *replays* the would-be event sequence in a tight arithmetic loop
-//! ([`replay_flow`]) — performing bit-for-bit the same `settle`/`allocate`
-//! floating-point operations the event loop would — and schedules one
-//! commit event at the computed finish time. That one replay logs what
-//! the commit credits to the links and emits as samples. If anything else
-//! touches the network first (a second transfer starting, a stalled
-//! channel resuming), [`materialize`] drops the log, replays only the
-//! elapsed prefix, re-arms the pending round/stall events at their
-//! original absolute times, and drops back to the exact per-round model.
-//! Virtual timings are identical either way; only the host-side event
-//! count changes.
+//! A lone flow whose rate is pinned at its path bottleneck gains nothing
+//! from a window round but its window: every round settles one RTT at the
+//! one rate and reallocates to that rate again. While the flow's next
+//! round would also be the next entry its kernel runs ([`Sched::bound`]),
+//! [`round_event`] runs those rounds back to back on the live state, in a
+//! *pinned segment* ([`pinned_segment`]), and queues only the last one's
+//! reallocation and successor. Every round still applies its window
+//! step, emits its TCP sample and credits its bytes to the path links, at
+//! its own virtual time and in its own order, so virtual timings and
+//! traced streams are those of one round per dispatch; only the host-side
+//! event count changes.
 //!
 //! ## Timers
 //!
@@ -112,29 +108,6 @@ struct FlowState {
     done: Option<ArrivalFn>,
 }
 
-/// A committed plan for an uncontended bulk transfer: the flow's whole
-/// future, computed by [`replay_flow`] from the snapshot taken at `t0`.
-/// Its settle steps and TCP samples are in `NetState::replay_steps` and
-/// `NetState::replay_samples` until it commits or is materialised.
-struct FastPlan {
-    ch: usize,
-    fid: usize,
-    /// Plan creation time (a settle point of the flow).
-    t0: SimTime,
-    /// True if the plan was created in the same event that activated the
-    /// flow (so exactly one round event, at `t0 + rtt`, was pending).
-    fresh: bool,
-    /// TCP state snapshot at `t0`.
-    tcp0: TcpState,
-    remaining0: f64,
-    rate0: f64,
-    finish_at: SimTime,
-    gen: u64,
-    /// The TCP state the feasibility run ended in (set at install): the
-    /// commit installs it.
-    tcp_end: Option<TcpState>,
-}
-
 pub(crate) struct NetState {
     pub(crate) topo: Topology,
     pub(crate) stack_overhead: SimDuration,
@@ -176,25 +149,16 @@ pub(crate) struct NetState {
     /// Water-fills run so far: the unit tests pin what a burst costs.
     #[cfg(test)]
     fills: u64,
-    /// Runs of [`replay_flow`] so far, and the finish instants they
-    /// converted: the unit tests pin what a plan costs.
-    #[cfg(test)]
-    replays: u64,
+    /// Finish instants converted so far: the unit tests pin what a
+    /// pinned segment saves.
     #[cfg(test)]
     finish_conversions: u64,
+    /// Whether rounds may run in pinned segments: the unit tests turn
+    /// them off to compare with one round per dispatch.
+    #[cfg(test)]
+    pub(crate) segments: bool,
     /// Bytes delivered over each directed link (utilization accounting).
     pub(crate) link_delivered: Vec<f64>,
-    /// Closed-form bulk-transfer fast path (on by default; the equivalence
-    /// tests disable it to compare against the per-round model).
-    pub(crate) fast_enabled: bool,
-    fast: Option<FastPlan>,
-    fast_gen: u64,
-    /// The bytes moved by each settle step of the last replay, in order,
-    /// and (only with a recorder attached) the TCP sample of each of its
-    /// window rounds: while a plan is installed, what its commit credits
-    /// and emits. Reused from plan to plan.
-    replay_steps: Vec<f64>,
-    replay_samples: Vec<ObsEvent>,
     /// Observability sink. Probes only *read* model state and append to
     /// this host-side recorder — they never schedule events or touch the
     /// f64 arithmetic, so attaching one cannot change virtual timestamps.
@@ -209,11 +173,16 @@ pub(crate) struct NetState {
 }
 
 /// The flow engine's handle on an attached
-/// [`HostProfiler`]: event-handler keys are
-/// interned at attach time; per-link settle keys carry link labels
-/// (`site:<name>` for LAN access links, `wan:<a>-><b>` for WAN trunks)
-/// and, like the per-channel round keys, are interned lazily on first
-/// use.
+/// [`HostProfiler`]. Per-link settle keys and per-channel round keys carry
+/// link labels (`site:<name>` for LAN access links, `wan:<a>-><b>` for
+/// WAN trunks). Every key a network can use is interned once per
+/// profiler and set of labels ([`HostProfiler::intern_set`]): attaching
+/// looks the set up, and a link or channel indexes it by its label.
+///
+/// Sampling is the kernel's: a handler times its scopes only when the
+/// dispatch it runs in is sampled ([`Sched::host_sample`]), with that
+/// dispatch's weight, so a sampled window round times its round, settle
+/// and allocate scopes together and an unsampled one reads no clock.
 ///
 /// Attribution is *layer-local*: `netsim;settle;<link>` rows re-slice
 /// time that the enclosing `netsim;round_event;<label>` row also counts
@@ -227,51 +196,60 @@ pub(crate) struct NetProf {
     pub(crate) allocate: ProfKey,
     /// Flow-finish handler.
     pub(crate) finish: ProfKey,
-    /// Closed-form fast-path commit handler.
-    pub(crate) commit: ProfKey,
-    /// Closed-form replay: a plan's feasibility run, and the prefix
-    /// replay of a materialised plan.
-    pub(crate) replay: ProfKey,
-    /// Lazily interned per-directed-link settle keys
-    /// (`netsim;settle;<label>`).
-    pub(crate) link_keys: Vec<Option<ProfKey>>,
-    /// Lazily interned per-channel round keys
+    /// The key set: the three above, the round key of a channel without
+    /// links, then each of the topology's link labels' settle keys
+    /// (`netsim;settle;<label>`), then their round keys
     /// (`netsim;round_event;<label>`).
-    pub(crate) chan_keys: Vec<Option<ProfKey>>,
+    keys: Arc<[ProfKey]>,
     /// Scratch copy of `link_delivered` taken at settle entry so the
     /// per-link deltas can be computed without a per-settle allocation.
-    pub(crate) settle_scratch: Vec<f64>,
-    /// Instrumentation-site counter driving the 1-in-[`NET_PROF_SAMPLE`]
-    /// sampling of the per-event scopes below.
-    pub(crate) tick: u64,
+    settle_scratch: Vec<f64>,
+    /// The sample weight of the dispatch in progress, 0 if unsampled.
+    weight: u64,
 }
 
-/// The flow engine's per-event handlers (settle, allocate, rounds,
-/// finish/commit/replay) each run in the hundreds of nanoseconds, so
-/// timing every one would cost more than it measures on hosts with slow
-/// clocksources. Instead one occurrence in this many is timed and
-/// extrapolated (weight-scaled), like the kernel dispatch loop's
-/// sampling. Prime on purpose: the handlers fire in short repeating
-/// patterns (round → settle → allocate …), and a stride sharing a factor
-/// with the pattern length would sample the same site forever.
-pub(crate) const NET_PROF_SAMPLE: u64 = 13;
-
 impl NetProf {
-    /// The settle key of link `l`, interned on first use. Out of line:
-    /// only a sampled settle calls it.
-    #[cold]
-    fn link_key(&mut self, topo: &Topology, l: LinkId) -> ProfKey {
-        if let Some(Some(k)) = self.link_keys.get(l.index()) {
-            return *k;
+    pub(crate) fn new(prof: Arc<HostProfiler>, topo: &Topology) -> NetProf {
+        let keys = prof.intern_set(&topo.link_labels_tag("netsim"), || {
+            let labels = topo.link_labels();
+            let flat = ["settle", "allocate", "finish_event", "round_event;local"];
+            let settle = labels.iter().map(|l| format!("settle;{l}"));
+            let round = labels.iter().map(|l| format!("round_event;{l}"));
+            flat.into_iter()
+                .map(String::from)
+                .chain(settle)
+                .chain(round)
+                .map(|k| format!("netsim;{k}"))
+                .collect()
+        });
+        NetProf {
+            prof,
+            settle: keys[0],
+            allocate: keys[1],
+            finish: keys[2],
+            keys,
+            settle_scratch: Vec::new(),
+            weight: 0,
         }
-        let k = self
-            .prof
-            .intern(&format!("netsim;settle;{}", topo.link_label(l)));
-        if self.link_keys.len() <= l.index() {
-            self.link_keys.resize(l.index() + 1, None);
+    }
+
+    /// The settle key of link `l`'s label.
+    fn link_key(&self, topo: &Topology, l: LinkId) -> ProfKey {
+        self.keys[4 + topo.link_label_index(l)]
+    }
+
+    /// The round key of a channel over `links`: its WAN trunk's label if
+    /// it crosses one, else its first link's.
+    fn round_key(&self, topo: &Topology, links: &[LinkId]) -> ProfKey {
+        let labels = (self.keys.len() - 4) / 2;
+        match links
+            .iter()
+            .find(|&&l| topo.is_wan_link(l))
+            .or(links.first())
+        {
+            Some(&l) => self.keys[4 + labels + topo.link_label_index(l)],
+            None => self.keys[3],
         }
-        self.link_keys[l.index()] = Some(k);
-        k
     }
 }
 
@@ -299,69 +277,47 @@ impl NetState {
             #[cfg(test)]
             fills: 0,
             #[cfg(test)]
-            replays: 0,
-            #[cfg(test)]
             finish_conversions: 0,
+            #[cfg(test)]
+            segments: true,
             link_delivered: Vec::new(),
-            fast_enabled: true,
-            fast: None,
-            fast_gen: 0,
-            replay_steps: Vec::new(),
-            replay_samples: Vec::new(),
             obs: None,
             faults: None,
             host_prof: None,
         }
     }
 
-    /// Scope guard attributing to one of the flat handler keys (no-op
-    /// when no profiler is attached; 1-in-[`NET_PROF_SAMPLE`] sampled).
-    fn prof_scope(&mut self, pick: impl Fn(&NetProf) -> ProfKey) -> Option<ProfScope> {
-        let hp = self.host_prof.as_mut()?;
-        hp.tick += 1;
-        if hp.tick % NET_PROF_SAMPLE != 0 {
-            return None;
+    /// Take the kernel's sampling decision for the dispatch in progress.
+    /// Every handler starts with this (see [`NetProf`]).
+    fn follow_sample(&mut self, s: &Sched) {
+        if let Some(hp) = self.host_prof.as_mut() {
+            hp.weight = s.host_sample().unwrap_or(0);
         }
-        Some(hp.prof.scope_sampled(pick(hp), NET_PROF_SAMPLE))
+    }
+
+    /// Mark the water-fill's inputs changed if channel `ch`'s cap at `t`
+    /// is no longer `before` (bit for bit): a window round's, or a pinned
+    /// segment's last round's.
+    fn cap_moved(&mut self, ch: usize, t: SimTime, before: f64) {
+        if self.channels[ch].cap(t).to_bits() != before.to_bits() {
+            self.fill_dirty = true;
+        }
+    }
+
+    /// Scope guard attributing to one of the flat handler keys (no-op
+    /// when no profiler is attached or the dispatch is unsampled).
+    fn prof_scope(&mut self, pick: impl Fn(&NetProf) -> ProfKey) -> Option<ProfScope> {
+        let hp = self.host_prof.as_ref().filter(|hp| hp.weight != 0)?;
+        Some(hp.prof.scope_sampled(pick(hp), hp.weight))
     }
 
     /// Scope guard for one channel's round handler, keyed by the
     /// channel's link label (its WAN trunk if it crosses one,
     /// else its first access link's site). Sampled like [`Self::prof_scope`].
     fn round_scope(&mut self, ch: usize) -> Option<ProfScope> {
-        {
-            let hp = self.host_prof.as_mut()?;
-            hp.tick += 1;
-            if hp.tick % NET_PROF_SAMPLE != 0 {
-                return None;
-            }
-        }
-        let cached = self
-            .host_prof
-            .as_ref()
-            .and_then(|hp| hp.chan_keys.get(ch).copied().flatten());
-        let key = match cached {
-            Some(k) => k,
-            None => {
-                // The channel's WAN trunk if it crosses one, else its
-                // first link.
-                let links = &self.channels[ch].path.links;
-                let label = links
-                    .iter()
-                    .find(|&&l| self.topo.is_wan_link(l))
-                    .or(links.first())
-                    .map_or_else(|| "local".to_string(), |&l| self.topo.link_label(l));
-                let hp = self.host_prof.as_mut().expect("checked above");
-                let k = hp.prof.intern(&format!("netsim;round_event;{label}"));
-                if hp.chan_keys.len() <= ch {
-                    hp.chan_keys.resize(ch + 1, None);
-                }
-                hp.chan_keys[ch] = Some(k);
-                k
-            }
-        };
-        let hp = self.host_prof.as_ref().expect("checked above");
-        Some(hp.prof.scope_sampled(key, NET_PROF_SAMPLE))
+        let hp = self.host_prof.as_ref().filter(|hp| hp.weight != 0)?;
+        let key = hp.round_key(&self.topo, &self.channels[ch].path.links);
+        Some(hp.prof.scope_sampled(key, hp.weight))
     }
 
     pub(crate) fn add_channel(&mut self, path: Path, tcp: TcpState) -> ChannelId {
@@ -389,15 +345,12 @@ impl NetState {
     }
 
     /// Install a non-empty fault plan: every existing and future channel
-    /// gets its loss/duplication parameters and seeded draw stream, and
-    /// the closed-form bulk fast path is disabled — per-round loss draws
-    /// need the real event cadence, and scheduled outages would force a
-    /// materialize anyway. Empty plans are rejected by the caller
-    /// ([`crate::Network::install_faults`]) so fault-free runs carry no
-    /// fault state whatsoever.
+    /// gets its loss/duplication parameters and seeded draw stream (a
+    /// channel that draws losses runs no pinned segment). Empty plans are
+    /// rejected by the caller ([`crate::Network::install_faults`]) so
+    /// fault-free runs carry no fault state whatsoever.
     pub(crate) fn install_faults(&mut self, plan: &FaultPlan) {
         debug_assert!(!plan.is_empty(), "empty plans must not be installed");
-        self.fast_enabled = false;
         for (i, c) in self.channels.iter_mut().enumerate() {
             arm_channel_faults(plan, i, c);
         }
@@ -420,38 +373,28 @@ impl NetState {
         if self.settled_at == Some(now) {
             return;
         }
-        // When profiling (1-in-NET_PROF_SAMPLE sampled), snapshot the
+        // In a sampled dispatch, snapshot the
         // per-link byte counters so the elapsed wall clock can be
         // attributed to the links that actually moved bytes — the
         // per-link breakdown. The snapshot reuses the scratch
         // buffer: no allocation on the settle path.
         let t0 = match self.host_prof.as_mut() {
-            Some(hp) => {
-                hp.tick += 1;
-                if hp.tick % NET_PROF_SAMPLE == 0 {
-                    hp.settle_scratch.clear();
-                    hp.settle_scratch.extend_from_slice(&self.link_delivered);
-                    Some(Instant::now())
-                } else {
-                    None
-                }
+            Some(hp) if hp.weight != 0 => {
+                hp.settle_scratch.clear();
+                hp.settle_scratch.extend_from_slice(&self.link_delivered);
+                Some(Instant::now())
             }
-            None => None,
+            _ => None,
         };
-        if self.link_delivered.len() < self.topo.link_count() {
-            self.link_delivered.resize(self.topo.link_count(), 0.0);
-        }
         for &fid in &self.active {
             let f = self.flows[fid].as_mut().expect("active flow exists");
             let dt = now.since(f.last_settle).as_secs_f64();
             if dt > 0.0 {
                 let moved = (f.rate * dt).min(f.remaining);
                 f.remaining -= moved;
-                let chan = f.chan;
                 f.last_settle = now;
-                for &l in &self.channels[chan].path.links {
-                    self.link_delivered[l.0 as usize] += moved;
-                }
+                let links = &self.channels[f.chan].path.links;
+                credit_links(&mut self.link_delivered, &self.topo, links, moved);
             } else {
                 f.last_settle = now;
             }
@@ -472,15 +415,12 @@ impl NetState {
                     let d = delta(&hp.settle_scratch, i, d);
                     if d > 0.0 {
                         let key = hp.link_key(&self.topo, LinkId(i as u32));
-                        hp.prof.add_ns_sampled(
-                            key,
-                            (ns as f64 * d / total) as u64,
-                            NET_PROF_SAMPLE,
-                        );
+                        hp.prof
+                            .add_ns_sampled(key, (ns as f64 * d / total) as u64, hp.weight);
                     }
                 }
             } else {
-                hp.prof.add_ns_sampled(hp.settle, ns, NET_PROF_SAMPLE);
+                hp.prof.add_ns_sampled(hp.settle, ns, hp.weight);
             }
         }
         self.settled_at = Some(now);
@@ -503,12 +443,12 @@ impl NetState {
     /// Link capacities and channel paths never change, so `fill_dirty`
     /// is set wherever another input may move:
     /// - `active` gains a flow ([`activate_next`]) or loses one
-    ///   ([`finish_event`], [`fast_commit`]);
+    ///   ([`finish_event`]);
     /// - `stalled_until` is written ([`NetState::stall`]: RTO and
-    ///   short-ack stalls, outages, [`materialize`]);
+    ///   short-ack stalls, outages);
     /// - the top of [`stall_clear`] and [`resume_channel`], stale or not;
-    /// - [`materialize`] replaces a flow's TCP state and rate;
-    /// - a window round moves its flow's cap bits ([`round_event`]).
+    /// - a window round moves its flow's cap bits ([`round_event`],
+    ///   [`pinned_segment`]).
     ///
     /// A stalled flow's cap also moves, unwritten, when its stall ends, so
     /// no fill is skipped from `fill_stall_end` on. Debug builds check
@@ -828,12 +768,10 @@ pub(crate) type SharedNet = Rc<RefCell<NetState>>;
 /// kernel as a [`Timeline`] in the kernel's `(time, seq)` order.
 ///
 /// A round is due one RTT after it is queued, and a channel's RTT never
-/// changes, so a FIFO lane per distinct RTT stays sorted by key; only
-/// [`materialize`]'s re-arm, at an earlier time with a later sequence
-/// number, needs a sorted insert. A network has at most one live finish
-/// event, so it is one slot that each [`reallocate`] overwrites. Stale
-/// rounds (their channel's `round_gen` moved on) are dropped at the lane
-/// heads and never dispatched.
+/// changes, so a FIFO lane per distinct RTT stays sorted by key. A network
+/// has at most one live finish event, so it is one slot that each
+/// [`reallocate`] overwrites. Stale rounds (their channel's `round_gen`
+/// moved on) are dropped at the lane heads and never dispatched.
 #[derive(Default)]
 struct Timers {
     /// The timeline this network is attached as, on the kernel that
@@ -872,17 +810,11 @@ impl Timers {
         self.lanes.len() - 1
     }
 
-    /// Queue a round keyed `key`. Keys of one lane arrive in order, bar
-    /// [`materialize`]'s re-arm, which lands behind every round due no
-    /// later than it.
+    /// Queue a round keyed `key`: keys of one lane arrive in order.
     fn push_round(&mut self, lane: usize, round: Round) {
         let rounds = &mut self.lanes[lane].rounds;
-        if rounds.back().is_none_or(|r| r.key < round.key) {
-            rounds.push_back(round);
-        } else {
-            let at = rounds.partition_point(|r| r.key < round.key);
-            rounds.insert(at, round);
-        }
+        debug_assert!(rounds.back().is_none_or(|r| r.key < round.key));
+        rounds.push_back(round);
     }
 }
 
@@ -903,6 +835,7 @@ impl Timeline for NetTimeline {
             s.publish(id, None);
             return false;
         }
+        g.follow_sample(s);
         let lane = g
             .timers
             .lanes
@@ -978,6 +911,7 @@ impl NetState {
 fn handle(net: &SharedNet, s: &Sched, f: impl FnOnce(&mut NetState)) {
     let mut g = net.borrow_mut();
     g.bind(net, s);
+    g.follow_sample(s);
     f(&mut g);
     g.sync(s);
 }
@@ -1004,463 +938,28 @@ fn tcp_sample(ch: usize, t: SimTime, tcp: &TcpState, outcome: &'static str) -> O
     }
 }
 
-/// The rate `allocate` assigns to the only active flow in the network:
-/// its cap unless some path link is tighter. Performs the same
-/// floating-point comparisons as the water-fill with `n = 1`.
-fn single_flow_rate(tcp: &TcpState, bottleneck: f64, min_link: Option<f64>) -> f64 {
-    let cap = tcp.window_rate().min(bottleneck);
-    match min_link {
-        // One user per link: the tightest level is the smallest capacity.
-        Some(lvl) if cap > lvl * (1.0 + 1e-9) => lvl,
-        _ => cap,
+/// Record window round `out` of channel `ch` at `t`, if a recorder is
+/// attached: each round's dispatch, and each round of a pinned segment.
+fn record_round(
+    obs: &Option<Arc<dyn Recorder>>,
+    ch: usize,
+    t: SimTime,
+    tcp: &TcpState,
+    out: RoundOutcome,
+) {
+    if let Some(rec) = obs {
+        rec.record(&tcp_sample(ch, t, tcp, outcome_name(out)));
     }
 }
 
-/// Result of [`replay_flow`]: the flow's state at the stop point, plus
-/// whichever of its events were still pending there.
-struct ReplayOutcome {
-    tcp: TcpState,
-    remaining: f64,
-    rate: f64,
-    last_settle: SimTime,
-    /// Completion time, if the flow finished strictly before `upto`.
-    finished_at: Option<SimTime>,
-    /// An RTO stall in force at the stop point (the stall-clear time).
-    stalled_until: Option<SimTime>,
-    /// Absolute time of the pending window-round event, if any.
-    next_round: Option<SimTime>,
-    /// Finish instants the replay converted: the unit tests pin that a
-    /// pinned segment converts none per round.
-    #[cfg(test)]
-    finish_conversions: u64,
-}
-
-/// Replay the per-round event sequence of an uncontended flow, applying
-/// events with time strictly before `upto` (pass [`SimTime::MAX`] to run
-/// to completion). `on_settle` receives the bytes moved by each settle
-/// step, in order, for [`credit_replay`] to credit to the path links
-/// exactly as `NetState::settle` would. `on_round` observes the TCP state
-/// right after each window round is applied (the cwnd probe stream); it
-/// is a read-only tap and takes no part in the arithmetic.
-///
-/// This mirrors `round_event`/`stall_clear`/`finish_event`/`reallocate`
-/// for the single-flow case *operation for operation*, including the
-/// two-event priority queue semantics (time, then insertion order), so
-/// the resulting f64 state is bit-identical to the event loop's.
-///
-/// A flow whose rate is pinned at its path bottleneck runs its rounds in
-/// a *pinned segment*: while the window rate stays at or above the
-/// bottleneck, every round settles one RTT at the one rate, reallocates
-/// to the same rate and pushes a finish that the next round precedes, so
-/// the segment steps the window and subtracts one precomputed step per
-/// round, and converts the finish instant only when it leaves (DESIGN
-/// §2.2).
-#[allow(clippy::too_many_arguments)]
-fn replay_flow(
-    tcp0: &TcpState,
-    remaining0: f64,
-    rate0: f64,
-    t0: SimTime,
-    fresh: bool,
-    bottleneck: f64,
-    min_link: Option<f64>,
-    upto: SimTime,
-    mut on_settle: impl FnMut(f64),
-    mut on_round: impl FnMut(SimTime, &TcpState, RoundOutcome),
-) -> ReplayOutcome {
-    let mut tcp = tcp0.clone();
-    let mut remaining = remaining0;
-    let mut rate = rate0;
-    let mut last = t0;
-    let rtt = tcp.params().rtt;
-    // Pending events, at most one of each kind, ordered by (time, seq)
-    // like the kernel heap. `fresh` activation pushed its round before
-    // the first finish; every later reallocation pushes finish first.
-    let mut seq: u64 = 0;
-    let mut round: Option<(SimTime, u64)> = None;
-    let mut finish: Option<(SimTime, u64)> = None;
-    let mut stall: Option<(SimTime, u64)> = None;
-    #[cfg(test)]
-    let conversions = Cell::new(0u64);
-    let finish_time = |at: SimTime, remaining: f64, rate: f64| {
-        #[cfg(test)]
-        conversions.set(conversions.get() + 1);
-        at + SimDuration::from_secs_f64(remaining / rate) + SimDuration::from_nanos(1)
-    };
-    if fresh && !tcp.saturated() {
-        round = Some((t0 + rtt, seq));
-        seq += 1;
+/// Credit `moved` bytes to each of `links` in the per-link delivery
+/// counters: every settled interval, a pinned segment's rounds included.
+fn credit_links(delivered: &mut Vec<f64>, topo: &Topology, links: &[LinkId], moved: f64) {
+    if delivered.len() < topo.link_count() {
+        delivered.resize(topo.link_count(), 0.0);
     }
-    if rate > 0.0 {
-        finish = Some((finish_time(t0, remaining, rate), seq));
-        seq += 1;
-    }
-    let mut finished_at = None;
-    // The instant of the last reallocation: a second request at that
-    // instant runs as `request_realloc`'s queued reallocation.
-    let mut realloc_at = t0;
-    // `settle(t)` for this flow alone.
-    macro_rules! settle {
-        ($t:expr) => {{
-            let dt = $t.since(last).as_secs_f64();
-            if dt > 0.0 {
-                let moved = (rate * dt).min(remaining);
-                remaining -= moved;
-                on_settle(moved);
-            }
-            last = $t;
-        }};
-    }
-    // `reallocate` minus the finish-event scheduling the caller does.
-    macro_rules! reallocate {
-        ($t:expr) => {{
-            realloc_at = $t;
-            rate = single_flow_rate(&tcp, bottleneck, min_link);
-            finish = if rate > 0.0 {
-                let f = Some((finish_time($t, remaining, rate), seq));
-                seq += 1;
-                f
-            } else {
-                None
-            };
-        }};
-    }
-    loop {
-        let next = [round, finish, stall]
-            .into_iter()
-            .flatten()
-            .min_by_key(|&(t, q)| (t, q));
-        let Some((t, _)) = next else { break };
-        if t >= upto {
-            break;
-        }
-        if stall.is_some_and(|e| Some(e) == next) {
-            // stall_clear: settle, reallocate, schedule the next round.
-            stall = None;
-            settle!(t);
-            reallocate!(t);
-            if !tcp.saturated() {
-                round = Some((t + rtt, seq));
-                seq += 1;
-            }
-        } else if finish.is_some_and(|e| Some(e) == next) {
-            finish.take();
-            settle!(t);
-            if remaining < 0.5 {
-                finished_at = Some(t);
-                break;
-            }
-            // Not done yet (float slack): finish_event reallocates.
-            reallocate!(t);
-        } else {
-            // Window round: grow/collapse the window; settle and
-            // reallocate only if the window cap was binding or the
-            // window collapsed.
-            round = None;
-            // Pinned segment. The rate is the bottleneck-bound rate the
-            // reallocation of every round would give again, so each round
-            // counts as binding, settles exactly one RTT (`step`, the bits
-            // of `settle!`'s `rate * dt`) and pushes a finish behind the
-            // next round while more than two steps remain. No stall is
-            // pending and none can start, and no queued reallocation is
-            // due at `t`. The segment leaves by rebuilding the finish and
-            // round keys as the last round's reallocation would have.
-            if rtt > SimDuration::ZERO
-                && last + rtt == t
-                && realloc_at != t
-                && stall.is_none()
-                && rate >= bottleneck * 0.999
-                && tcp.window_rate() >= bottleneck
-                && rate.to_bits() == single_flow_rate(&tcp, bottleneck, min_link).to_bits()
-                && tcp.rounds_cannot_stall()
-            {
-                let step = rate * rtt.as_secs_f64();
-                let mut t = t;
-                loop {
-                    let out = tcp.on_round();
-                    debug_assert!(!matches!(out, RoundOutcome::RtoStall(_)));
-                    on_round(t, &tcp, out);
-                    let moved = step.min(remaining);
-                    remaining -= moved;
-                    on_settle(moved);
-                    last = t;
-                    if remaining <= 2.0 * step + 1.0
-                        || tcp.window_rate() < bottleneck
-                        || tcp.saturated()
-                        || t + rtt >= upto
-                    {
-                        break;
-                    }
-                    t += rtt;
-                }
-                reallocate!(t);
-                if !tcp.saturated() {
-                    round = Some((t + rtt, seq));
-                    seq += 1;
-                }
-                continue;
-            }
-            let cap = tcp.window_rate().min(bottleneck);
-            let was_binding = rate >= cap * 0.999;
-            let out = tcp.on_round();
-            on_round(t, &tcp, out);
-            let realloc = was_binding || out != RoundOutcome::Progress;
-            if realloc {
-                settle!(t);
-            }
-            match out {
-                RoundOutcome::Progress | RoundOutcome::FastRecovery => {
-                    // After a finish event at `t` reallocated, the
-                    // request is queued and its finish event is pushed
-                    // behind the next round.
-                    let queued = realloc && realloc_at == t;
-                    if realloc && !queued {
-                        reallocate!(t);
-                    }
-                    if !tcp.saturated() {
-                        round = Some((t + rtt, seq));
-                        seq += 1;
-                    }
-                    if queued {
-                        reallocate!(t);
-                    }
-                }
-                RoundOutcome::RtoStall(d) => {
-                    // The stalled allocation zeroes the rate and cancels
-                    // the finish; the stall-clear event resumes.
-                    rate = 0.0;
-                    finish = None;
-                    stall = Some((t + d, seq));
-                    seq += 1;
-                }
-            }
-        }
-    }
-    ReplayOutcome {
-        tcp,
-        remaining,
-        rate,
-        last_settle: last,
-        finished_at,
-        stalled_until: stall.map(|(t, _)| t),
-        next_round: round.map(|(t, _)| t),
-        #[cfg(test)]
-        finish_conversions: conversions.get(),
-    }
-}
-
-/// If the network has exactly one active flow with nothing that can
-/// preempt it, absorb its whole future into a [`FastPlan`] and schedule a
-/// single commit event at the finish time. Returns true if the plan was
-/// installed (the caller then skips normal finish scheduling). The
-/// feasibility run that finds the finish time is the plan's only replay
-/// unless it is materialised: it logs what the commit credits and emits.
-fn try_enter_fast(g: &mut NetState, net: &SharedNet, s: &Sched, now: SimTime) -> bool {
-    if !g.fast_enabled || g.fast.is_some() || g.active.len() != 1 {
-        return false;
-    }
-    let fid = g.active[0];
-    let f = g.flows[fid].as_ref().expect("active flow exists");
-    let ch = f.chan;
-    let c = &g.channels[ch];
-    if c.stalled_until > now || f.last_settle != now {
-        return false;
-    }
-    let fresh = f.started == now;
-    // A mid-flight flow may have a pending round event at an arbitrary
-    // phase; only adopt it once saturated (no rounds will ever fire).
-    if !fresh && !c.tcp.saturated() {
-        return false;
-    }
-    let mut plan = FastPlan {
-        ch,
-        fid,
-        t0: now,
-        fresh,
-        tcp0: c.tcp.clone(),
-        remaining0: f.remaining,
-        rate0: f.rate,
-        finish_at: SimTime::MAX,
-        gen: 0,
-        tcp_end: None,
-    };
-    let outcome = replay_logged(g, &plan, SimTime::MAX);
-    let Some(finish_at) = outcome.finished_at else {
-        return false;
-    };
-    // Cancel the activation's round event; the plan replays it instead.
-    g.channels[ch].round_gen += 1;
-    g.fast_gen += 1;
-    let gen = g.fast_gen;
-    plan.finish_at = finish_at;
-    plan.gen = gen;
-    plan.tcp_end = Some(outcome.tcp);
-    g.fast = Some(plan);
-    let net2 = Rc::clone(net);
-    s.call_at(finish_at, move |s2| fast_commit(&net2, s2, gen));
-    true
-}
-
-/// Run a plan's replay up to `upto`, in the `netsim;replay` scope,
-/// logging into `g.replay_steps` the bytes moved by each settle step and,
-/// when a recorder is attached, into `g.replay_samples` the per-round TCP
-/// samples the event loop would emit (same channel, same virtual
-/// timestamps, same post-round state). Nothing is credited or emitted:
-/// [`credit_replay`] does that at commit or materialise.
-fn replay_logged(g: &mut NetState, plan: &FastPlan, upto: SimTime) -> ReplayOutcome {
-    let _prof = g.prof_scope(|p| p.replay);
-    #[cfg(test)]
-    {
-        g.replays += 1;
-    }
-    let path = &g.channels[plan.ch].path;
-    let bottleneck = path.bottleneck;
-    let min_link =
-        path.links
-            .iter()
-            .map(|&l| g.topo.link(l).capacity)
-            .fold(None, |acc: Option<f64>, c| {
-                Some(match acc {
-                    Some(a) if a < c => a,
-                    _ => c,
-                })
-            });
-    let want_samples = g.obs.is_some();
-    let ch = plan.ch;
-    let (steps, samples) = (&mut g.replay_steps, &mut g.replay_samples);
-    steps.clear();
-    samples.clear();
-    let outcome = replay_flow(
-        &plan.tcp0,
-        plan.remaining0,
-        plan.rate0,
-        plan.t0,
-        plan.fresh,
-        bottleneck,
-        min_link,
-        upto,
-        |moved| steps.push(moved),
-        |t, tcp, out| {
-            if want_samples {
-                samples.push(tcp_sample(ch, t, tcp, outcome_name(out)));
-            }
-        },
-    );
-    #[cfg(test)]
-    {
-        g.finish_conversions += outcome.finish_conversions;
-    }
-    outcome
-}
-
-/// Credit the last replay's settle steps, in order, to every link of
-/// `ch`'s path exactly as `NetState::settle` would, then emit its TCP
-/// samples.
-fn credit_replay(g: &mut NetState, ch: usize) {
-    if g.link_delivered.len() < g.topo.link_count() {
-        g.link_delivered.resize(g.topo.link_count(), 0.0);
-    }
-    for &moved in &g.replay_steps {
-        for &l in &g.channels[ch].path.links {
-            g.link_delivered[l.index()] += moved;
-        }
-    }
-    if let Some(rec) = &g.obs {
-        for s in &g.replay_samples {
-            rec.record(s);
-        }
-    }
-}
-
-/// Abandon the active plan because another flow is about to start (or a
-/// stalled channel to resume): drop the feasibility run's log, replay the
-/// elapsed prefix onto the real state and re-arm the pending per-round
-/// events at their original absolute times. The caller settles and
-/// reallocates afterwards, exactly as the per-round model would have at
-/// this interrupt.
-fn materialize(g: &mut NetState, net: &SharedNet, s: &Sched, now: SimTime) {
-    let Some(plan) = g.fast.take() else { return };
-    g.fast_gen += 1; // Cancel the pending commit event.
-    let outcome = replay_logged(g, &plan, now);
-    debug_assert!(
-        outcome.finished_at.is_none(),
-        "a finished plan must commit, not materialize"
-    );
-    credit_replay(g, plan.ch);
-    let f = g.flows[plan.fid].as_mut().expect("planned flow exists");
-    f.remaining = outcome.remaining;
-    f.rate = outcome.rate;
-    f.last_settle = outcome.last_settle;
-    g.settled_at = None; // The planned flow is settled only to its replay.
-    g.channels[plan.ch].tcp = outcome.tcp;
-    g.fill_dirty = true;
-    let ch = plan.ch;
-    let gen = g.channels[ch].round_gen;
-    if let Some(until) = outcome.stalled_until {
-        g.stall(ch, until);
-        let net2 = Rc::clone(net);
-        s.call_at(until, move |s2| stall_clear(&net2, s2, ch, gen));
-    } else if let Some(at) = outcome.next_round {
-        let key = s.stamp(at);
-        g.timers
-            .push_round(g.channels[ch].lane, Round { key, ch, gen });
-    }
-    // The pending finish event needs no re-arming: the interrupting event
-    // reallocates, which cancels and reschedules finishes in the
-    // per-round model too.
-}
-
-/// The plan's single completion event: credit and emit what the
-/// feasibility run logged, install its final TCP state, then perform
-/// `finish_event`'s bookkeeping for the one finished flow.
-fn fast_commit(net: &SharedNet, s: &Sched, gen: u64) {
-    handle(net, s, |g| commit_plan(g, net, s, gen));
-}
-
-fn commit_plan(g: &mut NetState, net: &SharedNet, s: &Sched, gen: u64) {
-    let now = s.now();
-    if g.fast.as_ref().is_none_or(|p| p.gen != gen) {
-        return; // Superseded by a materialize.
-    }
-    let _prof = g.prof_scope(|p| p.commit);
-    let plan = g.fast.take().expect("plan checked above");
-    debug_assert_eq!(plan.finish_at, now, "commit must fire at the finish time");
-    let ch = plan.ch;
-    let fid = plan.fid;
-    credit_replay(g, ch);
-    g.channels[ch].tcp = plan.tcp_end.expect("installed plans have a final state");
-    g.active.retain(|&x| x != fid);
-    g.fill_dirty = true;
-    g.leave_first_link(ch);
-    let mut f = g.flows[fid].take().expect("finished flow exists");
-    g.free.push(fid);
-    g.channels[ch].bytes_done += f.total;
-    emit_flow_finish(g, ch, now, f.total);
-    if now.since(f.started) < g.channels[ch].tcp.params().rtt {
-        let stall = g.channels[ch].tcp.on_short_ack(f.total);
-        if let Some(rec) = &g.obs {
-            rec.record(&tcp_sample(ch, now, &g.channels[ch].tcp, "short_ack"));
-        }
-        if let Some(stall) = stall {
-            let until = now + stall;
-            g.stall(ch, until);
-            g.channels[ch].round_gen += 1;
-            let net2 = Rc::clone(net);
-            s.call_at(until, move |s2| resume_channel(&net2, s2, ch));
-        }
-    }
-    let one_way = g.channels[ch].path.rtt / 2;
-    let arrival = now + one_way + g.stack_overhead;
-    let done = f.done.take();
-    g.channels[ch].tcp.touch(now);
-    g.channels[ch].active = None;
-    g.channels[ch].round_gen += 1;
-    if g.channels[ch].stalled_until <= now {
-        activate_next(g, s, ch, now);
-    }
-    request_realloc(g, net, s, now);
-    if let Some(done) = done {
-        s.call_at(arrival, done);
+    for &l in links {
+        delivered[l.index()] += moved;
     }
 }
 
@@ -1498,8 +997,6 @@ fn enqueue_transfer(
         done,
     });
     if g.channels[ch.0].active.is_none() && g.channels[ch.0].stalled_until <= now {
-        // A new flow is joining: any single-flow plan is no longer alone.
-        materialize(g, net, s, now);
         g.settle(now);
         activate_next(g, s, ch.0, now);
         request_realloc(g, net, s, now);
@@ -1575,8 +1072,7 @@ fn activate_next(g: &mut NetState, s: &Sched, ch: usize, now: SimTime) {
 }
 
 /// Record a flow completion and the cumulative delivery of every link on
-/// its path (shared by `finish_event` and `fast_commit`, which both call
-/// it at the same virtual time with the same link totals).
+/// its path.
 fn emit_flow_finish(g: &NetState, ch: usize, now: SimTime, bytes: u64) {
     let Some(rec) = &g.obs else { return };
     rec.record(&ObsEvent::FlowFinish {
@@ -1618,6 +1114,12 @@ fn round_event(g: &mut NetState, net: &SharedNet, s: &Sched, ch: usize, gen: u64
         return; // The stall-clear event resumes rounds.
     }
     let _prof = g.round_scope(ch);
+    if let Some(end) = pinned_segment(g, s, ch, now) {
+        // The last round's reallocation and successor.
+        request_realloc(g, net, s, end);
+        schedule_round(g, s, ch, end);
+        return;
+    }
     // The flow's allocation can change with its cap only if the cap is
     // (nearly) binding. A flow running at its path bottleneck counts too.
     let fid = g.channels[ch].active.expect("checked above");
@@ -1662,12 +1164,8 @@ fn round_event(g: &mut NetState, net: &SharedNet, s: &Sched, ch: usize, gen: u64
             }
         }
     }
-    if let Some(rec) = &g.obs {
-        rec.record(&tcp_sample(ch, now, &g.channels[ch].tcp, outcome_name(out)));
-    }
-    if g.channels[ch].cap(now).to_bits() != cap.to_bits() {
-        g.fill_dirty = true;
-    }
+    record_round(&g.obs, ch, now, &g.channels[ch].tcp, out);
+    g.cap_moved(ch, now, cap);
     // Window growth only changes the allocation if the window cap was
     // actually the binding constraint. Between rate changes the fluid
     // integration is exact, so only a round that reallocates settles.
@@ -1692,6 +1190,102 @@ fn round_event(g: &mut NetState, net: &SharedNet, s: &Sched, ch: usize, gen: u64
     }
 }
 
+/// Run `ch`'s window rounds from `now` in one *pinned segment* if the
+/// round at `now` qualifies, and return the instant of the last round run;
+/// `None` leaves the round to [`round_event`]'s one-round path.
+///
+/// A round qualifies when it is pure bookkeeping: its flow is the only
+/// active one, draws no injected loss and cannot stall; it settles exactly
+/// one RTT, so nothing has settled, and so nothing has reallocated, at
+/// `now` yet (every reallocation request settles first), and its own
+/// reallocation runs at once; and its rate is pinned at the path
+/// bottleneck, which is the rate that reallocation gives again. Such
+/// a round counts as binding, settles `step = rate * rtt` and queues a
+/// finish that the next round precedes while more than two steps remain.
+/// So the segment runs each round as its dispatch would, in the same
+/// order (the window step, the TCP sample at the round's time, one RTT's
+/// settle credited to every path link), and skips the reallocation and
+/// the two keys the next round supersedes. The next round joins the
+/// segment only if it would also be the kernel's next entry, before every
+/// foreign key ([`Sched::bound`]); the caller then reallocates and queues
+/// the next round as the last round's dispatch would have (DESIGN §2.2).
+fn pinned_segment(g: &mut NetState, s: &Sched, ch: usize, now: SimTime) -> Option<SimTime> {
+    #[cfg(test)]
+    if !g.segments {
+        return None;
+    }
+    if g.active.len() != 1 {
+        return None;
+    }
+    let NetState {
+        topo,
+        channels,
+        flows,
+        link_delivered,
+        obs,
+        timers,
+        ..
+    } = g;
+    let c = &mut channels[ch];
+    let fid = c.active.expect("a round's channel is active");
+    let f = flows[fid].as_mut().expect("active flow exists");
+    let rtt = c.tcp.params().rtt;
+    let bottleneck = c.path.bottleneck;
+    if c.loss_rng.is_some()
+        || rtt == SimDuration::ZERO
+        || f.last_settle + rtt != now
+        || f.rate < bottleneck * 0.999
+        || c.tcp.window_rate() < bottleneck
+        || !c.tcp.rounds_cannot_stall()
+    {
+        return None;
+    }
+    let min_link = c
+        .path
+        .links
+        .iter()
+        .map(|&l| topo.link(l).capacity)
+        .reduce(|a, cap| if a < cap { a } else { cap });
+    if f.rate.to_bits() != single_flow_rate(&c.tcp, bottleneck, min_link).to_bits() {
+        return None;
+    }
+    let horizon = s.bound(timers.id.expect("bound by the handler")).time;
+    let step = f.rate * rtt.as_secs_f64();
+    let mut t = now;
+    loop {
+        let out = c.tcp.on_round();
+        debug_assert!(!matches!(out, RoundOutcome::RtoStall(_)));
+        record_round(obs, ch, t, &c.tcp, out);
+        let moved = step.min(f.remaining);
+        f.remaining -= moved;
+        f.last_settle = t;
+        credit_links(link_delivered, topo, &c.path.links, moved);
+        if f.remaining <= 2.0 * step + 1.0
+            || c.tcp.window_rate() < bottleneck
+            || c.tcp.saturated()
+            || t + rtt >= horizon
+        {
+            break;
+        }
+        t += rtt;
+    }
+    g.settled_at = Some(t);
+    g.cap_moved(ch, t, bottleneck);
+    Some(t)
+}
+
+/// The rate `allocate` assigns to the only active flow in the network:
+/// its cap unless some path link is tighter. Performs the same
+/// floating-point comparisons as the water-fill with `n = 1`.
+fn single_flow_rate(tcp: &TcpState, bottleneck: f64, min_link: Option<f64>) -> f64 {
+    let cap = tcp.window_rate().min(bottleneck);
+    match min_link {
+        // One user per link: the tightest level is the smallest capacity.
+        Some(lvl) if cap > lvl * (1.0 + 1e-9) => lvl,
+        _ => cap,
+    }
+}
+
 /// Wake a channel whose post-completion RTO stall has elapsed.
 fn resume_channel(net: &SharedNet, s: &Sched, ch: usize) {
     handle(net, s, |g| {
@@ -1700,7 +1294,6 @@ fn resume_channel(net: &SharedNet, s: &Sched, ch: usize) {
         if g.channels[ch].stalled_until > now || g.channels[ch].active.is_some() {
             return;
         }
-        materialize(g, net, s, now);
         g.settle(now);
         activate_next(g, s, ch, now);
         request_realloc(g, net, s, now);
@@ -1754,7 +1347,6 @@ fn outage(
 ) {
     let now = s.now();
     let until = now + down;
-    materialize(g, net, s, now);
     g.settle(now);
     for ch in 0..g.channels.len() {
         let hit = g.channels[ch].path.links.iter().any(|l| links.contains(l));
@@ -1803,7 +1395,7 @@ fn outage(
 fn request_realloc(g: &mut NetState, net: &SharedNet, s: &Sched, now: SimTime) {
     if g.realloc_at != Some(now) {
         g.realloc_at = Some(now);
-        reallocate(g, net, s, now);
+        reallocate(g, s, now);
         return;
     }
     g.timers.finish = None;
@@ -1813,21 +1405,21 @@ fn request_realloc(g: &mut NetState, net: &SharedNet, s: &Sched, now: SimTime) {
         s.call_at(now, move |s2| {
             handle(&net2, s2, |g| {
                 g.realloc_queued = false;
-                reallocate(g, &net2, s2, s2.now());
+                reallocate(g, s2, s2.now());
             });
         });
     }
 }
 
-/// Recompute rates and put the earliest finish in the finish slot — or,
-/// when a lone flow qualifies, absorb its future into a fast plan instead.
-fn reallocate(g: &mut NetState, net: &SharedNet, s: &Sched, now: SimTime) {
+/// Recompute rates and put the earliest finish in the finish slot.
+fn reallocate(g: &mut NetState, s: &Sched, now: SimTime) {
     g.allocate(now);
     g.timers.finish = None;
-    if try_enter_fast(g, net, s, now) {
-        return;
-    }
     if let Some(q) = earliest_finish_secs(g) {
+        #[cfg(test)]
+        {
+            g.finish_conversions += 1;
+        }
         let at = now + SimDuration::from_secs_f64(q) + SimDuration::from_nanos(1);
         g.timers.finish = Some(s.stamp(at));
     }
@@ -1927,7 +1519,6 @@ mod tests {
     use crate::tcp::TcpParams;
     use crate::topology::{NodeId, NodeParams, SiteParams};
     use desim::prop::forall;
-    use std::cell::Cell;
     use std::collections::BTreeMap;
 
     fn mk_state() -> NetState {
@@ -2545,48 +2136,32 @@ mod tests {
 
     /// Arrival of the lone 64 MB WAN transfer, virtual ns, and the bytes
     /// credited to each link of its path (uplink, WAN, downlink) as f64
-    /// bits, as the per-round model gives them.
+    /// bits, as one round per dispatch gives them.
     const LONE_WAN_ARRIVAL_NS: u64 = 1_091_253_637;
     const LONE_WAN_LINK_BITS: [u64; 3] = [4724276009111650304; 3];
 
     /// A lone 64 MB transfer across the WAN, unpaced with tuned buffers so
-    /// that slow start, an RTO stall and recovery all run, commits after
-    /// exactly one replay: the commit credits and installs what the
-    /// feasibility run logged. It arrives, and credits each link, to the
-    /// bit as the per-round model does.
+    /// that slow start, an RTO stall and recovery all run. Once BIC's
+    /// recovery has grown its window past the bottleneck (its last ~30
+    /// rounds), its rounds run in pinned segments; it arrives, and credits
+    /// each link, to the bit as pinned.
     #[test]
-    fn a_committed_plan_replays_once() {
-        let mut t = Topology::new();
-        let a = t.add_site("a", SiteParams::default());
-        let b = t.add_site("b", SiteParams::default());
-        let na = t.add_node(a, NodeParams::default());
-        let nb = t.add_node(b, NodeParams::default());
-        t.connect_sites(a, b, SimDuration::from_micros(11_600), 125e6, 512 * 1024);
-        t.set_kernel_all(KernelConfig::tuned(4 << 20));
-        let net = crate::Network::new(t);
-        let links = net.route(na, nb).links;
-        let arrival = Rc::new(Cell::new(0));
-        let (net2, arrival2) = (net.clone(), Rc::clone(&arrival));
-        let sim = desim::Sim::new();
-        sim.spawn_task("sender", move |cx| async move {
-            let os = SockBufRequest::OsDefault;
-            let ch = net2.channel(na, nb, os, os, false);
-            cx.wait(net2.transfer(&cx.sched(), ch, 64 << 20)).await;
-            arrival2.set(cx.now().as_nanos());
-        });
-        sim.run().unwrap();
-        let g = net.state.borrow();
-        assert!(g.channels[0].tcp.losses() > 0, "expected a loss episode");
-        let bits: Vec<u64> = links
-            .iter()
-            .map(|l| g.link_delivered[l.index()].to_bits())
-            .collect();
-        assert_eq!(g.replays, 1, "replays of one committed plan");
-        assert_eq!(arrival.get(), LONE_WAN_ARRIVAL_NS);
+    fn a_lone_wan_transfer_runs_pinned_and_arrives_as_pinned() {
+        let (t, na, nb) = pinned_topo(KernelConfig::tuned(4 << 20), Some(512 * 1024));
+        let links = t.route(na, nb).links;
+        let senders = [(na, nb, vec![(0, 64 << 20)])];
+        let (trace, cost) = traced_run(&t, false, &senders, true);
+        let bits: Vec<u64> = links.iter().map(|l| trace.links[l.index()]).collect();
+        assert_eq!(trace.arrivals, [LONE_WAN_ARRIVAL_NS]);
         assert_eq!(bits, LONE_WAN_LINK_BITS);
+        let (per_round, _) = segment_equivalence(&t, false, &senders);
+        assert!(
+            cost.dispatches + 20 < per_round.dispatches,
+            "{cost:?} {per_round:?}"
+        );
     }
 
-    /// What one run leaves for the fast path on and off to agree on: each
+    /// What one run leaves for segments on and off to agree on: each
     /// transfer's arrival (ns), the bytes credited to every link (f64
     /// bits) and every recorded event, TCP samples included.
     #[derive(Debug, PartialEq)]
@@ -2596,40 +2171,64 @@ mod tests {
         events: Vec<ObsEvent>,
     }
 
-    /// What a run cost the replay: runs of [`replay_flow`], the finish
-    /// instants they converted, and the window rounds recorded.
+    /// What a run cost: kernel dispatches, finish instants converted and
+    /// window rounds recorded.
     #[derive(Debug)]
-    struct ReplayCost {
-        replays: u64,
+    struct Cost {
+        dispatches: u64,
         conversions: u64,
         rounds: usize,
     }
 
-    /// Run `transfers` — `(src, dst, start ns, bytes)`, each on a channel
-    /// of its own — over `topo` with the fast path on or off.
-    fn traced_run(
-        topo: &Topology,
+    /// One sender: `(src, dst, transfers)` on a channel of its own. Each
+    /// transfer `(delay ns, bytes)` starts `delay` after the previous one
+    /// arrived (the first, `delay` after the run starts).
+    type Sender = (NodeId, NodeId, Vec<(u64, u64)>);
+
+    /// Start `senders` over `net` in `sim`; the arrivals land in the
+    /// returned vector, in sender order.
+    fn spawn_senders(
+        sim: &desim::Sim,
+        net: &crate::Network,
         pacing: bool,
-        transfers: &[(NodeId, NodeId, u64, u64)],
-        fast: bool,
-    ) -> (Trace, ReplayCost) {
-        let net = crate::Network::new(topo.clone());
-        net.set_bulk_fast_path(fast);
-        let sink = Arc::new(desim::obs::RingSink::new(1 << 20));
-        net.attach_obs(&desim::obs::Obs::none().recorder(sink.clone()));
-        let arrivals = Rc::new(RefCell::new(vec![0u64; transfers.len()]));
-        let sim = desim::Sim::new();
-        for (k, &(src, dst, start, bytes)) in transfers.iter().enumerate() {
+        senders: &[Sender],
+    ) -> Rc<RefCell<Vec<u64>>> {
+        let n = senders.iter().map(|s| s.2.len()).sum();
+        let arrivals = Rc::new(RefCell::new(vec![0u64; n]));
+        let mut first = 0;
+        for (src, dst, transfers) in senders.iter().cloned() {
             let (net, arrivals) = (net.clone(), Rc::clone(&arrivals));
+            let k0 = first;
+            first += transfers.len();
             sim.spawn_task("sender", move |cx| async move {
                 let os = SockBufRequest::OsDefault;
                 let ch = net.channel(src, dst, os, os, pacing);
-                cx.advance(SimDuration::from_nanos(start)).await;
-                cx.wait(net.transfer(&cx.sched(), ch, bytes)).await;
-                arrivals.borrow_mut()[k] = cx.now().as_nanos();
+                for (k, (delay, bytes)) in transfers.into_iter().enumerate() {
+                    if delay > 0 {
+                        cx.advance(SimDuration::from_nanos(delay)).await;
+                    }
+                    cx.wait(net.transfer(&cx.sched(), ch, bytes)).await;
+                    arrivals.borrow_mut()[k0 + k] = cx.now().as_nanos();
+                }
             });
         }
-        sim.run().unwrap();
+        arrivals
+    }
+
+    /// Run `senders` over `topo`, traced, with pinned segments on or off.
+    fn traced_run(
+        topo: &Topology,
+        pacing: bool,
+        senders: &[Sender],
+        segments: bool,
+    ) -> (Trace, Cost) {
+        let net = crate::Network::new(topo.clone());
+        net.state.borrow_mut().segments = segments;
+        let sink = Arc::new(desim::obs::RingSink::new(1 << 24));
+        net.attach_obs(&desim::obs::Obs::none().recorder(sink.clone()));
+        let sim = desim::Sim::new();
+        let arrivals = spawn_senders(&sim, &net, pacing, senders);
+        let dispatches = sim.run_counted().unwrap().events;
         assert_eq!(sink.dropped(), 0);
         let events = sink.events();
         let rounds = events
@@ -2642,34 +2241,29 @@ mod tests {
             links: g.link_delivered.iter().map(|d| d.to_bits()).collect(),
             events,
         };
-        let cost = ReplayCost {
-            replays: g.replays,
+        let cost = Cost {
+            dispatches,
             conversions: g.finish_conversions,
             rounds,
         };
         (trace, cost)
     }
 
-    /// Run `transfers` with the fast path off and on: the traces must
-    /// agree to the bit. Returns the fast path's replay cost.
-    fn pinned_equivalence(
-        topo: &Topology,
-        pacing: bool,
-        transfers: &[(NodeId, NodeId, u64, u64)],
-    ) -> ReplayCost {
-        let (slow, slow_cost) = traced_run(topo, pacing, transfers, false);
-        let (fast, cost) = traced_run(topo, pacing, transfers, true);
-        assert_eq!(slow_cost.replays, 0);
-        assert_eq!(slow_cost.rounds, cost.rounds);
+    /// Run `senders` one round per dispatch and with pinned segments: the
+    /// traces must agree to the bit. Returns both costs, per round first.
+    fn segment_equivalence(topo: &Topology, pacing: bool, senders: &[Sender]) -> (Cost, Cost) {
+        let (per_round, per_round_cost) = traced_run(topo, pacing, senders, false);
+        let (pinned, cost) = traced_run(topo, pacing, senders, true);
+        assert_eq!(per_round_cost.rounds, cost.rounds);
         assert!(
-            slow == fast,
-            "the fast path diverged from the per-round model"
+            per_round == pinned,
+            "pinned segments diverged from one round per dispatch: {senders:?}"
         );
-        cost
+        (per_round_cost, cost)
     }
 
     /// One site of two nodes under `kernel`, or two such sites over an
-    /// 11.6 ms WAN link with a `queue`-byte drop-tail buffer.
+    /// 11.6 ms, 1 Gb/s WAN link with a `queue`-byte drop-tail buffer.
     fn pinned_topo(kernel: KernelConfig, wan_queue: Option<u64>) -> (Topology, NodeId, NodeId) {
         let mut t = Topology::new();
         let a = t.add_site("a", SiteParams::default());
@@ -2688,16 +2282,17 @@ mod tests {
 
     /// A lone 64 MB LAN transfer with tuned buffers: after two slow-start
     /// rounds its window stays far above the 1 Gb/s NIC's 7 kB BDP through
-    /// every loss, so ~9,500 rounds run in one pinned segment. Its one
-    /// replay converts a handful of finish instants, not one per round,
-    /// and leaves when fewer than two steps remain.
+    /// every loss, so ~9,500 rounds run in one pinned segment. It converts
+    /// a handful of finish instants, not one per round, takes a handful of
+    /// dispatches, and leaves when fewer than two steps remain.
     #[test]
     fn a_pinned_lan_plan_converts_a_few_finishes_not_one_per_round() {
         let (t, a, b) = pinned_topo(KernelConfig::tuned(4 << 20), None);
-        let cost = pinned_equivalence(&t, false, &[(a, b, 0, 64 << 20)]);
-        assert_eq!(cost.replays, 1, "{cost:?}");
+        let (per_round, cost) = segment_equivalence(&t, false, &[(a, b, vec![(0, 64 << 20)])]);
         assert!(cost.rounds > 9_000, "{cost:?}");
         assert!(cost.conversions <= 8, "{cost:?}");
+        assert!(cost.dispatches <= 10, "{cost:?}");
+        assert!(per_round.dispatches > 9_000, "{per_round:?}");
     }
 
     /// A shallow WAN queue (under a quarter of the BDP): each loss cuts
@@ -2707,8 +2302,7 @@ mod tests {
     #[test]
     fn a_pinned_segment_leaves_when_the_window_drops_below_the_bottleneck() {
         let (t, a, b) = pinned_topo(KernelConfig::tuned(8 << 20), Some(128 << 10));
-        let cost = pinned_equivalence(&t, true, &[(a, b, 0, 512 << 20)]);
-        assert_eq!(cost.replays, 1, "{cost:?}");
+        let (_, cost) = segment_equivalence(&t, true, &[(a, b, vec![(0, 512 << 20)])]);
         assert!(cost.rounds > 300, "{cost:?}");
         // Slow start, then some rounds below the bottleneck per loss.
         assert!(cost.conversions > 20, "{cost:?}");
@@ -2721,8 +2315,7 @@ mod tests {
     #[test]
     fn a_pinned_segment_leaves_when_the_window_saturates() {
         let (t, a, b) = pinned_topo(KernelConfig::untuned_2007(), None);
-        let cost = pinned_equivalence(&t, false, &[(a, b, 0, 64 << 20)]);
-        assert_eq!(cost.replays, 1, "{cost:?}");
+        let (_, cost) = segment_equivalence(&t, false, &[(a, b, vec![(0, 64 << 20)])]);
         // The window doubles from 3 segments to the bound in five rounds;
         // from the second on it is above the BDP.
         assert_eq!(cost.rounds, 5, "rounds stop at saturation: {cost:?}");
@@ -2733,12 +2326,13 @@ mod tests {
     /// An unpaced WAN sender whose queue is deeper than the BDP: its rate
     /// is pinned at the bottleneck before its first slow-start overshoot,
     /// which stalls it one RTO. Until that first loss no segment starts;
-    /// the generic loop runs the stall, and segments follow it.
+    /// the stall runs round by round, and segments follow it.
     #[test]
     fn no_pinned_segment_starts_while_a_round_can_stall() {
         let (t, a, b) = pinned_topo(KernelConfig::tuned(16 << 20), Some(4 << 20));
-        let (slow, _) = traced_run(&t, false, &[(a, b, 0, 256 << 20)], false);
-        let stalls = slow
+        let senders = [(a, b, vec![(0, 256 << 20)])];
+        let (per_round, _) = traced_run(&t, false, &senders, false);
+        let stalls = per_round
             .events
             .iter()
             .filter(|e| {
@@ -2752,14 +2346,15 @@ mod tests {
             })
             .count();
         assert_eq!(stalls, 1, "one first-burst RTO");
-        let cost = pinned_equivalence(&t, false, &[(a, b, 0, 256 << 20)]);
+        let (_, cost) = segment_equivalence(&t, false, &senders);
         assert!(cost.conversions < cost.rounds as u64 / 2, "{cost:?}");
     }
 
-    /// A second LAN transfer from another sender starts 100 ms into a
-    /// 64 MB plan, in the middle of its pinned segment: the prefix replay
-    /// stops there (`upto`), the plan is materialised and both transfers
-    /// run on the per-round model, bit for bit as with the fast path off.
+    /// A second LAN transfer from another sender starts 100 ms into a lone
+    /// 64 MB transfer, in the middle of its pinned segment: the sender's
+    /// wake-up is a foreign heap event, so the segment stops short of it
+    /// and both transfers share the link round by round, bit for bit as
+    /// with one round per dispatch.
     #[test]
     fn a_pinned_segment_stops_at_the_interrupt() {
         let (mut t, a, b) = pinned_topo(KernelConfig::tuned(4 << 20), None);
@@ -2767,14 +2362,415 @@ mod tests {
         let c = t.add_node(site, NodeParams::default());
         t.set_kernel_all(KernelConfig::tuned(4 << 20));
         let interrupt = 100_000_037;
-        let cost = pinned_equivalence(
+        let (per_round, cost) = segment_equivalence(
             &t,
             false,
-            &[(a, b, 0, 64 << 20), (c, b, interrupt, 8 << 20)],
+            &[
+                (a, b, vec![(0, 64 << 20)]),
+                (c, b, vec![(interrupt, 8 << 20)]),
+            ],
         );
-        // The probe, the materialise and the survivor's plans.
-        assert!(cost.replays >= 2, "{cost:?}");
-        assert!(cost.conversions < 64, "{cost:?}");
+        // The lone stretches before and after the shared one are pinned.
+        assert!(
+            cost.dispatches < per_round.dispatches / 2,
+            "{cost:?} {per_round:?}"
+        );
+    }
+
+    /// The model state of `net`, to the bit: every link's credit, every
+    /// active flow's progress, every channel's TCP state and stall, the
+    /// settle and reallocation instants, and when the finish and the live
+    /// rounds are due (not their sequence numbers: a segment stamps fewer
+    /// keys).
+    fn model_state(net: &crate::Network) -> String {
+        let g = net.state.borrow();
+        let links: Vec<u64> = g.link_delivered.iter().map(|d| d.to_bits()).collect();
+        let flows: Vec<_> = g
+            .active
+            .iter()
+            .map(|&fid| {
+                let f = g.flows[fid].as_ref().unwrap();
+                (
+                    f.chan,
+                    f.remaining.to_bits(),
+                    f.rate.to_bits(),
+                    f.last_settle,
+                )
+            })
+            .collect();
+        let channels: Vec<_> = g
+            .channels
+            .iter()
+            .map(|c| (format!("{:?}", c.tcp), c.stalled_until, c.bytes_done))
+            .collect();
+        let rounds: Vec<_> = g
+            .timers
+            .lanes
+            .iter()
+            .flat_map(|l| &l.rounds)
+            .filter(|r| g.channels[r.ch].round_gen == r.gen && g.channels[r.ch].active.is_some())
+            .map(|r| (r.ch, r.key.time))
+            .collect();
+        let finish = g.timers.finish.map(|k| k.time);
+        format!(
+            "{links:?} {flows:?} {channels:?} {:?} {:?} {finish:?} {rounds:?}",
+            g.settled_at, g.realloc_at
+        )
+    }
+
+    /// A lone 64 MB LAN transfer, and a task that wakes 100 ms in, in the
+    /// middle of what would be one pinned segment, and reads the network.
+    /// The segment stops short of that foreign heap timer: the task sees
+    /// the model state one round per dispatch leaves there, bit for bit.
+    #[test]
+    fn a_pinned_segment_stops_at_a_foreign_heap_timer() {
+        let (t, a, b) = pinned_topo(KernelConfig::tuned(4 << 20), None);
+        let run = |segments: bool| {
+            let net = crate::Network::new(t.clone());
+            net.state.borrow_mut().segments = segments;
+            let sim = desim::Sim::new();
+            let arrivals = spawn_senders(&sim, &net, false, &[(a, b, vec![(0, 64 << 20)])]);
+            let seen = Rc::new(RefCell::new(String::new()));
+            let (net2, seen2) = (net.clone(), Rc::clone(&seen));
+            sim.spawn_task("reader", move |cx| async move {
+                cx.advance(SimDuration::from_nanos(100_000_037)).await;
+                *seen2.borrow_mut() = model_state(&net2);
+            });
+            let dispatches = sim.run_counted().unwrap().events;
+            let seen = seen.borrow().clone();
+            let arrival = arrivals.borrow()[0];
+            (seen, arrival, model_state(&net), dispatches)
+        };
+        let (per_round, pinned) = (run(false), run(true));
+        assert!(per_round.1 > 100_000_037, "the timer falls mid-transfer");
+        assert_eq!(per_round.0, pinned.0, "state at the timer");
+        assert_eq!(per_round.1, pinned.1, "arrival");
+        assert_eq!(per_round.2, pinned.2, "state at the end");
+        assert!(pinned.3 <= 20, "segments on both sides: {}", pinned.3);
+    }
+
+    /// `run_until`'s limit falls in the middle of a lone 64 MB LAN
+    /// transfer's pinned segment: the segment stops at the limit, and the
+    /// run ends with the model state one round per dispatch leaves there.
+    #[test]
+    fn a_pinned_segment_stops_at_the_run_limit() {
+        let (t, a, b) = pinned_topo(KernelConfig::tuned(4 << 20), None);
+        let limit = SimTime::from_nanos(200_000_000);
+        let run = |segments: bool| {
+            let net = crate::Network::new(t.clone());
+            net.state.borrow_mut().segments = segments;
+            let sim = desim::Sim::new();
+            spawn_senders(&sim, &net, false, &[(a, b, vec![(0, 64 << 20)])]);
+            let end = sim.run_until(limit);
+            assert_eq!(end, Err(desim::SimError::TimeLimitExceeded(limit)));
+            model_state(&net)
+        };
+        let (per_round, pinned) = (run(false), run(true));
+        assert_eq!(per_round, pinned);
+    }
+
+    /// A channel that draws injected losses draws once per round, so it
+    /// runs no pinned segment: a paced WAN flow whose window sits far
+    /// above the bottleneck, under a low loss rate, loses in the same
+    /// rounds and arrives at the same nanosecond as with one round per
+    /// dispatch.
+    #[test]
+    fn a_lossy_channel_runs_no_pinned_segment() {
+        let (t, a, b) = pinned_topo(KernelConfig::tuned(8 << 20), Some(4 << 20));
+        let plan = FaultPlan::new().with_seed(7).with_wan_loss(1e-5);
+        let run = |segments: bool| {
+            let net = crate::Network::new(t.clone());
+            net.state.borrow_mut().segments = segments;
+            net.install_faults(&plan);
+            let sim = desim::Sim::new();
+            let arrivals = spawn_senders(&sim, &net, true, &[(a, b, vec![(0, 256 << 20)])]);
+            sim.run().unwrap();
+            let losses = net.state.borrow().channels[0].tcp.losses();
+            let arrival = arrivals.borrow()[0];
+            (arrival, losses, model_state(&net))
+        };
+        let (per_round, pinned) = (run(false), run(true));
+        assert!(per_round.1 > 1, "injected losses: {}", per_round.1);
+        assert_eq!(per_round, pinned);
+    }
+
+    /// A randomly drawn grid: two sites over one WAN link, tuned kernels.
+    #[derive(Debug)]
+    struct WanScenario {
+        rtt_us: u64,
+        capacity: f64,
+        queue_bytes: u64,
+        buf: u64,
+        mss: u32,
+        init_cwnd_segments: u32,
+        cc: crate::CongestionControl,
+    }
+
+    fn draw_cc(rng: &mut Rng) -> crate::CongestionControl {
+        if rng.chance(0.5) {
+            crate::CongestionControl::Bic
+        } else {
+            crate::CongestionControl::Reno
+        }
+    }
+
+    fn draw_wan(rng: &mut Rng) -> WanScenario {
+        WanScenario {
+            rtt_us: rng.range_u64(1_000, 60_000),
+            capacity: rng.range_f64(20e6, 400e6),
+            queue_bytes: rng.range_u64(64, 1024) * 1024,
+            buf: rng.range_u64(64, 8192) * 1024,
+            mss: [536u32, 1448, 8948][rng.range_usize(0, 3)],
+            init_cwnd_segments: rng.range_u64(1, 11) as u32,
+            cc: draw_cc(rng),
+        }
+    }
+
+    fn wan_topo(sc: &WanScenario) -> (Topology, NodeId, NodeId) {
+        let mut t = Topology::new();
+        let a = t.add_site("a", SiteParams::default());
+        let b = t.add_site("b", SiteParams::default());
+        let na = t.add_node(a, NodeParams::default());
+        let nb = t.add_node(b, NodeParams::default());
+        let rtt = SimDuration::from_micros(sc.rtt_us);
+        t.connect_sites(a, b, rtt, sc.capacity, sc.queue_bytes);
+        let mut cfg = KernelConfig::tuned(sc.buf);
+        cfg.mss = sc.mss;
+        cfg.init_cwnd_segments = sc.init_cwnd_segments;
+        cfg.congestion_control = sc.cc;
+        t.set_kernel_all(cfg);
+        (t, na, nb)
+    }
+
+    /// Paced WAN sequences of one to three transfers on one channel, the
+    /// later ones after idle gaps long enough for slow-start-after-idle:
+    /// every arrival, link credit and traced event matches one round per
+    /// dispatch across the sweep of RTT, capacity, buffers, MSS, initial
+    /// window and congestion control.
+    #[test]
+    fn single_flow_durations_are_bit_identical() {
+        forall(40, 0x5EED_2001, |rng| {
+            let sc = draw_wan(rng);
+            let transfers: Vec<(u64, u64)> = (0..rng.range_usize(1, 4))
+                .map(|i| {
+                    let gap = if i == 0 {
+                        0
+                    } else {
+                        rng.range_u64(0, 2_000_000_000)
+                    };
+                    (gap, rng.range_u64(1, 4 << 20))
+                })
+                .collect();
+            let (t, na, nb) = wan_topo(&sc);
+            segment_equivalence(&t, true, &[(na, nb, transfers)]);
+        });
+    }
+
+    /// Contention: a second paced flow over the same WAN path arrives
+    /// while the first may be mid-segment, and both share the path round
+    /// by round. Everything matches one round per dispatch.
+    #[test]
+    fn interrupted_flows_are_bit_identical() {
+        forall(40, 0x5EED_2002, |rng| {
+            let sc = draw_wan(rng);
+            let bytes_a = rng.range_u64(64, 8 << 20);
+            let bytes_b = rng.range_u64(64, 8 << 20);
+            let stagger = rng.range_u64(0, 500_000_000);
+            let (t, na, nb) = wan_topo(&sc);
+            segment_equivalence(
+                &t,
+                true,
+                &[
+                    (na, nb, vec![(0, bytes_a)]),
+                    (na, nb, vec![(stagger, bytes_b)]),
+                ],
+            );
+        });
+    }
+
+    /// A lone flow that is not window-bound: its window outgrows a
+    /// deep-queued thin WAN link, which then bounds its rate for the rest
+    /// of a multi-second transfer. Its segments settle exactly where one
+    /// round per dispatch settles.
+    #[test]
+    fn link_bound_flow_is_bit_identical() {
+        forall(12, 0x5EED_2003, |rng| {
+            let sc = WanScenario {
+                rtt_us: rng.range_u64(5_000, 30_000),
+                capacity: rng.range_f64(10e6, 40e6),
+                queue_bytes: 64 << 20,
+                buf: 8 << 20,
+                mss: 1448,
+                init_cwnd_segments: 10,
+                cc: draw_cc(rng),
+            };
+            let bytes = rng.range_u64(16 << 20, 48 << 20);
+            let (t, na, nb) = wan_topo(&sc);
+            let senders = [(na, nb, vec![(0, bytes)])];
+            segment_equivalence(&t, true, &senders);
+            // Link-bound: the transfer takes at least its bytes over the
+            // bottleneck.
+            let (trace, _) = traced_run(&t, true, &senders, true);
+            assert!(trace.arrivals[0] as f64 * 1e-9 >= bytes as f64 / sc.capacity);
+        });
+    }
+
+    /// A randomly drawn LAN: three nodes of one site, RTTs of 20–200 µs,
+    /// tuned buffers or (`buf` `None`) the untuned 2007 kernel.
+    #[derive(Debug)]
+    struct LanScenario {
+        one_way_us: u64,
+        nic: f64,
+        buf: Option<u64>,
+        mss: u32,
+        init_cwnd_segments: u32,
+        cc: crate::CongestionControl,
+        pacing: bool,
+    }
+
+    fn draw_lan(rng: &mut Rng) -> LanScenario {
+        LanScenario {
+            one_way_us: rng.range_u64(10, 101),
+            nic: rng.range_f64(50e6, 1.25e9),
+            buf: (!rng.chance(0.15)).then(|| rng.range_u64(64, 8192) * 1024),
+            mss: [536u32, 1448, 8948][rng.range_usize(0, 3)],
+            init_cwnd_segments: rng.range_u64(1, 11) as u32,
+            cc: draw_cc(rng),
+            pacing: rng.chance(0.5),
+        }
+    }
+
+    fn lan_topo(sc: &LanScenario) -> (Topology, [NodeId; 3]) {
+        let mut t = Topology::new();
+        let lan_one_way = SimDuration::from_micros(sc.one_way_us);
+        let site = t.add_site(
+            "lan",
+            SiteParams {
+                lan_one_way,
+                ..SiteParams::default()
+            },
+        );
+        let nic = NodeParams {
+            nic_bytes_per_sec: sc.nic,
+            ..NodeParams::default()
+        };
+        let nodes = [0; 3].map(|_| t.add_node(site, nic.clone()));
+        let mut cfg = sc
+            .buf
+            .map_or_else(KernelConfig::untuned_2007, KernelConfig::tuned);
+        cfg.mss = sc.mss;
+        cfg.init_cwnd_segments = sc.init_cwnd_segments;
+        cfg.congestion_control = sc.cc;
+        t.set_kernel_all(cfg);
+        let path = t.route(nodes[1], nodes[0]);
+        assert!(
+            path.queue_bytes >= path.bdp_bytes() / 4,
+            "the LAN queue is at least a quarter of the BDP"
+        );
+        (t, nodes)
+    }
+
+    /// Lone LAN flows, up to 64 MB with idle gaps, on tuned and untuned
+    /// buffers: nearly every round of a long one runs in a pinned segment.
+    /// Arrivals, link credits and the traced TCP and link sample streams
+    /// (and so the TCP state each round leaves) match one round per
+    /// dispatch.
+    #[test]
+    fn lan_pinned_flows_are_bit_identical() {
+        forall(40, 0x5EED_2004, |rng| {
+            let sc = draw_lan(rng);
+            // Idle gaps up to 2 s: some past an RTO, so a later transfer
+            // may restart in slow start.
+            let transfers: Vec<(u64, u64)> = (0..rng.range_usize(1, 4))
+                .map(|_| {
+                    (
+                        rng.range_u64(0, 2_000_000_000),
+                        rng.range_u64(1, (64 << 20) + 1),
+                    )
+                })
+                .collect();
+            let (t, [dst, src, _]) = lan_topo(&sc);
+            segment_equivalence(&t, sc.pacing, &[(src, dst, transfers)]);
+        });
+    }
+
+    /// A second LAN sender joins while a 16–64 MB flow runs at the shared
+    /// downlink's rate, tenths of its lone duration in: the first flow's
+    /// segment stops at the newcomer's wake-up and both share the link
+    /// round by round. Everything traced matches one round per dispatch.
+    #[test]
+    fn lan_flows_interrupted_mid_segment_are_bit_identical() {
+        forall(40, 0x5EED_2005, |rng| {
+            let mut sc = draw_lan(rng);
+            // Tuned buffers: the window sits above the bottleneck.
+            sc.buf = Some(rng.range_u64(1024, 8192) * 1024);
+            let bytes = rng.range_u64(16 << 20, (64 << 20) + 1);
+            let lone_ns = bytes as f64 / sc.nic * 1e9;
+            let stagger = (lone_ns * rng.range_f64(0.1, 0.8)) as u64 + rng.range_u64(0, 1_000);
+            let second = rng.range_u64(1, 8 << 20);
+            let (t, [dst, a, b]) = lan_topo(&sc);
+            segment_equivalence(
+                &t,
+                sc.pacing,
+                &[
+                    (a, dst, vec![(0, bytes)]),
+                    (b, dst, vec![(stagger, second)]),
+                ],
+            );
+        });
+    }
+
+    /// A 64 MB transfer across the paper's WAN pair (11.6 ms, 1 Gb/s) with
+    /// tuned buffers, so slow start, loss and recovery all play out: the
+    /// cwnd probe reports the same sample sequence (channel, virtual time,
+    /// cwnd, ssthresh bits, phase, outcome) with segments on and off, and
+    /// so do the flow and link streams and the arrival.
+    #[test]
+    fn cwnd_probe_64mb_wan_identical_with_and_without_segments() {
+        let (t, na, nb) = pinned_topo(KernelConfig::tuned(4 << 20), Some(512 * 1024));
+        for pacing in [false, true] {
+            let senders = [(na, nb, vec![(0, 64 << 20)])];
+            let (per_round, _) = segment_equivalence(&t, pacing, &senders);
+            assert!(per_round.rounds > 10, "{pacing}: {per_round:?}");
+            if !pacing {
+                // The unpaced tuned sender overshoots in slow start.
+                let (trace, _) = traced_run(&t, pacing, &senders, true);
+                assert!(trace.events.iter().any(|e| matches!(
+                    e,
+                    ObsEvent::TcpSample {
+                        outcome: "rto_stall",
+                        ..
+                    }
+                )));
+            }
+        }
+    }
+
+    /// A 32 MB WAN transfer that a second transfer on its own channel,
+    /// over the same links, interrupts `gap` ns in: with a recorder
+    /// attached, the TCP sample, flow and link streams and both arrivals
+    /// match one round per dispatch, so no sample of a segment is lost or
+    /// emitted twice where it stops.
+    #[test]
+    fn interrupted_segment_traces_identically_with_and_without_segments() {
+        let (t, na, nb) = pinned_topo(KernelConfig::tuned(4 << 20), Some(512 * 1024));
+        forall(6, 0x0B5E_7002, |rng: &mut Rng| {
+            let gap = rng.range_u64(1, 250_000_000);
+            let second = rng.range_u64(1, 8 << 20);
+            let pacing = rng.chance(0.5);
+            let senders = [(na, nb, vec![(0, 32 << 20)]), (na, nb, vec![(gap, second)])];
+            segment_equivalence(&t, pacing, &senders);
+            let (trace, _) = traced_run(&t, pacing, &senders, true);
+            let first_finish = trace
+                .events
+                .iter()
+                .find_map(|e| match e {
+                    ObsEvent::FlowFinish { t_ns, .. } => Some(*t_ns),
+                    _ => None,
+                })
+                .expect("a flow finishes");
+            assert!(gap < first_finish, "no interrupt: gap={gap}");
+        });
     }
 
     /// The finish slot's instant, one conversion of the smallest
@@ -2825,9 +2821,9 @@ mod tests {
         t.connect_sites(a, b, SimDuration::from_micros(11_600), 125e6, 512 * 1024);
         t.set_kernel_all(KernelConfig::tuned(4 << 20));
         let net = crate::Network::new(t);
-        // Per-round model: the transfer lives on window rounds and
-        // finish events.
-        net.set_bulk_fast_path(false);
+        // One round per dispatch: the transfer lives on window rounds
+        // and finish events.
+        net.state.borrow_mut().segments = false;
         let mut runs = Vec::new();
         for _ in 0..2 {
             let net2 = net.clone();

@@ -53,19 +53,11 @@ impl Network {
         }
     }
 
-    /// Enable or disable the closed-form bulk-transfer fast path (on by
-    /// default). Both settings produce bit-identical virtual timings; the
-    /// per-round model is kept selectable so the equivalence tests can
-    /// prove exactly that. Call before starting transfers.
-    pub fn set_bulk_fast_path(&self, enabled: bool) {
-        self.state.borrow_mut().fast_enabled = enabled;
-    }
-
     /// Attach observability per the given [`desim::obs::Obs`] config:
     /// the recorder receives [`desim::obs::Event`]s for flow
-    /// starts/finishes, per-round TCP congestion samples (materialized
-    /// from the closed-form replay when the fast path is active), and
-    /// per-link delivery totals; the host-time profiler gets the flow
+    /// starts/finishes, per-round TCP congestion samples (each at its
+    /// round's virtual time, pinned segments included), and per-link
+    /// delivery totals; the host-time profiler gets the flow
     /// engine's `netsim;…` wall-clock attribution. Probes are read-only
     /// taps; attaching them never changes virtual timestamps. Fields left
     /// `None` leave the corresponding attachment untouched.
@@ -78,27 +70,14 @@ impl Network {
         }
     }
 
-    /// The profiler attachment body: interns the flow engine's handler
-    /// keys — the max-min allocator, the finish / fast-path handlers and
-    /// the link-less settle. Per-link settle keys (`netsim;settle;<label>`,
-    /// labelled `site:<name>` for LAN access links and `wan:<a>-><b>` for
-    /// WAN trunks) and per-channel round keys are interned on first use,
-    /// so attaching costs the same whatever the topology's size. The
-    /// profiler reads only the host clock, so virtual time is untouched.
+    /// The profiler attachment body: looks up the flow engine's keys,
+    /// interned once per profiler and set of link labels (`site:<name>`
+    /// for LAN access links, `wan:<a>-><b>` for WAN trunks), so attaching
+    /// costs one lookup. The profiler reads only the host clock, so
+    /// virtual time is untouched.
     fn install_host_profiler(&self, prof: Arc<desim::obs::HostProfiler>) {
         let mut g = self.state.borrow_mut();
-        g.host_prof = Some(crate::flow::NetProf {
-            settle: prof.intern("netsim;settle"),
-            allocate: prof.intern("netsim;allocate"),
-            finish: prof.intern("netsim;finish_event"),
-            commit: prof.intern("netsim;fast_commit"),
-            replay: prof.intern("netsim;replay"),
-            link_keys: Vec::new(),
-            chan_keys: Vec::new(),
-            settle_scratch: Vec::new(),
-            tick: 0,
-            prof,
-        });
+        g.host_prof = Some(crate::flow::NetProf::new(prof, &g.topo));
     }
 
     /// Open a unidirectional TCP channel from `src` to `dst`.
@@ -262,10 +241,10 @@ impl Network {
     /// channel picks up the plan's stochastic loss/duplication rates
     /// (each channel draws from its own seeded stream, so channel
     /// creation order elsewhere never perturbs another channel's losses).
-    /// A non-empty plan disables the closed-form bulk fast path — loss is
-    /// drawn per window round, so lossy flows need the real event
-    /// cadence. Installing an empty plan is a no-op, which keeps
-    /// fault-free scenarios on the fast path and bit-identical.
+    /// Loss is drawn per window round, so a lossy channel runs every
+    /// round in its own dispatch, never in a pinned segment. Installing
+    /// an empty plan is a no-op, which keeps fault-free scenarios
+    /// bit-identical.
     pub fn install_faults(&self, plan: &FaultPlan) {
         if plan.is_empty() {
             return;

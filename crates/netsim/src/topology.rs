@@ -143,6 +143,17 @@ pub(crate) struct LinkInfo {
     /// Bottleneck queue in bytes (drop-tail buffer) — only meaningful for
     /// WAN links, where slow-start overshoot losses happen.
     pub queue_bytes: u64,
+    /// What the link belongs to.
+    owner: LinkOwner,
+}
+
+/// The owner of a directed link, which names it in host profiles.
+#[derive(Clone, Copy, Debug)]
+enum LinkOwner {
+    /// An access or fast-fabric link of one of the site's nodes.
+    Site(SiteId),
+    /// A WAN trunk: the index of its [`WanLink`].
+    Wan(usize),
 }
 
 #[derive(Clone, Debug)]
@@ -209,14 +220,15 @@ impl Topology {
     /// fabric ports if the site has one).
     pub fn add_node(&mut self, site: SiteId, params: NodeParams) -> NodeId {
         let cap = params.nic_bytes_per_sec;
-        let uplink = self.add_link(cap, 256 * 1024);
-        let downlink = self.add_link(cap, 256 * 1024);
+        let owner = LinkOwner::Site(site);
+        let uplink = self.add_link(cap, 256 * 1024, owner);
+        let downlink = self.add_link(cap, 256 * 1024, owner);
         let (fast_uplink, fast_downlink) = match &self.sites[site.index()].fast_lan {
             Some(f) => {
                 let rate = f.bytes_per_sec;
                 (
-                    Some(self.add_link(rate, 1 << 20)),
-                    Some(self.add_link(rate, 1 << 20)),
+                    Some(self.add_link(rate, 1 << 20, owner)),
+                    Some(self.add_link(rate, 1 << 20, owner)),
                 )
             }
             None => (None, None),
@@ -232,10 +244,11 @@ impl Topology {
         NodeId(self.nodes.len() as u32 - 1)
     }
 
-    fn add_link(&mut self, capacity: f64, queue_bytes: u64) -> LinkId {
+    fn add_link(&mut self, capacity: f64, queue_bytes: u64, owner: LinkOwner) -> LinkId {
         self.links.push(LinkInfo {
             capacity,
             queue_bytes,
+            owner,
         });
         LinkId(self.links.len() as u32 - 1)
     }
@@ -254,7 +267,7 @@ impl Topology {
         queue_bytes: u64,
     ) {
         for (from, to) in [(a, b), (b, a)] {
-            let link = self.add_link(capacity, queue_bytes);
+            let link = self.add_link(capacity, queue_bytes, LinkOwner::Wan(self.wan.len()));
             self.wan.push(WanLink {
                 from,
                 to,
@@ -420,23 +433,45 @@ impl Topology {
 
     /// True if `l` is a WAN trunk (one direction of a site pair).
     pub(crate) fn is_wan_link(&self, l: LinkId) -> bool {
-        self.wan.iter().any(|w| w.link == l)
+        matches!(self.links[l.index()].owner, LinkOwner::Wan(_))
     }
 
-    /// Profiler label of a directed link: `wan:<a>-><b>` for a WAN trunk,
-    /// `site:<name>` for a node's access or fast-fabric link.
-    pub(crate) fn link_label(&self, l: LinkId) -> String {
-        if let Some(w) = self.wan.iter().find(|w| w.link == l) {
-            return format!("wan:{}->{}", self.site_name(w.from), self.site_name(w.to));
+    /// The profiler labels of the links, one per owner: each site's
+    /// (`site:<name>`, shared by its nodes' access and fast-fabric
+    /// links), then each WAN trunk's (`wan:<a>-><b>`).
+    pub(crate) fn link_labels(&self) -> Vec<String> {
+        let sites = self.sites.iter().map(|s| format!("site:{}", s.name));
+        let trunks = self
+            .wan
+            .iter()
+            .map(|w| format!("wan:{}->{}", self.site_name(w.from), self.site_name(w.to)));
+        sites.chain(trunks).collect()
+    }
+
+    /// `prefix`, then a name for [`Topology::link_labels`], built without
+    /// formatting: topologies with equal tags have equal labels.
+    pub(crate) fn link_labels_tag(&self, prefix: &str) -> String {
+        let mut tag = String::from(prefix);
+        tag.push('\n');
+        for s in &self.sites {
+            tag.push_str(&s.name);
+            tag.push('\n');
         }
-        let owns = |n: &NodeInfo| {
-            [n.uplink, n.downlink].contains(&l)
-                || n.fast_uplink == Some(l)
-                || n.fast_downlink == Some(l)
-        };
-        match self.nodes.iter().find(|n| owns(n)) {
-            Some(n) => format!("site:{}", self.site_name(n.site)),
-            None => format!("link{}", l.index()),
+        for w in &self.wan {
+            tag.push_str(self.site_name(w.from));
+            tag.push('>');
+            tag.push_str(self.site_name(w.to));
+            tag.push('\n');
+        }
+        tag
+    }
+
+    /// The index of directed link `l`'s label in
+    /// [`Topology::link_labels`].
+    pub(crate) fn link_label_index(&self, l: LinkId) -> usize {
+        match self.links[l.index()].owner {
+            LinkOwner::Site(s) => s.index(),
+            LinkOwner::Wan(i) => self.sites.len() + i,
         }
     }
 

@@ -41,8 +41,9 @@ use crate::par::par_map;
 use crate::scenario::{coll_program, coll_sel, pingpong_program, ring_program, Scenario};
 use crate::util::{Scope, TuningLevel};
 
-/// Bump to invalidate every cached campaign result.
-const CACHE_VERSION: u32 = 1;
+/// Bump to invalidate every cached campaign result, whenever a change
+/// moves a cell's digest or `events`.
+const CACHE_VERSION: u32 = 2;
 
 /// Virtual-time guard on every cell; a deterministic workload that hits
 /// this is a bug, not a slow network.

@@ -179,9 +179,8 @@ pub fn run(label: &'static str) -> Run {
             }),
         ),
         "engine_ray2mesh" => (
-            "ray2mesh small, four sites of 8 slaves, master on the first site, fast path off",
-            Scenario::four_sites(8, Grid5000Site::ALL[0], MpiImpl::GridMpi)
-                .exec(ExecConfig::new().fast_path(false)),
+            "ray2mesh small, four sites of 8 slaves, master on the first site",
+            Scenario::four_sites(8, Grid5000Site::ALL[0], MpiImpl::GridMpi),
             Box::new(Ray2MeshConfig::small().program()),
         ),
         "lossy_wan" => (
@@ -206,9 +205,7 @@ pub fn run(label: &'static str) -> Run {
         }
         coll => {
             let (op, bytes, sel) = coll_run(coll);
-            let exec = ExecConfig::new()
-                .fast_path(false)
-                .coll(CollConfig::new().pin_all(op, sel));
+            let exec = ExecConfig::new().coll(CollConfig::new().pin_all(op, sel));
             (
                 "one pinned collective algorithm, 2 rounds, 9 ranks on four sites",
                 Scenario::four_sites(2, Grid5000Site::ALL[0], MpiImpl::Mpich2).exec(exec),
@@ -259,8 +256,7 @@ fn round_trips(sizes: &'static [u64], iters: u32) -> impl MpiProgram {
 /// under one pinned algorithm. The suite runs MPICH2 on the 9-rank
 /// ray2mesh placement, deliberately non-power-of-two so the
 /// shape-degradation paths (Rabenseifner -> recursive doubling, etc.)
-/// are exercised too, with the bulk fast path pinned off (see
-/// `golden.rs`).
+/// are exercised too.
 fn coll_run(label: &str) -> (CollOp, u64, CollSel) {
     match label.split_once('/') {
         Some(("bcast", sel)) => (CollOp::Bcast, 64 << 10, coll_sel(sel)),

@@ -33,7 +33,7 @@ use crate::scenario::{send_program, Scenario};
 /// Bulk-transfer size for the loss sweep.
 const BULK: u64 = 16 << 20;
 
-/// Per-segment WAN loss rates swept (0 = the fault-free fast path).
+/// Per-segment WAN loss rates swept (0 = the fault-free run).
 const LOSS_RATES: [f64; 5] = [0.0, 1e-4, 1e-3, 5e-3, 1e-2];
 
 /// Path RTTs swept: half, exactly, and twice the paper's Rennes–Nancy

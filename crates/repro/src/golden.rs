@@ -17,13 +17,9 @@
 //! behaviour change; the diff of `results/golden/*.json` then documents
 //! exactly which scenarios moved (see DESIGN.md §10).
 //!
-//! `repro golden check` runs every scenario twice: as recorded, then with
-//! the closed-form bulk fast path pinned off on each run's network
-//! ([`netsim::Network::set_bulk_fast_path`], the switch
-//! `ExecConfig::fast_path` sets). Both passes must match the corpus,
-//! because digests are defined to be identical in either mode. A corpus
-//! file that records no scenario (a renamed or dropped one's leftover)
-//! fails the check too.
+//! `repro golden check` runs every scenario once and compares it with the
+//! corpus. A corpus file that records no scenario (a renamed or dropped
+//! one's leftover) fails the check too.
 
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
@@ -77,13 +73,7 @@ type SubRuns = &'static [(&'static str, &'static str)];
 /// full-run extrapolations, ray2mesh, both fault paths (seeded loss and
 /// FT rank kills), every selectable collective algorithm, and the rank
 /// engine's own checks (`engine`: a WAN ping-pong with and without
-/// seeded loss, GridMPI collectives on 16 ranks, ray2mesh on 33). The
-/// `coll` runs and `engine`'s ray2mesh pin the bulk fast path off:
-/// collective and master/worker phases leave one flow active while
-/// other ranks keep emitting events, and the fast path materializes
-/// that flow's round samples at commit time, which reorders the
-/// recorded stream (same events, same times) that the digest folds in
-/// order.
+/// seeded loss, GridMPI collectives on 16 ranks, ray2mesh on 33).
 pub const SCENARIOS: &[(&str, SubRuns)] = &[
     ("pingpong", &[("pingpong", "pingpong_sizes")]),
     (
@@ -145,16 +135,12 @@ pub const SCENARIOS: &[(&str, SubRuns)] = &[
 ];
 
 /// Recompute one scenario's digest: run its sub-runs in order with the
-/// digest sink attached (and the bulk fast path pinned off unless
-/// `fast_path`), sealing each.
-pub fn run_scenario(name: &'static str, runs: SubRuns, fast_path: bool) -> GoldenRecord {
+/// digest sink attached, sealing each.
+pub fn run_scenario(name: &'static str, runs: SubRuns) -> GoldenRecord {
     let sink = Arc::new(DigestSink::new());
     let mut elapsed_ns = 0;
     for &(seal_label, label) in runs {
         let run = catalogue::run(label);
-        if !fast_path {
-            run.scenario.network().set_bulk_fast_path(false);
-        }
         let nas = run.nas;
         let report = run.execute(Obs::none().recorder(sink.clone()));
         elapsed_ns += seal(&sink, seal_label, &report);
@@ -243,8 +229,8 @@ fn read_record(dir: &Path, scenario: &str) -> Result<StoredRecord, String> {
 
 /// Recompute one scenario and compare it with the corpus, printing the
 /// verdict. Returns whether it matched.
-fn check_scenario(dir: &Path, name: &'static str, runs: SubRuns, fast_path: bool) -> bool {
-    let got = run_scenario(name, runs, fast_path);
+fn check_scenario(dir: &Path, name: &'static str, runs: SubRuns) -> bool {
+    let got = run_scenario(name, runs);
     match read_record(dir, name) {
         Err(msg) => {
             println!("{name:<10} FAIL  {msg}");
@@ -283,7 +269,7 @@ pub fn cmd_golden(args: &Args) {
         "record" => {
             crate::header("Golden corpus: recording run digests");
             for &(name, runs) in SCENARIOS {
-                let rec = run_scenario(name, runs, true);
+                let rec = run_scenario(name, runs);
                 if let Err(e) = write_record(&dir, &rec) {
                     eprintln!("cannot write golden record for {name}: {e}");
                     std::process::exit(1);
@@ -301,12 +287,9 @@ pub fn cmd_golden(args: &Args) {
         "check" => {
             crate::header("Golden corpus: checking run digests");
             let mut failures: Vec<String> = Vec::new();
-            for (mode, fast_path) in [("fast path as configured", true), ("fast path off", false)] {
-                println!("-- {mode}");
-                for &(name, runs) in SCENARIOS {
-                    if !check_scenario(&dir, name, runs, fast_path) {
-                        failures.push(format!("{name} ({mode})"));
-                    }
+            for &(name, runs) in SCENARIOS {
+                if !check_scenario(&dir, name, runs) {
+                    failures.push(name.to_string());
                 }
             }
             for path in stray_files(&dir) {
@@ -327,10 +310,7 @@ pub fn cmd_golden(args: &Args) {
                 );
                 std::process::exit(1);
             }
-            println!(
-                "\ngolden check passed ({} scenarios, fast path on and off)",
-                SCENARIOS.len()
-            );
+            println!("\ngolden check passed ({} scenarios)", SCENARIOS.len());
         }
         other => unreachable!("the parser admits only record and check, not {other:?}"),
     }

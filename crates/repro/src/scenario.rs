@@ -149,9 +149,10 @@ impl Scenario {
         self
     }
 
-    /// Inject faults from `plan` (empty plans are ignored).
+    /// Inject faults from `plan`; the job ignores an empty plan
+    /// ([`mpisim::MpiJob::with_faults`]).
     pub fn faults(mut self, plan: FaultPlan) -> Scenario {
-        self.faults = (!plan.is_empty()).then_some(plan);
+        self.faults = Some(plan);
         self
     }
 
@@ -167,7 +168,7 @@ impl Scenario {
         self
     }
 
-    /// Configure execution: fast path, collective selection.
+    /// Configure execution: collective selection.
     pub fn exec(mut self, exec: ExecConfig) -> Scenario {
         self.exec = exec;
         self

@@ -1,7 +1,6 @@
 //! The committed golden corpus (`results/golden/`) is the guard on the
 //! simulator's bit-reproducibility: `repro golden check` recomputes every
-//! scenario's digest with the fast path as configured and pinned off, and
-//! both passes must match the recorded runs.
+//! scenario's digest, and each must match its recorded run.
 
 use std::path::Path;
 use std::process::{Command, Output};
@@ -19,7 +18,7 @@ fn golden_check(dir: &Path) -> (Output, String) {
 }
 
 #[test]
-fn golden_check_passes_with_the_fast_path_on_and_off() {
+fn golden_check_passes() {
     let (out, stdout) = golden_check(Path::new(CORPUS));
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert!(
@@ -27,7 +26,7 @@ fn golden_check_passes_with_the_fast_path_on_and_off() {
         "golden check failed\nstdout: {stdout}\nstderr: {stderr}"
     );
     assert!(
-        stdout.contains("golden check passed (8 scenarios, fast path on and off)"),
+        stdout.contains("golden check passed (8 scenarios)"),
         "unexpected output: {stdout}"
     );
 }
@@ -48,7 +47,7 @@ fn golden_check_fails_on_a_corpus_file_that_records_no_scenario() {
     std::fs::remove_dir_all(&dir).unwrap();
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert_eq!(out.status.code(), Some(1), "stdout: {stdout}");
-    assert_eq!(stdout.matches(" ok ").count(), 16, "stdout: {stdout}");
+    assert_eq!(stdout.matches(" ok ").count(), 8, "stdout: {stdout}");
     assert!(
         stdout.contains("dropped.json records no scenario"),
         "stdout: {stdout}"

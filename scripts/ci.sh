@@ -16,11 +16,12 @@
 #           bench work count, `crates/bench/tests/counts.rs`) + named contracts,
 #           no environment-variable reads in the library crates, no
 #           `MpiJob::new` outside the scenario registry (root tests
-#           included) and no 32-hex-digit digest literal in any test
+#           included), no 32-hex-digit digest literal in any test and no
+#           trace of the deleted bulk fast path or its switch
 #   smoke   end-to-end demos produce valid traces with required events
-#   golden  digests match the one pinned corpus, results/golden/ (fast
-#           path on AND off; a corpus file no scenario records fails),
-#           and the paper's performance guidelines hold
+#   golden  digests match the one pinned corpus, results/golden/ (a
+#           corpus file no scenario records fails), and the paper's
+#           performance guidelines hold
 #   repro   the committed artifacts are current: `repro all --dat`
 #           prints results/repro_all.txt byte for byte and writes every
 #           dat file as committed under results/dat/; `repro all
@@ -86,21 +87,23 @@ stage_test() {
     # burst at one instant costs at most two fills, and a round or a
     # finish that moves no input costs none.
     cargo test -q --offline -p netsim --lib flow::tests
-    # Fast-path contract: the fast path is bit-identical to the per-round
-    # model, samples included (lone, interrupted and traced plans).
-    cargo test -q --offline -p netsim --test fastpath_equivalence --test probe_observer_effect
-    # Pinned replay segments: LAN flows pinned at the bottleneck, lone
-    # and interrupted mid-segment, match the per-round model with their
-    # sample streams; a plan converts O(1) finish instants, and each way
-    # out of a segment is covered.
-    cargo test -q --offline -p netsim --test fastpath_equivalence lan_
-    cargo test -q --offline -p netsim --lib -- flow::tests::a_pinned flow::tests::no_pinned_segment
+    # Pinned segments: rounds run back to back on the live state are
+    # bit-identical to one round per dispatch, sample streams included
+    # (WAN, LAN, link-bound, interrupted and traced flows); a segment
+    # converts O(1) finish instants, stops at a foreign heap timer and at
+    # the run's time limit, never runs on a lossy channel, and each way
+    # out of it is covered. Probes never move a virtual timestamp.
+    cargo test -q --offline -p netsim --lib -- flow::tests::a_pinned flow::tests::no_pinned_segment \
+        flow::tests::a_lone_wan flow::tests::a_lossy flow::tests::single_flow flow::tests::interrupted \
+        flow::tests::link_bound flow::tests::lan_ flow::tests::cwnd_probe
+    cargo test -q --offline -p netsim --test probe_observer_effect
     # A zero round-trip time is rejected where routes are built.
     cargo test -q --offline -p netsim --lib topology::tests::a_zero_round_trip_time
     # Timer ordering contract: timeline entries run among heap events in
     # the kernel's exact (time, seq) order, are checked against the time
-    # limit and released with the kernel, and a network rebinds its
-    # timers to whichever kernel drives it.
+    # limit and released with the kernel, a timeline's bound is the
+    # smallest foreign key, and a network rebinds its timers to whichever
+    # kernel drives it.
     cargo test -q --offline -p desim --lib kernel::tests
     cargo test -q --offline -p netsim --lib flow::tests::a_network_driven_by_two_sims_rebinds_to_each
     # Library crates take configuration only through their APIs: no
@@ -121,6 +124,12 @@ stage_test() {
     # by `repro golden record`), never as 32-hex-digit literals in tests.
     if grep -rnE '"[0-9a-fA-F]{32}"' tests crates/*/tests; then
         echo "pin run digests in results/golden/, not in test sources" >&2
+        exit 1
+    fi
+    # One round model: the closed-form bulk fast path and its switch are
+    # gone; pinned segments run on the live state.
+    if grep -rnE 'set_bulk_fast_path|fast_path\(|FastPlan' crates src tests; then
+        echo "the bulk fast path and its switch must not come back" >&2
         exit 1
     fi
 }
@@ -150,11 +159,9 @@ stage_smoke() {
 
 stage_golden() {
     release_bins
-    # Every scenario's digest must match results/golden/ bit for bit —
-    # `golden check` runs each one with the closed-form bulk fast path
-    # as recorded and again pinned off, since digests are defined to be
-    # identical either way — and every corpus file must record a
-    # scenario. The corpus is the only place a run digest is pinned.
+    # Every scenario's digest must match results/golden/ bit for bit, and
+    # every corpus file must record a scenario. The corpus is the only
+    # place a run digest is pinned.
     ./target/release/repro golden check
     # And the paper's qualitative shapes must still hold.
     ./target/release/repro guidelines

@@ -2,17 +2,16 @@
 //! to vary between two runs of the same scenario.
 //!
 //! The digest is the foundation of `repro golden check`: it must be a
-//! pure function of the simulated behaviour. These tests pin the three
-//! invariances that make that true — rerunning in the same process,
-//! toggling the TCP bulk fast path (`ExecConfig::fast_path`), and
-//! attaching additional observers via [`Tee`] — and one
-//! sensitivity: actually changing the workload must change the digest.
+//! pure function of the simulated behaviour. These tests pin the two
+//! invariances that make that true — rerunning in the same process and
+//! attaching additional observers via [`Tee`] — and one sensitivity:
+//! actually changing the workload must change the digest.
 
 use std::sync::Arc;
 
 use grid_mpi_lab::desim::obs::Recorder;
 use grid_mpi_lab::desim::{DigestSink, DigestValue, RingSink, Tee};
-use grid_mpi_lab::mpisim::{ExecConfig, FaultPlan, MpiImpl};
+use grid_mpi_lab::mpisim::{FaultPlan, MpiImpl};
 use repro::scenario::{pingpong_program, Scenario};
 use repro::util::{Scope, TuningLevel};
 
@@ -20,7 +19,6 @@ use repro::util::{Scope, TuningLevel};
 /// pipeline; returns the digest and the number of events it folded in.
 fn pingpong_digest(
     bytes: u64,
-    fast: bool,
     seed: Option<u64>,
     extra: Option<Arc<dyn Recorder>>,
 ) -> (DigestValue, u64) {
@@ -34,7 +32,6 @@ fn pingpong_digest(
         None => FaultPlan::new(),
     };
     let report = Scenario::pair(Scope::Grid, TuningLevel::FullyTuned, MpiImpl::Mpich2)
-        .exec(ExecConfig::new().fast_path(fast))
         .faults(plan)
         .recorder(rec)
         .run(pingpong_program(bytes, 3))
@@ -51,33 +48,20 @@ fn pingpong_digest(
 /// digest — and a real one (events were actually folded in).
 #[test]
 fn same_run_same_digest() {
-    let (a, ev_a) = pingpong_digest(4 << 20, true, None, None);
-    let (b, ev_b) = pingpong_digest(4 << 20, true, None, None);
+    let (a, ev_a) = pingpong_digest(4 << 20, None, None);
+    let (b, ev_b) = pingpong_digest(4 << 20, None, None);
     assert!(ev_a > 0, "digest saw no events — recorder not wired?");
     assert_eq!(ev_a, ev_b, "reruns folded different event counts");
     assert_eq!(a, b, "identical scenario reruns must digest identically");
-}
-
-/// The closed-form bulk fast path is an engine optimisation, not a
-/// behaviour change: digests are identical with it on and off.
-#[test]
-fn fast_path_does_not_change_digest() {
-    let (slow, _) = pingpong_digest(4 << 20, false, None, None);
-    let (fast, _) = pingpong_digest(4 << 20, true, None, None);
-    assert_eq!(
-        slow, fast,
-        "digest differs with the bulk fast path on and off — an engine detail leaked \
-         into the canonical event encoding"
-    );
 }
 
 /// Tee-ing a RingSink (or any other observer) alongside the digest does
 /// not perturb it, and the ring actually sees the same events.
 #[test]
 fn extra_observers_do_not_change_digest() {
-    let (alone, ev_alone) = pingpong_digest(4 << 20, true, None, None);
+    let (alone, ev_alone) = pingpong_digest(4 << 20, None, None);
     let ring = Arc::new(RingSink::new(1 << 18));
-    let (teed, ev_teed) = pingpong_digest(4 << 20, true, None, Some(ring.clone()));
+    let (teed, ev_teed) = pingpong_digest(4 << 20, None, Some(ring.clone()));
     assert_eq!(alone, teed, "an extra Tee'd observer changed the digest");
     assert_eq!(ev_alone, ev_teed);
     assert_eq!(
@@ -91,9 +75,9 @@ fn extra_observers_do_not_change_digest() {
 /// same digest, different seed => different digest.
 #[test]
 fn fault_seed_determinism() {
-    let (a, _) = pingpong_digest(4 << 20, true, Some(42), None);
-    let (b, _) = pingpong_digest(4 << 20, true, Some(42), None);
-    let (c, _) = pingpong_digest(4 << 20, true, Some(43), None);
+    let (a, _) = pingpong_digest(4 << 20, Some(42), None);
+    let (b, _) = pingpong_digest(4 << 20, Some(42), None);
+    let (c, _) = pingpong_digest(4 << 20, Some(43), None);
     assert_eq!(a, b, "same loss seed must digest identically");
     assert_ne!(a, c, "different loss seeds should perturb the digest");
 }
@@ -102,8 +86,8 @@ fn fault_seed_determinism() {
 /// (message size) changes it.
 #[test]
 fn different_workload_different_digest() {
-    let (small, _) = pingpong_digest(1 << 20, true, None, None);
-    let (big, _) = pingpong_digest(4 << 20, true, None, None);
+    let (small, _) = pingpong_digest(1 << 20, None, None);
+    let (big, _) = pingpong_digest(4 << 20, None, None);
     assert_ne!(
         small, big,
         "digest failed to distinguish 1 MB from 4 MB transfers"
@@ -113,7 +97,7 @@ fn different_workload_different_digest() {
 /// The hex round trip used by the golden corpus files.
 #[test]
 fn digest_value_roundtrips_through_hex() {
-    let (d, _) = pingpong_digest(1 << 20, true, None, None);
+    let (d, _) = pingpong_digest(1 << 20, None, None);
     let s = d.to_string();
     assert_eq!(s.len(), 32, "digest renders as 32 hex digits");
     assert_eq!(DigestValue::parse(&s), Some(d));

@@ -5,28 +5,26 @@
 //! * **Same seed ⇒ same run.** A fault plan is a pure description; two
 //!   runs under an identical plan must agree to the nanosecond and emit
 //!   identical observability event streams (fault events included).
-//! * **Empty plan ⇒ the fault-free run.** Installing an empty
-//!   [`FaultPlan`] must be indistinguishable — bit-identical elapsed and
-//!   per-rank times — from never calling `Scenario::faults` at all, with the
-//!   TCP bulk fast path both enabled and disabled (faulty channels bail
-//!   out of the fast path, so this guards the "no faults, no cost"
-//!   boundary).
+//! * **Empty plan ⇒ the fault-free run.** `Scenario::faults` hands an
+//!   empty [`FaultPlan`] to the job, and `MpiJob::with_faults` drops it:
+//!   the run has bit-identical elapsed and per-rank times (and, for
+//!   ray2mesh, per-rank ray counts) to one that never called
+//!   `Scenario::faults` at all.
 
 use std::sync::Arc;
 
 use grid_mpi_lab::desim::obs::{Event, RingSink};
 use grid_mpi_lab::desim::{SimDuration, SimTime};
 use grid_mpi_lab::gridapps::Ray2MeshConfig;
-use grid_mpi_lab::mpisim::{ExecConfig, FaultPlan, FaultPolicy, MpiImpl};
+use grid_mpi_lab::mpisim::{FaultPlan, FaultPolicy, MpiImpl};
 use grid_mpi_lab::netsim::Grid5000Site;
 use repro::scenario::{pingpong_program, Scenario};
 use repro::util::{Scope, TuningLevel};
 
-/// The tuned MPICH2 pair across the WAN (Fig. 2), bulk fast path `fast`;
-/// each test drives five 4 MB round trips on it.
-fn pingpong(fast: bool) -> Scenario {
+/// The tuned MPICH2 pair across the WAN (Fig. 2); each test drives five
+/// 4 MB round trips on it.
+fn pingpong() -> Scenario {
     Scenario::pair(Scope::Grid, TuningLevel::FullyTuned, MpiImpl::Mpich2)
-        .exec(ExecConfig::new().fast_path(fast))
 }
 
 /// The ray2mesh testbed with two slaves per site.
@@ -52,7 +50,7 @@ fn stochastic_plan(seed: u64) -> FaultPlan {
 fn same_seed_is_bit_identical_including_event_stream() {
     let one = || {
         let sink = Arc::new(RingSink::new(1 << 18));
-        let report = pingpong(true)
+        let report = pingpong()
             .faults(stochastic_plan(0xBADC_0FFE))
             .recorder(sink.clone())
             .run(pingpong_program(4 << 20, 5))
@@ -72,7 +70,7 @@ fn same_seed_is_bit_identical_including_event_stream() {
 #[test]
 fn different_seeds_actually_differ() {
     let one = |seed| {
-        pingpong(true)
+        pingpong()
             .faults(stochastic_plan(seed))
             .run(pingpong_program(4 << 20, 5))
             .unwrap()
@@ -87,29 +85,24 @@ fn different_seeds_actually_differ() {
 
 #[test]
 fn empty_plan_is_the_fault_free_run() {
-    for fast in [false, true] {
-        let run = |plan: Option<FaultPlan>| {
-            let mut scenario = pingpong(fast);
-            if let Some(plan) = plan {
-                scenario = scenario.faults(plan);
-            }
-            let report = scenario.run(pingpong_program(4 << 20, 5)).unwrap();
-            (
-                report.elapsed.as_nanos(),
-                report
-                    .per_rank
-                    .iter()
-                    .map(|d| d.as_nanos())
-                    .collect::<Vec<_>>(),
-            )
-        };
-        let bare = run(None);
-        let empty = run(Some(FaultPlan::new()));
-        assert_eq!(
-            bare, empty,
-            "an empty FaultPlan changed the run (fast={fast})"
-        );
-    }
+    let run = |plan: Option<FaultPlan>| {
+        let mut scenario = pingpong();
+        if let Some(plan) = plan {
+            scenario = scenario.faults(plan);
+        }
+        let report = scenario.run(pingpong_program(4 << 20, 5)).unwrap();
+        (
+            report.elapsed.as_nanos(),
+            report
+                .per_rank
+                .iter()
+                .map(|d| d.as_nanos())
+                .collect::<Vec<_>>(),
+        )
+    };
+    let bare = run(None);
+    let empty = run(Some(FaultPlan::new()));
+    assert_eq!(bare, empty, "an empty FaultPlan changed the run");
 }
 
 #[test]

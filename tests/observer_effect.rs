@@ -3,15 +3,14 @@
 //! Attaching the full observability pipeline — network probes (flow,
 //! TCP, link), MPI spans, app-phase markers, kernel run stats, and the
 //! metrics registry — must not move a single virtual timestamp. Each
-//! scenario here runs once bare and once fully probed, with the TCP bulk
-//! fast path both enabled and disabled (`ExecConfig::fast_path`),
-//! and demands byte-identical elapsed and per-rank nanosecond times.
+//! scenario here runs once bare and once fully probed, and demands
+//! byte-identical elapsed and per-rank nanosecond times.
 
 use std::sync::Arc;
 
 use grid_mpi_lab::desim::obs::{Event, Metrics, RingSink};
 use grid_mpi_lab::gridapps::Ray2MeshConfig;
-use grid_mpi_lab::mpisim::{ExecConfig, MpiImpl, MpiProgram};
+use grid_mpi_lab::mpisim::{MpiImpl, MpiProgram};
 use grid_mpi_lab::netsim::Grid5000Site;
 use grid_mpi_lab::npb::{NasBenchmark, NasClass, NasRun};
 use repro::scenario::{pingpong_program, Scenario};
@@ -25,11 +24,10 @@ struct Timing {
     events: Vec<Event>,
 }
 
-/// Run `program` on `scenario` with the bulk fast path `fast`, fully
-/// probed when `probed`.
-fn run_job(scenario: Scenario, fast: bool, probed: bool, program: impl MpiProgram) -> Timing {
+/// Run `program` on `scenario`, fully probed when `probed`.
+fn run_job(scenario: Scenario, probed: bool, program: impl MpiProgram) -> Timing {
     let sink = Arc::new(RingSink::with_metrics(1 << 18, Arc::new(Metrics::new())));
-    let mut scenario = scenario.exec(ExecConfig::new().fast_path(fast));
+    let mut scenario = scenario;
     if probed {
         scenario = scenario.recorder(sink.clone());
     }
@@ -46,56 +44,53 @@ fn wan_pair() -> Scenario {
     Scenario::pair(Scope::Grid, TuningLevel::FullyTuned, MpiImpl::Mpich2)
 }
 
-fn check(label: &str, run_once: impl Fn(bool, bool) -> Timing, want_phases: &[&str]) {
-    for fast in [false, true] {
-        let bare = run_once(fast, false);
-        let probed = run_once(fast, true);
-        assert_eq!(
-            bare.elapsed_ns, probed.elapsed_ns,
-            "{label}: probes changed the elapsed time (fast={fast})"
-        );
-        assert_eq!(
-            bare.per_rank_ns, probed.per_rank_ns,
-            "{label}: probes changed per-rank times (fast={fast})"
-        );
-        assert!(bare.events.is_empty());
-        assert!(
-            probed
-                .events
-                .iter()
-                .any(|e| matches!(e, Event::MpiSpan { .. })),
-            "{label}: probed run recorded no MPI spans (fast={fast})"
-        );
-        assert!(
-            probed
-                .events
-                .iter()
-                .any(|e| matches!(e, Event::KernelRun { .. })),
-            "{label}: probed run recorded no kernel stats (fast={fast})"
-        );
-        let phases: Vec<&str> = probed
+fn check(label: &str, run_once: impl Fn(bool) -> Timing, want_phases: &[&str]) {
+    let bare = run_once(false);
+    let probed = run_once(true);
+    assert_eq!(
+        bare.elapsed_ns, probed.elapsed_ns,
+        "{label}: probes changed the elapsed time"
+    );
+    assert_eq!(
+        bare.per_rank_ns, probed.per_rank_ns,
+        "{label}: probes changed per-rank times"
+    );
+    assert!(bare.events.is_empty());
+    assert!(
+        probed
             .events
             .iter()
-            .filter_map(|e| match e {
-                Event::Phase { name, .. } => Some(*name),
-                _ => None,
-            })
-            .collect();
-        for want in want_phases {
-            assert!(
-                phases.contains(want),
-                "{label}: missing phase marker {want:?} (fast={fast})"
-            );
-        }
+            .any(|e| matches!(e, Event::MpiSpan { .. })),
+        "{label}: probed run recorded no MPI spans"
+    );
+    assert!(
+        probed
+            .events
+            .iter()
+            .any(|e| matches!(e, Event::KernelRun { .. })),
+        "{label}: probed run recorded no kernel stats"
+    );
+    let phases: Vec<&str> = probed
+        .events
+        .iter()
+        .filter_map(|e| match e {
+            Event::Phase { name, .. } => Some(*name),
+            _ => None,
+        })
+        .collect();
+    for want in want_phases {
+        assert!(
+            phases.contains(want),
+            "{label}: missing phase marker {want:?}"
+        );
     }
 }
 
-/// Cross-site ping-pong with bulk messages: the scenario where the fast
-/// path actually engages and the cwnd probe stream is dense.
+/// Cross-site ping-pong with bulk messages: the scenario where pinned
+/// segments engage and the cwnd probe stream is dense.
 #[test]
 fn pingpong_has_no_observer_effect() {
-    let run_once =
-        |fast: bool, probed: bool| run_job(wan_pair(), fast, probed, pingpong_program(4 << 20, 5));
+    let run_once = |probed: bool| run_job(wan_pair(), probed, pingpong_program(4 << 20, 5));
     check("pingpong", run_once, &[]);
 }
 
@@ -103,18 +98,18 @@ fn pingpong_has_no_observer_effect() {
 /// sites, with all probes and phase markers attached.
 #[test]
 fn nas_cg_has_no_observer_effect() {
-    let run_once = |fast: bool, probed: bool| {
+    let run_once = |probed: bool| {
         let scenario = Scenario::npb(8, 8, 8, TuningLevel::FullyTuned, MpiImpl::Mpich2);
         let run = NasRun::quick(NasBenchmark::Cg, NasClass::S);
-        run_job(scenario, fast, probed, run.program())
+        run_job(scenario, probed, run.program())
     };
     check("nas-cg", run_once, &["warmup", "timed", "end"]);
 }
 
 /// The blame analyzer attached live (a [`Collector`] teed alongside the
 /// digest sink) must leave both the virtual clock and the golden digest
-/// untouched: same elapsed time, bit-identical digest value, fast path on
-/// and off — and the collected stream must actually analyze.
+/// untouched: same elapsed time, bit-identical digest value — and the
+/// collected stream must actually analyze.
 #[test]
 fn live_analyzer_has_no_observer_effect() {
     use grid_mpi_lab::desim::obs::analysis::{Analysis, Collector};
@@ -123,7 +118,7 @@ fn live_analyzer_has_no_observer_effect() {
     use grid_mpi_lab::desim::Recorder;
     use grid_mpi_lab::mpisim::HEADER_BYTES;
 
-    let run_once = |fast: bool, with_analyzer: bool| {
+    let run_once = |with_analyzer: bool| {
         let digest = Arc::new(DigestSink::new());
         let collector = Arc::new(Collector::new());
         let recorder: Arc<dyn Recorder> = if with_analyzer {
@@ -135,7 +130,6 @@ fn live_analyzer_has_no_observer_effect() {
             digest.clone()
         };
         let report = wan_pair()
-            .exec(ExecConfig::new().fast_path(fast))
             .recorder(recorder)
             .run(pingpong_program(4 << 20, 3))
             .unwrap();
@@ -145,48 +139,37 @@ fn live_analyzer_has_no_observer_effect() {
             collector.events(),
         )
     };
-    for fast in [false, true] {
-        let (bare_ns, bare_digest, bare_events) = run_once(fast, false);
-        let (teed_ns, teed_digest, teed_events) = run_once(fast, true);
-        assert!(bare_events.is_empty());
-        assert_eq!(
-            bare_ns, teed_ns,
-            "analyzer tee changed elapsed time (fast={fast})"
-        );
-        assert_eq!(
-            bare_digest, teed_digest,
-            "analyzer tee changed the golden digest (fast={fast})"
-        );
-        // The side channel actually fed the analyzer: spans pair up and
-        // the flow decomposition is populated.
-        let analysis = Analysis::from_events(&teed_events, HEADER_BYTES);
-        assert!(!analysis.ranks.is_empty(), "no rank profiles (fast={fast})");
-        assert!(
-            !analysis.flows.is_empty(),
-            "no flows analyzed (fast={fast})"
-        );
-        assert!(
-            !analysis.messages.is_empty(),
-            "no messages paired (fast={fast})"
-        );
-        assert!(
-            analysis.messages.iter().all(|m| m.msg_id != 0),
-            "a paired message lost its id (fast={fast})"
-        );
-        assert!(analysis.path.is_some(), "no critical path (fast={fast})");
-    }
+    let (bare_ns, bare_digest, bare_events) = run_once(false);
+    let (teed_ns, teed_digest, teed_events) = run_once(true);
+    assert!(bare_events.is_empty());
+    assert_eq!(bare_ns, teed_ns, "analyzer tee changed elapsed time");
+    assert_eq!(
+        bare_digest, teed_digest,
+        "analyzer tee changed the golden digest"
+    );
+    // The side channel actually fed the analyzer: spans pair up and the
+    // flow decomposition is populated.
+    let analysis = Analysis::from_events(&teed_events, HEADER_BYTES);
+    assert!(!analysis.ranks.is_empty(), "no rank profiles");
+    assert!(!analysis.flows.is_empty(), "no flows analyzed");
+    assert!(!analysis.messages.is_empty(), "no messages paired");
+    assert!(
+        analysis.messages.iter().all(|m| m.msg_id != 0),
+        "a paired message lost its id"
+    );
+    assert!(analysis.path.is_some(), "no critical path");
 }
 
 /// Ray2mesh (master/worker over four sites), all probes attached.
 #[test]
 fn ray2mesh_has_no_observer_effect() {
-    let run_once = |fast: bool, probed: bool| {
+    let run_once = |probed: bool| {
         let scenario = Scenario::four_sites(4, Grid5000Site::ALL[0], MpiImpl::GridMpi);
         let cfg = Ray2MeshConfig {
             total_rays: 20_000,
             ..Ray2MeshConfig::small()
         };
-        run_job(scenario, fast, probed, cfg.program())
+        run_job(scenario, probed, cfg.program())
     };
     check("ray2mesh", run_once, &["trace", "merge", "write"]);
 }
